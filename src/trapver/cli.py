@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__, bounds, ftcalc
 from .graphs import GraphSpec, carve_target, carve_trap_graph, check_embedding
 from .protocol import (
+    ENGINE_VERSION,
     AttackSpec,
     RunRecord,
     make_round_layout,
@@ -90,7 +91,8 @@ class SessionConfig:
             "attack": self.attack,
             "seed": self.seed,
             "fmt": self.fmt,
-            "extras": dict(self.extras),
+            # "quiet" is set by replay alone and is not part of the run
+            "extras": {k: v for k, v in self.extras.items() if k != "quiet"},
         }
         return doc
 
@@ -296,7 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
 
-    p = sub.add_parser("replay", help="re-execute an artifact, assert verdict")
+    p = sub.add_parser(
+        "replay", help="re-execute a verify artifact, compare all but telemetry"
+    )
     p.add_argument("artifact")
 
     return parser
@@ -433,14 +437,22 @@ def _require(cfg: SessionConfig, *names: str) -> list[object]:
 
 def attack_spec_from_json(doc: Mapping) -> AttackSpec:
     """Deserialize an attack: Pauli mixture or explicit unitary."""
+    if not isinstance(doc, Mapping):
+        raise CliError("attack JSON must be an object")
     if "pauli_terms" in doc:
         terms = []
-        for term in doc["pauli_terms"]:
-            letters = []
-            for key, letter in term["letters"].items():
-                slot_s, _, v_s = key.partition(":")
-                letters.append(((int(slot_s), int(v_s)), str(letter)))
-            terms.append((float(term["weight"]), tuple(sorted(letters))))
+        try:
+            for term in doc["pauli_terms"]:
+                letters = []
+                for key, letter in term["letters"].items():
+                    slot_s, _, v_s = key.partition(":")
+                    letters.append(((int(slot_s), int(v_s)), str(letter)))
+                terms.append((float(term["weight"]), tuple(sorted(letters))))
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise CliError(
+                f"malformed Pauli term in attack JSON "
+                f"({type(exc).__name__}: {exc})"
+            ) from exc
         return AttackSpec(pauli_terms=tuple(terms))
     if "unitary" in doc:
         rows = doc["unitary"]
@@ -583,6 +595,7 @@ def _cmd_verify(cfg: SessionConfig) -> tuple[int, dict]:
     artifact = _stamp(
         cfg,
         {
+            "engine_version": ENGINE_VERSION,
             "config": snapshot,
             "scheme": {"m": scheme_m, "l": scheme_l, **meta, "n_qubits": n_qubits},
             "records": [r.to_json_dict() for r in records],
@@ -740,6 +753,26 @@ def _strip_telemetry(doc: dict) -> dict:
     return {k: v for k, v in doc.items() if k != "telemetry"}
 
 
+def _first_difference(a: object, b: object, path: str = "$") -> str | None:
+    """JSON path of the first place two JSON values differ, else None."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in sorted(set(a) | set(b)):
+            here = f"{path}.{k}"
+            if k not in a or k not in b:
+                return here
+            found = _first_difference(a[k], b[k], here)
+            if found:
+                return found
+        return None
+    if isinstance(a, list) and isinstance(b, list):
+        for i, (x, y) in enumerate(zip(a, b)):
+            found = _first_difference(x, y, f"{path}[{i}]")
+            if found:
+                return found
+        return None if len(a) == len(b) else f"{path}[{min(len(a), len(b))}]"
+    return None if a == b else path
+
+
 def _cmd_replay(cfg: SessionConfig) -> tuple[int, dict]:
     (path,) = _require(cfg, "artifact")
     try:
@@ -747,19 +780,36 @@ def _cmd_replay(cfg: SessionConfig) -> tuple[int, dict]:
             artifact = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read artifact {path}: {exc}") from exc
+    if not isinstance(artifact, dict):
+        raise CliError(f"artifact {path} must hold a JSON object")
     if artifact.get("schema_version") != ARTIFACT_SCHEMA:
         raise CliError(
             f"unsupported artifact schema {artifact.get('schema_version')!r}"
         )
-    saved_cfg = SessionConfig.from_json_dict(artifact["config"])
+    try:
+        saved_cfg = SessionConfig.from_json_dict(artifact["config"])
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise CliError(f"artifact {path} holds no readable config") from exc
+    if saved_cfg.subcommand != "verify":
+        raise CliError(f"artifact {path} is not from a verify run")
+    # Artifacts from before engine versions were stamped are engine 1.
+    engine = artifact.get("engine_version", 1)
+    if engine != ENGINE_VERSION:
+        raise CliError(
+            f"artifact was made by simulation engine version {engine}; "
+            f"this build runs engine version {ENGINE_VERSION}, which draws "
+            f"different outcomes from the same seed, so it cannot replay it"
+        )
     saved_cfg = replace(
         saved_cfg, out=None, extras={**saved_cfg.extras, "quiet": True}
     )
     code, fresh = execute(saved_cfg)
-    if _strip_telemetry(fresh)["verdict"] != artifact["verdict"]:
+    stored, rerun = _strip_telemetry(artifact), _strip_telemetry(fresh)
+    if stored != rerun:
         raise CliError(
-            "replay mismatch: verdict differs from the stored artifact "
-            "(nondeterminism or tampering)"
+            f"replay mismatch at {_first_difference(stored, rerun)}: the "
+            f"re-run differs from the stored artifact (nondeterminism or "
+            f"tampering)"
         )
     print(json.dumps(fresh["verdict"], indent=2, sort_keys=True))
     return code, fresh

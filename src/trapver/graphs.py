@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 ANGLE_STEPS = 16
@@ -151,10 +152,21 @@ class GraphSpec:
             if not self.is_dummy(a) and not self.is_dummy(b)
         )
 
+    @cached_property
+    def induced_neighbors(self) -> dict[int, tuple[int, ...]]:
+        """Surviving neighbours of every non-dummy vertex, keys ascending.
+
+        Built once per layout from ``induced_edges``; the key mask of a
+        round and its decryption both read this table.
+        """
+        out: dict[int, list[int]] = {v: [] for v in self.non_dummy_ids()}
+        for a, b in self.induced_edges():
+            out[a].append(b)
+            out[b].append(a)
+        return {v: tuple(sorted(us)) for v, us in out.items()}
+
     def induced_degree(self, v: int) -> int:
-        if self.is_dummy(v):
-            return 0
-        return sum(1 for u in self.neighbors(v) if not self.is_dummy(u))
+        return len(self.induced_neighbors.get(v, ()))
 
     def base_angles(self) -> dict[int, float]:
         """Measurement angles (radians) of the unencrypted computation."""
@@ -343,7 +355,7 @@ def bridge_corrections(g: GraphSpec, raw_outcomes: Sequence[int]) -> list[int]:
         raise ValueError("need one raw outcome per lattice cell")
     mask = [0] * (g.m * g.n)
     for v in g.bridge_ids():
-        ends = [u for u in g.neighbors(v) if not g.is_dummy(u)]
+        ends = g.induced_neighbors[v]
         if len(ends) != 2:
             raise ValueError(f"bridge vertex {v} has degree {len(ends)} != 2")
         if raw_outcomes[v] & 1:

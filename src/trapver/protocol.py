@@ -3,10 +3,20 @@
 A protocol run is 2κ+1 rounds — one computation round and κ trap rounds
 per parity — executed in a secret random order against a prover that may
 be honest, noisy, or actively deviating.  Rounds are simulated one of two
-ways that must agree: a phase-table/Walsh-Hadamard fast path used when the
-run is noiseless and deviations are Pauli (every acceptance experiment),
-and a dense state-vector path that handles trajectory noise and arbitrary
-joint unitary deviations under the qubit cap.
+ways that must agree: a fast path used when the run is noiseless and
+deviations are Pauli (every acceptance experiment), and a dense
+state-vector path that handles trajectory noise and arbitrary joint
+unitary deviations under the qubit cap.
+
+The fast path rests on the one-time pad: the verifier only sends padded
+single-qubit states, so for any key a round's raw outcome distribution is
+the key-independent distribution of its carving at the base angles,
+XOR-shifted by a mask — r, plus r′ of each surviving neighbour (an r
+adds π to the angle, which flips the outcome; an r′ negates it, which
+the graph-state stabiliser turns into flips on the neighbours).  Each
+carving's per-component base distributions are computed once and cached
+as CDFs, so a round costs one binary search per component, one coin per
+dummy and O(cells) bit work.  Trap components are deterministic.
 
 The deviation model places Pauli attacks between the prover's basis
 rotations and the X readouts, which is where arbitrary deviations are
@@ -37,24 +47,27 @@ from .simulator import (
     NoiseModel,
     StateVector,
     _check_cap,
+    _induced_components,
     apply_cz,
     apply_noise,
     apply_pauli,
     apply_phase,
     bits_to_string,
+    component_probabilities,
     exact_probability_array,
-    fwht_inplace,
     measure_xy,
     prepare_qubit,
     string_to_bits,
     tensor,
 )
 
+# Bumped whenever a seed would draw different outcomes.  Engine 2 samples
+# noiseless rounds from cached base distributions shifted by the key mask.
+ENGINE_VERSION = 2
+
 KIND_TARGET = "target"
 KIND_EVEN = "even"
 KIND_ODD = "odd"
-
-_EXP16 = np.exp(-1j * np.arange(16) * math.pi / 8)
 
 
 @dataclass(frozen=True)
@@ -239,6 +252,21 @@ class AttackSpec:
     def is_honest(self) -> bool:
         return self.pauli_terms is None and self.unitary is None
 
+    def check_against(self, layout: RoundLayout) -> None:
+        """Reject Pauli letters on slots or cells ``layout`` does not have."""
+        for _, letters in self.pauli_terms or ():
+            for (slot, v), _letter in letters:
+                if not 0 <= slot < layout.rounds:
+                    raise ValueError(
+                        f"attack letter on slot {slot}, but the layout "
+                        f"runs slots 0..{layout.rounds - 1}"
+                    )
+                if not 0 <= v < layout.m * layout.n:
+                    raise ValueError(
+                        f"attack letter on vertex {v}, but the lattice "
+                        f"has cells 0..{layout.m * layout.n - 1}"
+                    )
+
 
 HONEST = AttackSpec()
 
@@ -263,14 +291,13 @@ def _sample_letters(
 
 
 # ---------------------------------------------------------------------------
-# Fast path: per-component phase tables
+# Fast path: cached base distributions shifted by the key mask
 
 
 @dataclass(frozen=True)
 class _ComponentPlan:
     vertices: tuple[int, ...]
-    sign: np.ndarray      # (−1)^{#internal edges on}, length 2^c
-    bits: np.ndarray      # (2^c, c) int8 bit matrix
+    cdf: np.ndarray       # cumulative base distribution, last entry exactly 1
 
 
 @dataclass(frozen=True)
@@ -281,69 +308,64 @@ class _SimPlan:
 
 @lru_cache(maxsize=64)
 def _sim_plan(g: GraphSpec, cap: int) -> _SimPlan:
-    adj: dict[int, list[int]] = {v: [] for v in g.non_dummy_ids()}
-    for a, b in g.induced_edges():
-        adj[a].append(b)
-        adj[b].append(a)
-    seen: set[int] = set()
+    """Per-component outcome distributions of ``g`` at its base angles."""
+    induced = g.induced_edges()
     comps = []
-    for start in g.non_dummy_ids():
-        if start in seen:
-            continue
-        stack, comp = [start], []
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        comp = tuple(sorted(comp))
-        c = len(comp)
-        _check_cap(c, cap)
-        pos = {v: j for j, v in enumerate(comp)}
-        idx = np.arange(2**c)
-        sign = np.ones(2**c, dtype=np.float64)
-        for a, b in g.induced_edges():
-            if a in pos and b in pos:
-                both = ((idx >> pos[a]) & (idx >> pos[b]) & 1).astype(bool)
-                sign[both] *= -1
-        bits = ((idx[:, None] >> np.arange(c)[None, :]) & 1).astype(np.int8)
-        comps.append(_ComponentPlan(vertices=comp, sign=sign, bits=bits))
+    for comp in _induced_components(g):
+        _check_cap(len(comp), cap)
+        members = set(comp)
+        probs = component_probabilities(
+            comp,
+            [e for e in induced if e[0] in members],
+            {v: k_to_radians(g.phi_k[v]) for v in comp},
+        )
+        cdf = np.cumsum(probs)
+        cdf /= cdf[-1]
+        comps.append(_ComponentPlan(vertices=comp, cdf=cdf))
     return _SimPlan(components=tuple(comps), dummies=g.dummy_ids())
+
+
+def _pad_mask(
+    g: GraphSpec, r: Mapping[int, int], rprime: Mapping[int, int]
+) -> dict[int, int]:
+    """Per non-dummy vertex: its r, XOR r′ of its surviving neighbours.
+
+    This is the whole effect of the one-time pad on a round's raw
+    outcomes, and exactly what decryption strips off again.
+    """
+    mask = {}
+    for v, nbrs in g.induced_neighbors.items():
+        x = r[v]
+        for u in nbrs:
+            x ^= rprime[u]
+        mask[v] = x
+    return mask
 
 
 def _fast_round_bits(
     g: GraphSpec,
-    k_eff: Mapping[int, int],
-    flip: Mapping[int, int],
+    mask: Mapping[int, int],
+    flips: Sequence[int],
     rng: np.random.Generator,
     cap: int,
 ) -> list[int]:
     """Sample raw outcomes of one noiseless round.
 
-    ``k_eff[v]`` is the grid angle the round effectively measures at once
-    the preparation phase is absorbed (δ − θ); ``flip`` marks vertices
-    whose raw bit a deviation inverts.  Dummy outcomes are fair coins.
+    Each component draws one uniform against its cached base CDF; dummy
+    outcomes are fair coins.  ``mask`` (from `_pad_mask`) is XORed in,
+    then each vertex in ``flips`` has its raw bit inverted.
     """
     plan = _sim_plan(g, cap)
     raw = [0] * (g.m * g.n)
-    for comp in plan.components:
-        kvec = np.array([k_eff[v] for v in comp.vertices], dtype=np.int64)
-        phases = _EXP16[(comp.bits @ kvec) % 16]
-        f = comp.sign * phases
-        fwht_inplace(f)
-        probs = f.real**2 + f.imag**2
-        cum = np.cumsum(probs)
-        pick = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+    for comp, u in zip(plan.components, rng.random(len(plan.components))):
+        pick = int(comp.cdf.searchsorted(u, side="right"))
         for j, v in enumerate(comp.vertices):
-            raw[v] = (pick >> j) & 1
-    for v in plan.dummies:
-        raw[v] = int(rng.integers(0, 2))
-    for v, do_flip in flip.items():
-        if do_flip:
-            raw[v] ^= 1
+            raw[v] = ((pick >> j) & 1) ^ mask[v]
+    coins = rng.integers(0, 2, size=len(plan.dummies))
+    for v, coin in zip(plan.dummies, coins.tolist()):
+        raw[v] = coin
+    for v in flips:
+        raw[v] ^= 1
     return raw
 
 
@@ -439,11 +461,15 @@ def run_round(
 ) -> list[int]:
     """Execute one slot and return every lattice cell's raw outcome.
 
-    A noiseless round with at most Pauli deviations runs on the
-    phase-table fast path; anything else takes the dense simulator.
-    Standalone callers may pass a mixture AttackSpec (a term is sampled
-    here); `run_protocol` pre-samples one term for the whole run and
-    hands it down via ``resolved_letters``.
+    A noiseless round with at most Pauli deviations takes the fast path:
+    the padded angles only XOR-shift the round's outcome distribution, so
+    it draws from the layout's cached base distribution, XORs in the key
+    mask (r, plus r′ of each surviving neighbour) and inverts every bit
+    carrying a Z or Y letter.  Noisy rounds take the dense simulator,
+    which is the only path that reads the encrypted angles.  Standalone
+    callers may pass a mixture AttackSpec (a term is sampled here);
+    `run_protocol` pre-samples one term for the whole run and hands it
+    down via ``resolved_letters``.
     """
     if rng is None:
         raise ValueError("an explicitly seeded generator is required")
@@ -454,28 +480,24 @@ def run_round(
         )
     if resolved_letters is None:
         resolved_letters = _sample_letters(strategy, rng)
-    if all_deltas is None:
-        all_deltas = encrypt_angles(key, layout)
     gi = key.perm[round_index]
     g = layout.graphs[gi]
-    deltas = all_deltas[gi]
     letters = {
         v: letter
         for (slot, v), letter in resolved_letters.items()
         if slot == round_index
     }
     if noise.is_noiseless():
-        k_eff = {
-            v: (deltas[v] - key.theta_k[gi][v]) % ANGLE_STEPS
-            for v in g.non_dummy_ids()
-        }
-        flip = {v: 1 for v, p in letters.items() if p in ("Z", "Y")}
-        return _fast_round_bits(g, k_eff, flip, rng, cap)
+        mask = _pad_mask(g, key.r[gi], key.rprime[gi])
+        flips = [v for v, p in letters.items() if p in ("Z", "Y")]
+        return _fast_round_bits(g, mask, flips, rng, cap)
+    if all_deltas is None:
+        all_deltas = encrypt_angles(key, layout)
     state = dense_round_state(
         g,
         key.theta_k[gi],
         key.d[gi],
-        deltas,
+        all_deltas[gi],
         noise,
         letters,
         rng,
@@ -512,17 +534,14 @@ def decrypt(
         if len(raw) != g.m * g.n:
             raise ValueError(f"slot {slot}: need one outcome per cell")
         padded = list(raw)
-        for v in g.non_dummy_ids():
-            x = raw[v] ^ key.r[gi][v]
-            for u in g.neighbors(v):
-                if not g.is_dummy(u):
-                    x ^= key.rprime[gi][u]
-            padded[v] = x
+        for v, x in _pad_mask(g, key.r[gi], key.rprime[gi]).items():
+            padded[v] ^= x
+        nd = g.non_dummy_ids()
         if layout.kinds[gi] == KIND_TARGET:
-            mask = bridge_corrections(g, padded)
-            for v in g.non_dummy_ids():
-                padded[v] ^= mask[v]
-        out.append(tuple(padded[v] for v in g.non_dummy_ids()))
+            corr = bridge_corrections(g, padded)
+            for v in nd:
+                padded[v] ^= corr[v]
+        out.append(tuple(padded[v] for v in nd))
     return tuple(out)
 
 
@@ -611,7 +630,7 @@ def _execute_run(
     if strategy is not None and strategy.unitary is not None:
         raw_rounds = _joint_raw_rounds(layout, key, strategy, noise, rng, cap)
     else:
-        deltas = encrypt_angles(key, layout)
+        deltas = None if noise.is_noiseless() else encrypt_angles(key, layout)
         raw_rounds = [
             run_round(
                 key,
@@ -717,6 +736,8 @@ def run_scheme(
         raise ValueError("need at least one repetition")
     if not 0 <= l_threshold <= 1:
         raise ValueError("acceptance fraction must lie in [0, 1]")
+    if strategy is not None:
+        strategy.check_against(layout)
     streams = rng.spawn(m_repetitions)
     passes = 0
     outputs = []
@@ -748,7 +769,7 @@ def _correction_index_map(g: GraphSpec) -> np.ndarray:
     idx = np.arange(2**n)
     out = idx.copy()
     for b in g.bridge_ids():
-        ends = [u for u in g.neighbors(b) if not g.is_dummy(u)]
+        ends = g.induced_neighbors[b]
         mask = (1 << pos[ends[0]]) | (1 << pos[ends[1]])
         hit = ((idx >> pos[b]) & 1).astype(bool)
         out[hit] ^= mask
@@ -819,6 +840,8 @@ def estimate_fidelity_gap(
         raise ValueError("need at least one sample")
     if strategy is not None and strategy.unitary is not None:
         raise ValueError("gap estimation is defined over Pauli mixtures")
+    if strategy is not None:
+        strategy.check_against(layout)
     noise = NoiseModel()
     target = layout.target
     nd_target = set(target.non_dummy_ids())

@@ -326,14 +326,19 @@ def component_probabilities(
     """
     c = len(vertices)
     pos = {v: j for j, v in enumerate(vertices)}
-    idx = np.arange(2**c)
-    f = np.ones(2**c, dtype=np.complex128)
+    earlier: list[list[int]] = [[] for _ in range(c)]
     for a, b in edges:
-        both = ((idx >> pos[a]) & (idx >> pos[b]) & 1).astype(bool)
-        f[both] *= -1
-    for v in vertices:
-        on = ((idx >> pos[v]) & 1).astype(bool)
-        f[on] *= np.exp(-1j * angles[v])
+        lo, hi = sorted((pos[a], pos[b]))
+        earlier[hi].append(lo)
+    # Fill f by doubling: indices with bit j set are the block below them
+    # times vertex j's phase, negated where an earlier neighbour's bit is 1.
+    f = np.empty(2**c, dtype=np.complex128)
+    f[0] = 1.0
+    for j, v in enumerate(vertices):
+        upper = f[2**j : 2 ** (j + 1)]
+        np.multiply(f[: 2**j], np.exp(-1j * angles[v]), out=upper)
+        for lo in earlier[j]:
+            upper.reshape(-1, 2, 2**lo)[:, 1, :] *= -1
     fwht_inplace(f)
     amps = f / 2**c
     return np.abs(amps) ** 2

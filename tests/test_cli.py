@@ -8,6 +8,7 @@ import pytest
 from trapver import __version__
 from trapver.cli import CliError, main, parse_config
 from trapver.graphs import GraphSpec, carve_target
+from trapver.protocol import ENGINE_VERSION
 
 
 def read_json(path):
@@ -186,9 +187,10 @@ def test_verify_honest_artifact(tmp_path):
     assert main(argv) == 0
     doc = read_json(out)
     assert set(doc) == {
-        "schema_version", "tool_version", "seed", "config", "scheme",
-        "records", "verdict", "telemetry",
+        "schema_version", "tool_version", "engine_version", "seed", "config",
+        "scheme", "records", "verdict", "telemetry",
     }
+    assert doc["engine_version"] == ENGINE_VERSION
     assert doc["verdict"]["accept"] is True
     assert doc["verdict"]["pass_fraction"] == 1.0
     assert len(doc["records"]) == 4
@@ -283,6 +285,82 @@ def test_replay_detects_tampering(tmp_path, capsys):
     tampered.write_text(json.dumps(doc))
     assert main(["replay", str(tampered)]) == 1
     assert "schema" in capsys.readouterr().err
+
+
+def test_replay_compares_the_whole_artifact(tmp_path, capsys):
+    argv, out = verify_argv(
+        tmp_path, "session.json", ["--scheme-M", "3", "--scheme-l", "0.9"]
+    )
+    main(argv)
+
+    doc = read_json(out)
+    doc["records"][1]["raw"][0][4] ^= 1  # verdict and output untouched
+    tampered = tmp_path / "tampered-raw.json"
+    tampered.write_text(json.dumps(doc))
+    assert main(["replay", str(tampered)]) == 1
+    assert "mismatch at $.records[1].raw[0][4]" in capsys.readouterr().err
+
+    doc = read_json(out)
+    flipped = "1" if doc["records"][0]["target_output"][0] == "0" else "0"
+    doc["records"][0]["target_output"] = (
+        flipped + doc["records"][0]["target_output"][1:]
+    )
+    tampered = tmp_path / "tampered-output.json"
+    tampered.write_text(json.dumps(doc))
+    assert main(["replay", str(tampered)]) == 1
+    assert "$.records[0].target_output" in capsys.readouterr().err
+
+    doc = read_json(out)
+    doc["telemetry"]["wall_clock_s"] = 1e9  # telemetry is not replayed
+    edited = tmp_path / "edited-telemetry.json"
+    edited.write_text(json.dumps(doc))
+    assert main(["replay", str(edited)]) == 0
+
+
+def test_replay_refuses_other_engine_versions(tmp_path, capsys):
+    argv, out = verify_argv(
+        tmp_path, "session.json", ["--scheme-M", "3", "--scheme-l", "0.9"]
+    )
+    main(argv)
+    doc = read_json(out)
+    del doc["engine_version"]  # artifacts without a stamp are engine 1
+    old = tmp_path / "engine1.json"
+    old.write_text(json.dumps(doc))
+    assert main(["replay", str(old)]) == 1
+    err = capsys.readouterr().err
+    assert "engine version 1" in err
+    assert "tampering" not in err
+
+
+def test_replay_rejects_non_verify_documents(tmp_path, capsys):
+    out = tmp_path / "thm1.json"
+    main(["bounds", "thm1", "--n-qubits", "7", "--kappa", "1",
+          "--eps-v", "1e-3", "--eps-p", "1e-3", "--beta", "0.05",
+          "--out", str(out)])
+    assert main(["replay", str(out)]) == 1
+    assert "config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "attack, message",
+    [
+        ({"pauli_terms": [{"weight": 1.0, "letters": {"7:0": "Z"}}]}, "slot 7"),
+        ({"pauli_terms": [{"weight": 1.0, "letters": {"0:99": "Z"}}]}, "vertex 99"),
+        ({"pauli_terms": [{"letters": {"0:0": "Z"}}]}, "weight"),
+    ],
+    ids=["slot-out-of-range", "vertex-out-of-range", "missing-weight"],
+)
+def test_verify_rejects_bad_attacks(
+    tmp_path, capsys, attack, message
+):
+    path = tmp_path / "attack.json"
+    path.write_text(json.dumps(attack))
+    argv, _ = verify_argv(
+        tmp_path, "attacked.json",
+        ["--scheme-M", "2", "--scheme-l", "0.5", "--attack", str(path)],
+    )
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_verify_auto_params(tmp_path):

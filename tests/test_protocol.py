@@ -12,8 +12,12 @@ from trapver.graphs import (
     ROLE_DUMMY,
     ROLE_TRAP,
     GraphSpec,
+    k_to_radians,
 )
 from trapver.protocol import (
+    _correction_index_map,
+    _pad_mask,
+    _sim_plan,
     HONEST,
     KIND_EVEN,
     KIND_ODD,
@@ -21,6 +25,7 @@ from trapver.protocol import (
     AttackSpec,
     RoundLayout,
     decrypt,
+    dense_round_state,
     encrypt_angles,
     estimate_fidelity_gap,
     honest_target_distribution,
@@ -32,9 +37,14 @@ from trapver.protocol import (
     single_pauli_attack,
 )
 from trapver.simulator import (
+    DEFAULT_QUBIT_CAP,
     NoiseModel,
     QubitCapError,
+    component_probabilities,
     empirical_distribution,
+    exact_probability_array,
+    fwht_inplace,
+    string_to_bits,
     tv_distance,
 )
 
@@ -352,6 +362,107 @@ def test_verdict_monotone_under_extra_letter(layout33):
             flips["loss"] += 1
     assert flips["gain"] == 0
     assert flips["loss"] > 20
+
+
+# -- fast path against the routes it replaces --------------------------------
+
+
+def _base_probs(comp) -> np.ndarray:
+    return np.diff(comp.cdf, prepend=0.0)
+
+
+def _mask_index(mask, vertices) -> int:
+    return sum(mask[v] << j for j, v in enumerate(vertices))
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_base_distribution_shifted_by_mask_equals_per_key_route(m):
+    """Per key, each component's distribution at the effective angles
+    δ − θ is the cached base distribution with its index XORed by the
+    key mask."""
+    layout = make_round_layout(m, 3, 1)
+    rng = rng_from(60 + m)
+    for _ in range(8):
+        key = keygen(layout, rng)
+        deltas = encrypt_angles(key, layout)
+        for gi, g in enumerate(layout.graphs):
+            mask = _pad_mask(g, key.r[gi], key.rprime[gi])
+            induced = g.induced_edges()
+            for comp in _sim_plan(g, DEFAULT_QUBIT_CAP).components:
+                per_key = component_probabilities(
+                    comp.vertices,
+                    [e for e in induced if e[0] in comp.vertices],
+                    {
+                        v: k_to_radians(deltas[gi][v] - key.theta_k[gi][v])
+                        for v in comp.vertices
+                    },
+                )
+                idx = np.arange(per_key.size)
+                shifted = _base_probs(comp)[idx ^ _mask_index(mask, comp.vertices)]
+                np.testing.assert_allclose(per_key, shifted, rtol=0, atol=1e-12)
+
+
+def test_fast_round_distribution_equals_dense_path():
+    """Exact raw-outcome distribution of every round at 5x3: the fast
+    kernel's (shifted base per component, fair coins on dummies) against
+    the dense state read out in the X basis.  At 3x3 the base is uniform,
+    so only a larger lattice can expose a wrong mask."""
+    layout = make_round_layout(5, 3, 1)
+    size = 15
+    cells = np.arange(2**size)
+    rng = rng_from(70)
+    for _ in range(3):
+        key = keygen(layout, rng)
+        deltas = encrypt_angles(key, layout)
+        for gi, g in enumerate(layout.graphs):
+            state = dense_round_state(
+                g, key.theta_k[gi], key.d[gi], deltas[gi], NoiseModel(), {}, rng
+            )
+            amps = state.amps.copy()
+            fwht_inplace(amps)  # H on every qubit, up to 2^(-size/2)
+            dense = np.abs(amps) ** 2 / 2**size
+            plan = _sim_plan(g, DEFAULT_QUBIT_CAP)
+            mask = _pad_mask(g, key.r[gi], key.rprime[gi])
+            fast = np.full(2**size, 0.5 ** len(plan.dummies))
+            for comp in plan.components:
+                sub = sum(
+                    ((cells >> v) & 1) << j for j, v in enumerate(comp.vertices)
+                )
+                fast *= _base_probs(comp)[sub ^ _mask_index(mask, comp.vertices)]
+            np.testing.assert_allclose(fast, dense, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("m, runs", [(5, 1500), (9, 300)])
+def test_honest_outputs_reach_exact_cross_entropy(m, runs):
+    """Linear cross-entropy of honest outputs against the exact corrected
+    distribution.  Its expectation is 2.25 here and uniform strings give
+    1.0, so a decryption or mask bug cannot pass."""
+    layout = make_round_layout(m, 3, 1)
+    g = layout.target
+    probs = exact_probability_array(g, g.base_angles())
+    ref = np.zeros_like(probs)
+    np.add.at(ref, _correction_index_map(g), probs)
+    scaled = ref * ref.size
+    want = float((ref * scaled).sum())
+    sd = math.sqrt(float((ref * scaled**2).sum()) - want**2)
+    tol = 4 * sd / math.sqrt(runs)
+    assert want - tol > 1.0
+    sink: list = []
+    verdict = run_scheme(
+        layout, None, None, runs, 1.0, rng_from(80 + m), record_sink=sink
+    )
+    assert verdict.pass_fraction == 1.0
+    got = float(scaled[[string_to_bits(r.target_output) for r in sink]].mean())
+    assert abs(got - want) < tol
+
+
+def test_scheme_and_gap_reject_attacks_outside_the_layout(layout33):
+    for letters, what in (({(7, 0): "Z"}, "slot 7"), ({(0, 99): "Z"}, "vertex 99")):
+        attack = single_pauli_attack(letters)
+        with pytest.raises(ValueError, match=what):
+            run_scheme(layout33, attack, None, 2, 0.5, rng_from(0))
+        with pytest.raises(ValueError, match=what):
+            estimate_fidelity_gap(layout33, attack, 2, rng_from(0))
 
 
 # -- scheme -------------------------------------------------------------------
