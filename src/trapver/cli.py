@@ -289,15 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="csv emits the overhead table instead of the report",
     )
 
-    p = sub.add_parser("twirl-check", help="brute-force conjugation sums")
-    p.add_argument("--n", dest="n", type=int)
-    p.add_argument("--q")
-    p.add_argument("--q-prime")
-    p.add_argument("--basis", choices=["full", "z_only"])
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-
     p = sub.add_parser(
         "replay", help="re-execute a verify artifact, compare all but telemetry"
     )
@@ -612,7 +603,7 @@ def _cmd_verify(cfg: SessionConfig) -> tuple[int, dict]:
 
 
 def _twirl_payload(cfg: SessionConfig) -> dict:
-    n = int(cfg.extras.get("n_qubits") or cfg.n or 1)
+    n = int(cfg.extras.get("n_qubits") or 1)
     q = str(cfg.extras.get("q") or "X" * n)
     qprime = str(cfg.extras.get("q_prime") or "Z" * n)
     basis = str(cfg.extras.get("basis", "full"))
@@ -830,10 +821,6 @@ def execute(cfg: SessionConfig) -> tuple[int, dict]:
     if cfg.subcommand == "help":
         build_parser().print_help()
         return EXIT_ACCEPT, {}
-    if cfg.subcommand == "twirl-check":
-        payload = _twirl_payload(cfg)
-        _emit(cfg, payload)
-        return EXIT_ACCEPT, payload
     handler = _HANDLERS.get(cfg.subcommand)
     if handler is None:
         raise CliError(f"unknown subcommand {cfg.subcommand!r}")

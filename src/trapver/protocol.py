@@ -2,13 +2,11 @@
 
 A protocol run is 2κ+1 rounds — one computation round and κ trap rounds
 per parity — executed in a secret random order against a prover that may
-be honest, noisy, or actively deviating.  Rounds are simulated one of two
-ways that must agree: a fast path used when the run is noiseless and
-deviations are Pauli (every acceptance experiment), and a dense
-state-vector path that handles trajectory noise and arbitrary joint
-unitary deviations under the qubit cap.
+be honest, noisy, or actively deviating.  Every round with at most Pauli
+deviations is simulated by one kernel; only a joint unitary deviation,
+which spans rounds, needs the dense state vector.
 
-The fast path rests on the one-time pad: the verifier only sends padded
+The kernel rests on the one-time pad: the verifier only sends padded
 single-qubit states, so for any key a round's raw outcome distribution is
 the key-independent distribution of its carving at the base angles,
 XOR-shifted by a mask — r, plus r′ of each surviving neighbour (an r
@@ -18,17 +16,26 @@ carving's per-component base distributions are computed once and cached
 as CDFs, so a round costs one binary search per component, one coin per
 dummy and O(cells) bit work.  Trap components are deterministic.
 
+Noise is a Pauli error on each preparation, each blanket cZ and each
+readout.  A round is a stabiliser circuit followed by one rotation per
+qubit, so each sampled error is carried to the end of the round as a
+Pauli frame: an X part on v adds Z to v's later cZ partners and, since
+diag(1, e^{−iδ})·X = e^{−iδ}·X·diag(1, e^{iδ}), turns v's rotation from
+−δ to +δ; Z parts flip outcomes.  A component whose frame holds no X bit
+is drawn from its cached CDF as above; one that does is recomputed at
+its per-key angles.
+
 The deviation model places Pauli attacks between the prover's basis
 rotations and the X readouts, which is where arbitrary deviations are
-reduced to Pauli mixtures by the encryption twirl; on the fast path a Z or
-Y letter is therefore exactly a raw-outcome bit flip.
+reduced to Pauli mixtures by the encryption twirl; a Z or Y letter is
+therefore exactly a raw-outcome bit flip, and an X letter does nothing.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,7 +56,6 @@ from .simulator import (
     _check_cap,
     _induced_components,
     apply_cz,
-    apply_noise,
     apply_pauli,
     apply_phase,
     bits_to_string,
@@ -62,8 +68,9 @@ from .simulator import (
 )
 
 # Bumped whenever a seed would draw different outcomes.  Engine 2 samples
-# noiseless rounds from cached base distributions shifted by the key mask.
-ENGINE_VERSION = 2
+# noiseless rounds from cached base distributions shifted by the key mask;
+# engine 3 carries noise as a Pauli frame over the same distributions.
+ENGINE_VERSION = 3
 
 KIND_TARGET = "target"
 KIND_EVEN = "even"
@@ -291,12 +298,26 @@ def _sample_letters(
 
 
 # ---------------------------------------------------------------------------
-# Fast path: cached base distributions shifted by the key mask
+# Round kernel: cached base distributions, key mask and Pauli frame
+
+
+class NoiseEvent(NamedTuple):
+    """One Pauli error in a round.
+
+    ``step`` −1 is the preparation, 0..E−1 the cZ on ``g.edges[step]``
+    (the error follows that gate), and E = ``len(g.edges)`` the readout.
+    """
+
+    step: int
+    vertex: int
+    letter: str
 
 
 @dataclass(frozen=True)
 class _ComponentPlan:
     vertices: tuple[int, ...]
+    edges: tuple[tuple[int, int], ...]
+    cells: int            # bitmask of ``vertices`` over the lattice
     cdf: np.ndarray       # cumulative base distribution, last entry exactly 1
 
 
@@ -304,25 +325,44 @@ class _ComponentPlan:
 class _SimPlan:
     components: tuple[_ComponentPlan, ...]
     dummies: tuple[int, ...]
+    # (step, v) -> bitmask of v's cZ partners on edges after ``step``
+    later: Mapping[tuple[int, int], int]
 
 
 @lru_cache(maxsize=64)
 def _sim_plan(g: GraphSpec, cap: int) -> _SimPlan:
-    """Per-component outcome distributions of ``g`` at its base angles."""
+    """Per-component outcome distributions of ``g`` at its base angles,
+    and the cZ-partner table that carries X errors through the round."""
     induced = g.induced_edges()
     comps = []
     for comp in _induced_components(g):
         _check_cap(len(comp), cap)
         members = set(comp)
+        edges = tuple(e for e in induced if e[0] in members)
         probs = component_probabilities(
-            comp,
-            [e for e in induced if e[0] in members],
-            {v: k_to_radians(g.phi_k[v]) for v in comp},
+            comp, edges, {v: k_to_radians(g.phi_k[v]) for v in comp}
         )
         cdf = np.cumsum(probs)
         cdf /= cdf[-1]
-        comps.append(_ComponentPlan(vertices=comp, cdf=cdf))
-    return _SimPlan(components=tuple(comps), dummies=g.dummy_ids())
+        comps.append(
+            _ComponentPlan(
+                vertices=comp,
+                edges=edges,
+                cells=sum(1 << v for v in comp),
+                cdf=cdf,
+            )
+        )
+    after = [0] * (g.m * g.n)
+    later: dict[tuple[int, int], int] = {}
+    for step in range(len(g.edges) - 1, -1, -1):
+        a, b = g.edges[step]
+        later[step, a], later[step, b] = after[a], after[b]
+        after[a] |= 1 << b
+        after[b] |= 1 << a
+    later.update(((-1, v), mask) for v, mask in enumerate(after))
+    return _SimPlan(
+        components=tuple(comps), dummies=g.dummy_ids(), later=later
+    )
 
 
 def _pad_mask(
@@ -342,35 +382,167 @@ def _pad_mask(
     return mask
 
 
-def _fast_round_bits(
-    g: GraphSpec,
-    mask: Mapping[int, int],
-    flips: Sequence[int],
-    rng: np.random.Generator,
-    cap: int,
-) -> list[int]:
-    """Sample raw outcomes of one noiseless round.
+def _sample_events(
+    g: GraphSpec, noise: NoiseModel, rng: np.random.Generator
+) -> list[NoiseEvent]:
+    """Draw one round's noise events, in time order.
 
-    Each component draws one uniform against its cached base CDF; dummy
-    outcomes are fair coins.  ``mask`` (from `_pad_mask`) is XORed in,
-    then each vertex in ``flips`` has its raw bit inverted.
+    One array of uniforms covers every site — each preparation (rate
+    ε_V), each cZ (rate ε_P, plus one uniform choosing its victim end)
+    and each readout (rate ε_P) — and one more array draws a letter from
+    ``noise.mix`` per hit.  A noiseless model draws nothing.
     """
-    plan = _sim_plan(g, cap)
+    if noise.is_noiseless():
+        return []
+    size, edges = g.m * g.n, g.edges
+    n_edges = len(edges)
+    u = rng.random(2 * size + 2 * n_edges)
+    rates = np.repeat(
+        (noise.eps_v, noise.eps_p, noise.eps_p), (size, n_edges, size)
+    )
+    hits = np.flatnonzero(u[: 2 * size + n_edges] < rates).tolist()
+    if not hits:
+        return []
+    names = list(noise.mix)
+    cum = np.cumsum([noise.mix[p] for p in names])
+    picks = np.searchsorted(cum / cum[-1], rng.random(len(hits)), side="right")
+    events = []
+    for i, pick in zip(hits, picks.tolist()):
+        letter = names[pick]
+        if i < size:
+            events.append(NoiseEvent(-1, i, letter))
+        elif i < size + n_edges:
+            step = i - size
+            a, b = edges[step]
+            victim = a if u[2 * size + n_edges + step] < 0.5 else b
+            events.append(NoiseEvent(step, victim, letter))
+        else:
+            events.append(NoiseEvent(n_edges, i - size - n_edges, letter))
+    return events
+
+
+def _pauli_frame(
+    plan: _SimPlan, events: Sequence[NoiseEvent], readout_step: int
+) -> tuple[int, int]:
+    """X and Z bitmasks over the lattice once ``events`` reach the readout.
+
+    An X part before the readout flips its vertex's rotation (X bit) and
+    puts Z on the vertex's later cZ partners; a Z part flips its own
+    outcome.  An X part at the readout does nothing to an X measurement.
+    """
+    x = z = 0
+    for step, v, letter in events:
+        if letter in ("X", "Y") and step < readout_step:
+            x ^= 1 << v
+            z ^= plan.later[step, v]
+        if letter in ("Z", "Y"):
+            z ^= 1 << v
+    return x, z
+
+
+def _keyed_angles(
+    g: GraphSpec, vertices: Sequence[int], key: SecretKey, gi: int, x: int
+) -> dict[int, float]:
+    """Effective angles of a component under key round ``gi`` and frame X
+    bits ``x``: δ − θ on unflipped vertices, −(δ + θ) on flipped ones."""
+    out = {}
+    for v in vertices:
+        phi = -g.phi_k[v] if key.rprime[gi][v] else g.phi_k[v]
+        k = phi + 8 * key.r[gi][v]  # δ − θ
+        if (x >> v) & 1:
+            k = -(k + 2 * key.theta_k[gi][v])
+        out[v] = k_to_radians(k)
+    return out
+
+
+def _frame_round_bits(
+    g: GraphSpec,
+    plan: _SimPlan,
+    key: SecretKey,
+    gi: int,
+    x: int,
+    z: int,
+    rng: np.random.Generator,
+) -> list[int]:
+    """Sample raw outcomes of one round with Pauli frame (``x``, ``z``).
+
+    Each component draws one uniform: against its cached base CDF with
+    the key mask XORed in when the frame puts no X bit on it, otherwise
+    against its distribution recomputed at `_keyed_angles`.  Dummy
+    outcomes are fair coins.  Finally every cell in ``z`` is inverted.
+    """
+    mask = _pad_mask(g, key.r[gi], key.rprime[gi])
     raw = [0] * (g.m * g.n)
     for comp, u in zip(plan.components, rng.random(len(plan.components))):
-        pick = int(comp.cdf.searchsorted(u, side="right"))
-        for j, v in enumerate(comp.vertices):
-            raw[v] = ((pick >> j) & 1) ^ mask[v]
+        if x & comp.cells:
+            probs = component_probabilities(
+                comp.vertices,
+                comp.edges,
+                _keyed_angles(g, comp.vertices, key, gi, x),
+            )
+            cdf = np.cumsum(probs)
+            pick = int(cdf.searchsorted(u * cdf[-1], side="right"))
+            for j, v in enumerate(comp.vertices):
+                raw[v] = (pick >> j) & 1
+        else:
+            pick = int(comp.cdf.searchsorted(u, side="right"))
+            for j, v in enumerate(comp.vertices):
+                raw[v] = ((pick >> j) & 1) ^ mask[v]
     coins = rng.integers(0, 2, size=len(plan.dummies))
     for v, coin in zip(plan.dummies, coins.tolist()):
         raw[v] = coin
-    for v in flips:
-        raw[v] ^= 1
+    while z:
+        low = z & -z
+        raw[low.bit_length() - 1] ^= 1
+        z ^= low
     return raw
 
 
+def run_round(
+    key: SecretKey,
+    round_index: int,
+    layout: RoundLayout,
+    strategy: AttackSpec | None = None,
+    noise: NoiseModel | None = None,
+    rng: np.random.Generator | None = None,
+    *,
+    resolved_letters: Mapping[tuple[int, int], str] | None = None,
+    cap: int = DEFAULT_QUBIT_CAP,
+) -> list[int]:
+    """Execute one slot and return every lattice cell's raw outcome.
+
+    Draws the round's noise events, carries them to the readout as a
+    Pauli frame together with this slot's attack letters (a Z or Y letter
+    flips its cell's outcome), and samples the outcomes with
+    `_frame_round_bits`.  A noiseless round draws no events, so it costs
+    one draw per component and one coin per dummy.  Standalone callers
+    may pass a mixture AttackSpec (a term is sampled here);
+    `run_protocol` pre-samples one term for the whole run and hands it
+    down via ``resolved_letters``.
+    """
+    if rng is None:
+        raise ValueError("an explicitly seeded generator is required")
+    noise = noise or NoiseModel()
+    if strategy is not None and strategy.unitary is not None:
+        raise ValueError(
+            "joint unitary deviations span rounds; use run_protocol"
+        )
+    if resolved_letters is None:
+        if strategy is not None:
+            strategy.check_against(layout)
+        resolved_letters = _sample_letters(strategy, rng)
+    gi = key.perm[round_index]
+    g = layout.graphs[gi]
+    plan = _sim_plan(g, cap)
+    x, z = _pauli_frame(plan, _sample_events(g, noise, rng), len(g.edges))
+    for (slot, v), letter in resolved_letters.items():
+        if slot == round_index and letter in ("Z", "Y"):
+            z ^= 1 << v
+    return _frame_round_bits(g, plan, key, gi, x, z, rng)
+
+
 # ---------------------------------------------------------------------------
-# Dense path
+# Dense state vector: joint unitary deviations and the test oracle
 
 
 def _prep_states(
@@ -397,42 +569,44 @@ def dense_round_state(
     theta_k: Mapping[int, int],
     d_bits: Mapping[int, int],
     delta_k: Mapping[int, int],
-    noise: NoiseModel,
+    events: Sequence[NoiseEvent],
     letters: Mapping[int, str],
-    rng: np.random.Generator,
     cap: int = DEFAULT_QUBIT_CAP,
 ) -> StateVector:
     """Full-lattice state of one round, right before the X readouts.
 
-    Preparation (with the sender's per-qubit noise), blanket entangling
-    over every lattice edge (with per-gate noise on one random endpoint),
-    basis rotations, then any Pauli deviation letters for this round.
+    Preparation, blanket entangling over every lattice edge, basis
+    rotations, then any Pauli deviation letters for this round; each
+    noise event is applied where its ``step`` puts it, readout events
+    last.
     """
     size = g.m * g.n
     _check_cap(size, cap)
+    at: dict[int, list[NoiseEvent]] = {}
+    for ev in events:
+        at.setdefault(ev.step, []).append(ev)
+
+    def hit(step: int) -> None:
+        for ev in at.get(step, ()):
+            apply_pauli(state, ev.vertex, ev.letter)
+
     state = tensor(_prep_states(g, theta_k, d_bits), cap=cap)
-    for v in range(size):
-        apply_noise(state, v, noise.eps_v, noise.mix, rng)
-    for a, b in g.edges:
+    hit(-1)
+    for step, (a, b) in enumerate(g.edges):
         apply_cz(state, a, b)
-        if noise.eps_p > 0:
-            victim = a if rng.random() < 0.5 else b
-            apply_noise(state, victim, noise.eps_p, noise.mix, rng)
+        hit(step)
     for v in range(size):
         apply_phase(state, v, -k_to_radians(delta_k[v]))
     for v, letter in sorted(letters.items()):
         apply_pauli(state, v, letter)
+    hit(len(g.edges))
     return state
 
 
 def readout_all(
-    state: StateVector,
-    rng: np.random.Generator,
-    eps_p: float = 0.0,
-    mix: Mapping[str, float] | None = None,
-    count: int | None = None,
+    state: StateVector, rng: np.random.Generator, count: int | None = None
 ) -> tuple[list[int], StateVector]:
-    """X-measure qubits count−1..0 (highest first), with per-readout noise.
+    """X-measure qubits count−1..0 (highest first).
 
     Returns the outcome bits (indexed by original qubit position) and
     whatever register remains unmeasured above ``count``.
@@ -440,71 +614,9 @@ def readout_all(
     count = state.n if count is None else count
     bits = [0] * count
     for q in reversed(range(count)):
-        if eps_p > 0:
-            apply_noise(state, q, eps_p, mix or {}, rng)
         bit, state = measure_xy(state, q, 0.0, rng)
         bits[q] = bit
     return bits, state
-
-
-def run_round(
-    key: SecretKey,
-    round_index: int,
-    layout: RoundLayout,
-    strategy: AttackSpec | None = None,
-    noise: NoiseModel | None = None,
-    rng: np.random.Generator | None = None,
-    *,
-    resolved_letters: Mapping[tuple[int, int], str] | None = None,
-    all_deltas: Sequence[Mapping[int, int]] | None = None,
-    cap: int = DEFAULT_QUBIT_CAP,
-) -> list[int]:
-    """Execute one slot and return every lattice cell's raw outcome.
-
-    A noiseless round with at most Pauli deviations takes the fast path:
-    the padded angles only XOR-shift the round's outcome distribution, so
-    it draws from the layout's cached base distribution, XORs in the key
-    mask (r, plus r′ of each surviving neighbour) and inverts every bit
-    carrying a Z or Y letter.  Noisy rounds take the dense simulator,
-    which is the only path that reads the encrypted angles.  Standalone
-    callers may pass a mixture AttackSpec (a term is sampled here);
-    `run_protocol` pre-samples one term for the whole run and hands it
-    down via ``resolved_letters``.
-    """
-    if rng is None:
-        raise ValueError("an explicitly seeded generator is required")
-    noise = noise or NoiseModel()
-    if strategy is not None and strategy.unitary is not None:
-        raise ValueError(
-            "joint unitary deviations span rounds; use run_protocol"
-        )
-    if resolved_letters is None:
-        resolved_letters = _sample_letters(strategy, rng)
-    gi = key.perm[round_index]
-    g = layout.graphs[gi]
-    letters = {
-        v: letter
-        for (slot, v), letter in resolved_letters.items()
-        if slot == round_index
-    }
-    if noise.is_noiseless():
-        mask = _pad_mask(g, key.r[gi], key.rprime[gi])
-        flips = [v for v, p in letters.items() if p in ("Z", "Y")]
-        return _fast_round_bits(g, mask, flips, rng, cap)
-    if all_deltas is None:
-        all_deltas = encrypt_angles(key, layout)
-    state = dense_round_state(
-        g,
-        key.theta_k[gi],
-        key.d[gi],
-        all_deltas[gi],
-        noise,
-        letters,
-        rng,
-        cap=cap,
-    )
-    bits, _ = readout_all(state, rng, noise.eps_p, noise.mix)
-    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +694,11 @@ def _joint_raw_rounds(
     rng: np.random.Generator,
     cap: int,
 ) -> list[list[int]]:
-    """Simulate all rounds in one register and apply the joint unitary."""
+    """Simulate all rounds in one register and apply the joint unitary.
+
+    Before the unitary the register is the product of the rounds' dense
+    states; readout errors act after it.
+    """
     size = layout.m * layout.n
     total = layout.rounds * size + strategy.private_qubits
     _check_cap(total, cap)
@@ -592,29 +708,28 @@ def _joint_raw_rounds(
             f"qubits, instance needs {total}"
         )
     deltas = encrypt_angles(key, layout)
-    states = []
+    states, readout = [], []
     for slot in range(layout.rounds):
         gi = key.perm[slot]
-        states.extend(_prep_states(layout.graphs[gi], key.theta_k[gi], key.d[gi]))
-    for _ in range(strategy.private_qubits):
-        states.append(prepare_qubit("dummy", 0))
+        g = layout.graphs[gi]
+        events = _sample_events(g, noise, rng)
+        before = [ev for ev in events if ev.step < len(g.edges)]
+        states.append(
+            dense_round_state(
+                g, key.theta_k[gi], key.d[gi], deltas[gi], before, {}, cap=cap
+            )
+        )
+        readout += [
+            (slot * size + ev.vertex, ev.letter)
+            for ev in events
+            if ev.step == len(g.edges)
+        ]
+    states += [prepare_qubit("dummy", 0)] * strategy.private_qubits
     state = tensor(states, cap=cap)
-    for q in range(layout.rounds * size):
-        apply_noise(state, q, noise.eps_v, noise.mix, rng)
-    for slot in range(layout.rounds):
-        gi = key.perm[slot]
-        base = slot * size
-        for a, b in layout.graphs[gi].edges:
-            apply_cz(state, base + a, base + b)
-            if noise.eps_p > 0:
-                victim = a if rng.random() < 0.5 else b
-                apply_noise(state, base + victim, noise.eps_p, noise.mix, rng)
-        for v in range(size):
-            apply_phase(state, base + v, -k_to_radians(deltas[gi][v]))
     state.amps = strategy.unitary @ state.amps
-    bits, _ = readout_all(
-        state, rng, noise.eps_p, noise.mix, count=layout.rounds * size
-    )
+    for q, letter in readout:
+        apply_pauli(state, q, letter)
+    bits, _ = readout_all(state, rng, count=layout.rounds * size)
     return [bits[s * size : (s + 1) * size] for s in range(layout.rounds)]
 
 
@@ -630,7 +745,6 @@ def _execute_run(
     if strategy is not None and strategy.unitary is not None:
         raw_rounds = _joint_raw_rounds(layout, key, strategy, noise, rng, cap)
     else:
-        deltas = None if noise.is_noiseless() else encrypt_angles(key, layout)
         raw_rounds = [
             run_round(
                 key,
@@ -640,7 +754,6 @@ def _execute_run(
                 noise=noise,
                 rng=rng,
                 resolved_letters=letters,
-                all_deltas=deltas,
                 cap=cap,
             )
             for slot in range(layout.rounds)
@@ -684,14 +797,29 @@ def run_protocol(
 ) -> RunRecord:
     """One full verification run: keygen, encrypt, all rounds, decrypt.
 
-    Accepts exactly when every trap round decodes to all zeros.
+    Accepts exactly when every trap round decodes to all zeros.  Attack
+    letters on slots or cells the layout does not have are rejected.
     """
     if rng is None:
         raise ValueError("an explicitly seeded generator is required")
-    noise = noise or NoiseModel()
+    if strategy is not None:
+        strategy.check_against(layout)
+    return _run_protocol(layout, strategy, noise, rng, cap)
+
+
+def _run_protocol(
+    layout: RoundLayout,
+    strategy: AttackSpec | None,
+    noise: NoiseModel | None,
+    rng: np.random.Generator,
+    cap: int,
+) -> RunRecord:
+    """`run_protocol` for callers that have checked ``strategy`` already."""
     key = keygen(layout, rng)
     letters = _sample_letters(strategy, rng)
-    return _execute_run(layout, key, strategy, letters, noise, rng, cap)
+    return _execute_run(
+        layout, key, strategy, letters, noise or NoiseModel(), rng, cap
+    )
 
 
 @dataclass(frozen=True)
@@ -742,7 +870,7 @@ def run_scheme(
     passes = 0
     outputs = []
     for child in streams:
-        rec = run_protocol(layout, strategy, noise, child, cap=cap)
+        rec = _run_protocol(layout, strategy, noise, child, cap)
         passes += int(rec.accept)
         outputs.append(rec.target_output)
         if record_sink is not None:

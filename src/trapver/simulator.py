@@ -181,8 +181,8 @@ class NoiseModel:
     """Error-event probabilities and the Pauli mixture used on an event.
 
     ``eps_v`` hits each qubit once at preparation; ``eps_p`` hits each
-    entangling gate and each measurement.  Zero rates reproduce the
-    identity channel exactly — no RNG draws are consumed.
+    entangling gate and each measurement.  A zero rate never fires, and
+    a noiseless model consumes no RNG draws.
     """
 
     eps_v: float = 0.0

@@ -322,14 +322,18 @@ def test_replay_refuses_other_engine_versions(tmp_path, capsys):
         tmp_path, "session.json", ["--scheme-M", "3", "--scheme-l", "0.9"]
     )
     main(argv)
-    doc = read_json(out)
-    del doc["engine_version"]  # artifacts without a stamp are engine 1
-    old = tmp_path / "engine1.json"
-    old.write_text(json.dumps(doc))
-    assert main(["replay", str(old)]) == 1
-    err = capsys.readouterr().err
-    assert "engine version 1" in err
-    assert "tampering" not in err
+    for engine in (1, 2):
+        doc = read_json(out)
+        if engine == 1:
+            del doc["engine_version"]  # artifacts without a stamp are engine 1
+        else:
+            doc["engine_version"] = engine
+        old = tmp_path / f"engine{engine}.json"
+        old.write_text(json.dumps(doc))
+        assert main(["replay", str(old)]) == 1
+        err = capsys.readouterr().err
+        assert f"engine version {engine}" in err
+        assert "tampering" not in err
 
 
 def test_replay_rejects_non_verify_documents(tmp_path, capsys):
@@ -456,6 +460,24 @@ def test_bounds_twirl_verb(tmp_path):
     assert doc["trials"] == 5
 
 
+def test_bounds_twirl_default_basis(tmp_path):
+    out = tmp_path / "twirl.json"
+    assert main(
+        ["bounds", "twirl", "--n", "1", "--q", "X", "--q-prime", "Z",
+         "--trials", "10", "--out", str(out)]
+    ) == 0
+    doc = read_json(out)
+    assert doc["max_residual"] <= 1e-12
+    assert doc["basis"] == "full"
+
+
+def test_bounds_twirl_rejects_bad_words():
+    assert main(
+        ["bounds", "twirl", "--n", "1", "--q", "Z", "--q-prime", "X",
+         "--basis", "z_only"]
+    ) == 1
+
+
 # -- ft ---------------------------------------------------------------------------
 
 
@@ -485,24 +507,3 @@ def test_ft_csv_table(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 4
     assert lines[0].startswith("fraction,")
-
-
-# -- twirl-check -------------------------------------------------------------------
-
-
-def test_twirl_check_subcommand(tmp_path):
-    out = tmp_path / "twirl.json"
-    assert main(
-        ["twirl-check", "--n", "1", "--q", "X", "--q-prime", "Z",
-         "--trials", "10", "--out", str(out)]
-    ) == 0
-    doc = read_json(out)
-    assert doc["max_residual"] <= 1e-12
-    assert doc["basis"] == "full"
-
-
-def test_twirl_check_rejects_bad_words():
-    assert main(
-        ["twirl-check", "--n", "1", "--q", "Z", "--q-prime", "X",
-         "--basis", "z_only"]
-    ) == 1

@@ -1,6 +1,8 @@
 """Keying, encryption, round execution, verdicts, and the gap estimator."""
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -16,13 +18,18 @@ from trapver.graphs import (
 )
 from trapver.protocol import (
     _correction_index_map,
+    _frame_round_bits,
+    _keyed_angles,
     _pad_mask,
+    _pauli_frame,
+    _sample_events,
     _sim_plan,
     HONEST,
     KIND_EVEN,
     KIND_ODD,
     KIND_TARGET,
     AttackSpec,
+    NoiseEvent,
     RoundLayout,
     decrypt,
     dense_round_state,
@@ -302,13 +309,11 @@ def test_trap_flip_semantics(layout33):
     for _ in range(300):
         key = keygen(layout33, rng)
         slot = key.perm.index(1)  # wherever the even trap round runs
-        deltas = encrypt_angles(key, layout33)
         for letter, want in (("Z", 1), ("X", 0)):
             raws = [
                 run_round(
                     key, s, layout33, rng=rng,
                     resolved_letters={(slot, 0): letter},
-                    all_deltas=deltas,
                 )
                 for s in range(3)
             ]
@@ -402,34 +407,156 @@ def test_base_distribution_shifted_by_mask_equals_per_key_route(m):
                 np.testing.assert_allclose(per_key, shifted, rtol=0, atol=1e-12)
 
 
-def test_fast_round_distribution_equals_dense_path():
-    """Exact raw-outcome distribution of every round at 5x3: the fast
-    kernel's (shifted base per component, fair coins on dummies) against
-    the dense state read out in the X basis.  At 3x3 the base is uniform,
-    so only a larger lattice can expose a wrong mask."""
-    layout = make_round_layout(5, 3, 1)
-    size = 15
+def _dense_distribution(g, key, gi, deltas, events, letters) -> np.ndarray:
+    """Raw-outcome distribution over all cells from the dense state read
+    out in the X basis: H on every qubit, then |amp|²."""
+    state = dense_round_state(
+        g, key.theta_k[gi], key.d[gi], deltas[gi], events, letters
+    )
+    amps = state.amps.copy()
+    fwht_inplace(amps)  # H on every qubit, up to 2^(-size/2)
+    return np.abs(amps) ** 2 / 2**state.n
+
+
+def _frame_distribution(g, key, gi, events, letters) -> np.ndarray:
+    """The frame kernel's exact raw-outcome distribution over all cells:
+    per component the shifted base, or the distribution at the keyed
+    angles where the frame holds an X bit; fair coins on dummies; then
+    every outcome XORed with the frame's Z bits."""
+    size = g.m * g.n
+    plan = _sim_plan(g, DEFAULT_QUBIT_CAP)
+    readout = [NoiseEvent(len(g.edges), v, p) for v, p in letters.items()]
+    x, z = _pauli_frame(plan, list(events) + readout, len(g.edges))
+    mask = _pad_mask(g, key.r[gi], key.rprime[gi])
     cells = np.arange(2**size)
+    out = np.full(2**size, 0.5 ** len(plan.dummies))
+    for comp in plan.components:
+        sub = sum(((cells >> v) & 1) << j for j, v in enumerate(comp.vertices))
+        if x & comp.cells:
+            probs = component_probabilities(
+                comp.vertices,
+                comp.edges,
+                _keyed_angles(g, comp.vertices, key, gi, x),
+            )
+        else:
+            idx = np.arange(comp.cdf.size)
+            probs = _base_probs(comp)[idx ^ _mask_index(mask, comp.vertices)]
+        out *= probs[sub]
+    return out[cells ^ z]
+
+
+def test_fast_round_distribution_equals_dense_path():
+    """Exact raw-outcome distribution of every noiseless round at 5x3:
+    the kernel's (shifted base per component, fair coins on dummies)
+    against the dense state.  At 3x3 the base is uniform, so only a
+    larger lattice can expose a wrong mask."""
+    layout = make_round_layout(5, 3, 1)
     rng = rng_from(70)
     for _ in range(3):
         key = keygen(layout, rng)
         deltas = encrypt_angles(key, layout)
         for gi, g in enumerate(layout.graphs):
-            state = dense_round_state(
-                g, key.theta_k[gi], key.d[gi], deltas[gi], NoiseModel(), {}, rng
+            np.testing.assert_allclose(
+                _frame_distribution(g, key, gi, (), {}),
+                _dense_distribution(g, key, gi, deltas, (), {}),
+                rtol=0,
+                atol=1e-12,
             )
-            amps = state.amps.copy()
-            fwht_inplace(amps)  # H on every qubit, up to 2^(-size/2)
-            dense = np.abs(amps) ** 2 / 2**size
-            plan = _sim_plan(g, DEFAULT_QUBIT_CAP)
-            mask = _pad_mask(g, key.r[gi], key.rprime[gi])
-            fast = np.full(2**size, 0.5 ** len(plan.dummies))
-            for comp in plan.components:
-                sub = sum(
-                    ((cells >> v) & 1) << j for j, v in enumerate(comp.vertices)
+
+
+def _hand_picked_events(g) -> dict[str, list[NoiseEvent]]:
+    """Event lists that each exercise one frame rule in carving ``g``."""
+    readout = len(g.edges)
+    steps = {v: [i for i, e in enumerate(g.edges) if v in e] for v in range(g.m * g.n)}
+
+    def later_partners(v, step):
+        return [a + b - v for a, b in g.edges[step + 1 :] if v in (a, b)]
+
+    dummy = next(
+        v
+        for v in g.dummy_ids()
+        if any(not g.is_dummy(u) for u in later_partners(v, steps[v][0]))
+    )
+    nd = g.non_dummy_ids()
+    cases = {
+        "X on a dummy between two of its cZs": [
+            NoiseEvent(steps[dummy][0], dummy, "X")
+        ],
+        "X, Y and Z at readout": [
+            NoiseEvent(readout, nd[0], "X"),
+            NoiseEvent(readout, nd[1], "Y"),
+            NoiseEvent(readout, nd[-1], "Z"),
+        ],
+    }
+    if g.trap_ids():
+        cases["Y at preparation on a trap"] = [NoiseEvent(-1, g.trap_ids()[0], "Y")]
+    if g.bridge_ids():
+        b = g.bridge_ids()[0]
+        cases["X on a bridge after its last edge"] = [NoiseEvent(steps[b][-1], b, "X")]
+    return cases
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_frame_distribution_equals_dense_path(m):
+    """With the same noise events and attack letters, the frame kernel's
+    exact raw distribution equals the dense state's, on every round kind:
+    hand-picked events for each propagation rule, then random lists."""
+    layout = make_round_layout(m, 3, 1)
+    rng = rng_from(90 + m)
+    noisy = NoiseModel(eps_v=0.25, eps_p=0.25)
+    kinds_seen = set()
+    for _ in range(3):
+        key = keygen(layout, rng)
+        deltas = encrypt_angles(key, layout)
+        for gi, g in enumerate(layout.graphs):
+            kinds_seen.add(layout.kinds[gi])
+            nd = g.non_dummy_ids()
+            cases = [(ev, {}) for ev in _hand_picked_events(g).values()]
+            cases += [
+                (_sample_events(g, noisy, rng), {nd[0]: "Y", nd[-1]: "X"})
+                for _ in range(4)
+            ]
+            assert any(events for events, _ in cases[-4:])
+            for events, letters in cases:
+                np.testing.assert_allclose(
+                    _frame_distribution(g, key, gi, events, letters),
+                    _dense_distribution(g, key, gi, deltas, events, letters),
+                    rtol=0,
+                    atol=1e-12,
                 )
-                fast *= _base_probs(comp)[sub ^ _mask_index(mask, comp.vertices)]
-            np.testing.assert_allclose(fast, dense, rtol=0, atol=1e-12)
+    assert kinds_seen == {KIND_TARGET, KIND_EVEN, KIND_ODD}
+
+
+def test_frame_kernel_samples_a_recomputed_component():
+    """Where the frame flips the 3x3 target component, the kernel's draws
+    follow the distribution at the keyed angles.  The empirical total
+    variation has mean at most ½Σ√(p/N) and moves by 1/N per draw, so it
+    exceeds that by 0.03 with probability below e^{−2N·0.03²} ≈ 1e-6."""
+    layout = make_round_layout(3, 3, 1)
+    key = keygen(layout, rng_from(95))
+    g = layout.target
+    gi = 0
+    plan = _sim_plan(g, DEFAULT_QUBIT_CAP)
+    (comp,) = plan.components
+    events = [NoiseEvent(-1, 0, "Y"), NoiseEvent(len(g.edges) - 1, 8, "X")]
+    x, z = _pauli_frame(plan, events, len(g.edges))
+    assert x & comp.cells
+    size = g.m * g.n
+    cells = np.arange(2**size)
+    want = np.zeros(2 ** len(comp.vertices))
+    exact = _frame_distribution(g, key, gi, events, {})
+    np.add.at(
+        want, sum(((cells >> v) & 1) << j for j, v in enumerate(comp.vertices)), exact
+    )
+    n = 8000
+    rng = rng_from(96)
+    counts = np.zeros_like(want)
+    for _ in range(n):
+        raw = _frame_round_bits(g, plan, key, gi, x, z, rng)
+        counts[sum(raw[v] << j for j, v in enumerate(comp.vertices))] += 1
+    tv = 0.5 * np.abs(counts / n - want).sum()
+    assert tv < 0.5 * np.sqrt(want / n).sum() + 0.03
+    assert counts[want < 1e-12].sum() == 0
 
 
 @pytest.mark.parametrize("m, runs", [(5, 1500), (9, 300)])
@@ -460,9 +587,34 @@ def test_scheme_and_gap_reject_attacks_outside_the_layout(layout33):
     for letters, what in (({(7, 0): "Z"}, "slot 7"), ({(0, 99): "Z"}, "vertex 99")):
         attack = single_pauli_attack(letters)
         with pytest.raises(ValueError, match=what):
+            run_protocol(layout33, attack, None, rng_from(0))
+        with pytest.raises(ValueError, match=what):
             run_scheme(layout33, attack, None, 2, 0.5, rng_from(0))
         with pytest.raises(ValueError, match=what):
             estimate_fidelity_gap(layout33, attack, 2, rng_from(0))
+
+
+@pytest.mark.parametrize(
+    "attack, digest",
+    [
+        (None, "f2d992578087955e897f58284af8e5133a33b242163696f627bbb8547f4e667c"),
+        (
+            single_pauli_attack({(0, 3): "Z", (1, 7): "Y", (2, 2): "X"}),
+            "eae3d3abaad8baf4f1d482c397183c5b2901e0ffe418bb34a86125ddc7aa1b24",
+        ),
+    ],
+)
+def test_noiseless_records_are_pinned_to_engine_2(attack, digest):
+    """Noiseless rounds draw exactly what engine 2 drew: the sha256 of 40
+    5x3 run records at seed 2024, honest and Pauli-attacked, as engine 2
+    wrote them."""
+    sink: list = []
+    run_scheme(
+        make_round_layout(5, 3, 1), attack, None, 40, 0.5, rng_from(2024),
+        record_sink=sink,
+    )
+    doc = json.dumps([r.to_json_dict() for r in sink], sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
 
 # -- scheme -------------------------------------------------------------------
@@ -528,6 +680,47 @@ def test_phase_noise_accept_rate_matches_closed_form(layout33):
     hits = sum(run_protocol(layout33, None, noise, rng).accept for _ in range(n))
     se = math.sqrt(expected * (1 - expected) / n)
     assert abs(hits / n - expected) < 4 * se
+
+
+def _trap_closed_form(layout, a, b) -> float:
+    """Accept rate of the closed form above, over every trap of every
+    trap round, each at its lattice degree."""
+    p = 1.0
+    for g in layout.graphs[1:]:
+        for v in g.trap_ids():
+            deg = len(g.neighbors(v))
+            p *= (1 + (1 - 2 * a) * (1 - b) ** deg * (1 - 2 * b)) / 2
+    return p
+
+
+def test_phase_noise_closed_form_holds_at_9x3():
+    """The factorised dephasing accept rate, at 9x3 with its twenty traps
+    of degree 2, 3 and 4."""
+    layout = make_round_layout(9, 3, 1)
+    a, b = 0.01, 0.02
+    expected = _trap_closed_form(layout, a, b)
+    n = 3000
+    verdict = run_scheme(
+        layout, None, NoiseModel(eps_v=a, eps_p=b, mix={"Z": 1.0}), n, 0.0,
+        rng_from(43),
+    )
+    se = math.sqrt(expected * (1 - expected) / n)
+    assert abs(verdict.pass_fraction - expected) < 4 * se
+
+
+def test_noisy_9x3_runs_under_the_default_cap():
+    """27 cells exceed the 22-qubit cap, but the cap applies per
+    component (at most 20 qubits here), so depolarising noise at 9x3
+    runs.  Its pass fraction over M=20 stays within the two-sided
+    Hoeffding radius √(ln(2/10⁻⁴)/2M) of the closed form carried over to
+    9x3's traps; with X and Y letters that form is a trend, not exact."""
+    layout = make_round_layout(9, 3, 1)
+    eps, runs = 4e-3, 20
+    verdict = run_scheme(
+        layout, None, NoiseModel(eps_v=eps, eps_p=eps), runs, 0.0, rng_from(44)
+    )
+    radius = math.sqrt(math.log(2 / 1e-4) / (2 * runs))
+    assert abs(verdict.pass_fraction - _trap_closed_form(layout, eps, eps)) < radius
 
 
 def test_more_noise_means_fewer_accepts(layout33):
