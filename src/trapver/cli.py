@@ -1,9 +1,11 @@
 """Command-line front end: configuration, dispatch, artifacts, replay.
 
 Option precedence is flags > environment (TRAPVER_*) > config file >
-defaults.  Every emitted JSON document carries schema_version,
-tool_version and the root seed; verification artifacts embed enough to be
-re-executed bit-identically by `trapver replay`.
+defaults.  `build_parser` is the one declaration of the options: env, file
+and replayed-artifact values are converted and checked by its actions.
+Every emitted JSON document carries schema_version, tool_version and the
+root seed; verification artifacts embed enough to be re-executed
+bit-identically by `trapver replay`.
 
 Exit codes: 0 scheme accept (or plain success), 2 scheme reject,
 1 operational error.
@@ -17,7 +19,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -72,120 +74,125 @@ class SessionConfig:
     beta: float | None = None
     attack: str | None = None
     seed: int = 0
-    out: str | None = None
+    # where the payload is written is not part of the run, so not snapshotted
+    out: str | None = field(default=None, metadata={"snapshot": False})
     fmt: str = "json"
     extras: Mapping[str, object] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         doc = {
-            "subcommand": self.subcommand,
-            "m": self.m,
-            "n": self.n,
-            "kappa": self.kappa,
-            "eps_v": self.eps_v,
-            "eps_p": self.eps_p,
-            "scheme_m": self.scheme_m,
-            "scheme_l": self.scheme_l,
-            "auto_params": self.auto_params,
-            "beta": self.beta,
-            "attack": self.attack,
-            "seed": self.seed,
-            "fmt": self.fmt,
-            # "quiet" is set by replay alone and is not part of the run
-            "extras": {k: v for k, v in self.extras.items() if k != "quiet"},
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.metadata.get("snapshot", True)
         }
+        # "quiet" is set by replay alone and is not part of the run
+        doc["extras"] = {k: v for k, v in self.extras.items() if k != "quiet"}
         return doc
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "SessionConfig":
-        return cls(
-            subcommand=doc["subcommand"],
-            m=doc.get("m"),
-            n=doc.get("n"),
-            kappa=doc.get("kappa"),
-            eps_v=doc.get("eps_v", 0.0),
-            eps_p=doc.get("eps_p", 0.0),
-            scheme_m=doc.get("scheme_m"),
-            scheme_l=doc.get("scheme_l"),
-            auto_params=doc.get("auto_params", False),
-            beta=doc.get("beta"),
-            attack=doc.get("attack"),
-            seed=doc.get("seed", 0),
-            out=None,
-            fmt=doc.get("fmt", "json"),
-            extras=doc.get("extras", {}),
+        """Rebuild a snapshot; every stored value is checked as its flag is.
+
+        Raises TypeError or KeyError when ``doc`` has no config shape, and
+        CliError for a value its option would refuse.
+        """
+        extras = doc.get("extras", {})
+        if not isinstance(extras, Mapping):
+            raise TypeError("extras is not an object")
+        stored = {**extras, **doc}
+        subcommand = stored.pop("subcommand")
+        stored.pop("extras", None)
+        # the parsed attack document is the one replay-only key; it is
+        # checked by attack_spec_from_json when the run starts
+        attack_doc = stored.pop("attack_doc", None)
+        table = _option_table(build_parser(), subcommand)
+        merged = dict(_DEFAULTS)
+        for name, raw in stored.items():
+            if raw is not None:
+                merged[name] = _convert(table, name, raw)
+        if attack_doc is not None:
+            merged["attack_doc"] = attack_doc
+        return _session(subcommand, merged)
+
+
+def _session(subcommand: str, merged: Mapping[str, object]) -> SessionConfig:
+    """Check the cross-option rule; split values into fields and extras."""
+    if merged.get("auto_params") and (
+        merged.get("scheme_m") is not None or merged.get("scheme_l") is not None
+    ):
+        raise CliError(
+            "--auto-params and explicit --scheme-M/--scheme-l are mutually "
+            "exclusive"
         )
+    names = {f.name for f in fields(SessionConfig)}
+    return SessionConfig(
+        subcommand=subcommand,
+        extras={k: v for k, v in merged.items() if k not in names},
+        **{k: v for k, v in merged.items() if k in names},
+    )
 
 
-# name -> converter, for merging env/file values
-_COMMON_FIELDS = {
-    "m": int,
-    "n": int,
-    "kappa": int,
-    "eps_v": float,
-    "eps_p": float,
-    "scheme_m": int,
-    "scheme_l": float,
-    "auto_params": None,  # bool, special-cased
-    "beta": float,
-    "attack": str,
-    "seed": int,
-    "out": str,
-    "fmt": str,
-}
-
-_EXTRA_FIELDS = {
-    "kind": str,
-    "check_isomorphism": None,
-    "graph": str,
-    "angles": str,
-    "exact": None,
-    "samples": int,
-    "verb": str,
-    "n_qubits": int,
-    "eps2": float,
-    "alpha1": float,
-    "alpha2": float,
-    "beta1": float,
-    "beta2": float,
-    "eps": float,
-    "fraction_of_threshold": float,
-    "distance": int,
-    "syndromes": int,
-    "saw_prefactor": float,
-    "poly_prefactor": float,
-    "q": str,
-    "q_prime": str,
-    "basis": str,
-    "trials": int,
-    "artifact": str,
-    "cap": int,
-}
-
-_BOOL_FIELDS = {"auto_params", "check_isomorphism", "exact"}
-
-
-def _parse_bool(raw: object) -> bool:
-    if isinstance(raw, bool):
-        return raw
-    text = str(raw).strip().lower()
+def _parse_bool(raw: str) -> bool:
+    text = raw.strip().lower()
     if text in ("1", "true", "yes", "on"):
         return True
     if text in ("0", "false", "no", "off"):
         return False
-    raise CliError(f"cannot read {raw!r} as a boolean")
+    raise ValueError(raw)
 
 
-def _convert(name: str, raw: object) -> object:
-    if name in _BOOL_FIELDS:
-        return _parse_bool(raw)
-    conv = _COMMON_FIELDS.get(name) or _EXTRA_FIELDS.get(name)
-    if conv is None:
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    """Subcommand name -> its parser."""
+    (action,) = (
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return action.choices
+
+
+def _option_table(parser: argparse.ArgumentParser, subcommand: str) -> dict:
+    """Option key -> (converter, choices or None), read off the subparsers.
+
+    A ``store_const`` flag is a boolean; any other option converts with its
+    ``type`` (default ``str``) and checks its ``choices``.  The running
+    subcommand's own action decides; a key that only other subcommands
+    define stays accepted, with the union of their choices, so one config
+    file can serve every subcommand.
+    """
+    table: dict[str, tuple] = {}
+    # stable sort: the running subcommand's actions come last and override
+    for name, sub in sorted(
+        _subparsers(parser).items(), key=lambda kv: kv[0] == subcommand
+    ):
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            if isinstance(action, argparse._StoreConstAction):
+                conv = _parse_bool
+            else:
+                conv = action.type or str
+            choices = set(action.choices) if action.choices else None
+            if name != subcommand and action.dest in table:
+                seen = table[action.dest][1]
+                choices = None if seen is None or choices is None else seen | choices
+            table[action.dest] = (conv, choices)
+    return table
+
+
+def _convert(table: Mapping[str, tuple], name: str, raw: object) -> object:
+    """Convert one env, file or artifact value exactly as its flag would be."""
+    if name not in table:
         raise CliError(f"unknown configuration key {name!r}")
+    conv, choices = table[name]
     try:
-        return conv(raw)
+        # a JSON scalar reaches the converter as the text a flag would carry
+        if not isinstance(raw, (str, int, float)):
+            raise TypeError(raw)
+        value = conv(str(raw))
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad value for {name}: {raw!r}") from exc
+    if choices is not None and value not in choices:
+        raise CliError(f"bad value for {name}: {raw!r}, choose from {sorted(choices)}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["delta-kappa", "attack-table", "thm1", "thm2", "thm3", "twirl"],
     )
     p.add_argument("--kappa", type=int)
-    p.add_argument("--n-qubits", type=int)
+    p.add_argument("--n-qubits", "--n", type=int)
     p.add_argument("--eps-v", type=float)
     p.add_argument("--eps-p", type=float)
     p.add_argument("--beta", type=float)
@@ -264,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha2", type=float)
     p.add_argument("--beta1", type=float)
     p.add_argument("--beta2", type=float)
-    p.add_argument("--n", dest="n_qubits_alias", type=int, help=argparse.SUPPRESS)
     p.add_argument("--q")
     p.add_argument("--q-prime")
     p.add_argument("--basis", choices=["full", "z_only"])
@@ -324,17 +330,11 @@ def parse_config(
     env = env or {}
     if not argv:
         return SessionConfig(subcommand="help")
-    ns = build_parser().parse_args(list(argv))
+    parser = build_parser()
+    ns = parser.parse_args(list(argv))
     if ns.subcommand is None:
         return SessionConfig(subcommand="help")
-    flag_values = {
-        k: v
-        for k, v in vars(ns).items()
-        if v is not None and k not in ("subcommand", "config", "n_qubits_alias")
-    }
-    if getattr(ns, "n_qubits_alias", None) is not None:
-        flag_values.setdefault("n_qubits", ns.n_qubits_alias)
-
+    table = _option_table(parser, ns.subcommand)
     merged: dict[str, object] = dict(_DEFAULTS)
 
     path = config_path or ns.config or env.get(ENV_PREFIX + "CONFIG")
@@ -347,27 +347,17 @@ def parse_config(
         if not isinstance(file_doc, dict):
             raise CliError(f"config file {path} must hold a JSON object")
         for name, raw in file_doc.items():
-            merged[name] = _convert(name, raw)
+            merged[name] = _convert(table, name, raw)
 
-    for name in list(_COMMON_FIELDS) + list(_EXTRA_FIELDS):
+    for name in table:
         env_key = ENV_PREFIX + name.upper()
         if env_key in env:
-            merged[name] = _convert(name, env[env_key])
+            merged[name] = _convert(table, name, env[env_key])
 
-    for name, value in flag_values.items():
-        merged[name] = value
-
-    if merged.get("auto_params") and (
-        merged.get("scheme_m") is not None or merged.get("scheme_l") is not None
-    ):
-        raise CliError(
-            "--auto-params and explicit --scheme-M/--scheme-l are mutually "
-            "exclusive"
-        )
-
-    common = {k: merged[k] for k in _COMMON_FIELDS if k in merged}
-    extras = {k: merged[k] for k in _EXTRA_FIELDS if k in merged}
-    return SessionConfig(subcommand=ns.subcommand, extras=extras, **common)
+    for name, value in vars(ns).items():
+        if value is not None and name not in ("subcommand", "config"):
+            merged[name] = value
+    return _session(ns.subcommand, merged)
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +409,9 @@ def _require(cfg: SessionConfig, *names: str) -> list[object]:
         if v is None:
             v = cfg.extras.get(name)
         if v is None:
-            raise CliError(
-                f"{cfg.subcommand}: missing required option --{name.replace('_', '-')}"
-            )
+            sub = _subparsers(build_parser())[cfg.subcommand]
+            flag = next(a.option_strings[0] for a in sub._actions if a.dest == name)
+            raise CliError(f"{cfg.subcommand}: missing required option {flag}")
         vals.append(v)
     return vals
 
@@ -446,14 +436,20 @@ def attack_spec_from_json(doc: Mapping) -> AttackSpec:
             ) from exc
         return AttackSpec(pauli_terms=tuple(terms))
     if "unitary" in doc:
-        rows = doc["unitary"]
-        matrix = np.array(
-            [[complex(c[0], c[1]) for c in row] for row in rows],
-            dtype=np.complex128,
-        )
-        return AttackSpec(
-            unitary=matrix, private_qubits=int(doc.get("private_qubits", 0))
-        )
+        try:
+            # each cell is a [re, im] pair; unpacking refuses any other shape
+            matrix = np.array(
+                [[complex(re, im) for re, im in row] for row in doc["unitary"]],
+                dtype=np.complex128,
+            )
+            private = doc.get("private_qubits", 0)
+            if type(private) is not int:
+                raise TypeError(f"private_qubits {private!r} is not an integer")
+        except (TypeError, ValueError) as exc:
+            raise CliError(
+                f"malformed unitary in attack JSON ({type(exc).__name__}: {exc})"
+            ) from exc
+        return AttackSpec(unitary=matrix, private_qubits=private)
     raise CliError("attack JSON needs 'pauli_terms' or 'unitary'")
 
 
@@ -465,10 +461,8 @@ def _cmd_carve(cfg: SessionConfig) -> tuple[int, dict]:
     m, n, kind = _require(cfg, "m", "n", "kind")
     if kind == "target":
         g = carve_target(m, n)
-    elif kind in ("trap-even", "trap-odd"):
-        g = carve_trap_graph(m, n, kind.removeprefix("trap-"))
     else:
-        raise CliError(f"unknown carve kind {kind!r}")
+        g = carve_trap_graph(m, n, kind.removeprefix("trap-"))
     if cfg.extras.get("check_isomorphism"):
         if kind == "target":
             check_embedding(g)
@@ -496,20 +490,26 @@ def _load_graph(path: str) -> GraphSpec:
         raise CliError(f"cannot read layout {path}: {exc}") from exc
 
 
+def _load_angles(path: str) -> dict[int, float]:
+    """Read a JSON object mapping vertex ids to integer grid steps."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+        if isinstance(raw, dict) and all(type(v) is int for v in raw.values()):
+            return {int(k): k_to_radians(v) for k, v in raw.items()}
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise CliError(f"cannot read angles {path}: {exc}") from exc
+    raise CliError(f"angles file {path} must map vertex ids to integer grid steps")
+
+
 def _cmd_simulate(cfg: SessionConfig) -> tuple[int, dict]:
     (graph_path,) = _require(cfg, "graph")
-    g = _load_graph(str(graph_path))
+    g = _load_graph(graph_path)
     angles_path = cfg.extras.get("angles")
-    if angles_path:
-        with open(str(angles_path)) as fh:
-            raw = json.load(fh)
-        angles = {int(k): k_to_radians(int(v)) for k, v in raw.items()}
-    else:
-        angles = g.base_angles()
-    cap = int(cfg.extras.get("cap", DEFAULT_QUBIT_CAP))
+    angles = _load_angles(angles_path) if angles_path else g.base_angles()
     samples = cfg.extras.get("samples")
-    exact = bool(cfg.extras.get("exact")) or samples is None
-    dist = exact_output_distribution(g, angles, cap=cap)
+    exact = cfg.extras.get("exact") or samples is None
+    dist = exact_output_distribution(g, angles, cap=cfg.extras["cap"])
     if exact:
         payload = _stamp(cfg, {"kind": "distribution", "probs": dict(sorted(dist.probs.items()))})
         rows = [["string", "probability"]] + [
@@ -517,13 +517,13 @@ def _cmd_simulate(cfg: SessionConfig) -> tuple[int, dict]:
         ]
         _emit(cfg, payload, rows)
         return EXIT_ACCEPT, payload
-    drawn = dist.sample(int(samples), _rng(cfg.seed))
+    drawn = dist.sample(samples, _rng(cfg.seed))
     counts: dict[str, int] = {}
     for s in drawn:
         counts[s] = counts.get(s, 0) + 1
     payload = _stamp(
         cfg,
-        {"kind": "samples", "count": int(samples), "counts": dict(sorted(counts.items()))},
+        {"kind": "samples", "count": samples, "counts": dict(sorted(counts.items()))},
     )
     rows = [["string", "count"]] + [[s, c] for s, c in sorted(counts.items())]
     _emit(cfg, payload, rows)
@@ -552,7 +552,7 @@ def _scheme_parameters(cfg: SessionConfig, n_qubits: int, kappa: int) -> tuple[i
 
 def _cmd_verify(cfg: SessionConfig) -> tuple[int, dict]:
     m, n, kappa = _require(cfg, "m", "n", "kappa")
-    layout = make_round_layout(int(m), int(n), int(kappa))
+    layout = make_round_layout(m, n, kappa)
     noise = NoiseModel(eps_v=cfg.eps_v, eps_p=cfg.eps_p)
     # The parsed attack document is embedded in the artifact so replay
     # does not depend on the original file still existing.
@@ -565,8 +565,7 @@ def _cmd_verify(cfg: SessionConfig) -> tuple[int, dict]:
             raise CliError(f"cannot read attack file {cfg.attack}: {exc}") from exc
     strategy = attack_spec_from_json(attack_doc) if attack_doc else None
     n_qubits = len(layout.target.non_dummy_ids())
-    scheme_m, scheme_l, meta = _scheme_parameters(cfg, n_qubits, int(kappa))
-    cap = int(cfg.extras.get("cap", DEFAULT_QUBIT_CAP))
+    scheme_m, scheme_l, meta = _scheme_parameters(cfg, n_qubits, kappa)
     records: list[RunRecord] = []
     started = time.time()
     verdict = run_scheme(
@@ -576,7 +575,7 @@ def _cmd_verify(cfg: SessionConfig) -> tuple[int, dict]:
         scheme_m,
         scheme_l,
         _rng(cfg.seed),
-        cap=cap,
+        cap=cfg.extras["cap"],
         record_sink=records,
     )
     elapsed = time.time() - started
@@ -603,11 +602,15 @@ def _cmd_verify(cfg: SessionConfig) -> tuple[int, dict]:
 
 
 def _twirl_payload(cfg: SessionConfig) -> dict:
-    n = int(cfg.extras.get("n_qubits") or 1)
-    q = str(cfg.extras.get("q") or "X" * n)
-    qprime = str(cfg.extras.get("q_prime") or "Z" * n)
-    basis = str(cfg.extras.get("basis", "full"))
-    trials = int(cfg.extras.get("trials", 20))
+    n = cfg.extras.get("n_qubits", 1)
+    q = cfg.extras.get("q") or "X" * n
+    qprime = cfg.extras.get("q_prime") or "Z" * n
+    basis, trials = cfg.extras["basis"], cfg.extras["trials"]
+    # checked before any 2^n x 2^n matrix is drawn
+    if not 1 <= n <= 3:
+        raise CliError(f"bounds twirl: --n-qubits must be 1, 2 or 3, not {n}")
+    if trials < 1:
+        raise CliError(f"bounds twirl: --trials must be at least 1, not {trials}")
     rng = _rng(cfg.seed)
     residuals = []
     for _ in range(trials):
@@ -633,10 +636,10 @@ def _fraction_str(f: Fraction) -> str:
 
 
 def _cmd_bounds(cfg: SessionConfig) -> tuple[int, dict]:
-    verb = str(cfg.extras.get("verb"))
+    verb = cfg.extras.get("verb")
     if verb == "delta-kappa":
         (kappa,) = _require(cfg, "kappa")
-        value = bounds.delta_kappa(int(kappa))
+        value = bounds.delta_kappa(kappa)
         payload = _stamp(
             cfg, {"kappa": kappa, "delta_kappa": _fraction_str(value)}
         )
@@ -649,7 +652,7 @@ def _cmd_bounds(cfg: SessionConfig) -> tuple[int, dict]:
         (kappa,) = _require(cfg, "kappa")
         rows = [["kappa", "lam", "xi", "trap_term", "escape_bound", "gap"]]
         table = []
-        for cls in bounds.valid_attack_classes(int(kappa)):
+        for cls in bounds.valid_attack_classes(kappa):
             ft, fc2, gap = bounds.attack_gap(cls)
             rows.append(
                 [cls.kappa, cls.lam, cls.xi, _fraction_str(ft), _fraction_str(fc2), _fraction_str(gap)]
@@ -669,15 +672,13 @@ def _cmd_bounds(cfg: SessionConfig) -> tuple[int, dict]:
         return EXIT_ACCEPT, payload
     if verb == "thm1":
         n_qubits, kappa, beta = _require(cfg, "n_qubits", "kappa", "beta")
-        params = bounds.theorem1_params(
-            int(n_qubits), int(kappa), cfg.eps_v, cfg.eps_p, float(beta)
-        )
+        params = bounds.theorem1_params(n_qubits, kappa, cfg.eps_v, cfg.eps_p, beta)
         payload = _stamp(cfg, {"params": _params_dict(params)})
         _emit(cfg, payload)
         return EXIT_ACCEPT, payload
     if verb == "thm2":
         eps2, kappa, beta = _require(cfg, "eps2", "kappa", "beta")
-        params = bounds.theorem2_params(float(eps2), int(kappa), float(beta))
+        params = bounds.theorem2_params(eps2, kappa, beta)
         payload = _stamp(cfg, {"params": _params_dict(params)})
         _emit(cfg, payload)
         return EXIT_ACCEPT, payload
@@ -685,9 +686,7 @@ def _cmd_bounds(cfg: SessionConfig) -> tuple[int, dict]:
         alpha1, alpha2, beta1, beta2, n_qubits = _require(
             cfg, "alpha1", "alpha2", "beta1", "beta2", "n_qubits"
         )
-        hb = bounds.theorem3_epsilon(
-            float(alpha1), float(alpha2), float(beta1), float(beta2), int(n_qubits)
-        )
+        hb = bounds.theorem3_epsilon(alpha1, alpha2, beta1, beta2, n_qubits)
         payload = _stamp(
             cfg, {"epsilon": hb.value, "feasible": hb.feasible}
         )
@@ -718,16 +717,14 @@ def _cmd_ft(cfg: SessionConfig) -> tuple[int, dict]:
     if (eps is None) == (fraction is None):
         raise CliError("ft needs exactly one of --eps / --fraction-of-threshold")
     if fraction is not None:
-        eps = float(fraction) * ftcalc.physical_threshold()
+        eps = fraction * ftcalc.physical_threshold()
     report = ftcalc.ft_report(
         ftcalc.FtConfig(
-            distance=int(cfg.extras.get("distance", 2)),
-            eps=float(eps),
-            syndromes=int(cfg.extras.get("syndromes", ftcalc.DEFAULT_SYNDROMES)),
-            saw_prefactor=float(
-                cfg.extras.get("saw_prefactor", ftcalc.DEFAULT_SAW_PREFACTOR)
-            ),
-            poly_prefactor=float(cfg.extras.get("poly_prefactor", 1.0)),
+            distance=cfg.extras["distance"],
+            eps=eps,
+            syndromes=cfg.extras["syndromes"],
+            saw_prefactor=cfg.extras["saw_prefactor"],
+            poly_prefactor=cfg.extras["poly_prefactor"],
         )
     )
     payload = _stamp(cfg, {"report": report.__dict__})
@@ -767,7 +764,7 @@ def _first_difference(a: object, b: object, path: str = "$") -> str | None:
 def _cmd_replay(cfg: SessionConfig) -> tuple[int, dict]:
     (path,) = _require(cfg, "artifact")
     try:
-        with open(str(path)) as fh:
+        with open(path) as fh:
             artifact = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read artifact {path}: {exc}") from exc

@@ -2,11 +2,23 @@
 from __future__ import annotations
 
 import json
+import os
+from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trapver import __version__
-from trapver.cli import CliError, main, parse_config
+from trapver.cli import (
+    CliError,
+    SessionConfig,
+    _option_table,
+    build_parser,
+    main,
+    parse_config,
+)
 from trapver.graphs import GraphSpec, carve_target
 from trapver.protocol import ENGINE_VERSION
 
@@ -62,6 +74,40 @@ def test_config_file_errors(tmp_path):
         parse_config(["carve"], config_path=str(bad))
 
 
+def test_env_and_file_values_are_checked_like_flags(tmp_path, capsys):
+    with mock.patch.dict(os.environ, {"TRAPVER_FMT": "xml"}):
+        assert main(["carve", "--m", "3", "--n", "3"]) == 1
+    assert capsys.readouterr().err == (
+        "error: bad value for fmt: 'xml', choose from ['json']\n"
+    )
+    # choices come from the running subcommand: carve writes only json
+    with pytest.raises(CliError, match="fmt"):
+        parse_config(["carve"], env={"TRAPVER_FMT": "csv"})
+    assert parse_config(["ft"], env={"TRAPVER_FMT": "csv"}).fmt == "csv"
+
+    cfg_file = tmp_path / "bad.json"
+    for doc, key in (
+        ({"kind": "spiral"}, "kind"),
+        ({"seed": 1.5}, "seed"),
+        ({"kappa": [1]}, "kappa"),
+        ({"exact": "maybe"}, "exact"),
+        ({"eps_v": None}, "eps_v"),
+    ):
+        cfg_file.write_text(json.dumps(doc))
+        with pytest.raises(CliError, match=f"bad value for {key}"):
+            parse_config(["simulate"], config_path=str(cfg_file))
+
+    # a file shared across subcommands: keys of other subcommands still
+    # parse, and one that verify lacks takes the union of their choices
+    cfg_file.write_text(json.dumps(
+        {"kind": "trap-odd", "basis": "z_only", "trials": "3", "fmt": "csv",
+         "exact": 1, "seed": 4}
+    ))
+    cfg = parse_config(["verify"], config_path=str(cfg_file))
+    assert cfg.seed == 4 and cfg.fmt == "csv"
+    assert cfg.extras["trials"] == 3 and cfg.extras["exact"] is True
+
+
 def test_auto_params_mutually_exclusive_with_explicit():
     with pytest.raises(CliError, match="mutually"):
         parse_config(
@@ -69,8 +115,10 @@ def test_auto_params_mutually_exclusive_with_explicit():
         )
 
 
-def test_missing_required_option():
+def test_missing_required_option(capsys):
     assert main(["verify", "--kappa", "1"]) == 1  # no lattice shape
+    # the message names the subcommand's own flag, read from the parser
+    assert "missing required option --m-rounds" in capsys.readouterr().err
     assert main(["bounds", "delta-kappa"]) == 1  # no kappa
 
 
@@ -153,6 +201,33 @@ def test_simulate_angle_override(tmp_path, layout_file):
     main(["simulate", "--graph", str(layout_file), "--exact",
           "--angles", str(angles), "--out", str(out_flat)])
     assert read_json(out_base)["probs"] != read_json(out_flat)["probs"]
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("[0, 1]", "integer grid steps"),
+        ('{"0": 1.5}', "integer grid steps"),
+        ('{"0": "3"}', "integer grid steps"),
+        ('{"zero": 3}', "cannot read angles"),
+        ("{not json", "cannot read angles"),
+        (None, "cannot read angles"),
+    ],
+    ids=["list", "fractional-step", "string-step", "bad-vertex", "not-json",
+         "missing-file"],
+)
+def test_simulate_rejects_bad_angle_files(
+    tmp_path, layout_file, capsys, content, message
+):
+    angles = tmp_path / "angles.json"
+    if content is not None:
+        angles.write_text(content)
+    capsys.readouterr()
+    assert main(
+        ["simulate", "--graph", str(layout_file), "--angles", str(angles)]
+    ) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_simulate_csv(tmp_path, layout_file):
@@ -346,13 +421,106 @@ def test_replay_rejects_non_verify_documents(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("eps_v", "x", "bad value for eps_v: 'x'"),
+        ("seed", "abc", "bad value for seed: 'abc'"),
+        ("m", [3], "bad value for m: [3]"),
+        ("extras", [1], "holds no readable config"),
+    ],
+)
+def test_replay_checks_the_stored_config(tmp_path, capsys, key, value, message):
+    argv, out = verify_argv(
+        tmp_path, "session.json", ["--scheme-M", "1", "--scheme-l", "0.5"]
+    )
+    assert main(argv) == 0
+    doc = read_json(out)
+    doc["config"][key] = value
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1  # one line, no traceback
+
+
+def test_replay_applies_the_flag_rules_to_the_stored_config(tmp_path, capsys):
+    # scheme_m is ignored under --auto-params, so only the rule shows this
+    argv, out = verify_argv(
+        tmp_path, "auto.json",
+        ["--auto-params", "--beta", "0.05", "--eps-v", "0.05", "--eps-p", "0.05"],
+    )
+    assert main(argv) == 0
+    doc = read_json(out)
+    doc["config"]["scheme_m"] = 0
+    out.write_text(json.dumps(doc))
+    assert main(["replay", str(out)]) == 1
+    assert "mutually exclusive" in capsys.readouterr().err
+
+
+# The config member of this artifact as written before the option table was
+# derived from the parser; a drift in the artifact format shows here.
+PINNED_SNAPSHOT = {
+    "attack": "kill.json",
+    "auto_params": True,
+    "beta": 0.05,
+    "eps_p": 0.05,
+    "eps_v": 0.05,
+    "extras": {
+        "attack_doc": {
+            "pauli_terms": [
+                {"letters": {"0:0": "Z", "1:0": "Z", "2:0": "Z"}, "weight": 1.0}
+            ]
+        },
+        "basis": "full",
+        "cap": 22,
+        "distance": 2,
+        "kind": "target",
+        "poly_prefactor": 1.0,
+        "saw_prefactor": 1.2,
+        "syndromes": 564,
+        "trials": 20,
+    },
+    "fmt": "json",
+    "kappa": 1,
+    "m": 3,
+    "n": 3,
+    "scheme_l": None,
+    "scheme_m": None,
+    "seed": 5,
+    "subcommand": "verify",
+}
+
+
+def test_config_snapshot_is_pinned_and_round_trips(
+    tmp_path, monkeypatch, kill_attack_file
+):
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", "--m-rounds", "3", "--n-rounds", "3", "--kappa", "1",
+            "--seed", "5", "--attack", kill_attack_file.name, "--auto-params",
+            "--beta", "0.05", "--eps-v", "0.05", "--eps-p", "0.05",
+            "--out", "snap.json"]
+    assert main(argv) == 0
+    snapshot = read_json(tmp_path / "snap.json")["config"]
+    assert snapshot == PINNED_SNAPSHOT
+    assert SessionConfig.from_json_dict(snapshot).to_json_dict() == snapshot
+    cfg = parse_config(argv)
+    assert SessionConfig.from_json_dict(cfg.to_json_dict()) == replace(cfg, out=None)
+
+
+@pytest.mark.parametrize(
     "attack, message",
     [
         ({"pauli_terms": [{"weight": 1.0, "letters": {"7:0": "Z"}}]}, "slot 7"),
         ({"pauli_terms": [{"weight": 1.0, "letters": {"0:99": "Z"}}]}, "vertex 99"),
         ({"pauli_terms": [{"letters": {"0:0": "Z"}}]}, "weight"),
+        ({"unitary": [[1]]}, "malformed unitary"),
+        ({"unitary": [1]}, "malformed unitary"),
+        ({"unitary": [[[1, 0]]], "private_qubits": 1.5}, "private_qubits"),
     ],
-    ids=["slot-out-of-range", "vertex-out-of-range", "missing-weight"],
+    ids=["slot-out-of-range", "vertex-out-of-range", "missing-weight",
+         "unitary-cell-not-a-pair", "unitary-row-not-a-list",
+         "unitary-private-not-an-integer"],
 )
 def test_verify_rejects_bad_attacks(
     tmp_path, capsys, attack, message
@@ -478,6 +646,18 @@ def test_bounds_twirl_rejects_bad_words():
     ) == 1
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--n-qubits", "4"], "--n-qubits must be 1, 2 or 3, not 4"),
+        (["--trials", "0"], "--trials must be at least 1, not 0"),
+    ],
+)
+def test_bounds_twirl_checks_inputs_before_drawing(capsys, extra, message):
+    assert main(["bounds", "twirl", *extra]) == 1
+    assert message in capsys.readouterr().err
+
+
 # -- ft ---------------------------------------------------------------------------
 
 
@@ -507,3 +687,60 @@ def test_ft_csv_table(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 4
     assert lines[0].startswith("fraction,")
+
+
+# -- fuzzing the config sources ----------------------------------------------
+
+FUZZ_ARGV = ["verify", "--m-rounds", "3", "--n-rounds", "3", "--kappa", "1",
+             "--scheme-M", "1", "--scheme-l", "0.5"]
+FUZZ_KEYS = sorted(_option_table(build_parser(), "verify")) + ["bogus"]
+
+# Small numbers only: no drawn value may size an allocation.
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-4, 4),
+    st.floats(-2.0, 2.0),
+    st.sampled_from([float("nan"), float("inf"), "1e400", "nan", "yes"]),
+    st.sampled_from(["xml", "csv", "json", "full", "z_only", "trap-odd", "thm1"]),
+    st.text(alphabet="0123456789.-+eE x", max_size=4),
+)
+_JSON = st.one_of(
+    _SCALARS,
+    st.lists(_SCALARS, max_size=2),
+    st.dictionaries(st.text(alphabet="abkmnx_", max_size=3), _SCALARS, max_size=2),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    assert main(FUZZ_ARGV + ["--out", str(path / "honest.json")]) == 0
+    return path
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    source=st.sampled_from(["env", "file", "config", "extras"]),
+    key=st.sampled_from(FUZZ_KEYS + ["subcommand", "extras", "attack_doc"]),
+    value=_JSON,
+)
+def test_config_sources_exit_cleanly(fuzz_dir, source, key, value):
+    """Wrong-typed values in any config source give exit 0, 1 or 2."""
+    out = ["--out", str(fuzz_dir / "out.json")]
+    if source == "env":
+        raw = value if isinstance(value, str) else json.dumps(value)
+        with mock.patch.dict(os.environ, {f"TRAPVER_{key.upper()}": raw}):
+            code = main(FUZZ_ARGV + out)
+    elif source == "file":
+        cfg_file = fuzz_dir / "config.json"
+        cfg_file.write_text(json.dumps({key: value}))
+        code = main(["--config", str(cfg_file)] + FUZZ_ARGV + out)
+    else:
+        doc = read_json(fuzz_dir / "honest.json")
+        target = doc["config"] if source == "config" else doc["config"]["extras"]
+        target[key] = value
+        artifact = fuzz_dir / "tampered.json"
+        artifact.write_text(json.dumps(doc))
+        code = main(["replay", str(artifact)])
+    assert code in (0, 1, 2)
