@@ -375,7 +375,14 @@ def _stamp(cfg: SessionConfig, payload: dict) -> dict:
 
 
 def _emit(cfg: SessionConfig, doc: dict, csv_rows: list[list] | None = None) -> None:
-    """Write the payload to --out (atomically) or stdout."""
+    """Write the payload to --out (atomically) or stdout.
+
+    A subcommand whose own ``--format`` offers csv refuses it, rather than
+    writing JSON, when the payload has no CSV rows.
+    """
+    if cfg.fmt == "csv" and csv_rows is None and _offers_csv(cfg.subcommand):
+        what = " ".join(filter(None, (cfg.subcommand, cfg.extras.get("verb"))))
+        raise CliError(f"{what} has no CSV output; use --format json")
     if cfg.extras.get("quiet"):
         return
     if cfg.fmt == "csv" and csv_rows is not None:
@@ -389,6 +396,11 @@ def _emit(cfg: SessionConfig, doc: dict, csv_rows: list[list] | None = None) -> 
         _atomic_write(cfg.out, text)
     else:
         sys.stdout.write(text)
+
+
+def _offers_csv(subcommand: str) -> bool:
+    sub = _subparsers(build_parser())[subcommand]
+    return any(a.dest == "fmt" and "csv" in (a.choices or ()) for a in sub._actions)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -593,7 +605,6 @@ def _cmd_verify(cfg: SessionConfig) -> tuple[int, dict]:
             "telemetry": {
                 "wall_clock_s": elapsed,
                 "finished_unix": time.time(),
-                "op_counts": dict(records[0].op_counts) if records else {},
             },
         },
     )
@@ -643,10 +654,10 @@ def _cmd_bounds(cfg: SessionConfig) -> tuple[int, dict]:
         payload = _stamp(
             cfg, {"kappa": kappa, "delta_kappa": _fraction_str(value)}
         )
-        if not cfg.out:
-            print(_fraction_str(value))
-        else:
+        if cfg.out or cfg.fmt == "csv":
             _emit(cfg, payload)
+        else:
+            print(_fraction_str(value))
         return EXIT_ACCEPT, payload
     if verb == "attack-table":
         (kappa,) = _require(cfg, "kappa")
@@ -822,14 +833,6 @@ def execute(cfg: SessionConfig) -> tuple[int, dict]:
     if handler is None:
         raise CliError(f"unknown subcommand {cfg.subcommand!r}")
     return handler(cfg)
-
-
-def replay(path: str) -> int:
-    """Re-execute an artifact's embedded config; error on any mismatch."""
-    code, _ = _cmd_replay(
-        SessionConfig(subcommand="replay", extras={"artifact": path})
-    )
-    return code
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -120,14 +120,17 @@ class GraphSpec:
         return (row + col) % 2
 
     # -- structure --------------------------------------------------------
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        out = []
+    @cached_property
+    def _lattice_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Every cell's lattice neighbours, in ``edges`` order."""
+        out: list[list[int]] = [[] for _ in range(self.m * self.n)]
         for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return tuple(out)
+            out[a].append(b)
+            out[b].append(a)
+        return tuple(tuple(us) for us in out)
+
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        return self._lattice_neighbors[v]
 
     def is_dummy(self, v: int) -> bool:
         return self.roles[v] == ROLE_DUMMY

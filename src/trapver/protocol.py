@@ -2,9 +2,13 @@
 
 A protocol run is 2κ+1 rounds — one computation round and κ trap rounds
 per parity — executed in a secret random order against a prover that may
-be honest, noisy, or actively deviating.  Every round with at most Pauli
-deviations is simulated by one kernel; only a joint unitary deviation,
-which spans rounds, needs the dense state vector.
+be honest, noisy, or actively deviating.  `_run_protocol` is the one
+function that executes a run: it draws the key, samples one term of the
+attack mixture, runs every round, decrypts and reads the trap verdicts
+into a `RunRecord`.  `run_protocol`, `run_scheme` and
+`estimate_fidelity_gap` all go through it.  Every round with at most
+Pauli deviations is simulated by one kernel, `run_round`; only a joint
+unitary deviation, which spans rounds, needs the dense state vector.
 
 The kernel rests on the one-time pad: the verifier only sends padded
 single-qubit states, so for any key a round's raw outcome distribution is
@@ -63,7 +67,6 @@ from .simulator import (
     exact_probability_array,
     measure_xy,
     prepare_qubit,
-    string_to_bits,
     tensor,
 )
 
@@ -502,40 +505,29 @@ def run_round(
     key: SecretKey,
     round_index: int,
     layout: RoundLayout,
-    strategy: AttackSpec | None = None,
+    letters: Mapping[tuple[int, int], str],
     noise: NoiseModel | None = None,
     rng: np.random.Generator | None = None,
     *,
-    resolved_letters: Mapping[tuple[int, int], str] | None = None,
     cap: int = DEFAULT_QUBIT_CAP,
 ) -> list[int]:
     """Execute one slot and return every lattice cell's raw outcome.
 
+    ``letters`` is the run's sampled attack term, keyed by (slot, vertex).
     Draws the round's noise events, carries them to the readout as a
-    Pauli frame together with this slot's attack letters (a Z or Y letter
-    flips its cell's outcome), and samples the outcomes with
+    Pauli frame together with this slot's letters (a Z or Y letter flips
+    its cell's outcome), and samples the outcomes with
     `_frame_round_bits`.  A noiseless round draws no events, so it costs
-    one draw per component and one coin per dummy.  Standalone callers
-    may pass a mixture AttackSpec (a term is sampled here);
-    `run_protocol` pre-samples one term for the whole run and hands it
-    down via ``resolved_letters``.
+    one draw per component and one coin per dummy.
     """
     if rng is None:
         raise ValueError("an explicitly seeded generator is required")
-    noise = noise or NoiseModel()
-    if strategy is not None and strategy.unitary is not None:
-        raise ValueError(
-            "joint unitary deviations span rounds; use run_protocol"
-        )
-    if resolved_letters is None:
-        if strategy is not None:
-            strategy.check_against(layout)
-        resolved_letters = _sample_letters(strategy, rng)
     gi = key.perm[round_index]
     g = layout.graphs[gi]
     plan = _sim_plan(g, cap)
-    x, z = _pauli_frame(plan, _sample_events(g, noise, rng), len(g.edges))
-    for (slot, v), letter in resolved_letters.items():
+    events = _sample_events(g, noise or NoiseModel(), rng)
+    x, z = _pauli_frame(plan, events, len(g.edges))
+    for (slot, v), letter in letters.items():
         if slot == round_index and letter in ("Z", "Y"):
             z ^= 1 << v
     return _frame_round_bits(g, plan, key, gi, x, z, rng)
@@ -668,7 +660,6 @@ class RunRecord:
     target_output: str
     target_slot: int
     attack_letters: tuple[tuple[tuple[int, int], str], ...]
-    op_counts: Mapping[str, int]
 
     def to_json_dict(self) -> dict:
         return {
@@ -682,7 +673,6 @@ class RunRecord:
                 [slot, v, letter]
                 for (slot, v), letter in self.attack_letters
             ],
-            "op_counts": dict(self.op_counts),
         }
 
 
@@ -733,61 +723,6 @@ def _joint_raw_rounds(
     return [bits[s * size : (s + 1) * size] for s in range(layout.rounds)]
 
 
-def _execute_run(
-    layout: RoundLayout,
-    key: SecretKey,
-    strategy: AttackSpec | None,
-    letters: Mapping[tuple[int, int], str],
-    noise: NoiseModel,
-    rng: np.random.Generator,
-    cap: int,
-) -> RunRecord:
-    if strategy is not None and strategy.unitary is not None:
-        raw_rounds = _joint_raw_rounds(layout, key, strategy, noise, rng, cap)
-    else:
-        raw_rounds = [
-            run_round(
-                key,
-                slot,
-                layout,
-                strategy=None,
-                noise=noise,
-                rng=rng,
-                resolved_letters=letters,
-                cap=cap,
-            )
-            for slot in range(layout.rounds)
-        ]
-    decrypted = decrypt(key, layout, raw_rounds)
-    trap_passed: list[bool | None] = []
-    accept = True
-    for slot in range(layout.rounds):
-        gi = key.perm[slot]
-        if layout.kinds[gi] == KIND_TARGET:
-            trap_passed.append(None)
-        else:
-            ok = all(b == 0 for b in decrypted[slot])
-            trap_passed.append(ok)
-            accept = accept and ok
-    target_slot = key.target_slot
-    size = layout.m * layout.n
-    edges = len(layout.target.edges)
-    return RunRecord(
-        raw=tuple(tuple(r) for r in raw_rounds),
-        decrypted=decrypted,
-        trap_passed=tuple(trap_passed),
-        accept=accept,
-        target_output="".join(str(b) for b in decrypted[target_slot]),
-        target_slot=target_slot,
-        attack_letters=tuple(sorted(letters.items())),
-        op_counts={
-            "preparations": layout.rounds * size,
-            "entangling": layout.rounds * edges,
-            "measurements": layout.rounds * size,
-        },
-    )
-
-
 def run_protocol(
     layout: RoundLayout,
     strategy: AttackSpec | None = None,
@@ -814,11 +749,37 @@ def _run_protocol(
     rng: np.random.Generator,
     cap: int,
 ) -> RunRecord:
-    """`run_protocol` for callers that have checked ``strategy`` already."""
+    """`run_protocol` for callers that have checked ``strategy`` already.
+
+    The one place a repetition is executed: keygen, one sampled attack
+    term, every round (the frame kernel, or one joint register for a
+    unitary deviation), decryption and the trap verdicts, in that order
+    of generator draws.
+    """
+    noise = noise or NoiseModel()
     key = keygen(layout, rng)
     letters = _sample_letters(strategy, rng)
-    return _execute_run(
-        layout, key, strategy, letters, noise or NoiseModel(), rng, cap
+    if strategy is not None and strategy.unitary is not None:
+        raw_rounds = _joint_raw_rounds(layout, key, strategy, noise, rng, cap)
+    else:
+        raw_rounds = [
+            run_round(key, slot, layout, letters, noise, rng, cap=cap)
+            for slot in range(layout.rounds)
+        ]
+    decrypted = decrypt(key, layout, raw_rounds)
+    trap_passed = tuple(
+        None if layout.kinds[gi] == KIND_TARGET else not any(decrypted[slot])
+        for slot, gi in enumerate(key.perm)
+    )
+    target_slot = key.target_slot
+    return RunRecord(
+        raw=tuple(tuple(r) for r in raw_rounds),
+        decrypted=decrypted,
+        trap_passed=trap_passed,
+        accept=False not in trap_passed,
+        target_output="".join(str(b) for b in decrypted[target_slot]),
+        target_slot=target_slot,
+        attack_letters=tuple(sorted(letters.items())),
     )
 
 
@@ -928,10 +889,7 @@ class GapEstimate:
 
     ``fc2`` is the twirl-picture escape frequency: the fraction of runs
     whose sampled deviation put no bit-flipping letter on the computation
-    round.  ``fc2_distributional`` is the distribution-level squared
-    fidelity of the decrypted output against the honest one — for
-    flip-invariant targets it stays 1 even under flips, which is why the
-    gap is defined against the escape form.
+    round.
     """
 
     ft2: float
@@ -941,11 +899,6 @@ class GapEstimate:
     fc2_se: float
     gap_se: float
     samples: int
-    fc2_distributional: float | None = None
-
-
-def _bhattacharyya_sq(p: np.ndarray, q: np.ndarray) -> float:
-    return float(np.sqrt(p * q).sum() ** 2)
 
 
 def estimate_fidelity_gap(
@@ -954,15 +907,14 @@ def estimate_fidelity_gap(
     samples: int,
     rng: np.random.Generator,
     cap: int = DEFAULT_QUBIT_CAP,
-    compute_distributional: bool = True,
 ) -> GapEstimate:
     """Monte Carlo over secret keys of trap passing vs computation escape.
 
     Noiseless runs with Pauli deviations only — the regime where the
-    combinatorial bounds speak.  Per sampled key the run is simulated in
-    full for the trap verdict; the escape indicator asks whether any Z/Y
-    letter landed on a non-dummy cell of whichever slot held the
-    computation round.
+    combinatorial bounds speak.  Each sample is one `_run_protocol`
+    repetition: its verdict is the trap indicator, and the escape
+    indicator asks whether any Z/Y letter of its sampled term landed on a
+    non-dummy cell of whichever slot held the computation round.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -970,57 +922,28 @@ def estimate_fidelity_gap(
         raise ValueError("gap estimation is defined over Pauli mixtures")
     if strategy is not None:
         strategy.check_against(layout)
-    noise = NoiseModel()
-    target = layout.target
-    nd_target = set(target.non_dummy_ids())
-    honest_probs = None
-    corr_map = None
-    pos = {v: j for j, v in enumerate(target.non_dummy_ids())}
-    if compute_distributional:
-        dist = honest_target_distribution(target, cap=cap)
-        honest_probs = np.zeros(2 ** len(pos))
-        for s, p in dist.probs.items():
-            honest_probs[string_to_bits(s)] = p
-        corr_map = _correction_index_map(target)
+    nd_target = set(layout.target.non_dummy_ids())
     passes = np.zeros(samples)
     escapes = np.zeros(samples)
-    fids = np.zeros(samples) if compute_distributional else None
-    fid_cache: dict[int, float] = {}
     for i in range(samples):
-        key = keygen(layout, rng)
-        letters = _sample_letters(strategy, rng)
-        rec = _execute_run(layout, key, None, letters, noise, rng, cap)
-        passes[i] = 1.0 if rec.accept else 0.0
-        slot = key.target_slot
-        hit = any(
-            s == slot and v in nd_target and letter in ("Z", "Y")
-            for (s, v), letter in letters.items()
+        rec = _run_protocol(layout, strategy, None, rng, cap)
+        passes[i] = rec.accept
+        escapes[i] = not any(
+            s == rec.target_slot and v in nd_target and letter in ("Z", "Y")
+            for (s, v), letter in rec.attack_letters
         )
-        escapes[i] = 0.0 if hit else 1.0
-        if compute_distributional:
-            flip = 0
-            for (s, v), letter in letters.items():
-                if s == slot and v in nd_target and letter in ("Z", "Y"):
-                    flip |= 1 << pos[v]
-            if flip not in fid_cache:
-                # decrypted output = C(C(honest) xor flip): push the
-                # honest distribution through that bijection
-                moved = np.zeros_like(honest_probs)
-                np.add.at(
-                    moved, corr_map[corr_map ^ flip], honest_probs
-                )
-                fid_cache[flip] = _bhattacharyya_sq(honest_probs, moved)
-            fids[i] = fid_cache[flip]
+
+    def se(x: np.ndarray) -> float:
+        return float(x.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+
     ft2 = float(passes.mean())
     fc2 = float(escapes.mean())
-    diffs = passes - escapes
     return GapEstimate(
         ft2=ft2,
         fc2=fc2,
         gap=ft2 - fc2,
-        ft2_se=float(passes.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0,
-        fc2_se=float(escapes.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0,
-        gap_se=float(diffs.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0,
+        ft2_se=se(passes),
+        fc2_se=se(escapes),
+        gap_se=se(passes - escapes),
         samples=samples,
-        fc2_distributional=float(fids.mean()) if compute_distributional else None,
     )

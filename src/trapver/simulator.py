@@ -58,9 +58,6 @@ class StateVector:
     def norm_sq(self) -> float:
         return float(np.vdot(self.amps, self.amps).real)
 
-    def density_matrix(self) -> np.ndarray:
-        return np.outer(self.amps, self.amps.conj())
-
     def _bit_view(self, q: int) -> np.ndarray:
         """View with axis 1 = qubit q: shape (high, 2, low)."""
         if not 0 <= q < self.n:
@@ -207,26 +204,6 @@ class NoiseModel:
         return self.eps_v == 0 and self.eps_p == 0
 
 
-def apply_noise(
-    s: StateVector,
-    q: int,
-    eps: float,
-    mix: Mapping[str, float],
-    rng: np.random.Generator,
-) -> StateVector:
-    """With probability eps, apply one Pauli drawn from ``mix`` to qubit q."""
-    if not 0 <= eps < 1:
-        raise ValueError(f"error probability {eps!r} outside [0, 1)")
-    if eps == 0:
-        return s
-    if rng.random() >= eps:
-        return s
-    letters = list(mix.keys())
-    weights = np.array([mix[p] for p in letters], dtype=float)
-    letter = letters[rng.choice(len(letters), p=weights / weights.sum())]
-    return apply_pauli(s, q, letter)
-
-
 @dataclass(frozen=True)
 class Distribution:
     """Probabilities over fixed-length outcome strings."""
@@ -251,30 +228,6 @@ class Distribution:
         weights = weights / weights.sum()
         picks = rng.choice(len(keys), size=count, p=weights)
         return [keys[i] for i in picks]
-
-
-def tv_distance(p: Distribution, q: Distribution) -> float:
-    if p.nbits != q.nbits:
-        raise ValueError(
-            f"distributions over different lengths: {p.nbits} vs {q.nbits}"
-        )
-    keys = set(p.probs) | set(q.probs)
-    return 0.5 * sum(
-        abs(p.probs.get(k, 0.0) - q.probs.get(k, 0.0)) for k in keys
-    )
-
-
-def empirical_distribution(samples: Sequence[str]) -> Distribution:
-    if not samples:
-        raise ValueError("no samples")
-    counts: dict[str, int] = {}
-    for s in samples:
-        counts[s] = counts.get(s, 0) + 1
-    total = len(samples)
-    return Distribution(
-        nbits=len(samples[0]),
-        probs={k: v / total for k, v in counts.items()},
-    )
 
 
 def fwht_inplace(a: np.ndarray) -> None:

@@ -44,13 +44,13 @@ from trapver.protocol import (
 from trapver.simulator import (
     IsingInstance,
     bits_to_string,
-    empirical_distribution,
     exact_output_distribution,
     exact_probability_array,
     ising_partition_probability,
     prepare_qubit,
-    tv_distance,
 )
+
+from helpers import density_matrix, empirical_distribution, tv_distance
 
 
 def rng_from(seed: int) -> np.random.Generator:
@@ -153,11 +153,7 @@ def test_partial_attack_gap_is_nonpositive():
 def estimated_gap(letters: dict, seed: int):
     layout = make_round_layout(3, 3, 1)
     return estimate_fidelity_gap(
-        layout,
-        single_pauli_attack(letters),
-        10_000,
-        rng_from(seed),
-        compute_distributional=False,
+        layout, single_pauli_attack(letters), 10_000, rng_from(seed)
     )
 
 
@@ -268,9 +264,9 @@ def test_prepared_states_average_to_identity():
     for parity in (0, 1):
         avg = np.zeros((2, 2), dtype=complex)
         for k in range(16):
-            avg += prepare_qubit(
-                "z_flipped_plus", k * math.pi / 8, parity
-            ).density_matrix()
+            avg += density_matrix(
+                prepare_qubit("z_flipped_plus", k * math.pi / 8, parity)
+            )
         assert np.abs(avg / 16 - np.eye(2) / 2).max() <= 1e-12
 
 

@@ -565,6 +565,42 @@ def test_bounds_delta_kappa_stdout(capsys):
     assert capsys.readouterr().out.strip() == "1/10"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["delta-kappa", "--kappa", "2"],
+        ["thm1", "--n-qubits", "9", "--kappa", "1", "--eps-v", "0.001",
+         "--eps-p", "0.001", "--beta", "0.05"],
+        ["thm2", "--eps2", "0.01", "--kappa", "2", "--beta", "0.05"],
+        ["thm3", "--alpha1", "0.9", "--alpha2", "0.1", "--beta1", "0.05",
+         "--beta2", "0.05", "--n-qubits", "9"],
+        ["twirl", "--n-qubits", "1", "--trials", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_bounds_verbs_without_a_table_refuse_csv(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    for extra in ([], ["--out", str(out)]):
+        assert main(["bounds", *argv, "--format", "csv", *extra]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: bounds {argv[0]} has no CSV output; use --format json\n"
+        )
+    assert not out.exists()
+    assert main(["bounds", *argv, "--out", str(out)]) == 0
+
+
+def test_verify_keeps_json_under_a_shared_csv_format(tmp_path):
+    """verify has no --format of its own, so fmt: csv from a config file
+    shared with other subcommands leaves its artifact JSON."""
+    out = tmp_path / "art.json"
+    with mock.patch.dict(os.environ, {"TRAPVER_FMT": "csv"}):
+        assert main(
+            ["verify", "--m-rounds", "3", "--n-rounds", "3", "--kappa", "1",
+             "--scheme-M", "2", "--scheme-l", "0.5", "--out", str(out)]
+        ) == 0
+    assert read_json(out)["config"]["fmt"] == "csv"
+
+
 def test_bounds_attack_table(tmp_path):
     out_csv = tmp_path / "table.csv"
     assert main(

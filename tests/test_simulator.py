@@ -22,12 +22,10 @@ from trapver.simulator import (
     QubitCapError,
     StateVector,
     apply_cz,
-    apply_noise,
     apply_pauli,
     apply_phase,
     bits_to_string,
     component_probabilities,
-    empirical_distribution,
     exact_output_distribution,
     exact_probability_array,
     fwht_inplace,
@@ -36,8 +34,9 @@ from trapver.simulator import (
     prepare_qubit,
     string_to_bits,
     tensor,
-    tv_distance,
 )
+
+from helpers import density_matrix, empirical_distribution, tv_distance
 
 RT2 = 1 / math.sqrt(2)
 
@@ -210,39 +209,6 @@ def test_post_measurement_state_is_normalized(seed, k):
 # -- noise ------------------------------------------------------------------
 
 
-def test_zero_noise_identity_and_no_rng_consumption():
-    s = prepare_qubit("plus_theta", math.pi / 4)
-    before = s.amps.copy()
-    rng = rng_from(9)
-    apply_noise(s, 0, 0.0, {"X": 1 / 3, "Y": 1 / 3, "Z": 1 / 3}, rng)
-    np.testing.assert_array_equal(s.amps, before)
-    assert rng.random() == rng_from(9).random()
-
-
-def test_certain_z_noise_flips_plus():
-    s = prepare_qubit("plus_theta", 0.0)
-    apply_noise(s, 0, 0.999999999, {"Z": 1.0}, rng_from(0))
-    np.testing.assert_allclose(s.amps, [RT2, -RT2], atol=1e-15)
-
-
-def test_noise_rate_binomial():
-    """Z at rate 0.1 then a matching-angle readout: error frequency 0.1."""
-    rng = rng_from(21)
-    mix = {"Z": 1.0}
-    ones = 0
-    for _ in range(100_000):
-        s = prepare_qubit("plus_theta", 0.0)
-        apply_noise(s, 0, 0.1, mix, rng)
-        ones += measure_xy(s, 0, 0.0, rng)[0]
-    assert abs(ones / 100_000 - 0.1) <= 0.01
-
-
-def test_noise_rejects_bad_rate():
-    s = prepare_qubit("dummy", 0)
-    with pytest.raises(ValueError):
-        apply_noise(s, 0, 1.0, {"Z": 1.0}, rng_from(0))
-
-
 def test_noise_model_validation():
     assert NoiseModel().is_noiseless()
     assert not NoiseModel(eps_p=0.1).is_noiseless()
@@ -268,11 +234,11 @@ def test_noise_channel_is_unital():
     out = np.zeros((2, 2), dtype=complex)
     for b in (0, 1):
         inp = prepare_qubit("dummy", b)
-        out += 0.5 * (1 - eps) * inp.density_matrix()
+        out += 0.5 * (1 - eps) * density_matrix(inp)
         for letter, w in mix.items():
             branch = prepare_qubit("dummy", b)
             apply_pauli(branch, 0, letter)
-            out += 0.5 * eps * w * branch.density_matrix()
+            out += 0.5 * eps * w * density_matrix(branch)
     np.testing.assert_allclose(out, np.eye(2) / 2, atol=1e-15)
 
 
@@ -469,7 +435,7 @@ def test_bridge_equivalence_against_contracted_graph():
 def test_blindness_of_preparation_average():
     avg = np.zeros((2, 2), dtype=complex)
     for k in range(16):
-        avg += prepare_qubit("plus_theta", k * math.pi / 8).density_matrix()
+        avg += density_matrix(prepare_qubit("plus_theta", k * math.pi / 8))
     np.testing.assert_allclose(avg / 16, np.eye(2) / 2, atol=1e-12)
 
 
