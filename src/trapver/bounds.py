@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from typing import Iterator, Mapping
 
@@ -264,26 +265,30 @@ _P1 = {
 }
 
 
+@lru_cache(maxsize=256)
 def pauli_matrix(word: str) -> np.ndarray:
-    """Tensor product of single-qubit Paulis; word[j] acts on qubit j."""
+    """Tensor product of single-qubit Paulis; word[j] acts on qubit j.
+    The matrix is cached, so it is read-only."""
     out = np.ones((1, 1), dtype=np.complex128)
     for ch in word:
         if ch not in _P1:
             raise ValueError(f"unknown Pauli letter {ch!r}")
         # qubit j in the low bits: later letters go to the high side
         out = np.kron(_P1[ch], out)
+    out.setflags(write=False)
     return out
 
 
-def _twirl_words(n: int, basis: str) -> Iterator[str]:
-    if basis == "full":
-        alphabet = "IXYZ"
-    elif basis == "z_only":
-        alphabet = "IZ"
-    else:
+@lru_cache(maxsize=None)
+def _pauli_stack(n: int, basis: str) -> np.ndarray:
+    """Every n-qubit word of the conjugating family, as stacked matrices."""
+    alphabet = {"full": "IXYZ", "z_only": "IZ"}.get(basis)
+    if alphabet is None:
         raise ValueError(f"basis must be 'full' or 'z_only', got {basis!r}")
-    for letters in itertools.product(alphabet, repeat=n):
-        yield "".join(letters)
+    words = ("".join(w) for w in itertools.product(alphabet, repeat=n))
+    stack = np.array([pauli_matrix(w) for w in words])
+    stack.setflags(write=False)
+    return stack
 
 
 def twirl_sum(
@@ -304,13 +309,10 @@ def twirl_sum(
                 raise ValueError(
                     "z_only conjugation requires Q, Q' built from I and X"
                 )
-    qm = pauli_matrix(q)
-    qpm = pauli_matrix(qprime)
-    acc = np.zeros((2**n, 2**n), dtype=np.complex128)
-    for word in _twirl_words(n, basis):
-        pm = pauli_matrix(word)
-        acc += (pm @ qm @ pm) @ rho @ (pm @ qpm @ pm)
-    return acc
+    stack = _pauli_stack(n, basis)
+    left = stack @ pauli_matrix(q) @ stack
+    right = stack @ pauli_matrix(qprime) @ stack
+    return np.einsum("wij,jk,wkl->il", left, rho, right)
 
 
 def twirl_check(

@@ -135,25 +135,39 @@ class GraphSpec:
     def is_dummy(self, v: int) -> bool:
         return self.roles[v] == ROLE_DUMMY
 
-    def non_dummy_ids(self) -> tuple[int, ...]:
-        return tuple(v for v, r in enumerate(self.roles) if r != ROLE_DUMMY)
-
-    def dummy_ids(self) -> tuple[int, ...]:
-        return tuple(v for v, r in enumerate(self.roles) if r == ROLE_DUMMY)
-
-    def trap_ids(self) -> tuple[int, ...]:
-        return tuple(v for v, r in enumerate(self.roles) if r == ROLE_TRAP)
-
-    def bridge_ids(self) -> tuple[int, ...]:
-        return tuple(v for v, r in enumerate(self.roles) if r == ROLE_BRIDGE)
-
-    def induced_edges(self) -> tuple[tuple[int, int], ...]:
-        """Edges of the subgraph on non-dummy vertices: what survives carving."""
-        return tuple(
+    @cached_property
+    def _ids(self) -> dict[str, tuple]:
+        """Vertex ids by role and of every non-dummy, and the induced
+        edges: built once per layout, returned by the methods below."""
+        ids: dict[str, tuple] = {
+            role: tuple(v for v, r in enumerate(self.roles) if r == role)
+            for role in ROLES
+        }
+        ids["non_dummy"] = tuple(
+            v for v, r in enumerate(self.roles) if r != ROLE_DUMMY
+        )
+        ids["induced_edges"] = tuple(
             (a, b)
             for a, b in self.edges
             if not self.is_dummy(a) and not self.is_dummy(b)
         )
+        return ids
+
+    def non_dummy_ids(self) -> tuple[int, ...]:
+        return self._ids["non_dummy"]
+
+    def dummy_ids(self) -> tuple[int, ...]:
+        return self._ids[ROLE_DUMMY]
+
+    def trap_ids(self) -> tuple[int, ...]:
+        return self._ids[ROLE_TRAP]
+
+    def bridge_ids(self) -> tuple[int, ...]:
+        return self._ids[ROLE_BRIDGE]
+
+    def induced_edges(self) -> tuple[tuple[int, int], ...]:
+        """Edges of the subgraph on non-dummy vertices: what survives carving."""
+        return self._ids["induced_edges"]
 
     @cached_property
     def induced_neighbors(self) -> dict[int, tuple[int, ...]]:

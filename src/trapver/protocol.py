@@ -2,32 +2,43 @@
 
 A protocol run is 2κ+1 rounds — one computation round and κ trap rounds
 per parity — executed in a secret random order against a prover that may
-be honest, noisy, or actively deviating.  `_run_protocol` is the one
-function that executes a run: it draws the key, samples one term of the
-attack mixture, runs every round, decrypts and reads the trap verdicts
-into a `RunRecord`.  `run_protocol`, `run_scheme` and
-`estimate_fidelity_gap` all go through it.  Every round with at most
-Pauli deviations is simulated by one kernel, `run_round`; only a joint
-unitary deviation, which spans rounds, needs the dense state vector.
+be honest, noisy, or actively deviating.  `_run_batch` is the one
+function that executes runs: given one generator per repetition, it
+draws the whole batch's keys, attack terms, outcomes and noise events as
+arrays, decrypts with GF(2) products and reads the trap verdicts off as
+row reductions.  `run_protocol`, `run_scheme` and `estimate_fidelity_gap`
+all go through it.  Only a joint unitary deviation, which spans rounds,
+needs the dense state vector: one register per run, fed the same keys.
 
-The kernel rests on the one-time pad: the verifier only sends padded
-single-qubit states, so for any key a round's raw outcome distribution is
-the key-independent distribution of its carving at the base angles,
-XOR-shifted by a mask — r, plus r′ of each surviving neighbour (an r
-adds π to the angle, which flips the outcome; an r′ negates it, which
-the graph-state stabiliser turns into flips on the neighbours).  Each
-carving's per-component base distributions are computed once and cached
-as CDFs, so a round costs one binary search per component, one coin per
-dummy and O(cells) bit work.  Trap components are deterministic.
+The round kernel rests on the one-time pad: for any key a round's raw
+outcome distribution is the key-independent distribution of its carving
+at the base angles, XOR-shifted by a mask — r, plus r′ of each surviving
+neighbour (an r adds π to the angle, which flips the outcome; an r′
+negates it, which the graph-state stabiliser turns into flips on the
+neighbours).  Each carving's per-component base distributions are cached
+as CDFs, so a round costs one binary search per component for all runs.
 
 Noise is a Pauli error on each preparation, each blanket cZ and each
 readout.  A round is a stabiliser circuit followed by one rotation per
-qubit, so each sampled error is carried to the end of the round as a
-Pauli frame: an X part on v adds Z to v's later cZ partners and, since
-diag(1, e^{−iδ})·X = e^{−iδ}·X·diag(1, e^{iδ}), turns v's rotation from
-−δ to +δ; Z parts flip outcomes.  A component whose frame holds no X bit
-is drawn from its cached CDF as above; one that does is recomputed at
-its per-key angles.
+qubit, so each error is carried to the readout as a Pauli frame: an X
+part on v adds Z to v's later cZ partners and, since diag(1, e^{−iδ})·X
+= e^{−iδ}·X·diag(1, e^{iδ}), turns v's rotation from −δ to +δ; Z parts
+flip outcomes.  Only a run whose frame puts an X bit on a component
+recomputes that component, at its per-key angles.
+
+Each repetition draws one fixed-layout block of raw 64-bit words from
+its own generator, so its record does not depend on its batch.  With
+R = 2κ+1 rounds, C cells and E lattice edges, a block holds in order:
+
+- R words whose ranks order the slots: slot s runs canonical round
+  ``argsort(words)[s]``;
+- ⌈R·C/8⌉ words read as R·C little-endian key bytes, canonical round
+  major: bits 0–3 are θ on a non-dummy and the decoy angle on a dummy,
+  bit 4 is r, bit 5 r′ and bit 6 d (dummies only);
+- uniforms (word >> 11)·2⁻⁵³: one picking the attack term, then per
+  canonical round one per component of its `_SimPlan` and, unless the
+  noise model is noiseless, one per noise site: C preparations, E cZs,
+  C readouts.  The dense path's readouts draw after the block.
 
 The deviation model places Pauli attacks between the prover's basis
 rotations and the X readouts, which is where arbitrary deviations are
@@ -37,47 +48,42 @@ therefore exactly a raw-outcome bit flip, and an X letter does nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import asdict, dataclass
+from functools import cached_property, lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .graphs import (
-    ANGLE_STEPS,
-    GraphSpec,
-    bridge_corrections,
-    carve_target,
-    carve_trap_graph,
-    k_to_radians,
-    neighbor_dummy_parity,
+    ANGLE_STEPS, GraphSpec, bridge_corrections, carve_target, carve_trap_graph,
+    k_to_radians, neighbor_dummy_parity,
 )
 from .simulator import (
-    DEFAULT_QUBIT_CAP,
-    Distribution,
-    NoiseModel,
-    StateVector,
-    _check_cap,
-    _induced_components,
-    apply_cz,
-    apply_pauli,
-    apply_phase,
-    bits_to_string,
-    component_probabilities,
-    exact_probability_array,
-    measure_xy,
-    prepare_qubit,
-    tensor,
+    DEFAULT_QUBIT_CAP, Distribution, NoiseModel, StateVector, _check_cap,
+    _induced_components, apply_cz, apply_pauli, apply_phase, bits_to_string,
+    component_probabilities, exact_probability_array, measure_xy,
+    prepare_qubit, tensor,
 )
 
 # Bumped whenever a seed would draw different outcomes.  Engine 2 samples
 # noiseless rounds from cached base distributions shifted by the key mask;
-# engine 3 carries noise as a Pauli frame over the same distributions.
-ENGINE_VERSION = 3
+# engine 3 carries noise as a Pauli frame over the same distributions;
+# engine 4 draws each repetition's fixed block and runs batches as arrays.
+ENGINE_VERSION = 4
 
 KIND_TARGET = "target"
 KIND_EVEN = "even"
 KIND_ODD = "odd"
+
+# Repetitions simulated together; bounds the memory of the batch arrays.
+_BATCH = 1024
+# Output strings of at most this many bits come from one shared table per
+# length, so stored outputs do not each hold their own string.
+_SHARED_STRING_BITS = 12
+# A Pauli letter as two bits: bit 0 is its X part, bit 1 its Z part.
+_LETTER_CODE = {"I": 0, "X": 1, "Z": 2, "Y": 3}
+_CODE_LETTER = "IXZY"
+_NOISELESS = NoiseModel()
 
 
 @dataclass(frozen=True)
@@ -119,6 +125,12 @@ class RoundLayout:
     def target(self) -> GraphSpec:
         return self.graphs[0]
 
+    @cached_property
+    def _cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per canonical round and cell: 1 on dummies, and the base angle."""
+        dummy = [[int(g.is_dummy(v)) for v in range(self.m * self.n)] for g in self.graphs]
+        return np.array(dummy, np.uint8), np.array([g.phi_k for g in self.graphs])
+
 
 def make_round_layout(m: int, n: int, kappa: int) -> RoundLayout:
     target = carve_target(m, n)
@@ -135,87 +147,73 @@ def make_round_layout(m: int, n: int, kappa: int) -> RoundLayout:
     )
 
 
-@dataclass(frozen=True)
-class SecretKey:
+class SecretKey(NamedTuple):
     """Everything the verifier keeps private for one protocol run.
 
-    All per-round tables are indexed by canonical graph position, not by
-    execution slot; ``perm[slot]`` says which canonical graph runs in a
-    slot.  ``theta_k`` covers non-dummy vertices; dummies get their decoy
-    measurement angle directly in ``dummy_delta_k``.
+    The tables are uint8 arrays of shape rounds × cells, indexed by
+    canonical graph position, not by execution slot; ``perm[slot]`` says
+    which canonical graph runs in a slot.  ``theta_k`` is zero on dummies,
+    which get their decoy measurement angle in ``dummy_delta_k``; ``d``
+    and ``dummy_delta_k`` are zero on non-dummies.  A batch's keys have
+    the same fields with a leading run axis, ``perm`` an array included.
     """
 
     perm: tuple[int, ...]
-    theta_k: tuple[Mapping[int, int], ...]
-    r: tuple[Mapping[int, int], ...]
-    rprime: tuple[Mapping[int, int], ...]
-    d: tuple[Mapping[int, int], ...]
-    dummy_delta_k: tuple[Mapping[int, int], ...]
+    theta_k: np.ndarray
+    r: np.ndarray
+    rprime: np.ndarray
+    d: np.ndarray
+    dummy_delta_k: np.ndarray
 
     @property
     def target_slot(self) -> int:
         return self.perm.index(0)
 
+    def run(self, i: int) -> SecretKey:
+        """Run ``i``'s key out of a batch's keys."""
+        return SecretKey(tuple(self.perm[i].tolist()), *(t[i] for t in self[1:]))
+
+
+def _key_words(layout: RoundLayout) -> int:
+    """Words at the head of a block that hold the key."""
+    return layout.rounds + -(-layout.rounds * layout.m * layout.n // 8)
+
+
+def _draw_blocks(rngs: Sequence[np.random.Generator], words: int) -> np.ndarray:
+    """Each generator's next ``words`` raw 64-bit words, one row per run."""
+    rows = [rng.bit_generator.random_raw(words) for rng in rngs]
+    return np.array(rows, dtype=np.uint64).reshape(len(rows), words)
+
+
+def _keys(layout: RoundLayout, words: np.ndarray) -> SecretKey:
+    """The keys held by the head of each block (see the module docstring)."""
+    rounds, size = layout.rounds, layout.m * layout.n
+    perm = np.argsort(words[:, :rounds], axis=1, kind="stable")
+    head = np.ascontiguousarray(words[:, rounds : _key_words(layout)])
+    b = head.astype("<u8", copy=False).view(np.uint8)[:, : rounds * size]
+    b = b.reshape(len(words), rounds, size)
+    dummy, low = layout._cells[0], b & 15
+    theta, decoy = low * (dummy ^ 1), low * dummy
+    return SecretKey(perm, theta, (b >> 4) & 1, (b >> 5) & 1, (b >> 6) & dummy, decoy)
+
 
 def keygen(layout: RoundLayout, rng: np.random.Generator) -> SecretKey:
-    """Draw a fresh uniform key.  The draw order is fixed — permutation
-    first, then per canonical round: θ, r, r′, dummy bits, dummy decoys —
-    so a seeded generator reproduces the key exactly."""
-    perm = tuple(int(i) for i in rng.permutation(layout.rounds))
-    theta, r, rprime, d, decoy = [], [], [], [], []
-    for g in layout.graphs:
-        nd = g.non_dummy_ids()
-        dm = g.dummy_ids()
-        theta.append(
-            dict(zip(nd, (int(x) for x in rng.integers(0, 16, size=len(nd)))))
-        )
-        size = g.m * g.n
-        r.append(
-            dict(enumerate(int(x) for x in rng.integers(0, 2, size=size)))
-        )
-        rprime.append(
-            dict(enumerate(int(x) for x in rng.integers(0, 2, size=size)))
-        )
-        d.append(
-            dict(zip(dm, (int(x) for x in rng.integers(0, 2, size=len(dm)))))
-        )
-        decoy.append(
-            dict(zip(dm, (int(x) for x in rng.integers(0, 16, size=len(dm)))))
-        )
-    return SecretKey(
-        perm=perm,
-        theta_k=tuple(theta),
-        r=tuple(r),
-        rprime=tuple(rprime),
-        d=tuple(d),
-        dummy_delta_k=tuple(decoy),
-    )
+    """Draw a fresh uniform key: the key words of one repetition's block,
+    so a seeded generator reproduces the key exactly, and `run_protocol`
+    given an equally seeded generator runs under the same key."""
+    return _keys(layout, _draw_blocks([rng], _key_words(layout))).run(0)
 
 
-def encrypt_angles(
-    key: SecretKey, layout: RoundLayout
-) -> tuple[dict[int, int], ...]:
-    """Measurement angles the prover is told, per canonical round.
+def encrypt_angles(key: SecretKey, layout: RoundLayout) -> np.ndarray:
+    """Measurement angles the prover is told, per canonical round and cell.
 
-    Non-dummy vertices carry δ = θ + (−1)^{r′}φ + rπ on the 16-point
-    grid; dummy vertices get their pre-drawn decoy so the transcript
-    looks the same everywhere.
+    Non-dummy cells carry δ = θ + (−1)^{r′}φ + rπ on the 16-point grid;
+    dummy cells get their pre-drawn decoy so the transcript looks the
+    same everywhere.  Takes one key or a batch's key arrays.
     """
-    out = []
-    for gi, g in enumerate(layout.graphs):
-        deltas: dict[int, int] = {}
-        for v in range(g.m * g.n):
-            if g.is_dummy(v):
-                deltas[v] = key.dummy_delta_k[gi][v]
-            else:
-                sign = -1 if key.rprime[gi][v] else 1
-                deltas[v] = (
-                    key.theta_k[gi][v]
-                    + sign * g.phi_k[v]
-                    + 8 * key.r[gi][v]
-                ) % ANGLE_STEPS
-        out.append(deltas)
-    return tuple(out)
+    dummy, phi = layout._cells
+    k = key.theta_k + np.where(key.rprime, -phi, phi) + 8 * key.r
+    return np.where(dummy, key.dummy_delta_k, k % ANGLE_STEPS)
 
 
 @dataclass(frozen=True)
@@ -238,13 +236,13 @@ class AttackSpec:
             raise ValueError("attack is either Pauli terms or a unitary")
         if self.pauli_terms is not None:
             weights = [w for w, _ in self.pauli_terms]
-            if any(w < 0 for w in weights):
+            if any(not w >= 0 for w in weights):  # NaN fails too
                 raise ValueError("attack weights must be nonnegative")
             if abs(sum(weights) - 1) > 1e-9:
                 raise ValueError("attack weights must sum to 1")
             for _, letters in self.pauli_terms:
                 for (_slot, _v), letter in letters:
-                    if letter not in "IXYZ":
+                    if letter not in _LETTER_CODE:
                         raise ValueError(f"bad Pauli letter {letter!r}")
         if self.unitary is not None:
             dim = self.unitary.shape[0]
@@ -255,7 +253,7 @@ class AttackSpec:
             dev = np.linalg.norm(
                 self.unitary.conj().T @ self.unitary - np.eye(dim)
             )
-            if dev > 1e-10:
+            if not dev <= 1e-10:  # NaN entries fail too
                 raise ValueError(f"matrix is not unitary (deviation {dev:g})")
 
     @property
@@ -281,23 +279,29 @@ class AttackSpec:
 HONEST = AttackSpec()
 
 
-def single_pauli_attack(
-    letters: Mapping[tuple[int, int], str]
-) -> AttackSpec:
+def single_pauli_attack(letters: Mapping[tuple[int, int], str]) -> AttackSpec:
     """Deterministic attack: one Pauli string with weight 1."""
-    return AttackSpec(
-        pauli_terms=((1.0, tuple(sorted(letters.items()))),)
-    )
+    return AttackSpec(pauli_terms=((1.0, tuple(sorted(letters.items()))),))
 
 
-def _sample_letters(
-    strategy: AttackSpec | None, rng: np.random.Generator
-) -> dict[tuple[int, int], str]:
-    if strategy is None or strategy.pauli_terms is None:
-        return {}
-    weights = np.array([w for w, _ in strategy.pauli_terms], dtype=float)
-    idx = int(rng.choice(len(weights), p=weights / weights.sum()))
-    return dict(strategy.pauli_terms[idx][1])
+def _attack_tables(
+    strategy: AttackSpec | None, layout: RoundLayout
+) -> tuple[np.ndarray, np.ndarray, list]:
+    """Per Pauli term of ``strategy``: the cumulative weights, the Z/Y
+    flips by slot and cell (None without terms, which acts as one empty
+    term) and the sorted letters a record reports."""
+    terms = (strategy and strategy.pauli_terms) or ()
+    if not terms:
+        return np.ones(1), None, [()]
+    cum = np.cumsum([w for w, _ in terms])
+    flips = np.zeros((len(terms), layout.rounds, layout.m * layout.n), np.uint8)
+    letters = []
+    for t, (_, term) in enumerate(terms):
+        term = dict(term)
+        for (slot, v), letter in term.items():
+            flips[t, slot, v] = _LETTER_CODE[letter] >> 1
+        letters.append(tuple(sorted(term.items())))
+    return cum / cum[-1], flips, letters
 
 
 # ---------------------------------------------------------------------------
@@ -316,20 +320,25 @@ class NoiseEvent(NamedTuple):
     letter: str
 
 
-@dataclass(frozen=True)
-class _ComponentPlan:
+class _ComponentPlan(NamedTuple):
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
-    cells: int            # bitmask of ``vertices`` over the lattice
     cdf: np.ndarray       # cumulative base distribution, last entry exactly 1
 
 
-@dataclass(frozen=True)
-class _SimPlan:
+class _SimPlan(NamedTuple):
+    """A carving's round-kernel tables.  Every cell lies in one component:
+    the non-dummy components by smallest vertex, then each dummy alone
+    with a fair coin for its distribution.  A round draws one uniform per
+    component, in this order; one-cell components are drawn together."""
+
     components: tuple[_ComponentPlan, ...]
-    dummies: tuple[int, ...]
-    # (step, v) -> bitmask of v's cZ partners on edges after ``step``
-    later: Mapping[tuple[int, int], int]
+    comp_of: np.ndarray   # cell -> index of its component
+    multi: tuple[int, ...]  # components of two or more cells
+    ones: np.ndarray      # components of one cell, their cells and P(0)
+    one_cells: np.ndarray
+    one_p0: np.ndarray
+    later: np.ndarray     # [step + 1, v]: v's cZ partners after ``step``
 
 
 @lru_cache(maxsize=64)
@@ -340,237 +349,189 @@ def _sim_plan(g: GraphSpec, cap: int) -> _SimPlan:
     comps = []
     for comp in _induced_components(g):
         _check_cap(len(comp), cap)
-        members = set(comp)
-        edges = tuple(e for e in induced if e[0] in members)
+        edges = tuple(e for e in induced if e[0] in comp)
         probs = component_probabilities(
             comp, edges, {v: k_to_radians(g.phi_k[v]) for v in comp}
         )
         cdf = np.cumsum(probs)
         cdf /= cdf[-1]
-        comps.append(
-            _ComponentPlan(
-                vertices=comp,
-                edges=edges,
-                cells=sum(1 << v for v in comp),
-                cdf=cdf,
-            )
-        )
-    after = [0] * (g.m * g.n)
-    later: dict[tuple[int, int], int] = {}
+        comps.append(_ComponentPlan(comp, edges, cdf))
+    comps += [_ComponentPlan((v,), (), np.array([0.5, 1.0])) for v in g.dummy_ids()]
+    size = g.m * g.n
+    comp_of = np.zeros(size, int)
+    for j, comp in enumerate(comps):
+        comp_of[list(comp.vertices)] = j
+    later = np.zeros((len(g.edges) + 1, size, size), np.uint8)
     for step in range(len(g.edges) - 1, -1, -1):
         a, b = g.edges[step]
-        later[step, a], later[step, b] = after[a], after[b]
-        after[a] |= 1 << b
-        after[b] |= 1 << a
-    later.update(((-1, v), mask) for v, mask in enumerate(after))
+        later[step] = later[step + 1]
+        later[step, a, b] = later[step, b, a] = 1
+    ones = [j for j, comp in enumerate(comps) if len(comp.vertices) == 1]
     return _SimPlan(
-        components=tuple(comps), dummies=g.dummy_ids(), later=later
+        components=tuple(comps),
+        comp_of=comp_of,
+        multi=tuple(j for j, comp in enumerate(comps) if len(comp.vertices) > 1),
+        ones=np.array(ones, int),
+        one_cells=np.array([comps[j].vertices[0] for j in ones], int),
+        one_p0=np.array([comps[j].cdf[0] for j in ones]),
+        later=later,
     )
 
 
-def _pad_mask(
-    g: GraphSpec, r: Mapping[int, int], rprime: Mapping[int, int]
-) -> dict[int, int]:
-    """Per non-dummy vertex: its r, XOR r′ of its surviving neighbours.
+@lru_cache(maxsize=64)
+def _gf2(g: GraphSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A carving's GF(2) tables: the non-dummy cells, the surviving-
+    neighbour incidence (entry u, v set when u neighbours v) and the
+    connector correction I + B (B[b, u] set when bridge b joins u)."""
+    size = g.m * g.n
+    nd = np.zeros(size, np.uint8)
+    nd[list(g.non_dummy_ids())] = 1
+    nbr = np.zeros((size, size), np.uint8)
+    for v, us in g.induced_neighbors.items():
+        nbr[list(us), v] = 1
+    fix = np.eye(size, dtype=np.uint8)
+    for b in g.bridge_ids():  # row b: the flips that outcome 1 on bridge b calls for
+        fix[b] |= np.array(bridge_corrections(g, fix[b]), np.uint8)
+    return nd, nbr, fix
+
+
+def _pad_mask(g: GraphSpec, r: np.ndarray, rprime: np.ndarray) -> np.ndarray:
+    """Per cell: r on a non-dummy, XOR r′ of its surviving neighbours; 0
+    on dummies.  Takes one round's key tables or a batch's rows of them.
 
     This is the whole effect of the one-time pad on a round's raw
     outcomes, and exactly what decryption strips off again.
     """
-    mask = {}
-    for v, nbrs in g.induced_neighbors.items():
-        x = r[v]
-        for u in nbrs:
-            x ^= rprime[u]
-        mask[v] = x
-    return mask
+    nd, nbr, _ = _gf2(g)
+    return (r & nd) ^ ((rprime @ nbr) & 1)
+
+
+def _sites(g: GraphSpec) -> int:
+    return 2 * g.m * g.n + len(g.edges)
+
+
+def _decode_events(g: GraphSpec, noise: NoiseModel, u: np.ndarray) -> tuple:
+    """The noise events that uniforms ``u`` (runs × sites) draw in ``g``,
+    as arrays (runs, steps, vertices, letter codes) in time order per run.
+
+    Sites are each preparation (rate ε_V), each cZ (rate ε_P) and each
+    readout (rate ε_P).  A site fires when its uniform falls below its
+    rate; the uniform over the rate is then a fresh uniform, which picks
+    a letter from ``noise.mix`` (at a cZ, its first half picks the victim
+    end first).
+    """
+    if noise.is_noiseless():
+        return (np.zeros(0, int),) * 4
+    size, n_edges = g.m * g.n, len(g.edges)
+    rates = np.repeat((noise.eps_v, noise.eps_p, noise.eps_p), (size, n_edges, size))
+    runs, sites = np.nonzero(u < rates)
+    w = u[runs, sites] / rates[sites]
+    steps = np.clip(sites - size, -1, n_edges)
+    verts = np.where(sites < size, sites, sites - size - n_edges)
+    cz = (steps >= 0) & (steps < n_edges)
+    end = w[cz] >= 0.5
+    verts[cz] = np.array(g.edges, int).reshape(-1, 2)[steps[cz], end.astype(int)]
+    w[cz] = 2 * w[cz] - end
+    cum = np.cumsum(list(noise.mix.values()))
+    pick = np.minimum(np.searchsorted(cum / cum[-1], w, side="right"), len(cum) - 1)
+    codes = np.array([_LETTER_CODE[p] for p in noise.mix])[pick]
+    return runs, steps, verts, codes
+
+
+def _event_list(events: tuple, run: int) -> list[NoiseEvent]:
+    sel = events[0] == run
+    steps, verts, codes = (a[sel].tolist() for a in events[1:])
+    return [NoiseEvent(s, v, _CODE_LETTER[c]) for s, v, c in zip(steps, verts, codes)]
 
 
 def _sample_events(
     g: GraphSpec, noise: NoiseModel, rng: np.random.Generator
 ) -> list[NoiseEvent]:
-    """Draw one round's noise events, in time order.
-
-    One array of uniforms covers every site — each preparation (rate
-    ε_V), each cZ (rate ε_P, plus one uniform choosing its victim end)
-    and each readout (rate ε_P) — and one more array draws a letter from
-    ``noise.mix`` per hit.  A noiseless model draws nothing.
-    """
+    """One round's noise events in time order, from one uniform per site
+    drawn from ``rng``; a noiseless model draws nothing."""
     if noise.is_noiseless():
         return []
-    size, edges = g.m * g.n, g.edges
-    n_edges = len(edges)
-    u = rng.random(2 * size + 2 * n_edges)
-    rates = np.repeat(
-        (noise.eps_v, noise.eps_p, noise.eps_p), (size, n_edges, size)
-    )
-    hits = np.flatnonzero(u[: 2 * size + n_edges] < rates).tolist()
-    if not hits:
-        return []
-    names = list(noise.mix)
-    cum = np.cumsum([noise.mix[p] for p in names])
-    picks = np.searchsorted(cum / cum[-1], rng.random(len(hits)), side="right")
-    events = []
-    for i, pick in zip(hits, picks.tolist()):
-        letter = names[pick]
-        if i < size:
-            events.append(NoiseEvent(-1, i, letter))
-        elif i < size + n_edges:
-            step = i - size
-            a, b = edges[step]
-            victim = a if u[2 * size + n_edges + step] < 0.5 else b
-            events.append(NoiseEvent(step, victim, letter))
-        else:
-            events.append(NoiseEvent(n_edges, i - size - n_edges, letter))
-    return events
+    return _event_list(_decode_events(g, noise, rng.random((1, _sites(g)))), 0)
 
 
 def _pauli_frame(
-    plan: _SimPlan, events: Sequence[NoiseEvent], readout_step: int
-) -> tuple[int, int]:
-    """X and Z bitmasks over the lattice once ``events`` reach the readout.
+    plan: _SimPlan, runs, steps, verts, codes, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """X and Z bits (count × cells) once the events reach the readout.
 
     An X part before the readout flips its vertex's rotation (X bit) and
     puts Z on the vertex's later cZ partners; a Z part flips its own
     outcome.  An X part at the readout does nothing to an X measurement.
     """
-    x = z = 0
-    for step, v, letter in events:
-        if letter in ("X", "Y") and step < readout_step:
-            x ^= 1 << v
-            z ^= plan.later[step, v]
-        if letter in ("Z", "Y"):
-            z ^= 1 << v
+    x = np.zeros((count, plan.later.shape[1]), np.uint8)
+    z = np.zeros_like(x)
+    hx = ((codes & 1) == 1) & (steps < len(plan.later) - 1)
+    np.bitwise_xor.at(x, (runs[hx], verts[hx]), 1)
+    np.bitwise_xor.at(z, runs[hx], plan.later[steps[hx] + 1, verts[hx]])
+    hz = (codes & 2) == 2
+    np.bitwise_xor.at(z, (runs[hz], verts[hz]), 1)
     return x, z
 
 
-def _keyed_angles(
-    g: GraphSpec, vertices: Sequence[int], key: SecretKey, gi: int, x: int
-) -> dict[int, float]:
-    """Effective angles of a component under key round ``gi`` and frame X
-    bits ``x``: δ − θ on unflipped vertices, −(δ + θ) on flipped ones."""
-    out = {}
-    for v in vertices:
-        phi = -g.phi_k[v] if key.rprime[gi][v] else g.phi_k[v]
-        k = phi + 8 * key.r[gi][v]  # δ − θ
-        if (x >> v) & 1:
-            k = -(k + 2 * key.theta_k[gi][v])
-        out[v] = k_to_radians(k)
-    return out
+def _keyed_angles(g: GraphSpec, r, rprime, theta, x) -> np.ndarray:
+    """Effective angle steps of every cell under key tables r, r′, θ and
+    frame X bits ``x``: δ − θ on unflipped cells, −(δ + θ) on flipped ones."""
+    phi = np.array(g.phi_k)
+    k = np.where(rprime, -phi, phi) + 8 * r  # δ − θ
+    return np.where(x, -(k + 2 * theta), k) % ANGLE_STEPS
 
 
-def _frame_round_bits(
-    g: GraphSpec,
-    plan: _SimPlan,
-    key: SecretKey,
-    gi: int,
-    x: int,
-    z: int,
-    rng: np.random.Generator,
-) -> list[int]:
-    """Sample raw outcomes of one round with Pauli frame (``x``, ``z``).
+def _sample_round(
+    g: GraphSpec, plan: _SimPlan, mask, key_tables, x, z, u
+) -> np.ndarray:
+    """Raw outcomes (runs × cells) of carving ``g`` under Pauli frame
+    (``x``, ``z``), from each run's row of uniforms ``u``.
 
-    Each component draws one uniform: against its cached base CDF with
-    the key mask XORed in when the frame puts no X bit on it, otherwise
-    against its distribution recomputed at `_keyed_angles`.  Dummy
-    outcomes are fair coins.  Finally every cell in ``z`` is inverted.
+    Each component reads its uniform against its cached base CDF with the
+    key ``mask`` XORed in; where ``x`` (None without noise) puts an X bit
+    on a non-dummy, that run's component reads the same uniform against
+    its distribution recomputed at `_keyed_angles` of ``key_tables`` (r,
+    r′, θ) instead.  Finally every cell in ``z`` is inverted.
     """
-    mask = _pad_mask(g, key.r[gi], key.rprime[gi])
-    raw = [0] * (g.m * g.n)
-    for comp, u in zip(plan.components, rng.random(len(plan.components))):
-        if x & comp.cells:
-            probs = component_probabilities(
-                comp.vertices,
-                comp.edges,
-                _keyed_angles(g, comp.vertices, key, gi, x),
-            )
-            cdf = np.cumsum(probs)
-            pick = int(cdf.searchsorted(u * cdf[-1], side="right"))
-            for j, v in enumerate(comp.vertices):
-                raw[v] = (pick >> j) & 1
-        else:
-            pick = int(comp.cdf.searchsorted(u, side="right"))
-            for j, v in enumerate(comp.vertices):
-                raw[v] = ((pick >> j) & 1) ^ mask[v]
-    coins = rng.integers(0, 2, size=len(plan.dummies))
-    for v, coin in zip(plan.dummies, coins.tolist()):
-        raw[v] = coin
-    while z:
-        low = z & -z
-        raw[low.bit_length() - 1] ^= 1
-        z ^= low
-    return raw
-
-
-def run_round(
-    key: SecretKey,
-    round_index: int,
-    layout: RoundLayout,
-    letters: Mapping[tuple[int, int], str],
-    noise: NoiseModel | None = None,
-    rng: np.random.Generator | None = None,
-    *,
-    cap: int = DEFAULT_QUBIT_CAP,
-) -> list[int]:
-    """Execute one slot and return every lattice cell's raw outcome.
-
-    ``letters`` is the run's sampled attack term, keyed by (slot, vertex).
-    Draws the round's noise events, carries them to the readout as a
-    Pauli frame together with this slot's letters (a Z or Y letter flips
-    its cell's outcome), and samples the outcomes with
-    `_frame_round_bits`.  A noiseless round draws no events, so it costs
-    one draw per component and one coin per dummy.
-    """
-    if rng is None:
-        raise ValueError("an explicitly seeded generator is required")
-    gi = key.perm[round_index]
-    g = layout.graphs[gi]
-    plan = _sim_plan(g, cap)
-    events = _sample_events(g, noise or NoiseModel(), rng)
-    x, z = _pauli_frame(plan, events, len(g.edges))
-    for (slot, v), letter in letters.items():
-        if slot == round_index and letter in ("Z", "Y"):
-            z ^= 1 << v
-    return _frame_round_bits(g, plan, key, gi, x, z, rng)
+    raw = np.zeros((len(u), g.m * g.n), np.uint8)
+    raw[:, plan.one_cells] = u[:, plan.ones] >= plan.one_p0
+    for j in plan.multi:
+        comp = plan.components[j]
+        pick = comp.cdf.searchsorted(u[:, j], side="right")
+        raw[:, comp.vertices] = (pick[:, None] >> np.arange(len(comp.vertices))) & 1
+    raw ^= mask
+    hit_runs, hit_cells = np.nonzero(x & _gf2(g)[0]) if x is not None else ((), ())
+    if len(hit_runs):
+        k = _keyed_angles(g, *key_tables, x)
+        hits = set(zip(hit_runs.tolist(), plan.comp_of[hit_cells].tolist()))
+        for i, j in sorted(hits):
+            vertices, edges, _ = plan.components[j]
+            angles = {v: k_to_radians(int(k[i, v])) for v in vertices}
+            cdf = np.cumsum(component_probabilities(vertices, edges, angles))
+            pick = int(cdf.searchsorted(u[i, j] * cdf[-1], side="right"))
+            raw[i, vertices] = [(pick >> b) & 1 for b in range(len(vertices))]
+    return raw ^ z
 
 
 # ---------------------------------------------------------------------------
 # Dense state vector: joint unitary deviations and the test oracle
 
 
-def _prep_states(
-    g: GraphSpec,
-    theta_k: Mapping[int, int],
-    d_bits: Mapping[int, int],
-) -> list[StateVector]:
-    parity = neighbor_dummy_parity(g, [d_bits[u] for u in g.dummy_ids()])
-    states = []
-    for v in range(g.m * g.n):
-        if g.is_dummy(v):
-            states.append(prepare_qubit("dummy", d_bits[v]))
-        else:
-            states.append(
-                prepare_qubit(
-                    "z_flipped_plus", k_to_radians(theta_k[v]), parity[v]
-                )
-            )
-    return states
-
-
 def dense_round_state(
     g: GraphSpec,
-    theta_k: Mapping[int, int],
-    d_bits: Mapping[int, int],
-    delta_k: Mapping[int, int],
+    theta_k: np.ndarray,
+    d_bits: np.ndarray,
+    delta_k: np.ndarray,
     events: Sequence[NoiseEvent],
     letters: Mapping[int, str],
     cap: int = DEFAULT_QUBIT_CAP,
 ) -> StateVector:
     """Full-lattice state of one round, right before the X readouts.
 
-    Preparation, blanket entangling over every lattice edge, basis
-    rotations, then any Pauli deviation letters for this round; each
-    noise event is applied where its ``step`` puts it, readout events
-    last.
+    Preparation (each dummy neighbour's bit folded in as a Z), blanket
+    entangling over every lattice edge, basis rotations, then any Pauli
+    deviation letters for this round; each noise event is applied where
+    its ``step`` puts it, readout events last.
     """
     size = g.m * g.n
     _check_cap(size, cap)
@@ -582,7 +543,15 @@ def dense_round_state(
         for ev in at.get(step, ()):
             apply_pauli(state, ev.vertex, ev.letter)
 
-    state = tensor(_prep_states(g, theta_k, d_bits), cap=cap)
+    parity = neighbor_dummy_parity(g, [d_bits[u] for u in g.dummy_ids()])
+    state = tensor(
+        [
+            prepare_qubit("dummy", int(d_bits[v])) if g.is_dummy(v)
+            else prepare_qubit("z_flipped_plus", k_to_radians(theta_k[v]), parity[v])
+            for v in range(size)
+        ],
+        cap=cap,
+    )
     hit(-1)
     for step, (a, b) in enumerate(g.edges):
         apply_cz(state, a, b)
@@ -595,24 +564,30 @@ def dense_round_state(
     return state
 
 
-def readout_all(
-    state: StateVector, rng: np.random.Generator, count: int | None = None
-) -> tuple[list[int], StateVector]:
-    """X-measure qubits count−1..0 (highest first).
-
-    Returns the outcome bits (indexed by original qubit position) and
-    whatever register remains unmeasured above ``count``.
-    """
-    count = state.n if count is None else count
-    bits = [0] * count
-    for q in reversed(range(count)):
-        bit, state = measure_xy(state, q, 0.0, rng)
-        bits[q] = bit
-    return bits, state
-
-
 # ---------------------------------------------------------------------------
 # Decryption and verdicts
+
+
+def _decrypt(layout: RoundLayout, masks: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """Decrypted bits, runs × canonical rounds × cells.
+
+    Each bit is unpadded by its `_pad_mask` (``masks`` holds every
+    round's); the computation round then gets its connector corrections,
+    the GF(2) product with I + B.  Dummy cells keep their raw outcomes.
+    """
+    dec = raw ^ masks
+    for gi, g in enumerate(layout.graphs):
+        if layout.kinds[gi] == KIND_TARGET:
+            dec[:, gi] = (dec[:, gi] @ _gf2(g)[2]) & 1
+    return dec
+
+
+def _masks(layout: RoundLayout, keys: SecretKey) -> np.ndarray:
+    """Every round's `_pad_mask`, keys' leading axes × rounds × cells."""
+    masks = np.empty_like(keys.r)
+    for gi, g in enumerate(layout.graphs):
+        masks[..., gi, :] = _pad_mask(g, keys.r[..., gi, :], keys.rprime[..., gi, :])
+    return masks
 
 
 def decrypt(
@@ -620,33 +595,35 @@ def decrypt(
     layout: RoundLayout,
     raw_rounds: Sequence[Sequence[int]],
 ) -> tuple[tuple[int, ...], ...]:
-    """Per-slot decrypted outcomes over non-dummy vertices (ascending).
-
-    Each bit is unpadded by its own r and by r′ of its surviving
-    neighbours; the computation round additionally gets the connector
-    corrections.  Dummy outcomes never appear in the output.
-    """
+    """Per-slot decrypted outcomes over non-dummy vertices (ascending),
+    by the batch decryption for one run.  Dummy outcomes never appear in
+    the output."""
     if len(raw_rounds) != layout.rounds:
-        raise ValueError(
-            f"got {len(raw_rounds)} rounds of outcomes, "
-            f"expected {layout.rounds}"
-        )
-    out = []
+        raise ValueError(f"got {len(raw_rounds)} rounds of outcomes, expected {layout.rounds}")
     for slot, raw in enumerate(raw_rounds):
-        gi = key.perm[slot]
-        g = layout.graphs[gi]
-        if len(raw) != g.m * g.n:
+        if len(raw) != layout.m * layout.n:
             raise ValueError(f"slot {slot}: need one outcome per cell")
-        padded = list(raw)
-        for v, x in _pad_mask(g, key.r[gi], key.rprime[gi]).items():
-            padded[v] ^= x
-        nd = g.non_dummy_ids()
-        if layout.kinds[gi] == KIND_TARGET:
-            corr = bridge_corrections(g, padded)
-            for v in nd:
-                padded[v] ^= corr[v]
-        out.append(tuple(padded[v] for v in nd))
-    return tuple(out)
+    raw_c = np.zeros((1, layout.rounds, layout.m * layout.n), np.uint8)
+    raw_c[0, list(key.perm)] = raw_rounds
+    dec = _decrypt(layout, _masks(layout, key)[None], raw_c)[0]
+    return tuple(
+        tuple(dec[gi, list(layout.graphs[gi].non_dummy_ids())].tolist())
+        for gi in key.perm
+    )
+
+
+def _bit_strings(bits: np.ndarray) -> list[str]:
+    """Each row of ``bits`` as an outcome string."""
+    nbits = bits.shape[1]
+    text = (bits + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+    return [text[i : i + nbits] for i in range(0, len(text), nbits)]
+
+
+@lru_cache(maxsize=None)
+def _string_table(nbits: int) -> list[str]:
+    """Every ``nbits``-bit outcome string by index; short outputs are
+    served from here, so stored outputs share their strings."""
+    return _bit_strings((np.arange(2**nbits)[:, None] >> np.arange(nbits)) & 1)
 
 
 @dataclass(frozen=True)
@@ -669,23 +646,16 @@ class RunRecord:
             "accept": self.accept,
             "target_output": self.target_output,
             "target_slot": self.target_slot,
-            "attack_letters": [
-                [slot, v, letter]
-                for (slot, v), letter in self.attack_letters
-            ],
+            "attack_letters": [[s, v, p] for (s, v), p in self.attack_letters],
         }
 
 
 def _joint_raw_rounds(
-    layout: RoundLayout,
-    key: SecretKey,
-    strategy: AttackSpec,
-    noise: NoiseModel,
-    rng: np.random.Generator,
-    cap: int,
+    layout: RoundLayout, key: SecretKey, strategy: AttackSpec, events, rng, cap: int
 ) -> list[list[int]]:
     """Simulate all rounds in one register and apply the joint unitary.
 
+    ``events[gi]`` are the noise events of canonical round ``gi``.
     Before the unitary the register is the product of the rounds' dense
     states; readout errors act after it.
     """
@@ -702,25 +672,95 @@ def _joint_raw_rounds(
     for slot in range(layout.rounds):
         gi = key.perm[slot]
         g = layout.graphs[gi]
-        events = _sample_events(g, noise, rng)
-        before = [ev for ev in events if ev.step < len(g.edges)]
-        states.append(
-            dense_round_state(
-                g, key.theta_k[gi], key.d[gi], deltas[gi], before, {}, cap=cap
-            )
-        )
-        readout += [
-            (slot * size + ev.vertex, ev.letter)
-            for ev in events
-            if ev.step == len(g.edges)
-        ]
+        before = [ev for ev in events[gi] if ev.step < len(g.edges)]
+        tables = (key.theta_k[gi], key.d[gi], deltas[gi])
+        states.append(dense_round_state(g, *tables, before, {}, cap=cap))
+        readout += [(slot * size + v, p) for step, v, p in events[gi] if step == len(g.edges)]
     states += [prepare_qubit("dummy", 0)] * strategy.private_qubits
     state = tensor(states, cap=cap)
     state.amps = strategy.unitary @ state.amps
     for q, letter in readout:
         apply_pauli(state, q, letter)
-    bits, _ = readout_all(state, rng, count=layout.rounds * size)
+    bits = [0] * (layout.rounds * size)
+    for q in reversed(range(len(bits))):  # highest first, so labels hold
+        bits[q], state = measure_xy(state, q, 0.0, rng)
     return [bits[s * size : (s + 1) * size] for s in range(layout.rounds)]
+
+
+def _run_batch(
+    layout: RoundLayout,
+    strategy: AttackSpec | None,
+    noise: NoiseModel | None,
+    rngs: Sequence[np.random.Generator],
+    cap: int,
+) -> list[RunRecord]:
+    """Execute one repetition per generator in ``rngs``; their records.
+
+    The one place repetitions are executed, for callers that have checked
+    ``strategy`` already.  Every run draws its block from its own
+    generator (a generator listed twice serves its blocks in list order);
+    then keys, attack terms, rounds (the frame kernel, or one joint
+    register per run for a unitary deviation), decryption and trap
+    verdicts are computed for the whole batch.
+    """
+    noise, count, size = noise or _NOISELESS, len(rngs), layout.m * layout.n
+    plans = [_sim_plan(g, cap) for g in layout.graphs]
+    noisy = not noise.is_noiseless()
+    widths = [len(p.components) + noisy * _sites(g) for g, p in zip(layout.graphs, plans)]
+    head = _key_words(layout)
+    words = _draw_blocks(rngs, head + 1 + sum(widths))
+    keys, u = _keys(layout, words), (words[:, head:] >> 11) * 2.0**-53
+    cum, flips, term_letters = _attack_tables(strategy, layout)
+    terms = np.minimum(np.searchsorted(cum, u[:, 0], side="right"), len(cum) - 1)
+    bounds = np.cumsum([1] + widths).tolist()
+    draws = [u[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    events = [
+        _decode_events(g, noise, d[:, len(p.components) :])
+        for g, p, d in zip(layout.graphs, plans, draws)
+    ]
+    rows, masks = np.arange(count)[:, None], _masks(layout, keys)
+    raw = np.empty((count, layout.rounds, size), np.uint8)  # canonical order
+    if strategy is not None and strategy.unitary is not None:
+        for i, rng in enumerate(rngs):
+            key, run_events = keys.run(i), [_event_list(ev, i) for ev in events]
+            raw[i, list(key.perm)] = _joint_raw_rounds(layout, key, strategy, run_events, rng, cap)
+    else:
+        letter_flips = np.zeros_like(raw)
+        if flips is not None:
+            letter_flips[rows, keys.perm] = flips[terms]
+        for gi, (g, plan) in enumerate(zip(layout.graphs, plans)):
+            # the noise events' Pauli frame, with the Z/Y letters in its Z part
+            x, z = _pauli_frame(plan, *events[gi], count) if noisy else (None, 0)
+            tables = (keys.r[:, gi], keys.rprime[:, gi], keys.theta_k[:, gi])
+            z = z ^ letter_flips[:, gi]
+            raw[:, gi] = _sample_round(g, plan, masks[:, gi], tables, x, z, draws[gi])
+    dec = _decrypt(layout, masks, raw)
+    passed = (~(dec & (layout._cells[0] ^ 1)).any(axis=2)).tolist()
+    nd = [list(g.non_dummy_ids()) for g in layout.graphs]
+    dec_rounds = [dec[:, gi][:, ids].tolist() for gi, ids in enumerate(nd)]
+    out_bits, nbits = dec[:, 0][:, nd[0]], len(nd[0])
+    if nbits > _SHARED_STRING_BITS:
+        outputs = _bit_strings(out_bits)
+    else:
+        index = (out_bits @ (1 << np.arange(nbits))).tolist()
+        outputs = [_string_table(nbits)[j] for j in index]
+    raw_slots = raw[rows, keys.perm].tolist()
+    traps = [kind != KIND_TARGET for kind in layout.kinds]
+    records = []
+    for i, (perm, t) in enumerate(zip(keys.perm.tolist(), terms.tolist())):
+        trap_passed = tuple(passed[i][gi] if traps[gi] else None for gi in perm)
+        records.append(
+            RunRecord(
+                raw=tuple(map(tuple, raw_slots[i])),
+                decrypted=tuple(tuple(dec_rounds[gi][i]) for gi in perm),
+                trap_passed=trap_passed,
+                accept=False not in trap_passed,
+                target_output=outputs[i],
+                target_slot=perm.index(0),
+                attack_letters=term_letters[t],
+            )
+        )
+    return records
 
 
 def run_protocol(
@@ -739,48 +779,7 @@ def run_protocol(
         raise ValueError("an explicitly seeded generator is required")
     if strategy is not None:
         strategy.check_against(layout)
-    return _run_protocol(layout, strategy, noise, rng, cap)
-
-
-def _run_protocol(
-    layout: RoundLayout,
-    strategy: AttackSpec | None,
-    noise: NoiseModel | None,
-    rng: np.random.Generator,
-    cap: int,
-) -> RunRecord:
-    """`run_protocol` for callers that have checked ``strategy`` already.
-
-    The one place a repetition is executed: keygen, one sampled attack
-    term, every round (the frame kernel, or one joint register for a
-    unitary deviation), decryption and the trap verdicts, in that order
-    of generator draws.
-    """
-    noise = noise or NoiseModel()
-    key = keygen(layout, rng)
-    letters = _sample_letters(strategy, rng)
-    if strategy is not None and strategy.unitary is not None:
-        raw_rounds = _joint_raw_rounds(layout, key, strategy, noise, rng, cap)
-    else:
-        raw_rounds = [
-            run_round(key, slot, layout, letters, noise, rng, cap=cap)
-            for slot in range(layout.rounds)
-        ]
-    decrypted = decrypt(key, layout, raw_rounds)
-    trap_passed = tuple(
-        None if layout.kinds[gi] == KIND_TARGET else not any(decrypted[slot])
-        for slot, gi in enumerate(key.perm)
-    )
-    target_slot = key.target_slot
-    return RunRecord(
-        raw=tuple(tuple(r) for r in raw_rounds),
-        decrypted=decrypted,
-        trap_passed=trap_passed,
-        accept=False not in trap_passed,
-        target_output="".join(str(b) for b in decrypted[target_slot]),
-        target_slot=target_slot,
-        attack_letters=tuple(sorted(letters.items())),
-    )
+    return _run_batch(layout, strategy, noise, [rng], cap)[0]
 
 
 @dataclass(frozen=True)
@@ -794,13 +793,7 @@ class SchemeVerdict:
     l: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "accept": self.accept,
-            "pass_fraction": self.pass_fraction,
-            "output": self.output,
-            "m": self.m,
-            "l": self.l,
-        }
+        return asdict(self)
 
 
 def run_scheme(
@@ -816,7 +809,7 @@ def run_scheme(
     """M independent runs; accept when the pass fraction reaches l.
 
     Ties accept (the comparison is ≥).  Each repetition gets its own
-    spawned generator stream, so results do not depend on scheduling; the
+    spawned generator stream, so results do not depend on batching; the
     published output is one repetition's computation string chosen
     uniformly.  Pass a list as ``record_sink`` to collect the
     per-repetition transcripts.
@@ -827,23 +820,19 @@ def run_scheme(
         raise ValueError("acceptance fraction must lie in [0, 1]")
     if strategy is not None:
         strategy.check_against(layout)
-    streams = rng.spawn(m_repetitions)
     passes = 0
     outputs = []
-    for child in streams:
-        rec = _run_protocol(layout, strategy, noise, child, cap)
-        passes += int(rec.accept)
-        outputs.append(rec.target_output)
-        if record_sink is not None:
-            record_sink.append(rec)
+    for start in range(0, m_repetitions, _BATCH):
+        # successive spawns continue one sequence of child streams
+        streams = rng.spawn(min(_BATCH, m_repetitions - start))
+        for rec in _run_batch(layout, strategy, noise, streams, cap):
+            passes += int(rec.accept)
+            outputs.append(rec.target_output)
+            if record_sink is not None:
+                record_sink.append(rec)
     fraction = passes / m_repetitions
-    return SchemeVerdict(
-        accept=fraction >= l_threshold,
-        pass_fraction=fraction,
-        output=outputs[int(rng.integers(m_repetitions))],
-        m=m_repetitions,
-        l=l_threshold,
-    )
+    output = outputs[int(rng.integers(m_repetitions))]
+    return SchemeVerdict(fraction >= l_threshold, fraction, output, m_repetitions, l_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -911,10 +900,10 @@ def estimate_fidelity_gap(
     """Monte Carlo over secret keys of trap passing vs computation escape.
 
     Noiseless runs with Pauli deviations only — the regime where the
-    combinatorial bounds speak.  Each sample is one `_run_protocol`
-    repetition: its verdict is the trap indicator, and the escape
-    indicator asks whether any Z/Y letter of its sampled term landed on a
-    non-dummy cell of whichever slot held the computation round.
+    combinatorial bounds speak.  Each sample is one repetition drawn from
+    ``rng``: its verdict is the trap indicator, and the escape indicator
+    asks whether any Z/Y letter of its sampled term landed on a non-dummy
+    cell of whichever slot held the computation round.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -925,25 +914,19 @@ def estimate_fidelity_gap(
     nd_target = set(layout.target.non_dummy_ids())
     passes = np.zeros(samples)
     escapes = np.zeros(samples)
-    for i in range(samples):
-        rec = _run_protocol(layout, strategy, None, rng, cap)
-        passes[i] = rec.accept
-        escapes[i] = not any(
-            s == rec.target_slot and v in nd_target and letter in ("Z", "Y")
-            for (s, v), letter in rec.attack_letters
-        )
+    for start in range(0, samples, _BATCH):
+        size = min(_BATCH, samples - start)
+        batch = _run_batch(layout, strategy, None, [rng] * size, cap)
+        for i, rec in enumerate(batch, start):
+            passes[i] = rec.accept
+            escapes[i] = not any(
+                s == rec.target_slot and v in nd_target and letter in ("Z", "Y")
+                for (s, v), letter in rec.attack_letters
+            )
 
     def se(x: np.ndarray) -> float:
         return float(x.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
 
-    ft2 = float(passes.mean())
-    fc2 = float(escapes.mean())
-    return GapEstimate(
-        ft2=ft2,
-        fc2=fc2,
-        gap=ft2 - fc2,
-        ft2_se=se(passes),
-        fc2_se=se(escapes),
-        gap_se=se(passes - escapes),
-        samples=samples,
-    )
+    ft2, fc2 = float(passes.mean()), float(escapes.mean())
+    gap_se = se(passes - escapes)
+    return GapEstimate(ft2, fc2, ft2 - fc2, se(passes), se(escapes), gap_se, samples)

@@ -235,19 +235,15 @@ def fwht_inplace(a: np.ndarray) -> None:
     h = 1
     while h < a.size:
         view = a.reshape(-1, 2 * h)
-        x = view[:, :h].copy()
-        y = view[:, h:].copy()
-        view[:, :h] = x + y
-        view[:, h:] = x - y
+        y = view[:, h:].copy()  # the one half-size temporary per stage
+        np.subtract(view[:, :h], y, out=view[:, h:])
+        view[:, :h] += y
         h *= 2
 
 
 def _induced_components(g: GraphSpec) -> list[tuple[int, ...]]:
     """Connected components of the non-dummy induced subgraph, ids ascending."""
-    adj: dict[int, list[int]] = {v: [] for v in g.non_dummy_ids()}
-    for a, b in g.induced_edges():
-        adj[a].append(b)
-        adj[b].append(a)
+    adj = g.induced_neighbors
     seen: set[int] = set()
     comps: list[tuple[int, ...]] = []
     for start in g.non_dummy_ids():
@@ -293,8 +289,12 @@ def component_probabilities(
         for lo in earlier[j]:
             upper.reshape(-1, 2, 2**lo)[:, 1, :] *= -1
     fwht_inplace(f)
-    amps = f / 2**c
-    return np.abs(amps) ** 2
+    # |f|² / 4^c without a second full-size complex or float copy.
+    parts = f.view(np.float64).reshape(-1, 2)
+    np.square(parts, out=parts)
+    probs = np.add(parts[:, 0], parts[:, 1])
+    probs *= 0.25**c
+    return probs
 
 
 def exact_probability_array(

@@ -397,7 +397,7 @@ def test_replay_refuses_other_engine_versions(tmp_path, capsys):
         tmp_path, "session.json", ["--scheme-M", "3", "--scheme-l", "0.9"]
     )
     main(argv)
-    for engine in (1, 2):
+    for engine in (1, 2, 3):
         doc = read_json(out)
         if engine == 1:
             del doc["engine_version"]  # artifacts without a stamp are engine 1
@@ -548,6 +548,7 @@ def test_verify_auto_params(tmp_path):
     assert doc["scheme"]["derived"] is True
     assert doc["scheme"]["out_of_regime"] is True  # l formula goes negative
     assert doc["scheme"]["l"] == 0.0
+    assert main(["replay", str(out)]) == 0
 
 
 def test_verify_auto_params_needs_noise(tmp_path):
@@ -780,3 +781,54 @@ def test_config_sources_exit_cleanly(fuzz_dir, source, key, value):
         artifact.write_text(json.dumps(doc))
         code = main(["replay", str(artifact)])
     assert code in (0, 1, 2)
+
+
+# -- fuzzing attack documents -------------------------------------------------
+
+_CELL_KEY = st.one_of(
+    st.tuples(st.integers(-2, 4), st.integers(-2, 12)).map("{0[0]}:{0[1]}".format),
+    st.sampled_from(["0", "0:", ":1", "a:b", "1:2:3", ""]),
+)
+_LETTER = st.one_of(st.sampled_from(["I", "X", "Y", "Z", "", "XY", "W", "z"]), _SCALARS)
+_LETTERS = st.dictionaries(_CELL_KEY, _LETTER, max_size=3)
+_TERM = st.one_of(
+    st.fixed_dictionaries(
+        {"weight": st.one_of(st.floats(-0.5, 1.5), _SCALARS), "letters": _LETTERS}
+    ),
+    _JSON,
+)
+# terms whose weights do sum to 1, so that their letters reach the runs
+_WEIGHED_TERMS = st.lists(_LETTERS, min_size=1, max_size=3).map(
+    lambda terms: [{"weight": 1 / len(terms), "letters": t} for t in terms]
+)
+_MATRIX_CELL = st.one_of(
+    st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).map(list),
+    _SCALARS,
+    st.lists(_SCALARS, max_size=3),
+)
+_ATTACK_DOC = st.one_of(
+    st.fixed_dictionaries(
+        {"pauli_terms": st.one_of(_WEIGHED_TERMS, st.lists(_TERM, max_size=3), _JSON)}
+    ),
+    st.fixed_dictionaries(
+        {"unitary": st.one_of(
+            st.just([[[1, 0], [0, 0]], [[0, 0], [1, 0]]]),
+            st.lists(st.lists(_MATRIX_CELL, max_size=2), max_size=2),
+            _JSON,
+        )},
+        optional={"private_qubits": _SCALARS},
+    ),
+    _JSON,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_ATTACK_DOC)
+def test_attack_documents_exit_cleanly(fuzz_dir, doc):
+    """Malformed attack JSON — wrong types, weights off 1, letters outside
+    IXYZ, slots and vertices out of range, bad unitary cells — gives
+    exit 0, 1 or 2 and never an escaping exception."""
+    path = fuzz_dir / "attack.json"
+    path.write_text(json.dumps(doc))
+    out = ["--attack", str(path), "--out", str(fuzz_dir / "attacked.json")]
+    assert main(FUZZ_ARGV + out) in (0, 1, 2)

@@ -17,13 +17,16 @@ from trapver.graphs import (
     GraphSpec,
     k_to_radians,
 )
+from trapver import protocol
 from trapver.protocol import (
+    _LETTER_CODE,
     _correction_index_map,
-    _frame_round_bits,
     _keyed_angles,
     _pad_mask,
     _pauli_frame,
+    _run_batch,
     _sample_events,
+    _sample_round,
     _sim_plan,
     HONEST,
     KIND_EVEN,
@@ -32,6 +35,7 @@ from trapver.protocol import (
     AttackSpec,
     NoiseEvent,
     RoundLayout,
+    SecretKey,
     decrypt,
     dense_round_state,
     encrypt_angles,
@@ -40,7 +44,6 @@ from trapver.protocol import (
     keygen,
     make_round_layout,
     run_protocol,
-    run_round,
     run_scheme,
     single_pauli_attack,
 )
@@ -104,22 +107,42 @@ def test_layout_validation(layout33):
 # -- keys ---------------------------------------------------------------------
 
 
+KEY_TABLES = ("theta_k", "r", "rprime", "d", "dummy_delta_k")
+
+
+def same_key(a: SecretKey, b: SecretKey) -> bool:
+    return a.perm == b.perm and all(
+        np.array_equal(getattr(a, f), getattr(b, f)) for f in KEY_TABLES
+    )
+
+
 def test_keygen_reproducible(layout33):
     a = keygen(layout33, rng_from(42))
-    b = keygen(layout33, rng_from(42))
-    assert a == b
-    assert a != keygen(layout33, rng_from(43))
+    assert same_key(a, keygen(layout33, rng_from(42)))
+    assert not same_key(a, keygen(layout33, rng_from(43)))
 
 
 def test_keygen_covers_layout(layout33):
     key = keygen(layout33, rng_from(1))
     assert sorted(key.perm) == [0, 1, 2]
+    for f in KEY_TABLES:
+        table = getattr(key, f)
+        assert table.shape == (3, 9) and table.dtype == np.uint8
+        assert table.max() < (16 if f in ("theta_k", "dummy_delta_k") else 2)
     for gi, g in enumerate(layout33.graphs):
-        assert set(key.theta_k[gi]) == set(g.non_dummy_ids())
-        assert set(key.d[gi]) == set(g.dummy_ids())
-        assert set(key.dummy_delta_k[gi]) == set(g.dummy_ids())
-        assert set(key.r[gi]) == set(range(9))
-        assert all(v in (0, 1) for v in key.r[gi].values())
+        dummy = np.array([g.is_dummy(v) for v in range(9)])
+        assert not key.theta_k[gi][dummy].any()
+        assert not key.d[gi][~dummy].any()
+        assert not key.dummy_delta_k[gi][~dummy].any()
+
+
+def test_keygen_is_the_key_of_a_run(layout33):
+    """`keygen` reads the key words that open a repetition's block, so a
+    run on an equally seeded generator decrypts under that key."""
+    key = keygen(layout33, rng_from(44))
+    rec = run_protocol(layout33, None, None, rng_from(44))
+    assert rec.target_slot == key.target_slot
+    assert decrypt(key, layout33, rec.raw) == rec.decrypted
 
 
 def test_target_slot_uniform(layout33):
@@ -149,14 +172,7 @@ def test_encrypt_whitebox_tiny():
     lay = tiny_layout()
     key = keygen(lay, rng_from(0))
     # overwrite the target-round tables with handpicked values
-    key = key.__class__(
-        perm=key.perm,
-        theta_k=({0: 0, 1: 1},) + key.theta_k[1:],
-        r=({0: 0, 1: 1},) + key.r[1:],
-        rprime=({0: 0, 1: 1},) + key.rprime[1:],
-        d=key.d,
-        dummy_delta_k=key.dummy_delta_k,
-    )
+    key.theta_k[0] = key.r[0] = key.rprime[0] = (0, 1)
     deltas = encrypt_angles(key, lay)
     # vertex 0: theta=0, r=r'=0, phi=1 -> delta = phi
     assert deltas[0][0] == 1
@@ -181,23 +197,18 @@ def test_encrypt_trap_and_dummy_deltas(layout33):
 def test_encrypt_deltas_cover_every_cell(layout33):
     key = keygen(layout33, rng_from(5))
     deltas = encrypt_angles(key, layout33)
-    for d in deltas:
-        assert set(d) == set(range(9))
-        assert all(0 <= k < 16 for k in d.values())
+    assert deltas.shape == (3, 9)
+    assert ((deltas >= 0) & (deltas < 16)).all()
 
 
 # -- decryption (pure function) ----------------------------------------------
 
 
-def identity_key(layout: RoundLayout):
-    zero = lambda keys: {k: 0 for k in keys}  # noqa: E731
-    return keygen(layout, rng_from(0)).__class__(
-        perm=tuple(range(layout.rounds)),
-        theta_k=tuple(zero(g.non_dummy_ids()) for g in layout.graphs),
-        r=tuple(zero(range(9)) for _ in layout.graphs),
-        rprime=tuple(zero(range(9)) for _ in layout.graphs),
-        d=tuple(zero(g.dummy_ids()) for g in layout.graphs),
-        dummy_delta_k=tuple(zero(g.dummy_ids()) for g in layout.graphs),
+def identity_key(layout: RoundLayout) -> SecretKey:
+    shape = (layout.rounds, layout.m * layout.n)
+    return SecretKey(
+        tuple(range(layout.rounds)),
+        *(np.zeros(shape, np.uint8) for _ in KEY_TABLES),
     )
 
 
@@ -260,10 +271,14 @@ def test_attack_spec_validation():
                 (1.5, (((0, 0), "X"),)),
             )
         )
-    with pytest.raises(ValueError, match="letter"):
-        single_pauli_attack({(0, 0): "W"})
-    with pytest.raises(ValueError, match="not unitary"):
-        AttackSpec(unitary=np.ones((2, 2)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        AttackSpec(pauli_terms=((float("nan"), (((0, 0), "Z"),)),))
+    for bad in ("W", "", "XY"):
+        with pytest.raises(ValueError, match="letter"):
+            single_pauli_attack({(0, 0): bad})
+    for bad in (np.ones((2, 2)), np.full((2, 2), np.nan)):
+        with pytest.raises(ValueError, match="not unitary"):
+            AttackSpec(unitary=bad)
     with pytest.raises(ValueError, match="2\\^q"):
         AttackSpec(unitary=np.eye(3))
     assert HONEST.is_honest
@@ -297,22 +312,17 @@ def test_run_record_json_shape(layout33):
 def test_run_requires_seeded_generator(layout33):
     with pytest.raises(ValueError, match="generator"):
         run_protocol(layout33)
-    with pytest.raises(ValueError, match="generator"):
-        run_round(keygen(layout33, rng_from(0)), 0, layout33, {})
 
 
 def test_trap_flip_semantics(layout33):
-    """Z on a trap decodes to 1, X leaves the readout untouched."""
-    rng = rng_from(14)
-    for _ in range(300):
-        key = keygen(layout33, rng)
-        slot = key.perm.index(1)  # wherever the even trap round runs
+    """Z on a trap decodes to 1, X leaves the readout untouched.  A run's
+    key is `keygen` of its generator, which says where the even trap
+    round runs before the attack is aimed at it."""
+    for seed in range(14, 314):
+        slot = keygen(layout33, rng_from(seed)).perm.index(1)
         for letter, want in (("Z", 1), ("X", 0)):
-            raws = [
-                run_round(key, s, layout33, {(slot, 0): letter}, rng=rng)
-                for s in range(3)
-            ]
-            dec = decrypt(key, layout33, raws)
+            attack = single_pauli_attack({(slot, 0): letter})
+            dec = run_protocol(layout33, attack, None, rng_from(seed)).decrypted
             assert dec[slot][0] == want
             assert dec[slot][1:] == (0, 0, 0)
 
@@ -362,7 +372,7 @@ def _base_probs(comp) -> np.ndarray:
 
 
 def _mask_index(mask, vertices) -> int:
-    return sum(mask[v] << j for j, v in enumerate(vertices))
+    return sum(int(mask[v]) << j for j, v in enumerate(vertices))
 
 
 @pytest.mark.parametrize("m", [5, 6])
@@ -379,6 +389,8 @@ def test_base_distribution_shifted_by_mask_equals_per_key_route(m):
             mask = _pad_mask(g, key.r[gi], key.rprime[gi])
             induced = g.induced_edges()
             for comp in _sim_plan(g, DEFAULT_QUBIT_CAP).components:
+                if g.is_dummy(comp.vertices[0]):
+                    continue  # a dummy's coin has no per-key route
                 per_key = component_probabilities(
                     comp.vertices,
                     [e for e in induced if e[0] in comp.vertices],
@@ -403,6 +415,16 @@ def _dense_distribution(g, key, gi, deltas, events, letters) -> np.ndarray:
     return np.abs(amps) ** 2 / 2**state.n
 
 
+def _frame(g, events, letters) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's X and Z frame bits for one run's ``events`` plus
+    attack ``letters`` at the readout."""
+    evs = list(events) + [NoiseEvent(len(g.edges), v, p) for v, p in letters.items()]
+    cols = np.array([(s, v, _LETTER_CODE[p]) for s, v, p in evs], int).reshape(-1, 3)
+    plan = _sim_plan(g, DEFAULT_QUBIT_CAP)
+    x, z = _pauli_frame(plan, np.zeros(len(cols), int), *cols.T, 1)
+    return x[0], z[0]
+
+
 def _frame_distribution(g, key, gi, events, letters) -> np.ndarray:
     """The frame kernel's exact raw-outcome distribution over all cells:
     per component the shifted base, or the distribution at the keyed
@@ -410,24 +432,24 @@ def _frame_distribution(g, key, gi, events, letters) -> np.ndarray:
     every outcome XORed with the frame's Z bits."""
     size = g.m * g.n
     plan = _sim_plan(g, DEFAULT_QUBIT_CAP)
-    readout = [NoiseEvent(len(g.edges), v, p) for v, p in letters.items()]
-    x, z = _pauli_frame(plan, list(events) + readout, len(g.edges))
+    x, z = _frame(g, events, letters)
     mask = _pad_mask(g, key.r[gi], key.rprime[gi])
+    keyed = _keyed_angles(g, key.r[gi], key.rprime[gi], key.theta_k[gi], x)
     cells = np.arange(2**size)
-    out = np.full(2**size, 0.5 ** len(plan.dummies))
-    for comp in plan.components:
+    out = np.ones(2**size)
+    for comp in plan.components:  # dummies are one-cell fair coins
         sub = sum(((cells >> v) & 1) << j for j, v in enumerate(comp.vertices))
-        if x & comp.cells:
+        if any(x[v] and not g.is_dummy(v) for v in comp.vertices):
             probs = component_probabilities(
                 comp.vertices,
                 comp.edges,
-                _keyed_angles(g, comp.vertices, key, gi, x),
+                {v: k_to_radians(int(keyed[v])) for v in comp.vertices},
             )
         else:
             idx = np.arange(comp.cdf.size)
             probs = _base_probs(comp)[idx ^ _mask_index(mask, comp.vertices)]
         out *= probs[sub]
-    return out[cells ^ z]
+    return out[cells ^ _mask_index(z, range(size))]
 
 
 def test_fast_round_distribution_equals_dense_path():
@@ -514,18 +536,35 @@ def test_frame_distribution_equals_dense_path(m):
 
 def test_frame_kernel_samples_a_recomputed_component():
     """Where the frame flips the 3x3 target component, the kernel's draws
-    follow the distribution at the keyed angles.  The empirical total
-    variation has mean at most ½Σ√(p/N) and moves by 1/N per draw, so it
-    exceeds that by 0.03 with probability below e^{−2N·0.03²} ≈ 1e-6."""
+    follow the distribution at the keyed angles."""
+    layout = make_round_layout(3, 3, 1)
+    g = layout.target
+    assert len(_sim_plan(g, DEFAULT_QUBIT_CAP).components[0].vertices) == 7
+    events = [NoiseEvent(-1, 0, "Y"), NoiseEvent(len(g.edges) - 1, 8, "X")]
+    _check_recomputed_draws(layout, keygen(layout, rng_from(95)), 0, events)
+
+
+def test_frame_kernel_samples_a_recomputed_trap():
+    """An X at preparation on a trap with θ = π/4 turns its deterministic
+    outcome into a fair coin, which only the recomputed component draws.
+    (The 3x3 target is a tree, so its outcomes are uniform at any angles
+    and cannot tell the recomputation from the cached base.)"""
     layout = make_round_layout(3, 3, 1)
     key = keygen(layout, rng_from(95))
-    g = layout.target
-    gi = 0
+    key.theta_k[1][0] = 2
+    _check_recomputed_draws(layout, key, 1, [NoiseEvent(-1, 0, "X")])
+
+
+def _check_recomputed_draws(layout, key, gi, events):
+    """8000 kernel draws of the component holding vertex 0 against its
+    exact distribution.  The empirical total variation has mean at most
+    ½Σ√(p/N) and moves by 1/N per draw, so it exceeds that by 0.03 with
+    probability below e^{−2N·0.03²} ≈ 1e-6."""
+    g = layout.graphs[gi]
     plan = _sim_plan(g, DEFAULT_QUBIT_CAP)
-    (comp,) = plan.components
-    events = [NoiseEvent(-1, 0, "Y"), NoiseEvent(len(g.edges) - 1, 8, "X")]
-    x, z = _pauli_frame(plan, events, len(g.edges))
-    assert x & comp.cells
+    comp = plan.components[0]
+    x, z = _frame(g, events, {})
+    assert x[list(comp.vertices)].any()
     size = g.m * g.n
     cells = np.arange(2**size)
     want = np.zeros(2 ** len(comp.vertices))
@@ -535,10 +574,12 @@ def test_frame_kernel_samples_a_recomputed_component():
     )
     n = 8000
     rng = rng_from(96)
-    counts = np.zeros_like(want)
-    for _ in range(n):
-        raw = _frame_round_bits(g, plan, key, gi, x, z, rng)
-        counts[sum(raw[v] << j for j, v in enumerate(comp.vertices))] += 1
+    mask = _pad_mask(g, key.r[gi], key.rprime[gi])
+    tables = [np.tile(a, (n, 1)) for a in (key.r[gi], key.rprime[gi], key.theta_k[gi])]
+    frame = [np.tile(a, (n, 1)) for a in (x, z)]
+    raws = _sample_round(g, plan, mask, tables, *frame, rng.random((n, len(plan.components))))
+    picks = raws[:, list(comp.vertices)] @ (1 << np.arange(len(comp.vertices)))
+    counts = np.bincount(picks, minlength=want.size)
     tv = 0.5 * np.abs(counts / n - want).sum()
     assert tv < 0.5 * np.sqrt(want / n).sum() + 0.03
     assert counts[want < 1e-12].sum() == 0
@@ -613,31 +654,78 @@ def test_scheme_and_gap_reject_attacks_outside_the_layout(layout33):
             estimate_fidelity_gap(layout33, attack, 2, rng_from(0))
 
 
-@pytest.mark.parametrize(
-    "attack, digest",
-    [
-        (None, "c444a3ad0d9a87f58d229d83557925f7fc494485f6acd333577b9b738cc480a0"),
-        (
-            single_pauli_attack({(0, 3): "Z", (1, 7): "Y", (2, 2): "X"}),
-            "f8d6cd180069aedbd547b3f816fd0085cac61b16a06d1601111e8f2e5bdfba58",
-        ),
-    ],
-    ids=["honest", "attacked"],
-)
-def test_noiseless_records_are_pinned_to_engine_2(attack, digest):
-    """Noiseless rounds draw exactly what engine 2 drew: the sha256 of 40
-    5x3 run records at seed 2024, honest and Pauli-attacked.
+BATCH_CASES = {
+    "honest-5x3": ((5, 3, 1), None, None),
+    "mixture-5x3-kappa2": (
+        (5, 3, 2),
+        AttackSpec(pauli_terms=(
+            (0.25, (((0, 3), "Z"), ((2, 7), "Y"))),
+            (0.75, (((1, 6), "Z"), ((3, 8), "X"), ((4, 2), "Z"))),
+        )),
+        None,
+    ),
+    "depolarising-3x3": ((3, 3, 1), None, NoiseModel(eps_v=4e-3, eps_p=4e-3)),
+}
 
-    The digests were re-derived when records dropped ``op_counts``: take
-    the records engine 2 wrote, delete the ``op_counts`` key from each
-    record's JSON dict, and hash ``json.dumps(records, sort_keys=True)``.
-    Before that change the same hash over the full records gave f2d99257…
-    (honest) and eae3d3ab… (attacked)."""
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_records_do_not_depend_on_the_batch(case, monkeypatch):
+    """A run's record depends only on its own generator: `run_scheme`
+    with batches of 7 equals the engine run on all M spawned streams at
+    once and on one stream at a time."""
+    shape, attack, noise = BATCH_CASES[case]
+    layout, m = make_round_layout(*shape), 150
+    monkeypatch.setattr(protocol, "_BATCH", 7)
     sink: list = []
-    run_scheme(
-        make_round_layout(5, 3, 1), attack, None, 40, 0.5, rng_from(2024),
-        record_sink=sink,
-    )
+    run_scheme(layout, attack, noise, m, 0.5, rng_from(2030), record_sink=sink)
+    whole = _run_batch(layout, attack, noise, rng_from(2030).spawn(m), DEFAULT_QUBIT_CAP)
+    one_by_one = [
+        _run_batch(layout, attack, noise, [s], DEFAULT_QUBIT_CAP)[0]
+        for s in rng_from(2030).spawn(m)
+    ]
+    assert sink == whole == one_by_one
+    if noise is not None:
+        assert not all(r.accept for r in sink)  # the noise did fire
+    if attack is not None:
+        assert {r.attack_letters for r in sink} == {
+            tuple(sorted(term)) for _, term in attack.pauli_terms
+        }
+
+
+PIN_CASES = {
+    "honest": (
+        (5, 3, 1), None, None,
+        "f97751dae24457b5c3ce9778d7ae1ff670b22ea243485b54c5da6f5f5d5ca997",
+    ),
+    "attacked": (
+        (5, 3, 1),
+        single_pauli_attack({(0, 3): "Z", (1, 7): "Y", (2, 2): "X"}),
+        None,
+        "8bcd75ef45285272f956400a9b7d99ece15e97edc29c746563546c9d49de57c8",
+    ),
+    "noisy": (
+        (3, 3, 1), None, NoiseModel(eps_v=0.02, eps_p=0.02),
+        "fa94e9e6ae2552e293e3e3c2f9f8b4fc0225e3a7af9bcc108f072cbd8cab09c8",
+    ),
+    "unitary": (
+        "tiny",
+        AttackSpec(unitary=pauli_matrix("IZIIXI")),
+        NoiseModel(eps_v=0.05, eps_p=0.05),
+        "715627a1584bdc5d7e7c4f59a88f919837308b751bf162e770794777ba12acc3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PIN_CASES))
+def test_records_are_pinned_to_engine_4(case):
+    """The sha256 of ``json.dumps`` (sorted keys) of 40 seeded run
+    records per case, recorded when engine 4 was introduced, after the
+    frame-versus-dense and exact-distribution tests passed: honest and
+    Pauli-attacked 5x3, noisy 3x3 and a noisy joint-unitary attack."""
+    shape, attack, noise, digest = PIN_CASES[case]
+    layout = tiny_layout() if shape == "tiny" else make_round_layout(*shape)
+    sink: list = []
+    run_scheme(layout, attack, noise, 40, 0.5, rng_from(2024), record_sink=sink)
     doc = json.dumps([r.to_json_dict() for r in sink], sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
@@ -851,8 +939,8 @@ def test_gap_estimate_single_round(layout33):
             single_pauli_attack({(0, 1): "Z", (1, 4): "Y", (2, 6): "X"}),
             400,
             61,
-            (0.6825, 0.625, 0.057499999999999996, 0.023304336619246597,
-             0.02423646044779629, 0.041560830496742335, 400),
+            (0.655, 0.645, 0.010000000000000009, 0.023798180255192765,
+             0.023955629410456487, 0.04188239890868078, 400),
         ),
         (
             (5, 3, 2),
@@ -862,15 +950,16 @@ def test_gap_estimate_single_round(layout33):
             )),
             300,
             62,
-            (0.5, 0.7533333333333333, -0.2533333333333333, 0.02891574659831201,
-             0.024929480622100805, 0.04362946580166873, 300),
+            (0.5166666666666667, 0.7366666666666667, -0.21999999999999997,
+             0.028899677829858923, 0.025471401031969185, 0.04522703781846403, 300),
         ),
     ],
     ids=["3x3-one-term", "5x3-kappa2-mixture"],
 )
 def test_gap_estimate_is_pinned(shape, attack, samples, seed, want):
-    """Seeded estimates equal those recorded when the estimator still
-    rebuilt each run itself, before it went through `_run_protocol`."""
+    """Seeded estimates equal those recorded when engine 4 was
+    introduced, after the frame-versus-dense and exact-distribution
+    tests passed."""
     est = estimate_fidelity_gap(
         make_round_layout(*shape), attack, samples, rng_from(seed)
     )
