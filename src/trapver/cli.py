@@ -21,6 +21,7 @@ import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
+from functools import cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -41,7 +42,7 @@ from .simulator import (
     k_to_radians,
 )
 
-ARTIFACT_SCHEMA = 1
+ARTIFACT_SCHEMA = 2
 ENV_PREFIX = "TRAPVER_"
 
 EXIT_ACCEPT = 0
@@ -195,7 +196,9 @@ def _convert(table: Mapping[str, tuple], name: str, raw: object) -> object:
     return value
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use: read it, never add to it."""
     parser = _Parser(
         prog="trapver",
         description=(
@@ -391,11 +394,16 @@ def _emit(cfg: SessionConfig, doc: dict, csv_rows: list[list] | None = None) -> 
         writer.writerows(csv_rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = _encode(doc)
     if cfg.out:
         _atomic_write(cfg.out, text)
     else:
         sys.stdout.write(text)
+
+
+def _encode(doc: dict) -> str:
+    """Every JSON document's text: one compact, key-sorted encoder call."""
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 def _offers_csv(subcommand: str) -> bool:
@@ -661,23 +669,12 @@ def _cmd_bounds(cfg: SessionConfig) -> tuple[int, dict]:
         return EXIT_ACCEPT, payload
     if verb == "attack-table":
         (kappa,) = _require(cfg, "kappa")
-        rows = [["kappa", "lam", "xi", "trap_term", "escape_bound", "gap"]]
-        table = []
-        for cls in bounds.valid_attack_classes(kappa):
-            ft, fc2, gap = bounds.attack_gap(cls)
-            rows.append(
-                [cls.kappa, cls.lam, cls.xi, _fraction_str(ft), _fraction_str(fc2), _fraction_str(gap)]
-            )
-            table.append(
-                {
-                    "kappa": cls.kappa,
-                    "lam": cls.lam,
-                    "xi": cls.xi,
-                    "trap_term": _fraction_str(ft),
-                    "escape_bound": _fraction_str(fc2),
-                    "gap": _fraction_str(gap),
-                }
-            )
+        head = ["kappa", "lam", "xi", "trap_term", "escape_bound", "gap"]
+        table = [
+            dict(zip(head, [c.kappa, c.lam, c.xi, *map(_fraction_str, bounds.attack_gap(c))]))
+            for c in bounds.valid_attack_classes(kappa)
+        ]
+        rows = [head] + [list(row.values()) for row in table]
         payload = _stamp(cfg, {"classes": table})
         _emit(cfg, payload, rows)
         return EXIT_ACCEPT, payload
@@ -748,12 +745,8 @@ def _cmd_ft(cfg: SessionConfig) -> tuple[int, dict]:
     return EXIT_ACCEPT, payload
 
 
-def _strip_telemetry(doc: dict) -> dict:
-    return {k: v for k, v in doc.items() if k != "telemetry"}
-
-
 def _first_difference(a: object, b: object, path: str = "$") -> str | None:
-    """JSON path of the first place two JSON values differ, else None."""
+    """JSON path of the first place two JSON values differ (true and 1 do), else None."""
     if isinstance(a, dict) and isinstance(b, dict):
         for k in sorted(set(a) | set(b)):
             here = f"{path}.{k}"
@@ -769,14 +762,15 @@ def _first_difference(a: object, b: object, path: str = "$") -> str | None:
             if found:
                 return found
         return None if len(a) == len(b) else f"{path}[{min(len(a), len(b))}]"
-    return None if a == b else path
+    return None if a == b and type(a) is type(b) else path
 
 
 def _cmd_replay(cfg: SessionConfig) -> tuple[int, dict]:
     (path,) = _require(cfg, "artifact")
     try:
         with open(path) as fh:
-            artifact = json.load(fh)
+            text = fh.read()
+        artifact = json.loads(text)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read artifact {path}: {exc}") from exc
     if not isinstance(artifact, dict):
@@ -803,14 +797,17 @@ def _cmd_replay(cfg: SessionConfig) -> tuple[int, dict]:
         saved_cfg, out=None, extras={**saved_cfg.extras, "quiet": True}
     )
     code, fresh = execute(saved_cfg)
-    stored, rerun = _strip_telemetry(artifact), _strip_telemetry(fresh)
-    if stored != rerun:
+    # Text compare, where true and 1 differ: an artifact as verify wrote it
+    # is the re-run's text with its telemetry; other text compares without.
+    stored, rerun = ({**doc, "telemetry": None} for doc in (artifact, fresh))
+    as_written = _encode({**fresh, "telemetry": artifact.get("telemetry")}) == text
+    if not as_written and _encode(stored) != _encode(rerun):
         raise CliError(
             f"replay mismatch at {_first_difference(stored, rerun)}: the "
             f"re-run differs from the stored artifact (nondeterminism or "
             f"tampering)"
         )
-    print(json.dumps(fresh["verdict"], indent=2, sort_keys=True))
+    sys.stdout.write(_encode(fresh["verdict"]))
     return code, fresh
 
 
@@ -844,7 +841,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError, RecursionError) as exc:  # deep JSON
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -80,6 +80,8 @@ _BATCH = 1024
 # Output strings of at most this many bits come from one shared table per
 # length, so stored outputs do not each hold their own string.
 _SHARED_STRING_BITS = 12
+# Outcome bytes 0 and 1 as the characters of a packed JSON outcome string.
+_ASCII_BITS = bytes.maketrans(b"\0\1", b"01")
 # A Pauli letter as two bits: bit 0 is its X part, bit 1 its Z part.
 _LETTER_CODE = {"I": 0, "X": 1, "Z": 2, "Y": 3}
 _CODE_LETTER = "IXZY"
@@ -628,7 +630,8 @@ def _string_table(nbits: int) -> list[str]:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Transcript of one protocol run, verifier's view."""
+    """Transcript of one protocol run, verifier's view; in JSON each slot's
+    ``raw`` and ``decrypted`` outcomes are one ``"0101…"`` string."""
 
     raw: tuple[tuple[int, ...], ...]
     decrypted: tuple[tuple[int, ...], ...]
@@ -640,8 +643,8 @@ class RunRecord:
 
     def to_json_dict(self) -> dict:
         return {
-            "raw": [list(rnd) for rnd in self.raw],
-            "decrypted": [list(rnd) for rnd in self.decrypted],
+            "raw": [bytes(rnd).translate(_ASCII_BITS).decode() for rnd in self.raw],
+            "decrypted": [bytes(rnd).translate(_ASCII_BITS).decode() for rnd in self.decrypted],
             "trap_passed": list(self.trap_passed),
             "accept": self.accept,
             "target_output": self.target_output,

@@ -34,6 +34,7 @@ from trapver.bounds import (
 from trapver.ftcalc import detection_overhead, physical_threshold
 from trapver.graphs import carve_target
 from trapver.protocol import (
+    _run_batch,
     encrypt_angles,
     estimate_fidelity_gap,
     keygen,
@@ -42,6 +43,7 @@ from trapver.protocol import (
     single_pauli_attack,
 )
 from trapver.simulator import (
+    DEFAULT_QUBIT_CAP,
     IsingInstance,
     bits_to_string,
     exact_output_distribution,
@@ -60,25 +62,46 @@ def rng_from(seed: int) -> np.random.Generator:
 # -- criterion 1: completeness at zero noise ---------------------------------
 
 
+HONEST_RUNS = 100_000
+
+
 @pytest.fixture(scope="module")
 def honest_campaign():
-    """10^5 honest runs on the smallest valid carving, one trap per parity."""
+    """10^5 honest runs on the smallest valid carving, one trap per parity.
+
+    They are `run_protocol` calls on one generator, drawn as engine
+    batches with that generator listed once per run: the batch serves
+    each run the next block of the stream, as successive calls do.
+    """
     layout = make_round_layout(3, 3, 1)
     rng = rng_from(901)
     accepts = 0
     outputs = []
-    for _ in range(100_000):
-        rec = run_protocol(layout, None, None, rng)
-        accepts += int(rec.accept)
-        outputs.append(rec.target_output)
+    for start in range(0, HONEST_RUNS, 4096):
+        size = min(4096, HONEST_RUNS - start)
+        for rec in _run_batch(layout, None, None, [rng] * size, DEFAULT_QUBIT_CAP):
+            accepts += int(rec.accept)
+            outputs.append(rec.target_output)
     return layout, accepts, outputs
+
+
+@pytest.mark.criterion(1, "completeness at zero noise")
+def test_honest_campaign_equals_one_run_at_a_time(honest_campaign):
+    """The batched campaign is the `run_protocol` loop: its first 2000
+    runs match the loop's records, run by run."""
+    layout, _, outputs = honest_campaign
+    rng, prefix = rng_from(901), 2000
+    loop = [run_protocol(layout, None, None, rng) for _ in range(prefix)]
+    batch = _run_batch(layout, None, None, [rng_from(901)] * prefix, DEFAULT_QUBIT_CAP)
+    assert batch == loop
+    assert outputs[:prefix] == [rec.target_output for rec in loop]
 
 
 @pytest.mark.criterion(1, "completeness at zero noise")
 def test_honest_acceptance_is_exact(honest_campaign):
     _, accepts, outputs = honest_campaign
-    assert accepts == 100_000, "an honest noiseless run tripped a trap"
-    assert len(outputs) == 100_000
+    assert accepts == HONEST_RUNS, "an honest noiseless run tripped a trap"
+    assert len(outputs) == HONEST_RUNS
 
 
 @pytest.mark.criterion(1, "completeness at zero noise")

@@ -1,6 +1,8 @@
 """Command-line surface: config resolution, artifacts, exit codes, replay."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 from dataclasses import replace
@@ -12,14 +14,16 @@ from hypothesis import strategies as st
 
 from trapver import __version__
 from trapver.cli import (
+    ARTIFACT_SCHEMA,
     CliError,
     SessionConfig,
     _option_table,
+    _subparsers,
     build_parser,
     main,
     parse_config,
 )
-from trapver.graphs import GraphSpec, carve_target
+from trapver.graphs import SCHEMA_VERSION, GraphSpec, carve_target
 from trapver.protocol import ENGINE_VERSION
 
 
@@ -122,6 +126,22 @@ def test_missing_required_option(capsys):
     assert main(["bounds", "delta-kappa"]) == 1  # no kappa
 
 
+def test_parser_is_built_once_and_left_unchanged(capsys):
+    """Every lookup shares one parser, and parsing, errors and help leave
+    it exactly as a fresh build is."""
+    assert build_parser() is build_parser()
+    main([])
+    main(["carve", "--bogus"])
+    main(["verify", "--kappa", "1"])
+    main(["bounds", "delta-kappa", "--kappa", "2"])
+    parse_config(["ft"], env={"TRAPVER_FMT": "csv"})
+    shared, fresh = build_parser(), build_parser.__wrapped__()
+    assert shared.format_help() == fresh.format_help()
+    for name, sub in _subparsers(fresh).items():
+        assert _subparsers(shared)[name].format_help() == sub.format_help()
+        assert _option_table(shared, name) == _option_table(fresh, name)
+
+
 # -- carve ---------------------------------------------------------------------
 
 
@@ -133,7 +153,8 @@ def test_carve_round_trip(tmp_path):
     )
     assert code == 0
     doc = read_json(out)
-    assert doc["schema_version"] == 1
+    # a layout is versioned by the layout schema, not the artifact schema
+    assert doc["schema_version"] == SCHEMA_VERSION == 1
     assert doc["tool_version"] == __version__
     assert doc["seed"] == 0
     assert GraphSpec.from_json_dict(doc) == carve_target(3, 3)
@@ -333,6 +354,10 @@ def test_replay_round_trip(tmp_path, kill_attack_file):
     )
     main(honest_argv)
     assert main(["replay", str(honest_out)]) == 0
+    # reformatted for reading, as by python -m json.tool, it still replays
+    pretty = tmp_path / "pretty.json"
+    pretty.write_text(json.dumps(read_json(honest_out), indent=4))
+    assert main(["replay", str(pretty)]) == 0
 
 
 def test_replay_detects_tampering(tmp_path, capsys):
@@ -369,11 +394,19 @@ def test_replay_compares_the_whole_artifact(tmp_path, capsys):
     main(argv)
 
     doc = read_json(out)
-    doc["records"][1]["raw"][0][4] ^= 1  # verdict and output untouched
+    raw = doc["records"][1]["raw"][0]  # verdict and output untouched
+    doc["records"][1]["raw"][0] = raw[:4] + "10"[int(raw[4])] + raw[5:]
     tampered = tmp_path / "tampered-raw.json"
     tampered.write_text(json.dumps(doc))
     assert main(["replay", str(tampered)]) == 1
-    assert "mismatch at $.records[1].raw[0][4]" in capsys.readouterr().err
+    assert "mismatch at $.records[1].raw[0]:" in capsys.readouterr().err
+
+    doc = read_json(out)
+    doc["verdict"]["accept"] = 1  # equal to true in Python, not in JSON
+    tampered = tmp_path / "tampered-type.json"
+    tampered.write_text(json.dumps(doc))
+    assert main(["replay", str(tampered)]) == 1
+    assert "mismatch at $.verdict.accept:" in capsys.readouterr().err
 
     doc = read_json(out)
     flipped = "1" if doc["records"][0]["target_output"][0] == "0" else "0"
@@ -390,6 +423,46 @@ def test_replay_compares_the_whole_artifact(tmp_path, capsys):
     edited = tmp_path / "edited-telemetry.json"
     edited.write_text(json.dumps(doc))
     assert main(["replay", str(edited)]) == 0
+
+
+def test_deeply_nested_json_inputs_are_errors(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["replay", str(deep)]) == 1
+    assert main(["--config", str(deep), "carve"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+
+def test_replay_refuses_list_record_artifacts_by_schema(tmp_path, capsys):
+    """Schema 1 wrote each slot's outcomes as a list of ints; such an
+    artifact is refused for its schema, not reported as tampered."""
+    argv, out = verify_argv(
+        tmp_path, "session.json", ["--scheme-M", "3", "--scheme-l", "0.9"]
+    )
+    main(argv)
+    doc = read_json(out)
+    assert doc["schema_version"] == ARTIFACT_SCHEMA == 2
+    for rec in doc["records"]:
+        assert all(set(s) <= {"0", "1"} for s in rec["raw"] + rec["decrypted"])
+        rec["raw"] = [list(map(int, s)) for s in rec["raw"]]
+        rec["decrypted"] = [list(map(int, s)) for s in rec["decrypted"]]
+    doc["schema_version"] = 1
+    old = tmp_path / "schema1.json"
+    old.write_text(json.dumps(doc, indent=2, sort_keys=True))
+    assert main(["replay", str(old)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: unsupported artifact schema 1\n"
+
+
+def test_artifacts_are_one_compact_line(tmp_path):
+    argv, out = verify_argv(
+        tmp_path, "session.json", ["--scheme-M", "3", "--scheme-l", "0.9"]
+    )
+    main(argv)
+    text = out.read_text()
+    assert text.endswith("}\n") and text.count("\n") == 1
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
 
 
 def test_replay_refuses_other_engine_versions(tmp_path, capsys):
@@ -832,3 +905,83 @@ def test_attack_documents_exit_cleanly(fuzz_dir, doc):
     path.write_text(json.dumps(doc))
     out = ["--attack", str(path), "--out", str(fuzz_dir / "attacked.json")]
     assert main(FUZZ_ARGV + out) in (0, 1, 2)
+
+
+# -- fuzzing the replayed part of a verify artifact ---------------------------
+
+
+@pytest.fixture(scope="module")
+def records_artifact(tmp_path_factory):
+    path = tmp_path_factory.mktemp("records") / "honest.json"
+    argv = FUZZ_ARGV[:-4] + ["--scheme-M", "3", "--scheme-l", "0.5"]
+    assert main(argv + ["--out", str(path)]) == 0
+    return path
+
+
+def _paths(node, here=()):
+    """Every member and element below ``node``, as key/index tuples."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in items:
+        yield here + (key,)
+        yield from _paths(child, here + (key,))
+
+
+# a packed string with characters outside 0/1, or of the wrong length
+_PACKED_LIKE = st.text(alphabet="01 2x", max_size=10)
+_EDIT = st.one_of(
+    st.tuples(
+        st.just("set"), st.one_of(_SCALARS, _PACKED_LIKE, st.lists(_SCALARS, max_size=3))
+    ),
+    st.tuples(st.just("delete"), st.none()),
+    # an equal number of another JSON type: true -> 1, 1 -> 1.0
+    st.tuples(st.just("retype"), st.none()),
+    # one character of a string replaced or dropped
+    st.tuples(
+        st.just("char"),
+        st.tuples(st.integers(0, 9), st.sampled_from(["0", "1", "2", " ", ""])),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), edit=_EDIT, indent=st.sampled_from([None, 2]))
+def test_replay_refuses_any_edit_of_records_verdict_or_scheme(
+    records_artifact, data, edit, indent
+):
+    """One edited field of ``records``, ``verdict`` or ``scheme`` — a bad
+    character or length in a packed string, a number or list for a
+    string, a missing key, null, true for 1 — exits 1 with one
+    ``error:`` line; an edit that leaves the JSON as it was replays
+    cleanly, whether written as verify writes it or reformatted."""
+    doc = read_json(records_artifact)
+    original = json.dumps(doc, sort_keys=True)
+    paths = [p for sec in ("records", "verdict", "scheme") for p in _paths(doc[sec], (sec,))]
+    path = data.draw(st.sampled_from(paths))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    kind, value = edit
+    if kind == "set":
+        parent[path[-1]] = value
+    elif kind == "delete":
+        del parent[path[-1]]
+    elif kind == "retype":
+        value = parent[path[-1]]
+        parent[path[-1]] = {bool: int, int: float}.get(type(value), str)(value)
+    elif isinstance(parent[path[-1]], str):
+        pos, char = value
+        text = parent[path[-1]]
+        parent[path[-1]] = text[:pos] + char + text[pos + 1 :]
+    edited = records_artifact.parent / "edited.json"
+    edited.write_text(json.dumps(doc, sort_keys=True, indent=indent) + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["replay", str(edited)])
+    err = err.getvalue()
+    if json.dumps(doc, sort_keys=True) == original:
+        assert (code, err) == (0, "")
+    else:
+        assert code == 1
+        assert err.startswith("error: replay mismatch at $.") and err.count("\n") == 1

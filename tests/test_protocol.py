@@ -307,6 +307,10 @@ def test_run_record_json_shape(layout33):
         "target_slot", "attack_letters",
     }
     assert d["attack_letters"] == [[0, 0, "Z"]]
+    # each slot's outcomes are one packed "0101…" string, read left to right
+    assert all(type(s) is str and set(s) <= {"0", "1"} for s in d["raw"] + d["decrypted"])
+    assert [tuple(map(int, s)) for s in d["raw"]] == list(rec.raw)
+    assert [tuple(map(int, s)) for s in d["decrypted"]] == list(rec.decrypted)
 
 
 def test_run_requires_seeded_generator(layout33):
@@ -695,23 +699,23 @@ def test_records_do_not_depend_on_the_batch(case, monkeypatch):
 PIN_CASES = {
     "honest": (
         (5, 3, 1), None, None,
-        "f97751dae24457b5c3ce9778d7ae1ff670b22ea243485b54c5da6f5f5d5ca997",
+        "e436694c9d4e747582713b6fb5333425d1d0875d139b42779c94ddde1a992599",
     ),
     "attacked": (
         (5, 3, 1),
         single_pauli_attack({(0, 3): "Z", (1, 7): "Y", (2, 2): "X"}),
         None,
-        "8bcd75ef45285272f956400a9b7d99ece15e97edc29c746563546c9d49de57c8",
+        "f0dca64e605b857d7667564b534c2f71b077733fa3ddd13dda609b6dc8b26282",
     ),
     "noisy": (
         (3, 3, 1), None, NoiseModel(eps_v=0.02, eps_p=0.02),
-        "fa94e9e6ae2552e293e3e3c2f9f8b4fc0225e3a7af9bcc108f072cbd8cab09c8",
+        "2c8f0e52ffb351a721b0a8d8b27c1f32b7236cd3ee59adfe05c8df0af8675390",
     ),
     "unitary": (
         "tiny",
         AttackSpec(unitary=pauli_matrix("IZIIXI")),
         NoiseModel(eps_v=0.05, eps_p=0.05),
-        "715627a1584bdc5d7e7c4f59a88f919837308b751bf162e770794777ba12acc3",
+        "477ec4fbb7e9d1005f4b7ee9a0647be0ebdd194198f67071f68d1abf24c8b9b7",
     ),
 }
 
@@ -721,7 +725,10 @@ def test_records_are_pinned_to_engine_4(case):
     """The sha256 of ``json.dumps`` (sorted keys) of 40 seeded run
     records per case, recorded when engine 4 was introduced, after the
     frame-versus-dense and exact-distribution tests passed: honest and
-    Pauli-attacked 5x3, noisy 3x3 and a noisy joint-unitary attack."""
+    Pauli-attacked 5x3, noisy 3x3 and a noisy joint-unitary attack.
+    When records went to packed ``raw``/``decrypted`` strings the digests
+    were re-derived from the engine-4 list records, each row joined into
+    its string, so the draws they pin are unchanged."""
     shape, attack, noise, digest = PIN_CASES[case]
     layout = tiny_layout() if shape == "tiny" else make_round_layout(*shape)
     sink: list = []
