@@ -342,11 +342,7 @@ def parse_config(
 
     path = config_path or ns.config or env.get(ENV_PREFIX + "CONFIG")
     if path:
-        try:
-            with open(path) as fh:
-                file_doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot read config file {path}: {exc}") from exc
+        file_doc = _read_json(path, "config file")
         if not isinstance(file_doc, dict):
             raise CliError(f"config file {path} must hold a JSON object")
         for name, raw in file_doc.items():
@@ -402,8 +398,9 @@ def _emit(cfg: SessionConfig, doc: dict, csv_rows: list[list] | None = None) -> 
 
 
 def _encode(doc: dict) -> str:
-    """Every JSON document's text: one compact, key-sorted encoder call."""
-    return json.dumps(doc, sort_keys=True) + "\n"
+    """Every JSON document's text: one compact, key-sorted encoder call.
+    Documents are trees, so the encoder's cycle check is skipped."""
+    return json.dumps(doc, sort_keys=True, check_circular=False) + "\n"
 
 
 def _offers_csv(subcommand: str) -> bool:
@@ -416,6 +413,16 @@ def _atomic_write(path: str, text: str) -> None:
     with open(tmp, "w") as fh:
         fh.write(text)
     os.replace(tmp, path)
+
+
+def _read_json(path: str, what: str) -> object:
+    """The JSON document in ``path``; failing to read or decode it, even
+    for nesting too deep for the decoder, is a CliError naming ``what``."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        raise CliError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -502,29 +509,20 @@ def _cmd_carve(cfg: SessionConfig) -> tuple[int, dict]:
     return EXIT_ACCEPT, doc
 
 
-def _load_graph(path: str) -> GraphSpec:
-    try:
-        with open(path) as fh:
-            return GraphSpec.from_json_dict(json.load(fh))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read layout {path}: {exc}") from exc
-
-
 def _load_angles(path: str) -> dict[int, float]:
     """Read a JSON object mapping vertex ids to integer grid steps."""
+    raw = _read_json(path, "angles")
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
         if isinstance(raw, dict) and all(type(v) is int for v in raw.values()):
             return {int(k): k_to_radians(v) for k, v in raw.items()}
-    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except ValueError as exc:  # a key that is not a vertex id
         raise CliError(f"cannot read angles {path}: {exc}") from exc
     raise CliError(f"angles file {path} must map vertex ids to integer grid steps")
 
 
 def _cmd_simulate(cfg: SessionConfig) -> tuple[int, dict]:
     (graph_path,) = _require(cfg, "graph")
-    g = _load_graph(graph_path)
+    g = GraphSpec.from_json_dict(_read_json(graph_path, "layout"))
     angles_path = cfg.extras.get("angles")
     angles = _load_angles(angles_path) if angles_path else g.base_angles()
     samples = cfg.extras.get("samples")
@@ -578,11 +576,7 @@ def _cmd_verify(cfg: SessionConfig) -> tuple[int, dict]:
     # does not depend on the original file still existing.
     attack_doc = cfg.extras.get("attack_doc")
     if attack_doc is None and cfg.attack:
-        try:
-            with open(cfg.attack) as fh:
-                attack_doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot read attack file {cfg.attack}: {exc}") from exc
+        attack_doc = _read_json(cfg.attack, "attack file")
     strategy = attack_spec_from_json(attack_doc) if attack_doc else None
     n_qubits = len(layout.target.non_dummy_ids())
     scheme_m, scheme_l, meta = _scheme_parameters(cfg, n_qubits, kappa)
@@ -669,12 +663,23 @@ def _cmd_bounds(cfg: SessionConfig) -> tuple[int, dict]:
         return EXIT_ACCEPT, payload
     if verb == "attack-table":
         (kappa,) = _require(cfg, "kappa")
-        head = ["kappa", "lam", "xi", "trap_term", "escape_bound", "gap"]
-        table = [
-            dict(zip(head, [c.kappa, c.lam, c.xi, *map(_fraction_str, bounds.attack_gap(c))]))
-            for c in bounds.valid_attack_classes(kappa)
-        ]
-        rows = [head] + [list(row.values()) for row in table]
+        rows = [["kappa", "lam", "xi", "trap_term", "escape_bound", "gap"]]
+        table = []
+        for cls in bounds.valid_attack_classes(kappa):
+            ft, fc2, gap = bounds.attack_gap(cls)
+            rows.append(
+                [cls.kappa, cls.lam, cls.xi, _fraction_str(ft), _fraction_str(fc2), _fraction_str(gap)]
+            )
+            table.append(
+                {
+                    "kappa": cls.kappa,
+                    "lam": cls.lam,
+                    "xi": cls.xi,
+                    "trap_term": _fraction_str(ft),
+                    "escape_bound": _fraction_str(fc2),
+                    "gap": _fraction_str(gap),
+                }
+            )
         payload = _stamp(cfg, {"classes": table})
         _emit(cfg, payload, rows)
         return EXIT_ACCEPT, payload
@@ -746,7 +751,7 @@ def _cmd_ft(cfg: SessionConfig) -> tuple[int, dict]:
 
 
 def _first_difference(a: object, b: object, path: str = "$") -> str | None:
-    """JSON path of the first place two JSON values differ (true and 1 do), else None."""
+    """JSON path of the first place two values encode differently, else None."""
     if isinstance(a, dict) and isinstance(b, dict):
         for k in sorted(set(a) | set(b)):
             here = f"{path}.{k}"
@@ -762,17 +767,12 @@ def _first_difference(a: object, b: object, path: str = "$") -> str | None:
             if found:
                 return found
         return None if len(a) == len(b) else f"{path}[{min(len(a), len(b))}]"
-    return None if a == b and type(a) is type(b) else path
+    return None if json.dumps(a) == json.dumps(b) else path
 
 
 def _cmd_replay(cfg: SessionConfig) -> tuple[int, dict]:
     (path,) = _require(cfg, "artifact")
-    try:
-        with open(path) as fh:
-            text = fh.read()
-        artifact = json.loads(text)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read artifact {path}: {exc}") from exc
+    artifact = _read_json(path, "artifact")
     if not isinstance(artifact, dict):
         raise CliError(f"artifact {path} must hold a JSON object")
     if artifact.get("schema_version") != ARTIFACT_SCHEMA:
@@ -797,11 +797,9 @@ def _cmd_replay(cfg: SessionConfig) -> tuple[int, dict]:
         saved_cfg, out=None, extras={**saved_cfg.extras, "quiet": True}
     )
     code, fresh = execute(saved_cfg)
-    # Text compare, where true and 1 differ: an artifact as verify wrote it
-    # is the re-run's text with its telemetry; other text compares without.
+    # All but the telemetry, compared as JSON text, where true and 1 differ.
     stored, rerun = ({**doc, "telemetry": None} for doc in (artifact, fresh))
-    as_written = _encode({**fresh, "telemetry": artifact.get("telemetry")}) == text
-    if not as_written and _encode(stored) != _encode(rerun):
+    if _encode(stored) != _encode(rerun):
         raise CliError(
             f"replay mismatch at {_first_difference(stored, rerun)}: the "
             f"re-run differs from the stored artifact (nondeterminism or "

@@ -701,7 +701,9 @@ def _run_batch(
 
     The one place repetitions are executed, for callers that have checked
     ``strategy`` already.  Every run draws its block from its own
-    generator (a generator listed twice serves its blocks in list order);
+    generator, in list order, so a generator listed k times serves k
+    successive blocks, as k `run_protocol` calls on it would (except
+    under a unitary deviation, whose runs draw again after all blocks);
     then keys, attack terms, rounds (the frame kernel, or one joint
     register per run for a unitary deviation), decryption and trap
     verdicts are computed for the whole batch.

@@ -34,6 +34,7 @@ from trapver.bounds import (
 from trapver.ftcalc import detection_overhead, physical_threshold
 from trapver.graphs import carve_target
 from trapver.protocol import (
+    _BATCH,
     _run_batch,
     encrypt_angles,
     estimate_fidelity_gap,
@@ -77,8 +78,8 @@ def honest_campaign():
     rng = rng_from(901)
     accepts = 0
     outputs = []
-    for start in range(0, HONEST_RUNS, 4096):
-        size = min(4096, HONEST_RUNS - start)
+    for start in range(0, HONEST_RUNS, _BATCH):
+        size = min(_BATCH, HONEST_RUNS - start)
         for rec in _run_batch(layout, None, None, [rng] * size, DEFAULT_QUBIT_CAP):
             accepts += int(rec.accept)
             outputs.append(rec.target_output)
@@ -88,7 +89,7 @@ def honest_campaign():
 @pytest.mark.criterion(1, "completeness at zero noise")
 def test_honest_campaign_equals_one_run_at_a_time(honest_campaign):
     """The batched campaign is the `run_protocol` loop: its first 2000
-    runs match the loop's records, run by run."""
+    runs, which span a batch boundary, match the loop's records."""
     layout, _, outputs = honest_campaign
     rng, prefix = rng_from(901), 2000
     loop = [run_protocol(layout, None, None, rng) for _ in range(prefix)]

@@ -408,6 +408,18 @@ def test_replay_compares_the_whole_artifact(tmp_path, capsys):
     assert main(["replay", str(tampered)]) == 1
     assert "mismatch at $.verdict.accept:" in capsys.readouterr().err
 
+    argv, zero_l = verify_argv(
+        tmp_path, "zero-l.json", ["--scheme-M", "3", "--scheme-l", "0"]
+    )
+    main(argv)
+    doc = read_json(zero_l)
+    assert repr(doc["verdict"]["l"]) == "0.0"
+    doc["verdict"]["l"] = -0.0  # equal to 0.0 in Python, not in JSON
+    tampered = tmp_path / "tampered-sign.json"
+    tampered.write_text(json.dumps(doc))
+    assert main(["replay", str(tampered)]) == 1
+    assert "mismatch at $.verdict.l:" in capsys.readouterr().err
+
     doc = read_json(out)
     flipped = "1" if doc["records"][0]["target_output"][0] == "0" else "0"
     doc["records"][0]["target_output"] = (
@@ -428,10 +440,19 @@ def test_replay_compares_the_whole_artifact(tmp_path, capsys):
 def test_deeply_nested_json_inputs_are_errors(tmp_path, capsys):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
-    assert main(["replay", str(deep)]) == 1
-    assert main(["--config", str(deep), "carve"]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+    layout = tmp_path / "layout.json"
+    assert main(["carve", "--m", "3", "--n", "3", "--out", str(layout)]) == 0
+    verify = ["verify", "--m-rounds", "3", "--n-rounds", "3", "--kappa", "1"]
+    for argv, what in [
+        (["replay", str(deep)], "artifact"),
+        (["--config", str(deep), "carve"], "config file"),
+        (["simulate", "--graph", str(deep)], "layout"),
+        (["simulate", "--graph", str(layout), "--angles", str(deep)], "angles"),
+        (verify + ["--scheme-M", "1", "--scheme-l", "1", "--attack", str(deep)], "attack file"),
+    ]:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {what} {deep}: ") and err.count("\n") == 1
 
 
 def test_replay_refuses_list_record_artifacts_by_schema(tmp_path, capsys):
