@@ -61,8 +61,8 @@ from .graphs import (
 from .simulator import (
     DEFAULT_QUBIT_CAP, Distribution, NoiseModel, StateVector, _check_cap,
     _induced_components, apply_cz, apply_pauli, apply_phase, bits_to_string,
-    component_probabilities, exact_probability_array, measure_xy,
-    prepare_qubit, tensor,
+    component_probabilities, component_probability_rows,
+    exact_probability_array, measure_xy, prepare_qubit, tensor,
 )
 
 # Bumped whenever a seed would draw different outcomes.  Engine 2 samples
@@ -80,12 +80,15 @@ _BATCH = 1024
 # Output strings of at most this many bits come from one shared table per
 # length, so stored outputs do not each hold their own string.
 _SHARED_STRING_BITS = 12
-# Outcome bytes 0 and 1 as the characters of a packed JSON outcome string.
-_ASCII_BITS = bytes.maketrans(b"\0\1", b"01")
 # A Pauli letter as two bits: bit 0 is its X part, bit 1 its Z part.
 _LETTER_CODE = {"I": 0, "X": 1, "Z": 2, "Y": 3}
 _CODE_LETTER = "IXZY"
 _NOISELESS = NoiseModel()
+# e^{−iδ} at each grid angle, exactly as `component_probabilities` forms it.
+_PHASES = np.array([np.exp(-1j * k_to_radians(k)) for k in range(ANGLE_STEPS)])
+# Amplitudes a batched recompute holds at once: one component's hit runs
+# go max(1, 2^20 >> cells) rows at a time, so a 20-cell one goes singly.
+_RECOMPUTE_AMPLITUDES = 2**20
 
 
 @dataclass(frozen=True)
@@ -197,13 +200,6 @@ def _keys(layout: RoundLayout, words: np.ndarray) -> SecretKey:
     dummy, low = layout._cells[0], b & 15
     theta, decoy = low * (dummy ^ 1), low * dummy
     return SecretKey(perm, theta, (b >> 4) & 1, (b >> 5) & 1, (b >> 6) & dummy, decoy)
-
-
-def keygen(layout: RoundLayout, rng: np.random.Generator) -> SecretKey:
-    """Draw a fresh uniform key: the key words of one repetition's block,
-    so a seeded generator reproduces the key exactly, and `run_protocol`
-    given an equally seeded generator runs under the same key."""
-    return _keys(layout, _draw_blocks([rng], _key_words(layout))).run(0)
 
 
 def encrypt_angles(key: SecretKey, layout: RoundLayout) -> np.ndarray:
@@ -446,16 +442,6 @@ def _event_list(events: tuple, run: int) -> list[NoiseEvent]:
     return [NoiseEvent(s, v, _CODE_LETTER[c]) for s, v, c in zip(steps, verts, codes)]
 
 
-def _sample_events(
-    g: GraphSpec, noise: NoiseModel, rng: np.random.Generator
-) -> list[NoiseEvent]:
-    """One round's noise events in time order, from one uniform per site
-    drawn from ``rng``; a noiseless model draws nothing."""
-    if noise.is_noiseless():
-        return []
-    return _event_list(_decode_events(g, noise, rng.random((1, _sites(g)))), 0)
-
-
 def _pauli_frame(
     plan: _SimPlan, runs, steps, verts, codes, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -493,7 +479,9 @@ def _sample_round(
     key ``mask`` XORed in; where ``x`` (None without noise) puts an X bit
     on a non-dummy, that run's component reads the same uniform against
     its distribution recomputed at `_keyed_angles` of ``key_tables`` (r,
-    r′, θ) instead.  Finally every cell in ``z`` is inverted.
+    r′, θ) instead.  The runs that recompute one component do so as one
+    stack of rows, at most `_RECOMPUTE_AMPLITUDES` amplitudes at a time.
+    Finally every cell in ``z`` is inverted.
     """
     raw = np.zeros((len(u), g.m * g.n), np.uint8)
     raw[:, plan.one_cells] = u[:, plan.ones] >= plan.one_p0
@@ -504,14 +492,19 @@ def _sample_round(
     raw ^= mask
     hit_runs, hit_cells = np.nonzero(x & _gf2(g)[0]) if x is not None else ((), ())
     if len(hit_runs):
+        hit = np.zeros((len(u), len(plan.components)), bool)
+        hit[hit_runs, plan.comp_of[hit_cells]] = True
         k = _keyed_angles(g, *key_tables, x)
-        hits = set(zip(hit_runs.tolist(), plan.comp_of[hit_cells].tolist()))
-        for i, j in sorted(hits):
+        for j in np.flatnonzero(hit.any(axis=0)).tolist():
             vertices, edges, _ = plan.components[j]
-            angles = {v: k_to_radians(int(k[i, v])) for v in vertices}
-            cdf = np.cumsum(component_probabilities(vertices, edges, angles))
-            pick = int(cdf.searchsorted(u[i, j] * cdf[-1], side="right"))
-            raw[i, vertices] = [(pick >> b) & 1 for b in range(len(vertices))]
+            cols, runs = list(vertices), np.flatnonzero(hit[:, j])
+            step = max(1, _RECOMPUTE_AMPLITUDES >> len(cols))
+            for rows in (runs[lo : lo + step] for lo in range(0, len(runs), step)):
+                probs = component_probability_rows(vertices, edges, _PHASES[k[rows][:, cols]])
+                cdf = np.cumsum(probs, axis=1)
+                # per row, the searchsorted(side="right") of its scaled uniform
+                pick = (cdf <= (u[rows, j] * cdf[:, -1])[:, None]).sum(axis=1)
+                raw[rows[:, None], cols] = (pick[:, None] >> np.arange(len(cols))) & 1
     return raw ^ z
 
 
@@ -592,28 +585,6 @@ def _masks(layout: RoundLayout, keys: SecretKey) -> np.ndarray:
     return masks
 
 
-def decrypt(
-    key: SecretKey,
-    layout: RoundLayout,
-    raw_rounds: Sequence[Sequence[int]],
-) -> tuple[tuple[int, ...], ...]:
-    """Per-slot decrypted outcomes over non-dummy vertices (ascending),
-    by the batch decryption for one run.  Dummy outcomes never appear in
-    the output."""
-    if len(raw_rounds) != layout.rounds:
-        raise ValueError(f"got {len(raw_rounds)} rounds of outcomes, expected {layout.rounds}")
-    for slot, raw in enumerate(raw_rounds):
-        if len(raw) != layout.m * layout.n:
-            raise ValueError(f"slot {slot}: need one outcome per cell")
-    raw_c = np.zeros((1, layout.rounds, layout.m * layout.n), np.uint8)
-    raw_c[0, list(key.perm)] = raw_rounds
-    dec = _decrypt(layout, _masks(layout, key)[None], raw_c)[0]
-    return tuple(
-        tuple(dec[gi, list(layout.graphs[gi].non_dummy_ids())].tolist())
-        for gi in key.perm
-    )
-
-
 def _bit_strings(bits: np.ndarray) -> list[str]:
     """Each row of ``bits`` as an outcome string."""
     nbits = bits.shape[1]
@@ -628,28 +599,130 @@ def _string_table(nbits: int) -> list[str]:
     return _bit_strings((np.arange(2**nbits)[:, None] >> np.arange(nbits)) & 1)
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """Transcript of one protocol run, verifier's view; in JSON each slot's
-    ``raw`` and ``decrypted`` outcomes are one ``"0101…"`` string."""
+@dataclass(frozen=True, eq=False)
+class RunBatch:
+    """One batch of protocol runs as columns, run axis first.
 
-    raw: tuple[tuple[int, ...], ...]
-    decrypted: tuple[tuple[int, ...], ...]
-    trap_passed: tuple[bool | None, ...]
-    accept: bool
-    target_output: str
-    target_slot: int
-    attack_letters: tuple[tuple[tuple[int, int], str], ...]
+    Indexing or iterating yields each run's `RunRecord`; the JSON fields
+    of all runs are packed together, the first time one is asked for.
+    """
+
+    layout: RoundLayout
+    raw: np.ndarray        # runs × slots × cells, in execution order
+    decrypted: np.ndarray  # runs × canonical rounds × cells
+    perm: np.ndarray       # runs × slots: the canonical round in each slot
+    terms: np.ndarray      # runs: index of the sampled attack term
+    term_letters: list     # per term: the sorted letters a record reports
+    passed: np.ndarray     # runs × canonical rounds: decoded to all zeros
+    accept: np.ndarray     # runs: every trap round passed
+    outputs: list[str]     # runs: the decrypted computation string
+
+    def __len__(self) -> int:
+        return len(self.outputs)
+
+    def __getitem__(self, i: int) -> RunRecord:
+        return RunRecord(self, range(len(self))[i])
+
+    def __iter__(self):
+        return map(RunRecord, [self] * len(self), range(len(self)))
+
+    @cached_property
+    def target_slots(self) -> np.ndarray:
+        return (self.perm == 0).argmax(axis=1)
+
+    @cached_property
+    def _json_rows(self) -> list[tuple]:
+        """Per run: slot raw strings, slot decrypted strings, slot trap
+        verdicts, accept, output, target slot and term."""
+        count, rounds, size = self.raw.shape
+        raw = _bit_strings(self.raw.reshape(-1, size))
+        dec = [
+            _bit_strings(self.decrypted[:, gi][:, list(g.non_dummy_ids())])
+            for gi, g in enumerate(self.layout.graphs)
+        ]
+        traps = [kind != KIND_TARGET for kind in self.layout.kinds]
+        accept, slots, terms = self.accept.tolist(), self.target_slots.tolist(), self.terms.tolist()
+        return [
+            (
+                raw[i * rounds : (i + 1) * rounds],
+                [dec[gi][i] for gi in perm],
+                [passed[gi] if traps[gi] else None for gi in perm],
+                accept[i], self.outputs[i], slots[i], terms[i],
+            )
+            for i, (perm, passed) in enumerate(zip(self.perm.tolist(), self.passed.tolist()))
+        ]
+
+
+class RunRecord:
+    """Transcript of one protocol run, verifier's view: run ``index`` of
+    its `RunBatch`.  In JSON each slot's ``raw`` and ``decrypted``
+    outcomes are one ``"0101…"`` string."""
+
+    __slots__ = ("batch", "index")
+    FIELDS = (
+        "raw", "decrypted", "trap_passed", "accept", "target_output",
+        "target_slot", "attack_letters",
+    )
+
+    def __init__(self, batch: RunBatch, index: int) -> None:
+        self.batch, self.index = batch, index
+
+    @property
+    def raw(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.batch.raw[self.index].tolist()))
+
+    @property
+    def decrypted(self) -> tuple[tuple[int, ...], ...]:
+        b, graphs = self.batch, self.batch.layout.graphs
+        return tuple(
+            tuple(b.decrypted[self.index, gi, list(graphs[gi].non_dummy_ids())].tolist())
+            for gi in b.perm[self.index].tolist()
+        )
+
+    @property
+    def trap_passed(self) -> tuple[bool | None, ...]:
+        return tuple(self.batch._json_rows[self.index][2])
+
+    @property
+    def accept(self) -> bool:
+        return bool(self.batch.accept[self.index])
+
+    @property
+    def target_output(self) -> str:
+        return self.batch.outputs[self.index]
+
+    @property
+    def target_slot(self) -> int:
+        return int(self.batch.target_slots[self.index])
+
+    @property
+    def attack_letters(self) -> tuple[tuple[tuple[int, int], str], ...]:
+        return self.batch.term_letters[self.batch.terms[self.index]]
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.FIELDS)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RunRecord):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "RunRecord(" + ", ".join(f"{f}={getattr(self, f)!r}" for f in self.FIELDS) + ")"
 
     def to_json_dict(self) -> dict:
+        raw, dec, traps, accept, output, slot, term = self.batch._json_rows[self.index]
         return {
-            "raw": [bytes(rnd).translate(_ASCII_BITS).decode() for rnd in self.raw],
-            "decrypted": [bytes(rnd).translate(_ASCII_BITS).decode() for rnd in self.decrypted],
-            "trap_passed": list(self.trap_passed),
-            "accept": self.accept,
-            "target_output": self.target_output,
-            "target_slot": self.target_slot,
-            "attack_letters": [[s, v, p] for (s, v), p in self.attack_letters],
+            "raw": list(raw),
+            "decrypted": list(dec),
+            "trap_passed": list(traps),
+            "accept": accept,
+            "target_output": output,
+            "target_slot": slot,
+            "attack_letters": [[s, v, p] for (s, v), p in self.batch.term_letters[term]],
         }
 
 
@@ -696,8 +769,8 @@ def _run_batch(
     noise: NoiseModel | None,
     rngs: Sequence[np.random.Generator],
     cap: int,
-) -> list[RunRecord]:
-    """Execute one repetition per generator in ``rngs``; their records.
+) -> RunBatch:
+    """Execute one repetition per generator in ``rngs``; their columns.
 
     The one place repetitions are executed, for callers that have checked
     ``strategy`` already.  Every run draws its block from its own
@@ -740,32 +813,19 @@ def _run_batch(
             z = z ^ letter_flips[:, gi]
             raw[:, gi] = _sample_round(g, plan, masks[:, gi], tables, x, z, draws[gi])
     dec = _decrypt(layout, masks, raw)
-    passed = (~(dec & (layout._cells[0] ^ 1)).any(axis=2)).tolist()
-    nd = [list(g.non_dummy_ids()) for g in layout.graphs]
-    dec_rounds = [dec[:, gi][:, ids].tolist() for gi, ids in enumerate(nd)]
-    out_bits, nbits = dec[:, 0][:, nd[0]], len(nd[0])
+    passed = ~(dec & (layout._cells[0] ^ 1)).any(axis=2)
+    nd = list(layout.target.non_dummy_ids())
+    out_bits, nbits = dec[:, 0][:, nd], len(nd)
     if nbits > _SHARED_STRING_BITS:
         outputs = _bit_strings(out_bits)
     else:
         index = (out_bits @ (1 << np.arange(nbits))).tolist()
         outputs = [_string_table(nbits)[j] for j in index]
-    raw_slots = raw[rows, keys.perm].tolist()
-    traps = [kind != KIND_TARGET for kind in layout.kinds]
-    records = []
-    for i, (perm, t) in enumerate(zip(keys.perm.tolist(), terms.tolist())):
-        trap_passed = tuple(passed[i][gi] if traps[gi] else None for gi in perm)
-        records.append(
-            RunRecord(
-                raw=tuple(map(tuple, raw_slots[i])),
-                decrypted=tuple(tuple(dec_rounds[gi][i]) for gi in perm),
-                trap_passed=trap_passed,
-                accept=False not in trap_passed,
-                target_output=outputs[i],
-                target_slot=perm.index(0),
-                attack_letters=term_letters[t],
-            )
-        )
-    return records
+    traps = np.array(layout.kinds) != KIND_TARGET
+    return RunBatch(
+        layout, raw[rows, keys.perm], dec, keys.perm, terms, term_letters,
+        passed, passed[:, traps].all(axis=1), outputs,
+    )
 
 
 def run_protocol(
@@ -826,15 +886,15 @@ def run_scheme(
     if strategy is not None:
         strategy.check_against(layout)
     passes = 0
-    outputs = []
+    outputs: list[str] = []
     for start in range(0, m_repetitions, _BATCH):
         # successive spawns continue one sequence of child streams
         streams = rng.spawn(min(_BATCH, m_repetitions - start))
-        for rec in _run_batch(layout, strategy, noise, streams, cap):
-            passes += int(rec.accept)
-            outputs.append(rec.target_output)
-            if record_sink is not None:
-                record_sink.append(rec)
+        batch = _run_batch(layout, strategy, noise, streams, cap)
+        passes += int(batch.accept.sum())
+        outputs += batch.outputs
+        if record_sink is not None:
+            record_sink.extend(batch)
     fraction = passes / m_repetitions
     output = outputs[int(rng.integers(m_repetitions))]
     return SchemeVerdict(fraction >= l_threshold, fraction, output, m_repetitions, l_threshold)
@@ -908,7 +968,8 @@ def estimate_fidelity_gap(
     combinatorial bounds speak.  Each sample is one repetition drawn from
     ``rng``: its verdict is the trap indicator, and the escape indicator
     asks whether any Z/Y letter of its sampled term landed on a non-dummy
-    cell of whichever slot held the computation round.
+    cell of whichever slot held the computation round, read off a table
+    by term and slot.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -916,18 +977,18 @@ def estimate_fidelity_gap(
         raise ValueError("gap estimation is defined over Pauli mixtures")
     if strategy is not None:
         strategy.check_against(layout)
-    nd_target = set(layout.target.non_dummy_ids())
+    _, flips, _ = _attack_tables(strategy, layout)
+    if flips is None:
+        escape = np.ones((1, layout.rounds), bool)
+    else:  # [term, slot]: no Z/Y letter on a non-dummy cell of the target
+        escape = ~flips[:, :, list(layout.target.non_dummy_ids())].any(axis=2)
     passes = np.zeros(samples)
     escapes = np.zeros(samples)
     for start in range(0, samples, _BATCH):
         size = min(_BATCH, samples - start)
         batch = _run_batch(layout, strategy, None, [rng] * size, cap)
-        for i, rec in enumerate(batch, start):
-            passes[i] = rec.accept
-            escapes[i] = not any(
-                s == rec.target_slot and v in nd_target and letter in ("Z", "Y")
-                for (s, v), letter in rec.attack_letters
-            )
+        passes[start : start + size] = batch.accept
+        escapes[start : start + size] = escape[batch.terms, batch.target_slots]
 
     def se(x: np.ndarray) -> float:
         return float(x.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0

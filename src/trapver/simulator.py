@@ -231,9 +231,10 @@ class Distribution:
 
 
 def fwht_inplace(a: np.ndarray) -> None:
-    """Unnormalized Walsh-Hadamard transform, kernel (−1)^{s·z}."""
+    """Unnormalized Walsh-Hadamard transform, kernel (−1)^{s·z}, of each
+    row of C-contiguous ``a`` along its last axis."""
     h = 1
-    while h < a.size:
+    while h < a.shape[-1]:
         view = a.reshape(-1, 2 * h)
         y = view[:, h:].copy()  # the one half-size temporary per stage
         np.subtract(view[:, :h], y, out=view[:, h:])
@@ -267,13 +268,26 @@ def component_probabilities(
     edges: Iterable[tuple[int, int]],
     angles: Mapping[int, float],
 ) -> np.ndarray:
-    """Outcome probabilities for one connected graph-state component.
+    """Outcome probabilities for one connected graph-state component,
+    measured at ``angles``; index bit ``j`` belongs to ``vertices[j]``."""
+    phases = np.array([[np.exp(-1j * angles[v]) for v in vertices]])
+    return component_probability_rows(vertices, edges, phases)[0]
+
+
+def component_probability_rows(
+    vertices: Sequence[int],
+    edges: Iterable[tuple[int, int]],
+    phases: np.ndarray,
+) -> np.ndarray:
+    """`component_probabilities` at many angle settings at once: row ``i``
+    of ``phases`` holds e^{−iδ} per vertex, row ``i`` of the result the
+    probabilities.  Each row is computed exactly as a row on its own.
 
     The amplitude for outcome ``s`` is the Walsh-Hadamard transform, at
     index ``s``, of z ↦ (−1)^{#edges inside z} · e^{−i δ·z}, scaled by
-    2^{−|V|}; index bit ``j`` belongs to ``vertices[j]``.
+    2^{−|V|}.
     """
-    c = len(vertices)
+    rows, c = len(phases), len(vertices)
     pos = {v: j for j, v in enumerate(vertices)}
     earlier: list[list[int]] = [[] for _ in range(c)]
     for a, b in edges:
@@ -281,18 +295,18 @@ def component_probabilities(
         earlier[hi].append(lo)
     # Fill f by doubling: indices with bit j set are the block below them
     # times vertex j's phase, negated where an earlier neighbour's bit is 1.
-    f = np.empty(2**c, dtype=np.complex128)
-    f[0] = 1.0
-    for j, v in enumerate(vertices):
-        upper = f[2**j : 2 ** (j + 1)]
-        np.multiply(f[: 2**j], np.exp(-1j * angles[v]), out=upper)
+    f = np.empty((rows, 2**c), dtype=np.complex128)
+    f[:, 0] = 1.0
+    for j in range(c):
+        upper = f[:, 2**j : 2 ** (j + 1)]
+        np.multiply(f[:, : 2**j], phases[:, j, None], out=upper)
         for lo in earlier[j]:
-            upper.reshape(-1, 2, 2**lo)[:, 1, :] *= -1
+            upper.reshape(rows, -1, 2, 2**lo)[:, :, 1, :] *= -1
     fwht_inplace(f)
     # |f|² / 4^c without a second full-size complex or float copy.
-    parts = f.view(np.float64).reshape(-1, 2)
+    parts = f.view(np.float64).reshape(rows, -1, 2)
     np.square(parts, out=parts)
-    probs = np.add(parts[:, 0], parts[:, 1])
+    probs = np.add(parts[:, :, 0], parts[:, :, 1])
     probs *= 0.25**c
     return probs
 

@@ -38,7 +38,6 @@ from trapver.protocol import (
     _run_batch,
     encrypt_angles,
     estimate_fidelity_gap,
-    keygen,
     make_round_layout,
     run_protocol,
     single_pauli_attack,
@@ -54,6 +53,7 @@ from trapver.simulator import (
 )
 
 from helpers import density_matrix, empirical_distribution, tv_distance
+from oracle import keygen
 
 
 def rng_from(seed: int) -> np.random.Generator:
@@ -94,7 +94,7 @@ def test_honest_campaign_equals_one_run_at_a_time(honest_campaign):
     rng, prefix = rng_from(901), 2000
     loop = [run_protocol(layout, None, None, rng) for _ in range(prefix)]
     batch = _run_batch(layout, None, None, [rng_from(901)] * prefix, DEFAULT_QUBIT_CAP)
-    assert batch == loop
+    assert list(batch) == loop
     assert outputs[:prefix] == [rec.target_output for rec in loop]
 
 

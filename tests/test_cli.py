@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -643,6 +644,23 @@ def test_verify_auto_params(tmp_path):
     assert doc["scheme"]["out_of_regime"] is True  # l formula goes negative
     assert doc["scheme"]["l"] == 0.0
     assert main(["replay", str(out)]) == 0
+
+
+def test_seed7_artifact_bytes_are_pinned(tmp_path):
+    """The seed-7 3x3 `verify --auto-params` artifact at ε=4e-3, β=0.05
+    (M=478), encoded without its telemetry, hashes to the digest recorded
+    before run batches became columnar: no record, field or byte of the
+    artifact changed.  A schema, engine or tool-version bump re-pins it."""
+    out = tmp_path / "seed7.json"
+    argv = ["verify", "--m-rounds", "3", "--n-rounds", "3", "--kappa", "1",
+            "--eps-v", "4e-3", "--eps-p", "4e-3", "--beta", "0.05",
+            "--auto-params", "--seed", "7", "--out", str(out)]
+    assert main(argv) == 0
+    doc = read_json(out)
+    doc.pop("telemetry")
+    assert len(doc["records"]) == 478
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == "97e1600550600a27039dcea4dca40ec55811eb34f857f0f30935e27ebe630c0d"
 
 
 def test_verify_auto_params_needs_noise(tmp_path):

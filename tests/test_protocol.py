@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from trapver.protocol import (
     _pad_mask,
     _pauli_frame,
     _run_batch,
-    _sample_events,
     _sample_round,
     _sim_plan,
     HONEST,
@@ -36,12 +36,10 @@ from trapver.protocol import (
     NoiseEvent,
     RoundLayout,
     SecretKey,
-    decrypt,
     dense_round_state,
     encrypt_angles,
     estimate_fidelity_gap,
     honest_target_distribution,
-    keygen,
     make_round_layout,
     run_protocol,
     run_scheme,
@@ -52,12 +50,14 @@ from trapver.simulator import (
     NoiseModel,
     QubitCapError,
     component_probabilities,
+    component_probability_rows,
     exact_probability_array,
     fwht_inplace,
     string_to_bits,
 )
 
 from helpers import empirical_distribution, tv_distance
+from oracle import decrypt, keygen, sample_events
 
 
 def rng_from(seed: int) -> np.random.Generator:
@@ -524,7 +524,7 @@ def test_frame_distribution_equals_dense_path(m):
             nd = g.non_dummy_ids()
             cases = [(ev, {}) for ev in _hand_picked_events(g).values()]
             cases += [
-                (_sample_events(g, noisy, rng), {nd[0]: "Y", nd[-1]: "X"})
+                (sample_events(g, noisy, rng), {nd[0]: "Y", nd[-1]: "X"})
                 for _ in range(4)
             ]
             assert any(events for events, _ in cases[-4:])
@@ -589,10 +589,92 @@ def _check_recomputed_draws(layout, key, gi, events):
     assert counts[want < 1e-12].sum() == 0
 
 
+def _per_hit_sample_round(g, plan, mask, key_tables, x, z, u) -> np.ndarray:
+    """`_sample_round` as it was before recomputes were stacked: one
+    `component_probabilities` call and one search per hit (run,
+    component).  The oracle for the stacked recompute."""
+    raw = np.zeros((len(u), g.m * g.n), np.uint8)
+    raw[:, plan.one_cells] = u[:, plan.ones] >= plan.one_p0
+    for j in plan.multi:
+        comp = plan.components[j]
+        pick = comp.cdf.searchsorted(u[:, j], side="right")
+        raw[:, comp.vertices] = (pick[:, None] >> np.arange(len(comp.vertices))) & 1
+    raw ^= mask
+    nd = np.array([not g.is_dummy(v) for v in range(g.m * g.n)], np.uint8)
+    hit_runs, hit_cells = np.nonzero(x & nd)
+    if len(hit_runs):
+        k = _keyed_angles(g, *key_tables, x)
+        hits = set(zip(hit_runs.tolist(), plan.comp_of[hit_cells].tolist()))
+        for i, j in sorted(hits):
+            vertices, edges, _ = plan.components[j]
+            angles = {v: k_to_radians(int(k[i, v])) for v in vertices}
+            cdf = np.cumsum(component_probabilities(vertices, edges, angles))
+            pick = int(cdf.searchsorted(u[i, j] * cdf[-1], side="right"))
+            raw[i, vertices] = [(pick >> b) & 1 for b in range(len(vertices))]
+    return raw ^ z
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_stacked_recompute_equals_per_hit_loop(m):
+    """At ε=0.05 most runs recompute some component; the stacked kernel
+    draws exactly the raw outcomes of the per-hit loop, on every round."""
+    layout, runs, noise = make_round_layout(m, 3, 1), 400, NoiseModel(eps_v=0.05, eps_p=0.05)
+    rng = rng_from(110 + m)
+    keys = protocol._keys(
+        layout, protocol._draw_blocks([rng] * runs, protocol._key_words(layout))
+    )
+    masks = protocol._masks(layout, keys)
+    target_hits = 0
+    for gi, g in enumerate(layout.graphs):
+        plan = _sim_plan(g, DEFAULT_QUBIT_CAP)
+        events = protocol._decode_events(g, noise, rng.random((runs, protocol._sites(g))))
+        x, z = _pauli_frame(plan, *events, runs)
+        u = rng.random((runs, len(plan.components)))
+        tables = (keys.r[:, gi], keys.rprime[:, gi], keys.theta_k[:, gi])
+        got = _sample_round(g, plan, masks[:, gi], tables, x, z, u)
+        assert np.array_equal(got, _per_hit_sample_round(g, plan, masks[:, gi], tables, x, z, u))
+        if gi == 0:
+            target_hits = int(x[:, list(plan.components[0].vertices)].any(axis=1).sum())
+    assert target_hits > runs // 4
+
+
+def test_noisy_9x3_recompute_stays_under_the_amplitude_cap(monkeypatch):
+    """A 20-cell component recomputes one 2^20-amplitude row at a time,
+    so a noisy 9x3 batch peaks below the memory of two stacked rows
+    (over 80 MiB); a 3x3 batch recomputes its 7-cell target in one stack."""
+    calls: list[tuple[int, int]] = []
+
+    def recording(vertices, edges, phases):
+        calls.append((len(phases), len(vertices)))
+        return component_probability_rows(vertices, edges, phases)
+
+    monkeypatch.setattr(protocol, "component_probability_rows", recording)
+    noise = NoiseModel(eps_v=0.02, eps_p=0.02)
+    layout = make_round_layout(9, 3, 1)
+    for g in layout.graphs:
+        _sim_plan(g, DEFAULT_QUBIT_CAP)  # the cached base, outside the measurement
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        _run_batch(layout, None, noise, rng_from(120).spawn(6), DEFAULT_QUBIT_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert calls.count((1, 20)) >= 2
+    assert all(rows << cells <= protocol._RECOMPUTE_AMPLITUDES for rows, cells in calls)
+    assert peak < 64 * 2**20
+    calls.clear()
+    _run_batch(make_round_layout(3, 3, 1), None, noise, rng_from(121).spawn(478), DEFAULT_QUBIT_CAP)
+    sevens = [rows for rows, cells in calls if cells == 7]
+    assert len(sevens) == 1 and sevens[0] > 50
+
+
 def test_noiseless_events_draw_nothing(layout33):
     rng = rng_from(97)
     for g in layout33.graphs:
-        assert _sample_events(g, NoiseModel(), rng) == []
+        assert sample_events(g, NoiseModel(), rng) == []
     assert rng.random() == rng_from(97).random()
 
 
@@ -605,7 +687,7 @@ def test_event_rate_per_site_matches_noise_model(layout33):
     rng = rng_from(98)
     hits: dict[tuple[int, int], int] = {}
     for _ in range(n):
-        for step, v, letter in _sample_events(g, noise, rng):
+        for step, v, letter in sample_events(g, noise, rng):
             assert letter in "XYZ"
             site = (step, -1) if 0 <= step < len(g.edges) else (step, v)
             if site[1] == -1:
@@ -687,7 +769,7 @@ def test_records_do_not_depend_on_the_batch(case, monkeypatch):
         _run_batch(layout, attack, noise, [s], DEFAULT_QUBIT_CAP)[0]
         for s in rng_from(2030).spawn(m)
     ]
-    assert sink == whole == one_by_one
+    assert sink == list(whole) == one_by_one
     if noise is not None:
         assert not all(r.accept for r in sink)  # the noise did fire
     if attack is not None:

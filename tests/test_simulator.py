@@ -13,6 +13,7 @@ from trapver.graphs import (
     ROLE_TRAP,
     GraphSpec,
     carve_target,
+    k_to_radians,
     neighbor_dummy_parity,
 )
 from trapver.simulator import (
@@ -21,11 +22,13 @@ from trapver.simulator import (
     NoiseModel,
     QubitCapError,
     StateVector,
+    _induced_components,
     apply_cz,
     apply_pauli,
     apply_phase,
     bits_to_string,
     component_probabilities,
+    component_probability_rows,
     exact_output_distribution,
     exact_probability_array,
     fwht_inplace,
@@ -299,6 +302,61 @@ def test_fwht_involution_and_delta():
     delta[0] = 1
     fwht_inplace(delta)
     np.testing.assert_array_equal(delta, np.ones(4))
+
+
+def test_fwht_transforms_each_row():
+    rng = rng_from(3)
+    rows = rng.normal(size=(5, 16)) + 1j * rng.normal(size=(5, 16))
+    one_by_one = rows.copy()
+    for row in one_by_one:
+        fwht_inplace(row)
+    fwht_inplace(rows)
+    np.testing.assert_array_equal(rows, one_by_one)
+
+
+def _one_setting_probabilities(vertices, edges, angles) -> np.ndarray:
+    """`component_probabilities` as it was before angle settings were
+    stacked: a one-dimensional doubling fill, WHT and squared modulus."""
+    c = len(vertices)
+    pos = {v: j for j, v in enumerate(vertices)}
+    earlier: list[list[int]] = [[] for _ in range(c)]
+    for a, b in edges:
+        lo, hi = sorted((pos[a], pos[b]))
+        earlier[hi].append(lo)
+    f = np.empty(2**c, dtype=np.complex128)
+    f[0] = 1.0
+    for j, v in enumerate(vertices):
+        upper = f[2**j : 2 ** (j + 1)]
+        np.multiply(f[: 2**j], np.exp(-1j * angles[v]), out=upper)
+        for lo in earlier[j]:
+            upper.reshape(-1, 2, 2**lo)[:, 1, :] *= -1
+    fwht_inplace(f)
+    parts = f.view(np.float64).reshape(-1, 2)
+    np.square(parts, out=parts)
+    probs = np.add(parts[:, 0], parts[:, 1])
+    probs *= 0.25**c
+    return probs
+
+
+@pytest.mark.parametrize("m", [3, 5, 9])
+def test_stacked_probabilities_equal_one_setting_at_a_time(m):
+    """Bit for bit, not within a tolerance: every multi-cell component of
+    the m x 3 target at random grid-angle rows, stacked, equals
+    `component_probabilities` and the one-dimensional kernel row by row,
+    so a stacked recompute draws exactly what a lone one did."""
+    g = carve_target(m, 3)
+    rng = rng_from(40 + m)
+    phase = np.array([np.exp(-1j * k_to_radians(k)) for k in range(16)])
+    multi = [comp for comp in _induced_components(g) if len(comp) > 1]
+    assert multi
+    for comp in multi:
+        edges = [e for e in g.induced_edges() if e[0] in comp]
+        k = rng.integers(0, 16, size=(2 if len(comp) > 16 else 24, len(comp)))
+        stacked = component_probability_rows(comp, edges, phase[k])
+        for row, probs in zip(k.tolist(), stacked):
+            angles = {v: k_to_radians(kv) for v, kv in zip(comp, row)}
+            assert np.array_equal(probs, component_probabilities(comp, edges, angles))
+            assert np.array_equal(probs, _one_setting_probabilities(comp, edges, angles))
 
 
 # -- exact enumeration ------------------------------------------------------
