@@ -6,9 +6,11 @@ be honest, noisy, or actively deviating.  `_run_batch` is the one
 function that executes runs: given one generator per repetition, it
 draws the whole batch's keys, attack terms, outcomes and noise events as
 arrays, decrypts with GF(2) products and reads the trap verdicts off as
-row reductions.  `run_protocol`, `run_scheme` and `estimate_fidelity_gap`
-all go through it.  Only a joint unitary deviation, which spans rounds,
-needs the dense state vector: one register per run, fed the same keys.
+row reductions.  It returns the batch as columns, a `RunBatch`, whose
+`RunRecord` views are the per-run transcripts.  `run_protocol`,
+`run_scheme` and `estimate_fidelity_gap` all go through it.  Only a
+joint unitary deviation, which spans rounds, needs the dense state
+vector: one register per run, fed the same keys.
 
 The round kernel rests on the one-time pad: for any key a round's raw
 outcome distribution is the key-independent distribution of its carving
@@ -498,8 +500,8 @@ def _sample_round(
         for j in np.flatnonzero(hit.any(axis=0)).tolist():
             vertices, edges, _ = plan.components[j]
             cols, runs = list(vertices), np.flatnonzero(hit[:, j])
-            step = max(1, _RECOMPUTE_AMPLITUDES >> len(cols))
-            for rows in (runs[lo : lo + step] for lo in range(0, len(runs), step)):
+            chunk = max(1, _RECOMPUTE_AMPLITUDES >> len(cols))
+            for rows in (runs[lo : lo + chunk] for lo in range(0, len(runs), chunk)):
                 probs = component_probability_rows(vertices, edges, _PHASES[k[rows][:, cols]])
                 cdf = np.cumsum(probs, axis=1)
                 # per row, the searchsorted(side="right") of its scaled uniform
@@ -624,7 +626,7 @@ class RunBatch:
         return RunRecord(self, range(len(self))[i])
 
     def __iter__(self):
-        return map(RunRecord, [self] * len(self), range(len(self)))
+        return (RunRecord(self, i) for i in range(len(self)))
 
     @cached_property
     def target_slots(self) -> np.ndarray:
