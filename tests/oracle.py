@@ -1,7 +1,14 @@
-"""One-run views of the batch engine, for tests only: a repetition's key,
-the decryption of one run's raw outcomes and one round's noise events.
-The engine computes all three for a whole batch at once; these read the
-same draws and arrays for a single run."""
+"""Test oracles over the batch engine.
+
+One-run views: a repetition's key, the decryption of one run's raw
+outcomes and one round's noise events.  The engine computes all three
+for a whole batch at once; these read the same draws and arrays for a
+single run.
+
+The joint register: a run whose deviation is one unitary on every
+round's qubits at once, simulated as a dense state per run.  It is the
+independent route the engine's Pauli-mixture treatment of unitary
+attacks is checked against."""
 from __future__ import annotations
 
 from typing import Sequence
@@ -13,6 +20,8 @@ from trapver.protocol import (
     NoiseEvent,
     RoundLayout,
     SecretKey,
+    dense_round_state,
+    encrypt_angles,
     _decode_events,
     _decrypt,
     _draw_blocks,
@@ -22,7 +31,15 @@ from trapver.protocol import (
     _masks,
     _sites,
 )
-from trapver.simulator import NoiseModel
+from trapver.simulator import (
+    DEFAULT_QUBIT_CAP,
+    NoiseModel,
+    _check_cap,
+    apply_pauli,
+    measure_xy,
+    prepare_qubit,
+    tensor,
+)
 
 
 def keygen(layout: RoundLayout, rng: np.random.Generator) -> SecretKey:
@@ -62,3 +79,65 @@ def sample_events(
     if noise.is_noiseless():
         return []
     return _event_list(_decode_events(g, noise, rng.random((1, _sites(g)))), 0)
+
+
+def joint_raw_rounds(
+    layout: RoundLayout,
+    key: SecretKey,
+    unitary: np.ndarray,
+    private_qubits: int,
+    events: Sequence[Sequence[NoiseEvent]],
+    rng: np.random.Generator,
+    cap: int = DEFAULT_QUBIT_CAP,
+) -> list[list[int]]:
+    """Raw outcomes per slot with ``unitary`` applied to all rounds in one
+    register: every slot's qubits (slot-major, little-endian) plus
+    ``private_qubits`` fresh |0⟩ ancillas on top.
+
+    ``events[gi]`` are the noise events of canonical round ``gi``.
+    Before the unitary the register is the product of the rounds' dense
+    states right before their readouts; readout errors act after it.
+    Qubits are read out in the X basis, highest first, from ``rng``.
+    """
+    size = layout.m * layout.n
+    total = layout.rounds * size + private_qubits
+    _check_cap(total, cap)
+    if unitary.shape != (2**total, 2**total):
+        raise ValueError(f"unitary has shape {unitary.shape}, instance needs {total} qubits")
+    deltas = encrypt_angles(key, layout)
+    states, readout = [], []
+    for slot in range(layout.rounds):
+        gi = key.perm[slot]
+        g = layout.graphs[gi]
+        before = [ev for ev in events[gi] if ev.step < len(g.edges)]
+        tables = (key.theta_k[gi], key.d[gi], deltas[gi])
+        states.append(dense_round_state(g, *tables, before, {}, cap=cap))
+        readout += [(slot * size + v, p) for step, v, p in events[gi] if step == len(g.edges)]
+    states += [prepare_qubit("dummy", 0)] * private_qubits
+    state = tensor(states, cap=cap)
+    state.amps = unitary @ state.amps
+    for q, letter in readout:
+        apply_pauli(state, q, letter)
+    bits = [0] * (layout.rounds * size)
+    for q in reversed(range(len(bits))):  # highest first, so labels hold
+        bits[q], state = measure_xy(state, q, 0.0, rng)
+    return [bits[s * size : (s + 1) * size] for s in range(layout.rounds)]
+
+
+def joint_unitary_run(
+    layout: RoundLayout,
+    unitary: np.ndarray,
+    private_qubits: int,
+    noise: NoiseModel,
+    rng: np.random.Generator,
+) -> tuple[bool, str]:
+    """One protocol run against a joint unitary deviation, all from
+    ``rng``: `keygen`, each canonical round's `sample_events`, the joint
+    register, `decrypt`.  Returns the verdict (every trap slot decoded to
+    zeros) and the decrypted computation string."""
+    key = keygen(layout, rng)
+    events = [sample_events(g, noise, rng) for g in layout.graphs]
+    raw = joint_raw_rounds(layout, key, unitary, private_qubits, events, rng)
+    dec = decrypt(key, layout, raw)
+    accept = not any(any(dec[s]) for s in range(layout.rounds) if key.perm[s] != 0)
+    return accept, "".join(map(str, dec[key.target_slot]))

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -57,7 +58,7 @@ from trapver.simulator import (
 )
 
 from helpers import empirical_distribution, tv_distance
-from oracle import decrypt, keygen, sample_events
+from oracle import decrypt, joint_unitary_run, keygen, sample_events
 
 
 def rng_from(seed: int) -> np.random.Generator:
@@ -939,6 +940,115 @@ def test_more_noise_means_fewer_accepts(layout33):
 
 
 # -- joint unitary deviations --------------------------------------------------
+
+
+def _evolution(qubits: int, seed: int, time: float = 2.0) -> np.ndarray:
+    """exp(−i·time·H) for a seeded random Hermitian H of spectral norm 1."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2**qubits,) * 2) + 1j * rng.normal(size=(2**qubits,) * 2)
+    h = (a + a.conj().T) / 2
+    lam, vecs = np.linalg.eigh(h / np.linalg.norm(h, 2))
+    return (vecs * np.exp(-1j * time * lam)) @ vecs.conj().T
+
+
+def _rotation(word: str, angle: float) -> np.ndarray:
+    """exp(−i·angle·P) for the Pauli word P."""
+    p = pauli_matrix(word)
+    return math.cos(angle) * np.eye(len(p)) - 1j * math.sin(angle) * p
+
+
+# Non-Pauli deviations on the 1x2 `tiny_layout` (qubit q is slot q // 2,
+# vertex q % 2): two-qubit rotations from slot 0 v0 to slot 1 v1, and
+# random evolutions of all six qubits, the last with one private qubit.
+JOINT_CASES = {
+    "zz-rotation": lambda: (_rotation("ZIIZII", 0.6), 0),
+    "xy-rotation": lambda: (_rotation("XIIYII", 0.9), 0),
+    "random-hermitian": lambda: (_evolution(6, 5), 0),
+    "random-hermitian-private": lambda: (_evolution(7, 6), 1),
+}
+
+# Per Pauli letter code (bit 0 X, bit 1 Z): entry [l, 2a + b] is ⟨b|σ_l|a⟩.
+_LETTER_TRACE = np.array(
+    [
+        np.array(m).T.reshape(4)
+        for m in ([[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, -1]], [[0, -1j], [1j, 0]])
+    ]
+)
+
+
+def _mixture_attack(layout, unitary, private) -> AttackSpec:
+    """The Pauli mixture of ``unitary`` with ``private`` |0⟩ ancillas on
+    its high bits: weight Σ_j |Tr(P·B_j)|²/4ⁿ of each word P, over the
+    blocks B_j = ⟨j|U|0⟩ of the private register, per qubit a 4×4 map."""
+    dim = unitary.shape[0] >> private
+    n = dim.bit_length() - 1
+    t = unitary[:, :dim].reshape((-1,) + (2,) * 2 * n)
+    t = t.transpose([0] + [ax for q in range(n) for ax in (1 + q, 1 + n + q)])
+    t = t.reshape((-1,) + (4,) * n)
+    for axis in range(1, n + 1):
+        t = np.moveaxis(np.tensordot(_LETTER_TRACE, t, axes=([1], [axis])), 0, axis)
+    weights = (np.abs(t) ** 2).sum(axis=0).reshape(-1) / 4**n
+    terms = []
+    for word in np.flatnonzero(weights).tolist():
+        letters = tuple(
+            (divmod(q, layout.m * layout.n), "IXZY"[(word >> 2 * q) & 3])
+            for q in range(n)
+            if (word >> 2 * q) & 3
+        )
+        terms.append((float(weights[word]), tuple(sorted(letters))))
+    return AttackSpec(pauli_terms=tuple(terms))
+
+
+def _exact_mixture_accept(layout, attack) -> float:
+    """Σ_P p_P · (1/R!) Σ_perm [no Z/Y letter on a trap cell of a trap slot]."""
+    perms = list(itertools.permutations(range(layout.rounds)))
+    total = 0.0
+    for weight, letters in attack.pauli_terms:
+        hit = {cell for cell, letter in letters if letter in "ZY"}
+        passing = sum(
+            not any((s, v) in hit for s, gi in enumerate(perm) if gi for v in layout.graphs[gi].trap_ids())
+            for perm in perms
+        )
+        total += weight * passing / len(perms)
+    return total
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "eps-0.05"])
+@pytest.mark.parametrize("case", sorted(JOINT_CASES))
+def test_joint_register_matches_pauli_mixture(case, noisy):
+    """The one-time-pad twirl turns a joint unitary into its Pauli mixture.
+
+    600 runs of the dense joint register (the test oracle) against the
+    mixture with weights Σ_j |Tr(P·B_j)|²/4ⁿ.  Noiseless, its accept rate
+    lies within 4 standard errors of the mixture's exact acceptance.  At
+    ε_V = ε_P = 0.05 it is compared with 3000 mixture runs of the engine:
+    a two-sample z below 4 on the accept rate, and output total variation
+    below 0.1.  With 600 and 3000 runs over four outputs that distance has
+    mean at most about 0.031 and, by McDiarmid, exceeds 0.1 with
+    probability below e^{−2·0.069²/(1/600 + 1/3000)} ≈ 0.009."""
+    layout, runs = tiny_layout(), 600
+    unitary, private = JOINT_CASES[case]()
+    attack = _mixture_attack(layout, unitary, private)
+    noise = NoiseModel(eps_v=0.05, eps_p=0.05) if noisy else NoiseModel()
+    seed = 3000 + 10 * sorted(JOINT_CASES).index(case) + noisy
+    rng = rng_from(seed)
+    dense = [joint_unitary_run(layout, unitary, private, noise, rng) for _ in range(runs)]
+    rate = sum(accept for accept, _ in dense) / runs
+    if not noisy:
+        want = _exact_mixture_accept(layout, attack)
+        assert 0.2 < want < 0.9
+        assert abs(rate - want) < 4 * math.sqrt(want * (1 - want) / runs)
+        return
+    sink: list = []
+    mixed = run_scheme(layout, attack, noise, 5 * runs, 0.0, rng_from(seed + 5), record_sink=sink)
+    other = mixed.pass_fraction
+    se = math.sqrt(rate * (1 - rate) / runs + other * (1 - other) / (5 * runs))
+    assert abs(rate - other) < 4 * se
+    tv = tv_distance(
+        empirical_distribution([out for _, out in dense]),
+        empirical_distribution([r.target_output for r in sink]),
+    )
+    assert tv < 0.1
 
 
 def test_unitary_attack_matches_letter_attack():
