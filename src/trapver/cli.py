@@ -31,9 +31,11 @@ from .graphs import GraphSpec, carve_target, carve_trap_graph, check_embedding
 from .protocol import (
     ENGINE_VERSION,
     AttackSpec,
+    RoundLayout,
     RunRecord,
     make_round_layout,
     run_scheme,
+    unitary_attack,
 )
 from .simulator import (
     DEFAULT_QUBIT_CAP,
@@ -443,8 +445,9 @@ def _require(cfg: SessionConfig, *names: str) -> list[object]:
     return vals
 
 
-def attack_spec_from_json(doc: Mapping) -> AttackSpec:
-    """Deserialize an attack: Pauli mixture or explicit unitary."""
+def attack_spec_from_json(doc: Mapping, layout: RoundLayout) -> AttackSpec:
+    """Deserialize an attack on ``layout``: a Pauli mixture, or a unitary
+    converted to its mixture by `unitary_attack`."""
     if not isinstance(doc, Mapping):
         raise CliError("attack JSON must be an object")
     if "pauli_terms" in doc:
@@ -476,7 +479,7 @@ def attack_spec_from_json(doc: Mapping) -> AttackSpec:
             raise CliError(
                 f"malformed unitary in attack JSON ({type(exc).__name__}: {exc})"
             ) from exc
-        return AttackSpec(unitary=matrix, private_qubits=private)
+        return unitary_attack(layout, matrix, private)
     raise CliError("attack JSON needs 'pauli_terms' or 'unitary'")
 
 
@@ -577,7 +580,7 @@ def _cmd_verify(cfg: SessionConfig) -> tuple[int, dict]:
     attack_doc = cfg.extras.get("attack_doc")
     if attack_doc is None and cfg.attack:
         attack_doc = _read_json(cfg.attack, "attack file")
-    strategy = attack_spec_from_json(attack_doc) if attack_doc else None
+    strategy = attack_spec_from_json(attack_doc, layout) if attack_doc else None
     n_qubits = len(layout.target.non_dummy_ids())
     scheme_m, scheme_l, meta = _scheme_parameters(cfg, n_qubits, kappa)
     records: list[RunRecord] = []

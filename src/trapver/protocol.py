@@ -8,9 +8,9 @@ draws the whole batch's keys, attack terms, outcomes and noise events as
 arrays, decrypts with GF(2) products and reads the trap verdicts off as
 row reductions.  It returns the batch as columns, a `RunBatch`, whose
 `RunRecord` views are the per-run transcripts.  `run_protocol`,
-`run_scheme` and `estimate_fidelity_gap` all go through it.  Only a
-joint unitary deviation, which spans rounds, needs the dense state
-vector: one register per run, fed the same keys.
+`run_scheme` and `estimate_fidelity_gap` all go through it.  Every
+deviation reaches it as a Pauli mixture: a unitary one is converted
+once, where it enters, by `unitary_attack`.
 
 The round kernel rests on the one-time pad: for any key a round's raw
 outcome distribution is the key-independent distribution of its carving
@@ -40,7 +40,7 @@ R = 2κ+1 rounds, C cells and E lattice edges, a block holds in order:
 - uniforms (word >> 11)·2⁻⁵³: one picking the attack term, then per
   canonical round one per component of its `_SimPlan` and, unless the
   noise model is noiseless, one per noise site: C preparations, E cZs,
-  C readouts.  The dense path's readouts draw after the block.
+  C readouts.
 
 The deviation model places Pauli attacks between the prover's basis
 rotations and the X readouts, which is where arbitrary deviations are
@@ -64,14 +64,15 @@ from .simulator import (
     DEFAULT_QUBIT_CAP, Distribution, NoiseModel, StateVector, _check_cap,
     _induced_components, apply_cz, apply_pauli, apply_phase, bits_to_string,
     component_probabilities, component_probability_rows,
-    exact_probability_array, measure_xy, prepare_qubit, tensor,
+    exact_probability_array, prepare_qubit, tensor,
 )
 
 # Bumped whenever a seed would draw different outcomes.  Engine 2 samples
 # noiseless rounds from cached base distributions shifted by the key mask;
 # engine 3 carries noise as a Pauli frame over the same distributions;
-# engine 4 draws each repetition's fixed block and runs batches as arrays.
-ENGINE_VERSION = 4
+# engine 4 draws each repetition's fixed block and runs batches as arrays;
+# engine 5 runs a unitary deviation as its Pauli mixture.
+ENGINE_VERSION = 5
 
 KIND_TARGET = "target"
 KIND_EVEN = "even"
@@ -85,6 +86,11 @@ _SHARED_STRING_BITS = 12
 # A Pauli letter as two bits: bit 0 is its X part, bit 1 its Z part.
 _LETTER_CODE = {"I": 0, "X": 1, "Z": 2, "Y": 3}
 _CODE_LETTER = "IXZY"
+# Entry [l, 2a + b] is ⟨b|σ|a⟩ for the Pauli σ of letter code l: contracting
+# a qubit's (row bit a, column bit b) pair with row l takes Tr(σ·) there.
+_LETTER_TRACE = np.array(
+    [np.array(m).T.reshape(4) for m in ([[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, -1]], [[0, -1j], [1j, 0]])]
+)
 _NOISELESS = NoiseModel()
 # e^{−iδ} at each grid angle, exactly as `component_probabilities` forms it.
 _PHASES = np.array([np.exp(-1j * k_to_radians(k)) for k in range(ANGLE_STEPS)])
@@ -218,22 +224,17 @@ def encrypt_angles(key: SecretKey, layout: RoundLayout) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AttackSpec:
-    """A prover deviation: a Pauli mixture or one explicit unitary.
+    """A prover deviation as a Pauli mixture.
 
     ``pauli_terms`` is a weighted list; each term maps (slot, vertex) to
     a letter and one term is sampled per protocol run, so the same string
-    spans all rounds of that run.  ``unitary`` acts jointly on every
-    round's qubits (slot-major, little-endian) plus ``private_qubits``
-    fresh |0⟩ ancillas on top, and is only simulable under the qubit cap.
+    spans all rounds of that run.  `unitary_attack` builds the mixture of
+    a unitary deviation.
     """
 
     pauli_terms: tuple[tuple[float, tuple[tuple[tuple[int, int], str], ...]], ...] | None = None
-    unitary: np.ndarray | None = None
-    private_qubits: int = 0
 
     def __post_init__(self) -> None:
-        if self.pauli_terms is not None and self.unitary is not None:
-            raise ValueError("attack is either Pauli terms or a unitary")
         if self.pauli_terms is not None:
             weights = [w for w, _ in self.pauli_terms]
             if any(not w >= 0 for w in weights):  # NaN fails too
@@ -244,21 +245,10 @@ class AttackSpec:
                 for (_slot, _v), letter in letters:
                     if letter not in _LETTER_CODE:
                         raise ValueError(f"bad Pauli letter {letter!r}")
-        if self.unitary is not None:
-            dim = self.unitary.shape[0]
-            if self.unitary.shape != (dim, dim) or dim & (dim - 1):
-                raise ValueError("unitary must be square with 2^q rows")
-            if self.private_qubits < 0:
-                raise ValueError("private register size must be >= 0")
-            dev = np.linalg.norm(
-                self.unitary.conj().T @ self.unitary - np.eye(dim)
-            )
-            if not dev <= 1e-10:  # NaN entries fail too
-                raise ValueError(f"matrix is not unitary (deviation {dev:g})")
 
     @property
     def is_honest(self) -> bool:
-        return self.pauli_terms is None and self.unitary is None
+        return self.pauli_terms is None
 
     def check_against(self, layout: RoundLayout) -> None:
         """Reject Pauli letters on slots or cells ``layout`` does not have."""
@@ -282,6 +272,66 @@ HONEST = AttackSpec()
 def single_pauli_attack(letters: Mapping[tuple[int, int], str]) -> AttackSpec:
     """Deterministic attack: one Pauli string with weight 1."""
     return AttackSpec(pauli_terms=((1.0, tuple(sorted(letters.items()))),))
+
+
+def _pauli_weights(unitary: np.ndarray, n: int) -> np.ndarray:
+    """Σ_j |Tr(P·B_j)|²/4ⁿ per n-qubit Pauli word P, indexed by Σ_q l_q·4^q
+    with l_q the letter code of P on qubit q; B_j = ⟨j|U|0⟩ on the qubits
+    above the n low ones.  Each qubit's (row bit, column bit) pair is
+    contracted with `_LETTER_TRACE` in turn: O(n·4ⁿ) per block."""
+    # axes (j, a_{n-1} b_{n-1}, ..., a_0 b_0): qubit 0's pair varies fastest
+    t = unitary[:, : 2**n].reshape((-1,) + (2,) * 2 * n)
+    t = t.transpose([0] + [ax for q in range(n) for ax in (1 + q, 1 + n + q)])
+    t = t.reshape((-1,) + (4,) * n)
+    for axis in range(1, n + 1):
+        t = np.moveaxis(np.tensordot(_LETTER_TRACE, t, axes=([1], [axis])), 0, axis)
+    return (np.abs(t) ** 2).sum(axis=0).reshape(-1) / 4**n
+
+
+def unitary_attack(
+    layout: RoundLayout, unitary: np.ndarray, private_qubits: int = 0
+) -> AttackSpec:
+    """The Pauli mixture a unitary deviation acts as on the decrypted bits.
+
+    ``unitary`` acts on every slot's cells at once, protocol qubit q
+    being the cell (slot, vertex) = divmod(q, m·n) and the array index
+    little-endian, plus ``private_qubits`` fresh |0⟩ ancillas on the high
+    bits.  With B_j = ⟨j|U|0⟩ on the private register, Pauli word P gets
+    weight p_P = Σ_j |Tr(P·B_j)|²/4ⁿ, all from one 4×4 map per qubit in
+    O(n·4ⁿ); words of weight exactly zero are dropped.
+
+    The mixture is exact for the key-averaged law of the decrypted bits:
+
+    - Before U each non-dummy qubit carries a uniform pad Pauli, X part
+      r′ and Z part its `_pad_mask`, so the prover's U acts as its
+      Pauli-twirled channel.
+    - Dummy qubits start in a uniform |d⟩, maximally mixed ancillas to
+      the prover, so expanding U over Paulis on all protocol qubits gives
+      their marginal too.  Their raw outcomes are i.i.d. fair coins
+      either way, because the decoy angle's π bit is uniform.
+    """
+    dim = unitary.shape[0] if unitary.ndim == 2 else 0
+    if unitary.shape != (dim, dim) or dim < 1 or dim & (dim - 1):
+        raise ValueError("unitary must be square with 2^q rows")
+    if private_qubits < 0:
+        raise ValueError("private register size must be >= 0")
+    n = layout.rounds * layout.m * layout.n
+    if dim.bit_length() - 1 != n + private_qubits:  # 2^(n + private) is never formed
+        raise ValueError(
+            f"unitary covers {dim.bit_length() - 1} qubits, instance needs "
+            f"{n} plus {private_qubits} private"
+        )
+    dev = np.linalg.norm(unitary.conj().T @ unitary - np.eye(dim))
+    if not dev <= 1e-10:  # NaN entries fail too
+        raise ValueError(f"matrix is not unitary (deviation {dev:g})")
+    weights = _pauli_weights(unitary, n)
+    words = np.flatnonzero(weights)
+    codes = (words[:, None] >> 2 * np.arange(n)) & 3  # [term, q]: the letter code
+    cells = [divmod(q, layout.m * layout.n) for q in range(n)]
+    return AttackSpec(pauli_terms=tuple(
+        (float(weights[w]), tuple((cells[q], _CODE_LETTER[c]) for q, c in enumerate(row) if c))
+        for w, row in zip(words.tolist(), codes.tolist())
+    ))
 
 
 def _attack_tables(
@@ -511,7 +561,7 @@ def _sample_round(
 
 
 # ---------------------------------------------------------------------------
-# Dense state vector: joint unitary deviations and the test oracle
+# Dense state vector: the test oracle
 
 
 def dense_round_state(
@@ -728,43 +778,6 @@ class RunRecord:
         }
 
 
-def _joint_raw_rounds(
-    layout: RoundLayout, key: SecretKey, strategy: AttackSpec, events, rng, cap: int
-) -> list[list[int]]:
-    """Simulate all rounds in one register and apply the joint unitary.
-
-    ``events[gi]`` are the noise events of canonical round ``gi``.
-    Before the unitary the register is the product of the rounds' dense
-    states; readout errors act after it.
-    """
-    size = layout.m * layout.n
-    total = layout.rounds * size + strategy.private_qubits
-    _check_cap(total, cap)
-    if strategy.unitary.shape[0] != 2**total:
-        raise ValueError(
-            f"unitary covers {int(math.log2(strategy.unitary.shape[0]))} "
-            f"qubits, instance needs {total}"
-        )
-    deltas = encrypt_angles(key, layout)
-    states, readout = [], []
-    for slot in range(layout.rounds):
-        gi = key.perm[slot]
-        g = layout.graphs[gi]
-        before = [ev for ev in events[gi] if ev.step < len(g.edges)]
-        tables = (key.theta_k[gi], key.d[gi], deltas[gi])
-        states.append(dense_round_state(g, *tables, before, {}, cap=cap))
-        readout += [(slot * size + v, p) for step, v, p in events[gi] if step == len(g.edges)]
-    states += [prepare_qubit("dummy", 0)] * strategy.private_qubits
-    state = tensor(states, cap=cap)
-    state.amps = strategy.unitary @ state.amps
-    for q, letter in readout:
-        apply_pauli(state, q, letter)
-    bits = [0] * (layout.rounds * size)
-    for q in reversed(range(len(bits))):  # highest first, so labels hold
-        bits[q], state = measure_xy(state, q, 0.0, rng)
-    return [bits[s * size : (s + 1) * size] for s in range(layout.rounds)]
-
-
 def _run_batch(
     layout: RoundLayout,
     strategy: AttackSpec | None,
@@ -777,11 +790,9 @@ def _run_batch(
     The one place repetitions are executed, for callers that have checked
     ``strategy`` already.  Every run draws its block from its own
     generator, in list order, so a generator listed k times serves k
-    successive blocks, as k `run_protocol` calls on it would (except
-    under a unitary deviation, whose runs draw again after all blocks);
-    then keys, attack terms, rounds (the frame kernel, or one joint
-    register per run for a unitary deviation), decryption and trap
-    verdicts are computed for the whole batch.
+    successive blocks, as k `run_protocol` calls on it would; then keys,
+    attack terms, rounds, decryption and trap verdicts are computed for
+    the whole batch, and nothing else is drawn.
     """
     noise, count, size = noise or _NOISELESS, len(rngs), layout.m * layout.n
     plans = [_sim_plan(g, cap) for g in layout.graphs]
@@ -800,20 +811,15 @@ def _run_batch(
     ]
     rows, masks = np.arange(count)[:, None], _masks(layout, keys)
     raw = np.empty((count, layout.rounds, size), np.uint8)  # canonical order
-    if strategy is not None and strategy.unitary is not None:
-        for i, rng in enumerate(rngs):
-            key, run_events = keys.run(i), [_event_list(ev, i) for ev in events]
-            raw[i, list(key.perm)] = _joint_raw_rounds(layout, key, strategy, run_events, rng, cap)
-    else:
-        letter_flips = np.zeros_like(raw)
-        if flips is not None:
-            letter_flips[rows, keys.perm] = flips[terms]
-        for gi, (g, plan) in enumerate(zip(layout.graphs, plans)):
-            # the noise events' Pauli frame, with the Z/Y letters in its Z part
-            x, z = _pauli_frame(plan, *events[gi], count) if noisy else (None, 0)
-            tables = (keys.r[:, gi], keys.rprime[:, gi], keys.theta_k[:, gi])
-            z = z ^ letter_flips[:, gi]
-            raw[:, gi] = _sample_round(g, plan, masks[:, gi], tables, x, z, draws[gi])
+    letter_flips = np.zeros_like(raw)
+    if flips is not None:
+        letter_flips[rows, keys.perm] = flips[terms]
+    for gi, (g, plan) in enumerate(zip(layout.graphs, plans)):
+        # the noise events' Pauli frame, with the Z/Y letters in its Z part
+        x, z = _pauli_frame(plan, *events[gi], count) if noisy else (None, 0)
+        tables = (keys.r[:, gi], keys.rprime[:, gi], keys.theta_k[:, gi])
+        z = z ^ letter_flips[:, gi]
+        raw[:, gi] = _sample_round(g, plan, masks[:, gi], tables, x, z, draws[gi])
     dec = _decrypt(layout, masks, raw)
     passed = ~(dec & (layout._cells[0] ^ 1)).any(axis=2)
     nd = list(layout.target.non_dummy_ids())
@@ -966,8 +972,9 @@ def estimate_fidelity_gap(
 ) -> GapEstimate:
     """Monte Carlo over secret keys of trap passing vs computation escape.
 
-    Noiseless runs with Pauli deviations only — the regime where the
-    combinatorial bounds speak.  Each sample is one repetition drawn from
+    Noiseless runs — the regime where the combinatorial bounds speak —
+    under a Pauli mixture, which a unitary deviation enters as through
+    `unitary_attack`.  Each sample is one repetition drawn from
     ``rng``: its verdict is the trap indicator, and the escape indicator
     asks whether any Z/Y letter of its sampled term landed on a non-dummy
     cell of whichever slot held the computation round, read off a table
@@ -975,8 +982,6 @@ def estimate_fidelity_gap(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    if strategy is not None and strategy.unitary is not None:
-        raise ValueError("gap estimation is defined over Pauli mixtures")
     if strategy is not None:
         strategy.check_against(layout)
     _, flips, _ = _attack_tables(strategy, layout)

@@ -612,10 +612,11 @@ def test_config_snapshot_is_pinned_and_round_trips(
         ({"unitary": [[1]]}, "malformed unitary"),
         ({"unitary": [1]}, "malformed unitary"),
         ({"unitary": [[[1, 0]]], "private_qubits": 1.5}, "private_qubits"),
+        ({"unitary": [[[1, 0]]], "private_qubits": 10**9}, "instance needs 27"),
     ],
     ids=["slot-out-of-range", "vertex-out-of-range", "missing-weight",
          "unitary-cell-not-a-pair", "unitary-row-not-a-list",
-         "unitary-private-not-an-integer"],
+         "unitary-private-not-an-integer", "unitary-private-too-large"],
 )
 def test_verify_rejects_bad_attacks(
     tmp_path, capsys, attack, message
@@ -650,7 +651,9 @@ def test_seed7_artifact_bytes_are_pinned(tmp_path):
     """The seed-7 3x3 `verify --auto-params` artifact at ε=4e-3, β=0.05
     (M=478), encoded without its telemetry, hashes to the digest recorded
     before run batches became columnar: no record, field or byte of the
-    artifact changed.  A schema, engine or tool-version bump re-pins it."""
+    artifact changed.  A schema, engine or tool-version bump re-pins it;
+    engine 5 did, after the artifact with ``engine_version`` also removed
+    was checked to hash as it did under engine 4 (732aa92740cff03e…)."""
     out = tmp_path / "seed7.json"
     argv = ["verify", "--m-rounds", "3", "--n-rounds", "3", "--kappa", "1",
             "--eps-v", "4e-3", "--eps-p", "4e-3", "--beta", "0.05",
@@ -660,7 +663,7 @@ def test_seed7_artifact_bytes_are_pinned(tmp_path):
     doc.pop("telemetry")
     assert len(doc["records"]) == 478
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-    assert digest == "97e1600550600a27039dcea4dca40ec55811eb34f857f0f30935e27ebe630c0d"
+    assert digest == "6f1f70cc37337a342b992a52da92727b0f49a7b4e110f359660a1160572c6d82"
 
 
 def test_verify_auto_params_needs_noise(tmp_path):

@@ -26,6 +26,7 @@ from trapver.protocol import (
     _keyed_angles,
     _pad_mask,
     _pauli_frame,
+    _pauli_weights,
     _run_batch,
     _sample_round,
     _sim_plan,
@@ -45,11 +46,11 @@ from trapver.protocol import (
     run_protocol,
     run_scheme,
     single_pauli_attack,
+    unitary_attack,
 )
 from trapver.simulator import (
     DEFAULT_QUBIT_CAP,
     NoiseModel,
-    QubitCapError,
     component_probabilities,
     component_probability_rows,
     exact_probability_array,
@@ -259,10 +260,6 @@ def test_decrypt_validates_shapes(layout33):
 
 
 def test_attack_spec_validation():
-    with pytest.raises(ValueError, match="either"):
-        AttackSpec(
-            pauli_terms=((1.0, (((0, 0), "Z"),)),), unitary=np.eye(2)
-        )
     with pytest.raises(ValueError, match="sum to 1"):
         AttackSpec(pauli_terms=((0.5, (((0, 0), "Z"),)),))
     with pytest.raises(ValueError, match="nonnegative"):
@@ -277,11 +274,12 @@ def test_attack_spec_validation():
     for bad in ("W", "", "XY"):
         with pytest.raises(ValueError, match="letter"):
             single_pauli_attack({(0, 0): bad})
-    for bad in (np.ones((2, 2)), np.full((2, 2), np.nan)):
+    for bad in (np.ones((64, 64)), np.full((64, 64), np.nan)):
         with pytest.raises(ValueError, match="not unitary"):
-            AttackSpec(unitary=bad)
-    with pytest.raises(ValueError, match="2\\^q"):
-        AttackSpec(unitary=np.eye(3))
+            unitary_attack(tiny_layout(), bad)
+    for bad in (np.eye(3), np.ones(4), np.ones((4, 2))):
+        with pytest.raises(ValueError, match="2\\^q"):
+            unitary_attack(tiny_layout(), bad)
     assert HONEST.is_honest
     assert not single_pauli_attack({(0, 0): "Z"}).is_honest
 
@@ -796,9 +794,9 @@ PIN_CASES = {
     ),
     "unitary": (
         "tiny",
-        AttackSpec(unitary=pauli_matrix("IZIIXI")),
+        unitary_attack(tiny_layout(), pauli_matrix("IZIIXI")),
         NoiseModel(eps_v=0.05, eps_p=0.05),
-        "477ec4fbb7e9d1005f4b7ee9a0647be0ebdd194198f67071f68d1abf24c8b9b7",
+        "c5371b95dbd429772cf75e94e9e11219b105ecd9cc74a21fe1f7ec2b590980c7",
     ),
 }
 
@@ -808,10 +806,13 @@ def test_records_are_pinned_to_engine_4(case):
     """The sha256 of ``json.dumps`` (sorted keys) of 40 seeded run
     records per case, recorded when engine 4 was introduced, after the
     frame-versus-dense and exact-distribution tests passed: honest and
-    Pauli-attacked 5x3, noisy 3x3 and a noisy joint-unitary attack.
+    Pauli-attacked 5x3, noisy 3x3 and a noisy Pauli-word unitary attack.
     When records went to packed ``raw``/``decrypted`` strings the digests
     were re-derived from the engine-4 list records, each row joined into
-    its string, so the draws they pin are unchanged."""
+    its string, so the draws they pin are unchanged.  Engine 5 runs a
+    unitary as its Pauli mixture; the unitary digest was re-pinned then,
+    after the joint-register gate passed, and equals the digest of the
+    same word given as letters.  The other three did not move."""
     shape, attack, noise, digest = PIN_CASES[case]
     layout = tiny_layout() if shape == "tiny" else make_round_layout(*shape)
     sink: list = []
@@ -967,38 +968,6 @@ JOINT_CASES = {
     "random-hermitian-private": lambda: (_evolution(7, 6), 1),
 }
 
-# Per Pauli letter code (bit 0 X, bit 1 Z): entry [l, 2a + b] is ⟨b|σ_l|a⟩.
-_LETTER_TRACE = np.array(
-    [
-        np.array(m).T.reshape(4)
-        for m in ([[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, -1]], [[0, -1j], [1j, 0]])
-    ]
-)
-
-
-def _mixture_attack(layout, unitary, private) -> AttackSpec:
-    """The Pauli mixture of ``unitary`` with ``private`` |0⟩ ancillas on
-    its high bits: weight Σ_j |Tr(P·B_j)|²/4ⁿ of each word P, over the
-    blocks B_j = ⟨j|U|0⟩ of the private register, per qubit a 4×4 map."""
-    dim = unitary.shape[0] >> private
-    n = dim.bit_length() - 1
-    t = unitary[:, :dim].reshape((-1,) + (2,) * 2 * n)
-    t = t.transpose([0] + [ax for q in range(n) for ax in (1 + q, 1 + n + q)])
-    t = t.reshape((-1,) + (4,) * n)
-    for axis in range(1, n + 1):
-        t = np.moveaxis(np.tensordot(_LETTER_TRACE, t, axes=([1], [axis])), 0, axis)
-    weights = (np.abs(t) ** 2).sum(axis=0).reshape(-1) / 4**n
-    terms = []
-    for word in np.flatnonzero(weights).tolist():
-        letters = tuple(
-            (divmod(q, layout.m * layout.n), "IXZY"[(word >> 2 * q) & 3])
-            for q in range(n)
-            if (word >> 2 * q) & 3
-        )
-        terms.append((float(weights[word]), tuple(sorted(letters))))
-    return AttackSpec(pauli_terms=tuple(terms))
-
-
 def _exact_mixture_accept(layout, attack) -> float:
     """Σ_P p_P · (1/R!) Σ_perm [no Z/Y letter on a trap cell of a trap slot]."""
     perms = list(itertools.permutations(range(layout.rounds)))
@@ -1028,7 +997,7 @@ def test_joint_register_matches_pauli_mixture(case, noisy):
     probability below e^{−2·0.069²/(1/600 + 1/3000)} ≈ 0.009."""
     layout, runs = tiny_layout(), 600
     unitary, private = JOINT_CASES[case]()
-    attack = _mixture_attack(layout, unitary, private)
+    attack = unitary_attack(layout, unitary, private)
     noise = NoiseModel(eps_v=0.05, eps_p=0.05) if noisy else NoiseModel()
     seed = 3000 + 10 * sorted(JOINT_CASES).index(case) + noisy
     rng = rng_from(seed)
@@ -1051,27 +1020,62 @@ def test_joint_register_matches_pauli_mixture(case, noisy):
     assert tv < 0.1
 
 
-def test_unitary_attack_matches_letter_attack():
-    """A Z conjugated into the joint register equals the classical letter.
+def _brute_force_weights(unitary: np.ndarray, n: int) -> np.ndarray:
+    """Σ_j |Tr(P·B_j)|²/4ⁿ word by word, P from `pauli_matrix`, indexed
+    as `_pauli_weights` indexes them (letter codes I, X, Z, Y = 0..3)."""
+    blocks = unitary[:, : 2**n].reshape(-1, 2**n, 2**n)
+    out = np.zeros(4**n)
+    for word in itertools.product("IXYZ", repeat=n):
+        p = pauli_matrix("".join(word))
+        index = sum(_LETTER_CODE[letter] << 2 * q for q, letter in enumerate(word))
+        out[index] = sum(abs(np.trace(p @ b)) ** 2 for b in blocks) / 4**n
+    return out
 
-    Trap decodes are deterministic per key, so they must agree key by
-    key; the computation output is random, so the two routes are compared
-    through the exact attacked mixture instead.
-    """
+
+def _haar_unitary(qubits: int, rng: np.random.Generator) -> np.ndarray:
+    a = rng.normal(size=(2**qubits,) * 2) + 1j * rng.normal(size=(2**qubits,) * 2)
+    q, r = np.linalg.qr(a)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("private", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pauli_weights_match_brute_force_traces(n, private):
+    """The per-qubit 4×4 transform against Tr(P·B_j) word by word, for
+    Haar-random unitaries and a random evolution; the weights sum to 1."""
+    rng = rng_from(4000 + 10 * n + private)
+    for unitary in (_haar_unitary(n + private, rng), _evolution(n + private, 7 * n + private)):
+        got = _pauli_weights(unitary, n)
+        np.testing.assert_allclose(got, _brute_force_weights(unitary, n), rtol=0, atol=1e-12)
+        assert abs(got.sum() - 1) < 1e-12
+
+
+def test_pauli_word_unitary_is_one_letter_term():
+    """A Pauli word is a mixture of one term of weight exactly 1, with the
+    word's letters at (slot, vertex) = divmod(qubit, 2); on a private
+    qubit an X moves the whole block to ⟨1|, and the term is the same."""
     lay = tiny_layout()
-    attacked = (1, 0)  # slot 1, vertex 0
-    word = ["I"] * 6
-    word[attacked[0] * 2 + attacked[1]] = "Z"
-    by_unitary = AttackSpec(unitary=pauli_matrix("".join(word)))
-    by_letter = single_pauli_attack({attacked: "Z"})
+    rng = rng_from(4100)
+    words = ["IIIIII", "IZIIXI", "YIIIIZ"] + ["".join(rng.choice(list("IXYZ"), 6)) for _ in range(5)]
+    for word in words:
+        letters = {divmod(q, 2): p for q, p in enumerate(word) if p != "I"}
+        want = single_pauli_attack(letters).pauli_terms
+        assert unitary_attack(lay, pauli_matrix(word)).pauli_terms == want
+        assert unitary_attack(lay, pauli_matrix(word + "X"), 1).pauli_terms == want
+        assert unitary_attack(lay, pauli_matrix(word + "IZ"), 2).pauli_terms == want
 
-    for seed in range(200):
-        ru = run_protocol(lay, by_unitary, None, rng_from(seed))
-        rl = run_protocol(lay, by_letter, None, rng_from(seed))
-        assert ru.trap_passed == rl.trap_passed
-        for slot in range(3):
-            if slot != ru.target_slot:
-                assert ru.decrypted[slot] == rl.decrypted[slot]
+
+def test_unitary_attack_matches_letter_attack():
+    """A Pauli-word unitary gives the letter attack's records, seed for
+    seed, noiseless and noisy: the same draws, outcomes and letters."""
+    lay = tiny_layout()
+    for word in ("IIZIII", "IZIIXY"):
+        by_unitary = unitary_attack(lay, pauli_matrix(word))
+        by_letter = single_pauli_attack({divmod(q, 2): p for q, p in enumerate(word) if p != "I"})
+        for noise in (None, NoiseModel(eps_v=0.05, eps_p=0.05)):
+            for seed in range(100):
+                ru = run_protocol(lay, by_unitary, noise, rng_from(seed))
+                assert ru == run_protocol(lay, by_letter, noise, rng_from(seed))
 
 
 def test_unitary_attack_output_distribution():
@@ -1089,10 +1093,8 @@ def test_unitary_attack_output_distribution():
     want = honest.__class__(nbits=2, probs=mixture)
 
     for strategy in (
-        AttackSpec(unitary=pauli_matrix("".join(word))),
-        AttackSpec(
-            unitary=pauli_matrix("".join(word) + "I"), private_qubits=1
-        ),
+        unitary_attack(lay, pauli_matrix("".join(word))),
+        unitary_attack(lay, pauli_matrix("".join(word) + "I"), private_qubits=1),
     ):
         rng = rng_from(77)
         outs = [
@@ -1102,11 +1104,14 @@ def test_unitary_attack_output_distribution():
         assert tv_distance(empirical_distribution(outs), want) < 0.07
 
 
-def test_unitary_attack_respects_cap(layout33):
-    with pytest.raises(QubitCapError):
-        run_protocol(
-            layout33, AttackSpec(unitary=np.eye(2)), None, rng_from(0)
-        )
+def test_unitary_attack_refuses_a_size_mismatch(layout33):
+    """The qubit count is read off the matrix size, so a private register
+    of 10⁹ qubits is refused without forming 2^(27 + 10⁹)."""
+    for private in (0, 3, 10**9):
+        with pytest.raises(ValueError, match="covers 1 qubits, instance needs 27"):
+            unitary_attack(layout33, np.eye(2), private)
+    with pytest.raises(ValueError, match="private"):
+        unitary_attack(layout33, np.eye(2), -1)
 
 
 # -- gap estimation -----------------------------------------------------------
@@ -1168,10 +1173,18 @@ def test_gap_estimate_is_pinned(shape, attack, samples, seed, want):
 def test_gap_estimate_validation(layout33):
     with pytest.raises(ValueError):
         estimate_fidelity_gap(layout33, None, 0, rng_from(0))
-    with pytest.raises(ValueError, match="Pauli"):
-        estimate_fidelity_gap(
-            layout33, AttackSpec(unitary=np.eye(2)), 5, rng_from(0)
-        )
+
+
+def test_gap_estimate_of_a_unitary_attack():
+    """The trap-pass estimate of a random evolution, given as its mixture,
+    lies within 4 standard errors of the mixture's exact acceptance."""
+    layout = tiny_layout()
+    unitary, private = JOINT_CASES["random-hermitian"]()
+    attack = unitary_attack(layout, unitary, private)
+    want, samples = _exact_mixture_accept(layout, attack), 4000
+    est = estimate_fidelity_gap(layout, attack, samples, rng_from(4200))
+    assert est.samples == samples
+    assert abs(est.ft2 - want) < 4 * math.sqrt(want * (1 - want) / samples)
 
 
 def test_honest_target_distribution_uniform(layout33):
