@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import __version__, bounds, ftcalc
-from .graphs import GraphSpec, carve_target, carve_trap_graph, check_embedding
+from .graphs import GraphSpec, carve_target, carve_trap_graph, check_embedding, k_to_radians
 from .protocol import (
     ENGINE_VERSION,
     AttackSpec,
@@ -41,7 +41,6 @@ from .simulator import (
     DEFAULT_QUBIT_CAP,
     NoiseModel,
     exact_output_distribution,
-    k_to_radians,
 )
 
 ARTIFACT_SCHEMA = 2

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 ANGLE_STEPS = 16
 SCHEMA_VERSION = 1
@@ -334,31 +334,6 @@ def carve_trap_graph(m: int, n: int, parity: str) -> GraphSpec:
         phi_k=(0,) * size,
         edges=lattice_edges(m, n),
     )
-
-
-def neighbor_dummy_parity(
-    g: GraphSpec, d: Sequence[int]
-) -> dict[int, int]:
-    """XOR of dummy bits over each non-dummy vertex's dummy neighbours.
-
-    ``d`` is ordered by ascending dummy vertex id.  This parity is what the
-    sender folds into each qubit's preparation so the receiver's blanket
-    entangling pass lands on the intended state.
-    """
-    dummies = g.dummy_ids()
-    if len(d) != len(dummies):
-        raise ValueError(
-            f"dummy bit vector has length {len(d)}, expected {len(dummies)}"
-        )
-    bit_of = dict(zip(dummies, d))
-    out: dict[int, int] = {}
-    for v in g.non_dummy_ids():
-        acc = 0
-        for u in g.neighbors(v):
-            if g.is_dummy(u):
-                acc ^= int(bit_of[u]) & 1
-        out[v] = acc
-    return out
 
 
 def bridge_corrections(g: GraphSpec, raw_outcomes: Sequence[int]) -> list[int]:

@@ -58,13 +58,12 @@ import numpy as np
 
 from .graphs import (
     ANGLE_STEPS, GraphSpec, bridge_corrections, carve_target, carve_trap_graph,
-    k_to_radians, neighbor_dummy_parity,
+    k_to_radians,
 )
 from .simulator import (
-    DEFAULT_QUBIT_CAP, Distribution, NoiseModel, StateVector, _check_cap,
-    _induced_components, apply_cz, apply_pauli, apply_phase, bits_to_string,
-    component_probabilities, component_probability_rows,
-    exact_probability_array, prepare_qubit, tensor,
+    DEFAULT_QUBIT_CAP, Distribution, NoiseModel, _check_cap, _induced_components,
+    bits_to_string, component_probabilities, component_probability_rows,
+    exact_probability_array,
 )
 
 # Bumped whenever a seed would draw different outcomes.  Engine 2 samples
@@ -210,18 +209,6 @@ def _keys(layout: RoundLayout, words: np.ndarray) -> SecretKey:
     return SecretKey(perm, theta, (b >> 4) & 1, (b >> 5) & 1, (b >> 6) & dummy, decoy)
 
 
-def encrypt_angles(key: SecretKey, layout: RoundLayout) -> np.ndarray:
-    """Measurement angles the prover is told, per canonical round and cell.
-
-    Non-dummy cells carry δ = θ + (−1)^{r′}φ + rπ on the 16-point grid;
-    dummy cells get their pre-drawn decoy so the transcript looks the
-    same everywhere.  Takes one key or a batch's key arrays.
-    """
-    dummy, phi = layout._cells
-    k = key.theta_k + np.where(key.rprime, -phi, phi) + 8 * key.r
-    return np.where(dummy, key.dummy_delta_k, k % ANGLE_STEPS)
-
-
 @dataclass(frozen=True)
 class AttackSpec:
     """A prover deviation as a Pauli mixture.
@@ -358,18 +345,6 @@ def _attack_tables(
 # Round kernel: cached base distributions, key mask and Pauli frame
 
 
-class NoiseEvent(NamedTuple):
-    """One Pauli error in a round.
-
-    ``step`` −1 is the preparation, 0..E−1 the cZ on ``g.edges[step]``
-    (the error follows that gate), and E = ``len(g.edges)`` the readout.
-    """
-
-    step: int
-    vertex: int
-    letter: str
-
-
 class _ComponentPlan(NamedTuple):
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
@@ -488,12 +463,6 @@ def _decode_events(g: GraphSpec, noise: NoiseModel, u: np.ndarray) -> tuple:
     return runs, steps, verts, codes
 
 
-def _event_list(events: tuple, run: int) -> list[NoiseEvent]:
-    sel = events[0] == run
-    steps, verts, codes = (a[sel].tolist() for a in events[1:])
-    return [NoiseEvent(s, v, _CODE_LETTER[c]) for s, v, c in zip(steps, verts, codes)]
-
-
 def _pauli_frame(
     plan: _SimPlan, runs, steps, verts, codes, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -558,57 +527,6 @@ def _sample_round(
                 pick = (cdf <= (u[rows, j] * cdf[:, -1])[:, None]).sum(axis=1)
                 raw[rows[:, None], cols] = (pick[:, None] >> np.arange(len(cols))) & 1
     return raw ^ z
-
-
-# ---------------------------------------------------------------------------
-# Dense state vector: the test oracle
-
-
-def dense_round_state(
-    g: GraphSpec,
-    theta_k: np.ndarray,
-    d_bits: np.ndarray,
-    delta_k: np.ndarray,
-    events: Sequence[NoiseEvent],
-    letters: Mapping[int, str],
-    cap: int = DEFAULT_QUBIT_CAP,
-) -> StateVector:
-    """Full-lattice state of one round, right before the X readouts.
-
-    Preparation (each dummy neighbour's bit folded in as a Z), blanket
-    entangling over every lattice edge, basis rotations, then any Pauli
-    deviation letters for this round; each noise event is applied where
-    its ``step`` puts it, readout events last.
-    """
-    size = g.m * g.n
-    _check_cap(size, cap)
-    at: dict[int, list[NoiseEvent]] = {}
-    for ev in events:
-        at.setdefault(ev.step, []).append(ev)
-
-    def hit(step: int) -> None:
-        for ev in at.get(step, ()):
-            apply_pauli(state, ev.vertex, ev.letter)
-
-    parity = neighbor_dummy_parity(g, [d_bits[u] for u in g.dummy_ids()])
-    state = tensor(
-        [
-            prepare_qubit("dummy", int(d_bits[v])) if g.is_dummy(v)
-            else prepare_qubit("z_flipped_plus", k_to_radians(theta_k[v]), parity[v])
-            for v in range(size)
-        ],
-        cap=cap,
-    )
-    hit(-1)
-    for step, (a, b) in enumerate(g.edges):
-        apply_cz(state, a, b)
-        hit(step)
-    for v in range(size):
-        apply_phase(state, v, -k_to_radians(delta_k[v]))
-    for v, letter in sorted(letters.items()):
-        apply_pauli(state, v, letter)
-    hit(len(g.edges))
-    return state
 
 
 # ---------------------------------------------------------------------------

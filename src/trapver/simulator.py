@@ -1,7 +1,7 @@
-"""Dense state-vector simulation and the exact output-distribution oracles.
+"""Graph-state outcome distributions and the exact output-distribution oracles.
 
 Two independent routes to the same answer live here on purpose: the
-state-vector / Walsh-Hadamard route (`exact_output_distribution`) and the
+per-component Walsh-Hadamard route (`exact_output_distribution`) and the
 imaginary-temperature partition-function route
 (`ising_partition_probability`).  They share no code beyond the graph
 structure, so agreement between them is evidence, not tautology.
@@ -19,15 +19,13 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graphs import ANGLE_STEPS, GraphSpec, k_to_radians, radians_to_k
+from .graphs import GraphSpec
 
 DEFAULT_QUBIT_CAP = 22
 
 PAULI_LETTERS = ("X", "Y", "Z")
 
 DEFAULT_PAULI_MIX: Mapping[str, float] = {"X": 1 / 3, "Y": 1 / 3, "Z": 1 / 3}
-
-_SQRT_HALF = 1 / math.sqrt(2)
 
 
 class QubitCapError(ValueError):
@@ -37,140 +35,6 @@ class QubitCapError(ValueError):
 def _check_cap(n: int, cap: int) -> None:
     if n > cap:
         raise QubitCapError(f"instance needs {n} qubits, cap is {cap}")
-
-
-@dataclass
-class StateVector:
-    """Mutable dense state on ``n`` qubits; amplitudes little-endian."""
-
-    n: int
-    amps: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.amps.shape != (2**self.n,):
-            raise ValueError(
-                f"amplitude array has shape {self.amps.shape}, "
-                f"expected ({2**self.n},)"
-            )
-        if self.amps.dtype != np.complex128:
-            self.amps = self.amps.astype(np.complex128)
-
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.amps, self.amps).real)
-
-    def _bit_view(self, q: int) -> np.ndarray:
-        """View with axis 1 = qubit q: shape (high, 2, low)."""
-        if not 0 <= q < self.n:
-            raise IndexError(f"qubit {q} out of range for {self.n}-qubit state")
-        return self.amps.reshape(2 ** (self.n - q - 1), 2, 2**q)
-
-
-def prepare_qubit(kind: str, *params: float) -> StateVector:
-    """Single-qubit preparations the sender is allowed to emit.
-
-    ``plus_theta(theta)`` is the rotated plus state, ``dummy(d)`` a
-    computational-basis state, and ``z_flipped_plus(theta, parity)`` the
-    rotated plus state with a conditional Z — the form actually sent once
-    the neighbouring dummy bits are folded in.  Angles must sit on the
-    16-point grid.
-    """
-    if kind == "plus_theta":
-        (theta,) = params
-        k = radians_to_k(theta)
-        amps = np.array(
-            [_SQRT_HALF, _SQRT_HALF * np.exp(1j * k_to_radians(k))]
-        )
-    elif kind == "dummy":
-        (d,) = params
-        if d not in (0, 1):
-            raise ValueError(f"dummy bit must be 0 or 1, got {d!r}")
-        amps = np.zeros(2, dtype=np.complex128)
-        amps[int(d)] = 1.0
-    elif kind == "z_flipped_plus":
-        theta, parity = params
-        if parity not in (0, 1):
-            raise ValueError(f"flip parity must be 0 or 1, got {parity!r}")
-        k = radians_to_k(theta)
-        phase = k_to_radians(k) + int(parity) * math.pi
-        amps = np.array([_SQRT_HALF, _SQRT_HALF * np.exp(1j * phase)])
-    else:
-        raise ValueError(f"unknown preparation kind {kind!r}")
-    return StateVector(n=1, amps=amps.astype(np.complex128))
-
-
-def tensor(states: Sequence[StateVector], cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
-    """Join single-qubit (or larger) registers; qubit 0 = first state."""
-    total = sum(s.n for s in states)
-    _check_cap(total, cap)
-    amps = np.ones(1, dtype=np.complex128)
-    for s in states:
-        # kron puts its left factor in the high bits
-        amps = np.kron(s.amps, amps)
-    return StateVector(n=total, amps=amps)
-
-
-def apply_cz(s: StateVector, i: int, j: int) -> StateVector:
-    if i == j:
-        raise ValueError("cZ needs two distinct qubits")
-    if not (0 <= i < s.n and 0 <= j < s.n):
-        raise IndexError(f"qubit pair ({i}, {j}) out of range")
-    idx = np.arange(2**s.n)
-    both = ((idx >> i) & (idx >> j) & 1).astype(bool)
-    s.amps[both] *= -1
-    return s
-
-
-def apply_pauli(s: StateVector, q: int, letter: str) -> StateVector:
-    v = s._bit_view(q)
-    if letter == "I":
-        return s
-    if letter == "X":
-        tmp = v[:, 0, :].copy()
-        v[:, 0, :] = v[:, 1, :]
-        v[:, 1, :] = tmp
-    elif letter == "Y":
-        tmp = v[:, 0, :].copy()
-        v[:, 0, :] = -1j * v[:, 1, :]
-        v[:, 1, :] = 1j * tmp
-    elif letter == "Z":
-        v[:, 1, :] *= -1
-    else:
-        raise ValueError(f"unknown Pauli letter {letter!r}")
-    return s
-
-
-def apply_phase(s: StateVector, q: int, angle: float) -> StateVector:
-    """diag(1, e^{i*angle}) on qubit q."""
-    v = s._bit_view(q)
-    v[:, 1, :] *= np.exp(1j * angle)
-    return s
-
-
-def measure_xy(
-    s: StateVector, q: int, delta: float, rng: np.random.Generator
-) -> tuple[int, StateVector]:
-    """Measure qubit q in the |±_delta⟩ basis; factor the qubit out.
-
-    Implemented as the z-rotation by −delta followed by an X-basis readout.
-    The surviving register keeps its little-endian labels with q removed,
-    i.e. every qubit above q shifts down by one.
-    """
-    v = s._bit_view(q)
-    rot = np.exp(-1j * delta)
-    branch0 = (v[:, 0, :] + rot * v[:, 1, :]) * _SQRT_HALF
-    branch1 = (v[:, 0, :] - rot * v[:, 1, :]) * _SQRT_HALF
-    p0 = float(np.vdot(branch0, branch0).real)
-    p1 = float(np.vdot(branch1, branch1).real)
-    total = p0 + p1
-    bit = 1 if rng.random() * total >= p0 else 0
-    kept = branch1 if bit else branch0
-    prob = p1 if bit else p0
-    if prob <= 0:
-        raise ArithmeticError(
-            f"measured impossible outcome {bit} on qubit {q}"
-        )
-    amps = (kept / math.sqrt(prob)).reshape(-1)
-    return bit, StateVector(n=s.n - 1, amps=amps)
 
 
 @dataclass(frozen=True)

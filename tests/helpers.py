@@ -1,12 +1,14 @@
-"""Test-only helpers over the simulator's types: density matrices and
-distances between outcome distributions."""
+"""Test-only helpers over the simulator's and the oracle's types: density
+matrices and distances between outcome distributions."""
 from __future__ import annotations
 
 from typing import Sequence
 
 import numpy as np
 
-from trapver.simulator import Distribution, StateVector
+from trapver.simulator import Distribution
+
+from oracle import StateVector
 
 
 def density_matrix(s: StateVector) -> np.ndarray:

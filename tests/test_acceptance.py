@@ -36,7 +36,6 @@ from trapver.graphs import carve_target
 from trapver.protocol import (
     _BATCH,
     _run_batch,
-    encrypt_angles,
     estimate_fidelity_gap,
     make_round_layout,
     run_protocol,
@@ -49,11 +48,10 @@ from trapver.simulator import (
     exact_output_distribution,
     exact_probability_array,
     ising_partition_probability,
-    prepare_qubit,
 )
 
 from helpers import density_matrix, empirical_distribution, tv_distance
-from oracle import keygen
+from oracle import encrypt_angles, keygen, prepare_qubit
 
 
 def rng_from(seed: int) -> np.random.Generator:

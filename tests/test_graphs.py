@@ -25,10 +25,11 @@ from trapver.graphs import (
     expected_target_edges,
     k_to_radians,
     lattice_edges,
-    neighbor_dummy_parity,
     radians_to_k,
     rung_columns,
 )
+
+from oracle import neighbor_dummy_parity
 
 # Dimensions known to carve cleanly: odd row count, enough width for every
 # spacer row to get at least one connector.

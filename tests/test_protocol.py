@@ -35,11 +35,8 @@ from trapver.protocol import (
     KIND_ODD,
     KIND_TARGET,
     AttackSpec,
-    NoiseEvent,
     RoundLayout,
     SecretKey,
-    dense_round_state,
-    encrypt_angles,
     estimate_fidelity_gap,
     honest_target_distribution,
     make_round_layout,
@@ -59,7 +56,15 @@ from trapver.simulator import (
 )
 
 from helpers import empirical_distribution, tv_distance
-from oracle import decrypt, joint_unitary_run, keygen, sample_events
+from oracle import (
+    NoiseEvent,
+    decrypt,
+    dense_round_state,
+    encrypt_angles,
+    joint_unitary_run,
+    keygen,
+    sample_events,
+)
 
 
 def rng_from(seed: int) -> np.random.Generator:

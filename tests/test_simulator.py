@@ -14,18 +14,13 @@ from trapver.graphs import (
     GraphSpec,
     carve_target,
     k_to_radians,
-    neighbor_dummy_parity,
 )
 from trapver.simulator import (
     Distribution,
     IsingInstance,
     NoiseModel,
     QubitCapError,
-    StateVector,
     _induced_components,
-    apply_cz,
-    apply_pauli,
-    apply_phase,
     bits_to_string,
     component_probabilities,
     component_probability_rows,
@@ -33,13 +28,20 @@ from trapver.simulator import (
     exact_probability_array,
     fwht_inplace,
     ising_partition_probability,
-    measure_xy,
-    prepare_qubit,
     string_to_bits,
-    tensor,
 )
 
 from helpers import density_matrix, empirical_distribution, tv_distance
+from oracle import (
+    StateVector,
+    apply_cz,
+    apply_pauli,
+    apply_phase,
+    measure_xy,
+    neighbor_dummy_parity,
+    prepare_qubit,
+    tensor,
+)
 
 RT2 = 1 / math.sqrt(2)
 
