@@ -56,6 +56,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .bounds import pauli_matrix
 from .graphs import (
     ANGLE_STEPS, GraphSpec, bridge_corrections, carve_target, carve_trap_graph,
     k_to_radians,
@@ -85,11 +86,9 @@ _SHARED_STRING_BITS = 12
 # A Pauli letter as two bits: bit 0 is its X part, bit 1 its Z part.
 _LETTER_CODE = {"I": 0, "X": 1, "Z": 2, "Y": 3}
 _CODE_LETTER = "IXZY"
-# Entry [l, 2a + b] is ⟨b|σ|a⟩ for the Pauli σ of letter code l: contracting
-# a qubit's (row bit a, column bit b) pair with row l takes Tr(σ·) there.
-_LETTER_TRACE = np.array(
-    [np.array(m).T.reshape(4) for m in ([[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, -1]], [[0, -1j], [1j, 0]])]
-)
+# Row l, entry 2a + b: ⟨b|σ|a⟩ for the letter σ of code l, so contracting a
+# qubit's (row bit a, column bit b) pair with row l takes Tr(σ·) there.
+_LETTER_TRACE = np.array([pauli_matrix(c).T.reshape(4) for c in _CODE_LETTER])
 _NOISELESS = NoiseModel()
 # e^{−iδ} at each grid angle, exactly as `component_probabilities` forms it.
 _PHASES = np.array([np.exp(-1j * k_to_radians(k)) for k in range(ANGLE_STEPS)])
@@ -262,10 +261,9 @@ def single_pauli_attack(letters: Mapping[tuple[int, int], str]) -> AttackSpec:
 
 
 def _pauli_weights(unitary: np.ndarray, n: int) -> np.ndarray:
-    """Σ_j |Tr(P·B_j)|²/4ⁿ per n-qubit Pauli word P, indexed by Σ_q l_q·4^q
-    with l_q the letter code of P on qubit q; B_j = ⟨j|U|0⟩ on the qubits
-    above the n low ones.  Each qubit's (row bit, column bit) pair is
-    contracted with `_LETTER_TRACE` in turn: O(n·4ⁿ) per block."""
+    """Σ_j |Tr(P·B_j)|²/4ⁿ per Pauli word P on the n low qubits, indexed
+    by Σ_q (P's letter code on qubit q)·4^q, where B_j = ⟨j|U|0⟩ on the
+    qubits above them: one `_LETTER_TRACE` contraction per qubit."""
     # axes (j, a_{n-1} b_{n-1}, ..., a_0 b_0): qubit 0's pair varies fastest
     t = unitary[:, : 2**n].reshape((-1,) + (2,) * 2 * n)
     t = t.transpose([0] + [ax for q in range(n) for ax in (1 + q, 1 + n + q)])
@@ -280,45 +278,34 @@ def unitary_attack(
 ) -> AttackSpec:
     """The Pauli mixture a unitary deviation acts as on the decrypted bits.
 
-    ``unitary`` acts on every slot's cells at once, protocol qubit q
-    being the cell (slot, vertex) = divmod(q, m·n) and the array index
-    little-endian, plus ``private_qubits`` fresh |0⟩ ancillas on the high
-    bits.  With B_j = ⟨j|U|0⟩ on the private register, Pauli word P gets
-    weight p_P = Σ_j |Tr(P·B_j)|²/4ⁿ, all from one 4×4 map per qubit in
-    O(n·4ⁿ); words of weight exactly zero are dropped.
-
-    The mixture is exact for the key-averaged law of the decrypted bits:
-
-    - Before U each non-dummy qubit carries a uniform pad Pauli, X part
-      r′ and Z part its `_pad_mask`, so the prover's U acts as its
-      Pauli-twirled channel.
-    - Dummy qubits start in a uniform |d⟩, maximally mixed ancillas to
-      the prover, so expanding U over Paulis on all protocol qubits gives
-      their marginal too.  Their raw outcomes are i.i.d. fair coins
-      either way, because the decoy angle's π bit is uniform.
+    ``unitary`` acts on protocol qubit q = cell (slot, vertex) =
+    divmod(q, m·n), little-endian, plus ``private_qubits`` fresh |0⟩
+    ancillas on the high bits.  With B_j = ⟨j|U|0⟩ on those, word P weighs
+    p_P = Σ_j |Tr(P·B_j)|²/4ⁿ (`_pauli_weights`); zero weights are dropped.
+    This is exact for the key-averaged law of the decrypted bits: before
+    U each non-dummy qubit carries a uniform pad Pauli (X part r′, Z part
+    its `_pad_mask`), so U acts as its Pauli twirl; dummies start in a
+    uniform |d⟩, maximally mixed, so expanding U over Paulis on all
+    protocol qubits gives their marginal too, and their raw outcomes stay
+    i.i.d. fair coins, the decoy angle's π bit being uniform.
     """
-    dim = unitary.shape[0] if unitary.ndim == 2 else 0
-    if unitary.shape != (dim, dim) or dim < 1 or dim & (dim - 1):
-        raise ValueError("unitary must be square with 2^q rows")
-    if private_qubits < 0:
-        raise ValueError("private register size must be >= 0")
-    n = layout.rounds * layout.m * layout.n
-    if dim.bit_length() - 1 != n + private_qubits:  # 2^(n + private) is never formed
+    n, dim = layout.rounds * layout.m * layout.n, len(unitary)
+    # the qubit count is read off dim, so 2^(n + private) is never formed
+    if private_qubits < 0 or unitary.shape != (dim, dim) or dim & (dim - 1) or (
+        dim.bit_length() - 1 != n + private_qubits
+    ):
         raise ValueError(
-            f"unitary covers {dim.bit_length() - 1} qubits, instance needs "
-            f"{n} plus {private_qubits} private"
+            f"unitary of shape {unitary.shape} is not square with 2^q rows, "
+            f"q = {n} protocol + {private_qubits} private qubits"
         )
     dev = np.linalg.norm(unitary.conj().T @ unitary - np.eye(dim))
     if not dev <= 1e-10:  # NaN entries fail too
         raise ValueError(f"matrix is not unitary (deviation {dev:g})")
-    weights = _pauli_weights(unitary, n)
-    words = np.flatnonzero(weights)
-    codes = (words[:, None] >> 2 * np.arange(n)) & 3  # [term, q]: the letter code
-    cells = [divmod(q, layout.m * layout.n) for q in range(n)]
-    return AttackSpec(pauli_terms=tuple(
-        (float(weights[w]), tuple((cells[q], _CODE_LETTER[c]) for q, c in enumerate(row) if c))
-        for w, row in zip(words.tolist(), codes.tolist())
-    ))
+    weights, terms = _pauli_weights(unitary, n), []
+    for w in np.flatnonzero(weights).tolist():  # letter code of qubit q: (w >> 2q) & 3
+        letters = ((divmod(q, layout.m * layout.n), (w >> 2 * q) & 3) for q in range(n))
+        terms.append((float(weights[w]), tuple((cell, _CODE_LETTER[c]) for cell, c in letters if c)))
+    return AttackSpec(pauli_terms=tuple(terms))
 
 
 def _attack_tables(

@@ -612,7 +612,7 @@ def test_config_snapshot_is_pinned_and_round_trips(
         ({"unitary": [[1]]}, "malformed unitary"),
         ({"unitary": [1]}, "malformed unitary"),
         ({"unitary": [[[1, 0]]], "private_qubits": 1.5}, "private_qubits"),
-        ({"unitary": [[[1, 0]]], "private_qubits": 10**9}, "instance needs 27"),
+        ({"unitary": [[[1, 0]]], "private_qubits": 10**9}, "27 protocol + 1000000000 private"),
     ],
     ids=["slot-out-of-range", "vertex-out-of-range", "missing-weight",
          "unitary-cell-not-a-pair", "unitary-row-not-a-list",

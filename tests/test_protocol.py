@@ -282,7 +282,7 @@ def test_attack_spec_validation():
     for bad in (np.ones((64, 64)), np.full((64, 64), np.nan)):
         with pytest.raises(ValueError, match="not unitary"):
             unitary_attack(tiny_layout(), bad)
-    for bad in (np.eye(3), np.ones(4), np.ones((4, 2))):
+    for bad in (np.eye(3), np.ones(4), np.ones((4, 2)), np.ones((0, 0))):
         with pytest.raises(ValueError, match="2\\^q"):
             unitary_attack(tiny_layout(), bad)
     assert HONEST.is_honest
@@ -1112,11 +1112,12 @@ def test_unitary_attack_output_distribution():
 def test_unitary_attack_refuses_a_size_mismatch(layout33):
     """The qubit count is read off the matrix size, so a private register
     of 10⁹ qubits is refused without forming 2^(27 + 10⁹)."""
-    for private in (0, 3, 10**9):
-        with pytest.raises(ValueError, match="covers 1 qubits, instance needs 27"):
+    for private in (0, 3, 10**9, -1):
+        with pytest.raises(ValueError, match=f"q = 27 protocol \\+ {private} private"):
             unitary_attack(layout33, np.eye(2), private)
-    with pytest.raises(ValueError, match="private"):
-        unitary_attack(layout33, np.eye(2), -1)
+    # 2^26 rows would fit 27 qubits with private = -1
+    with pytest.raises(ValueError, match="-1 private"):
+        unitary_attack(tiny_layout(), np.eye(32), -1)
 
 
 # -- gap estimation -----------------------------------------------------------
