@@ -973,6 +973,7 @@ JOINT_CASES = {
     "random-hermitian-private": lambda: (_evolution(7, 6), 1),
 }
 
+
 def _exact_mixture_accept(layout, attack) -> float:
     """Σ_P p_P · (1/R!) Σ_perm [no Z/Y letter on a trap cell of a trap slot]."""
     perms = list(itertools.permutations(range(layout.rounds)))
@@ -980,7 +981,11 @@ def _exact_mixture_accept(layout, attack) -> float:
     for weight, letters in attack.pauli_terms:
         hit = {cell for cell, letter in letters if letter in "ZY"}
         passing = sum(
-            not any((s, v) in hit for s, gi in enumerate(perm) if gi for v in layout.graphs[gi].trap_ids())
+            not any(
+                (slot, v) in hit
+                for slot, gi in enumerate(perm) if gi
+                for v in layout.graphs[gi].trap_ids()
+            )
             for perm in perms
         )
         total += weight * passing / len(perms)
@@ -1061,7 +1066,8 @@ def test_pauli_word_unitary_is_one_letter_term():
     qubit an X moves the whole block to ⟨1|, and the term is the same."""
     lay = tiny_layout()
     rng = rng_from(4100)
-    words = ["IIIIII", "IZIIXI", "YIIIIZ"] + ["".join(rng.choice(list("IXYZ"), 6)) for _ in range(5)]
+    words = ["IIIIII", "IZIIXI", "YIIIIZ"]
+    words += ["".join(rng.choice(list("IXYZ"), 6)) for _ in range(5)]
     for word in words:
         letters = {divmod(q, 2): p for q, p in enumerate(word) if p != "I"}
         want = single_pauli_attack(letters).pauli_terms
@@ -1115,7 +1121,7 @@ def test_unitary_attack_refuses_a_size_mismatch(layout33):
     for private in (0, 3, 10**9, -1):
         with pytest.raises(ValueError, match=f"q = 27 protocol \\+ {private} private"):
             unitary_attack(layout33, np.eye(2), private)
-    # 2^26 rows would fit 27 qubits with private = -1
+    # 32 rows would match the 6 protocol qubits with private = -1
     with pytest.raises(ValueError, match="-1 private"):
         unitary_attack(tiny_layout(), np.eye(32), -1)
 
