@@ -3,8 +3,7 @@
 A layout is a rectangular grid of qubits with one role per cell.  Dummy
 cells sever entanglement, which is how the target pattern and the two trap
 patterns are all cut from the same lattice.  Everything here is plain
-bookkeeping: roles, base measurement angles, and the two outcome-correction
-maps that the verifier applies after the fact.
+bookkeeping: roles, base measurement angles and edges.
 
 Angles are stored as integers ``k`` meaning ``k*pi/8``, reduced mod 16, so
 key-schedule arithmetic stays exact.  Vertex ids are row-major:
@@ -15,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping
 
 ANGLE_STEPS = 16
 SCHEMA_VERSION = 1
@@ -334,26 +333,6 @@ def carve_trap_graph(m: int, n: int, parity: str) -> GraphSpec:
         phi_k=(0,) * size,
         edges=lattice_edges(m, n),
     )
-
-
-def bridge_corrections(g: GraphSpec, raw_outcomes: Sequence[int]) -> list[int]:
-    """Flip mask induced by connector outcomes.
-
-    Every connector that reported 1 marks both its surviving neighbours for
-    a bit flip; the mask is zero elsewhere.  ``raw_outcomes`` is indexed by
-    vertex id over the whole lattice.
-    """
-    if len(raw_outcomes) != g.m * g.n:
-        raise ValueError("need one raw outcome per lattice cell")
-    mask = [0] * (g.m * g.n)
-    for v in g.bridge_ids():
-        ends = g.induced_neighbors[v]
-        if len(ends) != 2:
-            raise ValueError(f"bridge vertex {v} has degree {len(ends)} != 2")
-        if raw_outcomes[v] & 1:
-            for u in ends:
-                mask[u] ^= 1
-    return mask
 
 
 def expected_target_edges(m: int, n: int) -> frozenset[tuple[int, int]]:

@@ -58,8 +58,7 @@ import numpy as np
 
 from .bounds import pauli_matrix
 from .graphs import (
-    ANGLE_STEPS, GraphSpec, bridge_corrections, carve_target, carve_trap_graph,
-    k_to_radians,
+    ANGLE_STEPS, GraphSpec, carve_target, carve_trap_graph, k_to_radians,
 )
 from .simulator import (
     DEFAULT_QUBIT_CAP, Distribution, NoiseModel, _check_cap, _induced_components,
@@ -73,10 +72,6 @@ from .simulator import (
 # engine 4 draws each repetition's fixed block and runs batches as arrays;
 # engine 5 runs a unitary deviation as its Pauli mixture.
 ENGINE_VERSION = 5
-
-KIND_TARGET = "target"
-KIND_EVEN = "even"
-KIND_ODD = "odd"
 
 # Repetitions simulated together; bounds the memory of the batch arrays.
 _BATCH = 1024
@@ -108,20 +103,10 @@ class RoundLayout:
     n: int
     kappa: int
     graphs: tuple[GraphSpec, ...]
-    kinds: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if self.kappa < 1:
             raise ValueError(f"kappa must be >= 1, got {self.kappa}")
-        expected = (
-            (KIND_TARGET,)
-            + (KIND_EVEN,) * self.kappa
-            + (KIND_ODD,) * self.kappa
-        )
-        if self.kinds != expected:
-            raise ValueError(
-                f"round kinds must be {expected}, got {self.kinds}"
-            )
         if len(self.graphs) != 2 * self.kappa + 1:
             raise ValueError("need one graph per round")
         for g in self.graphs:
@@ -154,7 +139,6 @@ def make_round_layout(m: int, n: int, kappa: int) -> RoundLayout:
         n=n,
         kappa=kappa,
         graphs=(target,) + (even,) * kappa + (odd,) * kappa,
-        kinds=(KIND_TARGET,) + (KIND_EVEN,) * kappa + (KIND_ODD,) * kappa,
     )
 
 
@@ -210,7 +194,7 @@ def _keys(layout: RoundLayout, words: np.ndarray) -> SecretKey:
 
 @dataclass(frozen=True)
 class AttackSpec:
-    """A prover deviation as a Pauli mixture.
+    """A prover deviation as a Pauli mixture; an honest prover is None.
 
     ``pauli_terms`` is a weighted list; each term maps (slot, vertex) to
     a letter and one term is sampled per protocol run, so the same string
@@ -218,41 +202,18 @@ class AttackSpec:
     a unitary deviation.
     """
 
-    pauli_terms: tuple[tuple[float, tuple[tuple[tuple[int, int], str], ...]], ...] | None = None
+    pauli_terms: tuple[tuple[float, tuple[tuple[tuple[int, int], str], ...]], ...]
 
     def __post_init__(self) -> None:
-        if self.pauli_terms is not None:
-            weights = [w for w, _ in self.pauli_terms]
-            if any(not w >= 0 for w in weights):  # NaN fails too
-                raise ValueError("attack weights must be nonnegative")
-            if abs(sum(weights) - 1) > 1e-9:
-                raise ValueError("attack weights must sum to 1")
-            for _, letters in self.pauli_terms:
-                for (_slot, _v), letter in letters:
-                    if letter not in _LETTER_CODE:
-                        raise ValueError(f"bad Pauli letter {letter!r}")
-
-    @property
-    def is_honest(self) -> bool:
-        return self.pauli_terms is None
-
-    def check_against(self, layout: RoundLayout) -> None:
-        """Reject Pauli letters on slots or cells ``layout`` does not have."""
-        for _, letters in self.pauli_terms or ():
-            for (slot, v), _letter in letters:
-                if not 0 <= slot < layout.rounds:
-                    raise ValueError(
-                        f"attack letter on slot {slot}, but the layout "
-                        f"runs slots 0..{layout.rounds - 1}"
-                    )
-                if not 0 <= v < layout.m * layout.n:
-                    raise ValueError(
-                        f"attack letter on vertex {v}, but the lattice "
-                        f"has cells 0..{layout.m * layout.n - 1}"
-                    )
-
-
-HONEST = AttackSpec()
+        weights = [w for w, _ in self.pauli_terms]
+        if any(not w >= 0 for w in weights):  # NaN fails too
+            raise ValueError("attack weights must be nonnegative")
+        if abs(sum(weights) - 1) > 1e-9:
+            raise ValueError("attack weights must sum to 1")
+        for _, letters in self.pauli_terms:
+            for (_slot, _v), letter in letters:
+                if letter not in _LETTER_CODE:
+                    raise ValueError(f"bad Pauli letter {letter!r}")
 
 
 def single_pauli_attack(letters: Mapping[tuple[int, int], str]) -> AttackSpec:
@@ -312,17 +273,28 @@ def _attack_tables(
     strategy: AttackSpec | None, layout: RoundLayout
 ) -> tuple[np.ndarray, np.ndarray, list]:
     """Per Pauli term of ``strategy``: the cumulative weights, the Z/Y
-    flips by slot and cell (None without terms, which acts as one empty
-    term) and the sorted letters a record reports."""
-    terms = (strategy and strategy.pauli_terms) or ()
-    if not terms:
+    flips by slot and cell (None for the honest prover, which acts as one
+    empty term) and the sorted letters a record reports.  A letter on a
+    slot or cell ``layout`` does not have is refused."""
+    if strategy is None:
         return np.ones(1), None, [()]
+    terms = strategy.pauli_terms
     cum = np.cumsum([w for w, _ in terms])
     flips = np.zeros((len(terms), layout.rounds, layout.m * layout.n), np.uint8)
     letters = []
     for t, (_, term) in enumerate(terms):
         term = dict(term)
         for (slot, v), letter in term.items():
+            if not 0 <= slot < layout.rounds:
+                raise ValueError(
+                    f"attack letter on slot {slot}, but the layout "
+                    f"runs slots 0..{layout.rounds - 1}"
+                )
+            if not 0 <= v < layout.m * layout.n:
+                raise ValueError(
+                    f"attack letter on vertex {v}, but the lattice "
+                    f"has cells 0..{layout.m * layout.n - 1}"
+                )
             flips[t, slot, v] = _LETTER_CODE[letter] >> 1
         letters.append(tuple(sorted(term.items())))
     return cum / cum[-1], flips, letters
@@ -350,13 +322,13 @@ class _SimPlan(NamedTuple):
     ones: np.ndarray      # components of one cell, their cells and P(0)
     one_cells: np.ndarray
     one_p0: np.ndarray
-    later: np.ndarray     # [step + 1, v]: v's cZ partners after ``step``
+    edge_step: np.ndarray  # [u, v]: index in g.edges of the cZ joining u, v, or -1
 
 
 @lru_cache(maxsize=64)
 def _sim_plan(g: GraphSpec, cap: int) -> _SimPlan:
     """Per-component outcome distributions of ``g`` at its base angles,
-    and the cZ-partner table that carries X errors through the round."""
+    and the cZ order that carries X errors through the round."""
     induced = g.induced_edges()
     comps = []
     for comp in _induced_components(g):
@@ -373,11 +345,9 @@ def _sim_plan(g: GraphSpec, cap: int) -> _SimPlan:
     comp_of = np.zeros(size, int)
     for j, comp in enumerate(comps):
         comp_of[list(comp.vertices)] = j
-    later = np.zeros((len(g.edges) + 1, size, size), np.uint8)
-    for step in range(len(g.edges) - 1, -1, -1):
-        a, b = g.edges[step]
-        later[step] = later[step + 1]
-        later[step, a, b] = later[step, b, a] = 1
+    edge_step = np.full((size, size), -1, np.int32)
+    a, b = np.array(g.edges, int).reshape(-1, 2).T
+    edge_step[a, b] = edge_step[b, a] = np.arange(len(g.edges))
     ones = [j for j, comp in enumerate(comps) if len(comp.vertices) == 1]
     return _SimPlan(
         components=tuple(comps),
@@ -386,7 +356,7 @@ def _sim_plan(g: GraphSpec, cap: int) -> _SimPlan:
         ones=np.array(ones, int),
         one_cells=np.array([comps[j].vertices[0] for j in ones], int),
         one_p0=np.array([comps[j].cdf[0] for j in ones]),
-        later=later,
+        edge_step=edge_step,
     )
 
 
@@ -402,8 +372,8 @@ def _gf2(g: GraphSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for v, us in g.induced_neighbors.items():
         nbr[list(us), v] = 1
     fix = np.eye(size, dtype=np.uint8)
-    for b in g.bridge_ids():  # row b: the flips that outcome 1 on bridge b calls for
-        fix[b] |= np.array(bridge_corrections(g, fix[b]), np.uint8)
+    for b in g.bridge_ids():  # row b: outcome 1 on bridge b flips both its ends
+        fix[b, list(g.induced_neighbors[b])] = 1
     return nd, nbr, fix
 
 
@@ -456,14 +426,17 @@ def _pauli_frame(
     """X and Z bits (count × cells) once the events reach the readout.
 
     An X part before the readout flips its vertex's rotation (X bit) and
-    puts Z on the vertex's later cZ partners; a Z part flips its own
-    outcome.  An X part at the readout does nothing to an X measurement.
+    puts Z on the partners of the vertex's cZs after ``step``; a Z part
+    flips its own outcome.  An X part at the readout, step E, does nothing
+    to an X measurement.
     """
-    x = np.zeros((count, plan.later.shape[1]), np.uint8)
+    x = np.zeros((count, len(plan.edge_step)), np.uint8)
     z = np.zeros_like(x)
-    hx = ((codes & 1) == 1) & (steps < len(plan.later) - 1)
+    readout = plan.edge_step.max() + 1  # E: every edge index appears
+    hx = ((codes & 1) == 1) & (steps < readout)
     np.bitwise_xor.at(x, (runs[hx], verts[hx]), 1)
-    np.bitwise_xor.at(z, runs[hx], plan.later[steps[hx] + 1, verts[hx]])
+    later = plan.edge_step[verts[hx]] > steps[hx, None]
+    np.bitwise_xor.at(z, runs[hx], later.view(np.uint8))
     hz = (codes & 2) == 2
     np.bitwise_xor.at(z, (runs[hz], verts[hz]), 1)
     return x, z
@@ -524,13 +497,12 @@ def _decrypt(layout: RoundLayout, masks: np.ndarray, raw: np.ndarray) -> np.ndar
     """Decrypted bits, runs × canonical rounds × cells.
 
     Each bit is unpadded by its `_pad_mask` (``masks`` holds every
-    round's); the computation round then gets its connector corrections,
-    the GF(2) product with I + B.  Dummy cells keep their raw outcomes.
+    round's); the computation round, canonical round 0, then gets its
+    connector corrections, the GF(2) product with I + B.  Dummy cells
+    keep their raw outcomes.
     """
     dec = raw ^ masks
-    for gi, g in enumerate(layout.graphs):
-        if layout.kinds[gi] == KIND_TARGET:
-            dec[:, gi] = (dec[:, gi] @ _gf2(g)[2]) & 1
+    dec[:, 0] = (dec[:, 0] @ _gf2(layout.target)[2]) & 1
     return dec
 
 
@@ -597,13 +569,12 @@ class RunBatch:
             _bit_strings(self.decrypted[:, gi][:, list(g.non_dummy_ids())])
             for gi, g in enumerate(self.layout.graphs)
         ]
-        traps = [kind != KIND_TARGET for kind in self.layout.kinds]
         accept, slots, terms = self.accept.tolist(), self.target_slots.tolist(), self.terms.tolist()
         return [
             (
                 raw[i * rounds : (i + 1) * rounds],
                 [dec[gi][i] for gi in perm],
-                [passed[gi] if traps[gi] else None for gi in perm],
+                [passed[gi] if gi else None for gi in perm],  # round 0 has no verdict
                 accept[i], self.outputs[i], slots[i], terms[i],
             )
             for i, (perm, passed) in enumerate(zip(self.perm.tolist(), self.passed.tolist()))
@@ -692,21 +663,21 @@ def _run_batch(
 ) -> RunBatch:
     """Execute one repetition per generator in ``rngs``; their columns.
 
-    The one place repetitions are executed, for callers that have checked
-    ``strategy`` already.  Every run draws its block from its own
-    generator, in list order, so a generator listed k times serves k
-    successive blocks, as k `run_protocol` calls on it would; then keys,
-    attack terms, rounds, decryption and trap verdicts are computed for
-    the whole batch, and nothing else is drawn.
+    The one place repetitions are executed.  An attack letter outside
+    the layout is refused before anything is drawn.  Every run draws its
+    block from its own generator, in list order, so a generator listed k
+    times serves k successive blocks, as k `run_protocol` calls on it
+    would; then keys, attack terms, rounds, decryption and trap verdicts
+    are computed for the whole batch, and nothing else is drawn.
     """
     noise, count, size = noise or _NOISELESS, len(rngs), layout.m * layout.n
+    cum, flips, term_letters = _attack_tables(strategy, layout)
     plans = [_sim_plan(g, cap) for g in layout.graphs]
     noisy = not noise.is_noiseless()
     widths = [len(p.components) + noisy * _sites(g) for g, p in zip(layout.graphs, plans)]
     head = _key_words(layout)
     words = _draw_blocks(rngs, head + 1 + sum(widths))
     keys, u = _keys(layout, words), (words[:, head:] >> 11) * 2.0**-53
-    cum, flips, term_letters = _attack_tables(strategy, layout)
     terms = np.minimum(np.searchsorted(cum, u[:, 0], side="right"), len(cum) - 1)
     bounds = np.cumsum([1] + widths).tolist()
     draws = [u[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
@@ -734,10 +705,9 @@ def _run_batch(
     else:
         index = (out_bits @ (1 << np.arange(nbits))).tolist()
         outputs = [_string_table(nbits)[j] for j in index]
-    traps = np.array(layout.kinds) != KIND_TARGET
     return RunBatch(
         layout, raw[rows, keys.perm], dec, keys.perm, terms, term_letters,
-        passed, passed[:, traps].all(axis=1), outputs,
+        passed, passed[:, 1:].all(axis=1), outputs,
     )
 
 
@@ -755,8 +725,6 @@ def run_protocol(
     """
     if rng is None:
         raise ValueError("an explicitly seeded generator is required")
-    if strategy is not None:
-        strategy.check_against(layout)
     return _run_batch(layout, strategy, noise, [rng], cap)[0]
 
 
@@ -796,8 +764,6 @@ def run_scheme(
         raise ValueError("need at least one repetition")
     if not 0 <= l_threshold <= 1:
         raise ValueError("acceptance fraction must lie in [0, 1]")
-    if strategy is not None:
-        strategy.check_against(layout)
     passes = 0
     outputs: list[str] = []
     for start in range(0, m_repetitions, _BATCH):
@@ -887,8 +853,6 @@ def estimate_fidelity_gap(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    if strategy is not None:
-        strategy.check_against(layout)
     _, flips, _ = _attack_tables(strategy, layout)
     if flips is None:
         escape = np.ones((1, layout.rounds), bool)

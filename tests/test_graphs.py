@@ -17,7 +17,6 @@ from trapver.graphs import (
     SAMPLER_ANGLE_SET,
     SCHEMA_VERSION,
     GraphSpec,
-    bridge_corrections,
     build_square_lattice,
     carve_target,
     carve_trap_graph,
@@ -302,26 +301,6 @@ def test_neighbor_dummy_parity_rejects_wrong_length():
     g = carve_trap_graph(3, 3, "even")
     with pytest.raises(ValueError, match="length"):
         neighbor_dummy_parity(g, [0, 1])
-
-
-def test_bridge_corrections_no_bridges():
-    g = carve_trap_graph(3, 3, "odd")
-    assert bridge_corrections(g, [1] * 9) == [0] * 9
-
-
-def test_bridge_corrections_smallest_target():
-    g = carve_target(3, 3)
-    raw = [0] * 9
-    assert bridge_corrections(g, raw) == [0] * 9
-    raw[5] = 1  # connector reported 1: flip both chain endpoints it joins
-    mask = bridge_corrections(g, raw)
-    assert mask[2] == 1 and mask[8] == 1
-    assert sum(mask) == 2
-
-
-def test_bridge_corrections_rejects_wrong_length():
-    with pytest.raises(ValueError, match="per lattice cell"):
-        bridge_corrections(carve_target(3, 3), [0] * 8)
 
 
 # -- serialization ----------------------------------------------------------

@@ -17,6 +17,7 @@ from trapver.graphs import (
     ROLE_DUMMY,
     ROLE_TRAP,
     GraphSpec,
+    carve_trap_graph,
     k_to_radians,
 )
 from trapver import protocol
@@ -30,10 +31,6 @@ from trapver.protocol import (
     _run_batch,
     _sample_round,
     _sim_plan,
-    HONEST,
-    KIND_EVEN,
-    KIND_ODD,
-    KIND_TARGET,
     AttackSpec,
     RoundLayout,
     SecretKey,
@@ -76,11 +73,7 @@ def tiny_layout() -> RoundLayout:
     target = GraphSpec(1, 2, (ROLE_COMPUTATIONAL,) * 2, (1, 2), ((0, 1),))
     even = GraphSpec(1, 2, (ROLE_TRAP, ROLE_DUMMY), (0, 0), ((0, 1),))
     odd = GraphSpec(1, 2, (ROLE_DUMMY, ROLE_TRAP), (0, 0), ((0, 1),))
-    return RoundLayout(
-        m=1, n=2, kappa=1,
-        graphs=(target, even, odd),
-        kinds=(KIND_TARGET, KIND_EVEN, KIND_ODD),
-    )
+    return RoundLayout(m=1, n=2, kappa=1, graphs=(target, even, odd))
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +86,6 @@ def layout33() -> RoundLayout:
 
 def test_layout_shape(layout33):
     assert layout33.rounds == 3
-    assert layout33.kinds == (KIND_TARGET, KIND_EVEN, KIND_ODD)
     assert layout33.target.bridge_ids() == (5,)
     assert layout33.graphs[1].trap_ids() == (0, 2, 6, 8)
     assert layout33.graphs[2].trap_ids() == (1, 5, 7)
@@ -101,14 +93,12 @@ def test_layout_shape(layout33):
 
 def test_layout_validation(layout33):
     g = layout33.graphs
-    with pytest.raises(ValueError, match="kinds"):
-        RoundLayout(3, 3, 1, g, (KIND_EVEN, KIND_TARGET, KIND_ODD))
-    with pytest.raises(ValueError):
-        RoundLayout(3, 3, 1, g[:2], (KIND_TARGET, KIND_EVEN))
-    with pytest.raises(ValueError):
-        RoundLayout(3, 3, 0, (g[0],), (KIND_TARGET,))
+    with pytest.raises(ValueError, match="one graph per round"):
+        RoundLayout(3, 3, 1, g[:2])
+    with pytest.raises(ValueError, match="kappa"):
+        RoundLayout(3, 3, 0, (g[0],))
     with pytest.raises(ValueError, match="shape"):
-        RoundLayout(5, 3, 1, g, layout33.kinds)
+        RoundLayout(5, 3, 1, g)
 
 
 # -- keys ---------------------------------------------------------------------
@@ -285,8 +275,6 @@ def test_attack_spec_validation():
     for bad in (np.eye(3), np.ones(4), np.ones((4, 2)), np.ones((0, 0))):
         with pytest.raises(ValueError, match="2\\^q"):
             unitary_attack(tiny_layout(), bad)
-    assert HONEST.is_honest
-    assert not single_pauli_attack({(0, 0): "Z"}).is_honest
 
 
 # -- protocol runs ------------------------------------------------------------
@@ -519,12 +507,10 @@ def test_frame_distribution_equals_dense_path(m):
     layout = make_round_layout(m, 3, 1)
     rng = rng_from(90 + m)
     noisy = NoiseModel(eps_v=0.25, eps_p=0.25)
-    kinds_seen = set()
     for _ in range(3):
         key = keygen(layout, rng)
         deltas = encrypt_angles(key, layout)
         for gi, g in enumerate(layout.graphs):
-            kinds_seen.add(layout.kinds[gi])
             nd = g.non_dummy_ids()
             cases = [(ev, {}) for ev in _hand_picked_events(g).values()]
             cases += [
@@ -539,7 +525,6 @@ def test_frame_distribution_equals_dense_path(m):
                     rtol=0,
                     atol=1e-12,
                 )
-    assert kinds_seen == {KIND_TARGET, KIND_EVEN, KIND_ODD}
 
 
 def test_frame_kernel_samples_a_recomputed_component():
@@ -675,6 +660,25 @@ def test_noisy_9x3_recompute_stays_under_the_amplitude_cap(monkeypatch):
     assert len(sevens) == 1 and sevens[0] > 50
 
 
+def test_trap_plans_at_21x11_stay_under_a_mebibyte():
+    """A carving's plan holds one cells × cells cZ-order matrix, so both
+    21x11 trap plans (231 cells, 430 cZs) build in well under 1 MiB; a
+    table per cZ step would take over 20 MiB each."""
+    for parity in ("even", "odd"):
+        g = carve_trap_graph(21, 11, parity)
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            plan = _sim_plan.__wrapped__(g, DEFAULT_QUBIT_CAP)  # bypass the cache
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < 2**20, parity
+        assert plan.edge_step.shape == (231, 231)
+
+
 def test_noiseless_events_draw_nothing(layout33):
     rng = rng_from(97)
     for g in layout33.graphs:
@@ -736,8 +740,10 @@ def test_honest_outputs_reach_exact_cross_entropy(m, runs):
 def test_scheme_and_gap_reject_attacks_outside_the_layout(layout33):
     for letters, what in (({(7, 0): "Z"}, "slot 7"), ({(0, 99): "Z"}, "vertex 99")):
         attack = single_pauli_attack(letters)
+        rng = rng_from(0)
         with pytest.raises(ValueError, match=what):
-            run_protocol(layout33, attack, None, rng_from(0))
+            run_protocol(layout33, attack, None, rng)
+        assert rng.random() == rng_from(0).random()  # refused before drawing
         with pytest.raises(ValueError, match=what):
             run_scheme(layout33, attack, None, 2, 0.5, rng_from(0))
         with pytest.raises(ValueError, match=what):
