@@ -176,6 +176,8 @@ def theorem1_params(
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
     if n_qubits < 1 or kappa < 1:
         raise ValueError("n_qubits and kappa must be >= 1")
+    if not (math.isfinite(eps_v) and math.isfinite(eps_p)):
+        raise ValueError(f"noise rates must be finite, got eps_v={eps_v}, eps_p={eps_p}")
     if eps_v < 0 or eps_p < 0:
         raise ValueError("noise rates must be nonnegative")
     total = eps_v + eps_p

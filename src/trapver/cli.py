@@ -579,7 +579,7 @@ def _cmd_verify(cfg: SessionConfig) -> tuple[int, dict]:
     attack_doc = cfg.extras.get("attack_doc")
     if attack_doc is None and cfg.attack:
         attack_doc = _read_json(cfg.attack, "attack file")
-    strategy = attack_spec_from_json(attack_doc, layout) if attack_doc else None
+    strategy = None if attack_doc is None else attack_spec_from_json(attack_doc, layout)
     n_qubits = len(layout.target.non_dummy_ids())
     scheme_m, scheme_l, meta = _scheme_parameters(cfg, n_qubits, kappa)
     records: list[RunRecord] = []

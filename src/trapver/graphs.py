@@ -208,19 +208,52 @@ class GraphSpec:
         }
 
     @classmethod
-    def from_json_dict(cls, doc: Mapping) -> "GraphSpec":
+    def from_json_dict(cls, doc: object) -> "GraphSpec":
+        """The layout a `to_json_dict` document describes; any other
+        document raises ValueError.  The vertex count is checked against
+        m·n before anything is allocated, and the ids must be 0..m·n−1,
+        each exactly once."""
+        if not isinstance(doc, Mapping):
+            raise ValueError("layout must be a JSON object")
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported layout schema {doc.get('schema_version')!r}"
             )
-        m, n = int(doc["m"]), int(doc["n"])
-        roles = [""] * (m * n)
-        phi = [0] * (m * n)
-        for entry in doc["vertices"]:
-            roles[int(entry["id"])] = entry["role"]
-            phi[int(entry["id"])] = int(entry["phi_k"])
-        edges = tuple(sorted((min(a, b), max(a, b)) for a, b in doc["edges"]))
-        return cls(m=m, n=n, roles=tuple(roles), phi_k=tuple(phi), edges=edges)
+        m, n = _json_int(doc, "m"), _json_int(doc, "n")
+        vertices, edges = doc.get("vertices"), doc.get("edges")
+        if not isinstance(vertices, list) or not isinstance(edges, list):
+            raise ValueError("layout needs 'vertices' and 'edges' lists")
+        if m < 1 or n < 1:
+            raise ValueError("lattice dimensions must be positive")
+        if len(vertices) != m * n:
+            raise ValueError(
+                f"a {m}x{n} layout has {m * n} vertices, got {len(vertices)}"
+            )
+        cells: dict[int, tuple] = {}
+        for entry in vertices:
+            if not isinstance(entry, Mapping):
+                raise ValueError(f"layout vertex {entry!r} is not an object")
+            v = _json_int(entry, "id")
+            if not 0 <= v < m * n or v in cells:
+                raise ValueError(
+                    f"vertex id {v} is out of range 0..{m * n - 1} or repeated"
+                )
+            cells[v] = entry.get("role"), _json_int(entry, "phi_k")
+        pairs = []
+        for e in edges:
+            if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
+                raise ValueError(f"layout edge {e!r} is not a pair of vertex ids")
+            pairs.append((min(e), max(e)))
+        roles, phi = zip(*(cells[v] for v in range(m * n)))
+        return cls(m=m, n=n, roles=roles, phi_k=phi, edges=tuple(sorted(pairs)))
+
+
+def _json_int(doc: Mapping, key: str) -> int:
+    """``doc[key]``, which must be a JSON integer."""
+    value = doc.get(key)
+    if type(value) is not int:
+        raise ValueError(f"layout field {key!r} must be an integer, got {value!r}")
+    return value
 
 
 def lattice_edges(m: int, n: int) -> tuple[tuple[int, int], ...]:

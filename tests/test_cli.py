@@ -24,7 +24,10 @@ from trapver.cli import (
     main,
     parse_config,
 )
-from trapver.graphs import SCHEMA_VERSION, GraphSpec, carve_target
+from trapver.graphs import (
+    ROLE_COMPUTATIONAL, ROLE_DUMMY, ROLES, SCHEMA_VERSION, GraphSpec, carve_target,
+    lattice_edges,
+)
 from trapver.protocol import ENGINE_VERSION
 
 
@@ -265,6 +268,49 @@ def test_simulate_csv(tmp_path, layout_file):
 
 def test_simulate_missing_graph(tmp_path):
     assert main(["simulate", "--graph", str(tmp_path / "nope.json")]) == 1
+
+
+def _target_doc(**changes) -> dict:
+    return {**carve_target(3, 3).to_json_dict(), **changes}
+
+
+def _with_vertex(index: int, **changes) -> dict:
+    doc = _target_doc()
+    doc["vertices"][index] = {**doc["vertices"][index], **changes}
+    return doc
+
+
+def _without(doc: dict, key: str, index: int | None = None) -> dict:
+    (doc if index is None else doc["vertices"][index]).pop(key)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([], "must be a JSON object"),
+        (_without(_target_doc(), "n"), "'n' must be an integer"),
+        (_without(_target_doc(), "role", 4), "unknown role None"),
+        (_target_doc(m=None), "'m' must be an integer"),
+        (_target_doc(edges=5), "'edges' lists"),
+        (_with_vertex(4, id=9), "vertex id 9 is out of range 0..8 or repeated"),
+        (_with_vertex(8, id=-1), "vertex id -1"),
+        (_with_vertex(4, id=3), "vertex id 3"),
+        (_target_doc(m=100_000, n=100_000, vertices=[]), "has 10000000000 vertices, got 0"),
+        (_target_doc(edges=[[0, 1, 2]]), "not a pair of vertex ids"),
+        (_with_vertex(4, phi_k=2.5), "'phi_k' must be an integer"),
+    ],
+    ids=["list", "missing-n", "missing-role", "null-m", "edges-not-a-list",
+         "id-too-large", "id-negative", "id-repeated", "huge-and-empty",
+         "edge-not-a-pair", "fractional-phi"],
+)
+def test_simulate_rejects_malformed_layouts(tmp_path, capsys, doc, message):
+    path = tmp_path / "layout.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["simulate", "--graph", str(path), "--exact"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
 # -- verify and replay ----------------------------------------------------------
@@ -613,10 +659,13 @@ def test_config_snapshot_is_pinned_and_round_trips(
         ({"unitary": [1]}, "malformed unitary"),
         ({"unitary": [[[1, 0]]], "private_qubits": 1.5}, "private_qubits"),
         ({"unitary": [[[1, 0]]], "private_qubits": 10**9}, "27 protocol + 1000000000 private"),
+        ({}, "needs 'pauli_terms' or 'unitary'"),
+        ([], "must be an object"),
     ],
     ids=["slot-out-of-range", "vertex-out-of-range", "missing-weight",
          "unitary-cell-not-a-pair", "unitary-row-not-a-list",
-         "unitary-private-not-an-integer", "unitary-private-too-large"],
+         "unitary-private-not-an-integer", "unitary-private-too-large",
+         "empty-object", "empty-list"],
 )
 def test_verify_rejects_bad_attacks(
     tmp_path, capsys, attack, message
@@ -767,6 +816,18 @@ def test_bounds_thm_verbs(tmp_path):
     assert doc["epsilon"] == pytest.approx(0.007990234375, rel=1e-12)
 
     assert main(["bounds", "thm1", "--kappa", "1", "--beta", "0.05"]) == 1
+
+
+@pytest.mark.parametrize("rate", ["inf", "nan"])
+def test_bounds_thm1_refuses_non_finite_rates(tmp_path, capsys, rate):
+    out = tmp_path / "thm1.json"
+    capsys.readouterr()
+    assert main(
+        ["bounds", "thm1", "--n-qubits", "9", "--kappa", "1", "--eps-v", rate,
+         "--eps-p", "0.001", "--beta", "0.05", "--out", str(out)]
+    ) == 1
+    assert "noise rates must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bounds_twirl_verb(tmp_path):
@@ -947,6 +1008,57 @@ def test_attack_documents_exit_cleanly(fuzz_dir, doc):
     path.write_text(json.dumps(doc))
     out = ["--attack", str(path), "--out", str(fuzz_dir / "attacked.json")]
     assert main(FUZZ_ARGV + out) in (0, 1, 2)
+
+
+# -- fuzzing layout documents -------------------------------------------------
+
+
+@st.composite
+def _shaped_layouts(draw):
+    """Layouts of m·n vertices with ids 0..m·n−1 in any order, so that
+    they reach the role, angle and edge checks and the simulator."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    roles = st.sampled_from((ROLE_COMPUTATIONAL, ROLE_DUMMY) * 3 + ROLES)
+    vertices = [
+        {"id": v, "role": draw(roles), "phi_k": draw(st.sampled_from([0, 0, 4, 15, 16]))}
+        for v in draw(st.permutations(range(m * n)))
+    ]
+    edges = [list(e) for e in lattice_edges(m, n) if draw(st.booleans())]
+    edges += draw(st.lists(st.lists(st.integers(-1, m * n), max_size=3), max_size=1))
+    return {"schema_version": SCHEMA_VERSION, "m": m, "n": n, "vertices": vertices, "edges": edges}
+
+
+_VERTEX = st.one_of(
+    st.fixed_dictionaries(
+        {"id": st.one_of(st.integers(-1, 9), _SCALARS), "role": st.one_of(st.sampled_from(ROLES), _SCALARS)},
+        optional={"phi_k": st.one_of(st.integers(-1, 16), _SCALARS)},
+    ),
+    _JSON,
+)
+_LAYOUT_DOC = st.one_of(
+    _shaped_layouts(),
+    st.fixed_dictionaries(
+        {
+            "schema_version": st.one_of(st.just(SCHEMA_VERSION), _SCALARS),
+            "vertices": st.one_of(st.lists(_VERTEX, max_size=9), _JSON),
+            "edges": st.one_of(st.lists(st.lists(_SCALARS, max_size=3), max_size=3), _JSON),
+        },
+        optional={"m": _SCALARS, "n": _SCALARS},
+    ),
+    _JSON,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_LAYOUT_DOC)
+def test_layout_documents_exit_cleanly(fuzz_dir, doc):
+    """Malformed layouts for `simulate --graph` — wrong types, missing
+    fields, vertex ids out of range or repeated, bad roles, angles and
+    edges — give exit 0, 1 or 2 and never an escaping exception."""
+    path = fuzz_dir / "layout.json"
+    path.write_text(json.dumps(doc))
+    argv = ["simulate", "--graph", str(path), "--exact", "--out", str(fuzz_dir / "dist.json")]
+    assert main(argv) in (0, 1, 2)
 
 
 # -- fuzzing the replayed part of a verify artifact ---------------------------
