@@ -5,7 +5,9 @@ defaults.  `build_parser` is the one declaration of the options: env, file
 and replayed-artifact values are converted and checked by its actions.
 Every emitted JSON document carries schema_version, tool_version and the
 root seed; verification artifacts embed enough to be re-executed
-bit-identically by `trapver replay`.
+bit-identically by `trapver replay`.  Handlers write nothing: each returns
+(exit code, payload, CSV rows or None), and `main` writes the result once
+through `_emit`.
 
 Exit codes: 0 scheme accept (or plain success), 2 scheme reject,
 1 operational error.
@@ -19,8 +21,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
-from fractions import Fraction
+from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import cache
 from typing import Mapping, Sequence
 
@@ -82,14 +83,11 @@ class SessionConfig:
     extras: Mapping[str, object] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        doc = {
+        return {
             f.name: getattr(self, f.name)
             for f in fields(self)
             if f.metadata.get("snapshot", True)
         }
-        # "quiet" is set by replay alone and is not part of the run
-        doc["extras"] = {k: v for k, v in self.extras.items() if k != "quiet"}
-        return doc
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "SessionConfig":
@@ -107,18 +105,28 @@ class SessionConfig:
         # the parsed attack document is the one replay-only key; it is
         # checked by attack_spec_from_json when the run starts
         attack_doc = stored.pop("attack_doc", None)
-        table = _option_table(build_parser(), subcommand)
-        merged = dict(_DEFAULTS)
-        for name, raw in stored.items():
-            if raw is not None:
-                merged[name] = _convert(table, name, raw)
-        if attack_doc is not None:
-            merged["attack_doc"] = attack_doc
-        return _session(subcommand, merged)
+        # a snapshot stores null for each option that was left unset
+        return _resolve(
+            subcommand,
+            [{k: v for k, v in stored.items() if v is not None}],
+            {} if attack_doc is None else {"attack_doc": attack_doc},
+        )
 
 
-def _session(subcommand: str, merged: Mapping[str, object]) -> SessionConfig:
-    """Check the cross-option rule; split values into fields and extras."""
+def _resolve(
+    subcommand: str,
+    sources: Sequence[Mapping[str, object]],
+    flags: Mapping[str, object],
+) -> SessionConfig:
+    """The one merge of option values: defaults, then each source in turn,
+    its values converted as their flags would be, then the flags; then the
+    cross-option rule, and the split into fields and extras."""
+    table = _option_table(build_parser(), subcommand)
+    merged = dict(_DEFAULTS)
+    for source in sources:
+        for name, raw in source.items():
+            merged[name] = _convert(table, name, raw)
+    merged.update(flags)
     if merged.get("auto_params") and (
         merged.get("scheme_m") is not None or merged.get("scheme_l") is not None
     ):
@@ -151,6 +159,7 @@ def _subparsers(parser: argparse.ArgumentParser) -> dict:
     return action.choices
 
 
+@cache
 def _option_table(parser: argparse.ArgumentParser, subcommand: str) -> dict:
     """Option key -> (converter, choices or None), read off the subparsers.
 
@@ -158,7 +167,8 @@ def _option_table(parser: argparse.ArgumentParser, subcommand: str) -> dict:
     ``type`` (default ``str``) and checks its ``choices``.  The running
     subcommand's own action decides; a key that only other subcommands
     define stays accepted, with the union of their choices, so one config
-    file can serve every subcommand.
+    file can serve every subcommand.  The table is cached: read it, never
+    change it.
     """
     table: dict[str, tuple] = {}
     # stable sort: the running subcommand's actions come last and override
@@ -261,10 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("bounds", help="closed-form calculators")
-    p.add_argument(
-        "verb",
-        choices=["delta-kappa", "attack-table", "thm1", "thm2", "thm3", "twirl"],
-    )
+    p.add_argument("verb", choices=list(_BOUNDS_VERBS))
     p.add_argument("--kappa", type=int)
     p.add_argument("--n-qubits", "--n", type=int)
     p.add_argument("--eps-v", type=float)
@@ -307,13 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# defaults of the options that are not SessionConfig fields
 _DEFAULTS: dict[str, object] = {
-    "eps_v": 0.0,
-    "eps_p": 0.0,
-    "auto_params": False,
-    "seed": 0,
-    "fmt": "json",
-    # extras
     "kind": "target",
     "basis": "full",
     "trials": 20,
@@ -332,32 +334,25 @@ def parse_config(
 ) -> SessionConfig:
     """Resolve one invocation; precedence flags > env > file > defaults."""
     env = env or {}
-    if not argv:
-        return SessionConfig(subcommand="help")
     parser = build_parser()
-    ns = parser.parse_args(list(argv))
-    if ns.subcommand is None:
+    flags = vars(parser.parse_args(list(argv)))
+    subcommand, path = flags.pop("subcommand"), flags.pop("config")
+    if subcommand is None:
         return SessionConfig(subcommand="help")
-    table = _option_table(parser, ns.subcommand)
-    merged: dict[str, object] = dict(_DEFAULTS)
-
-    path = config_path or ns.config or env.get(ENV_PREFIX + "CONFIG")
+    sources = []
+    path = config_path or path or env.get(ENV_PREFIX + "CONFIG")
     if path:
         file_doc = _read_json(path, "config file")
         if not isinstance(file_doc, dict):
             raise CliError(f"config file {path} must hold a JSON object")
-        for name, raw in file_doc.items():
-            merged[name] = _convert(table, name, raw)
-
-    for name in table:
-        env_key = ENV_PREFIX + name.upper()
-        if env_key in env:
-            merged[name] = _convert(table, name, env[env_key])
-
-    for name, value in vars(ns).items():
-        if value is not None and name not in ("subcommand", "config"):
-            merged[name] = value
-    return _session(ns.subcommand, merged)
+        sources.append(file_doc)
+    env_keys = {
+        name: ENV_PREFIX + name.upper() for name in _option_table(parser, subcommand)
+    }
+    sources.append({name: env[key] for name, key in env_keys.items() if key in env})
+    return _resolve(
+        subcommand, sources, {k: v for k, v in flags.items() if v is not None}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -365,34 +360,33 @@ def parse_config(
 
 
 def _stamp(cfg: SessionConfig, payload: dict) -> dict:
-    doc = {
+    return {
         "schema_version": ARTIFACT_SCHEMA,
         "tool_version": __version__,
         "seed": cfg.seed,
+        **payload,
     }
-    doc.update(payload)
-    return doc
 
 
-def _emit(cfg: SessionConfig, doc: dict, csv_rows: list[list] | None = None) -> None:
-    """Write the payload to --out (atomically) or stdout.
+def _emit(cfg: SessionConfig, payload: dict | str, csv_rows: list[list] | None) -> None:
+    """Write a handler's result to --out (atomically) or stdout: its CSV
+    rows under ``--format csv``, a JSON document encoded, text as it is.
 
     A subcommand whose own ``--format`` offers csv refuses it, rather than
-    writing JSON, when the payload has no CSV rows.
+    writing JSON, when the payload has no CSV rows.  An ``out`` set by a
+    config shared with other subcommands does not redirect one without
+    ``--out``, so ``replay`` never writes over the artifact it reads.
     """
-    if cfg.fmt == "csv" and csv_rows is None and _offers_csv(cfg.subcommand):
+    if cfg.fmt == "csv" and csv_rows is None and _offers(cfg.subcommand, "fmt", "csv"):
         what = " ".join(filter(None, (cfg.subcommand, cfg.extras.get("verb"))))
         raise CliError(f"{what} has no CSV output; use --format json")
-    if cfg.extras.get("quiet"):
-        return
     if cfg.fmt == "csv" and csv_rows is not None:
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerows(csv_rows)
+        csv.writer(buf).writerows(csv_rows)
         text = buf.getvalue()
     else:
-        text = _encode(doc)
-    if cfg.out:
+        text = payload if isinstance(payload, str) else _encode(payload)
+    if cfg.out and _offers(cfg.subcommand, "out"):
         _atomic_write(cfg.out, text)
     else:
         sys.stdout.write(text)
@@ -404,9 +398,13 @@ def _encode(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, check_circular=False) + "\n"
 
 
-def _offers_csv(subcommand: str) -> bool:
+def _offers(subcommand: str, dest: str, choice: str | None = None) -> bool:
+    """Whether the subcommand's own parser has the option (and the choice)."""
     sub = _subparsers(build_parser())[subcommand]
-    return any(a.dest == "fmt" and "csv" in (a.choices or ()) for a in sub._actions)
+    return any(
+        a.dest == dest and (choice is None or choice in (a.choices or ()))
+        for a in sub._actions
+    )
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -483,10 +481,16 @@ def attack_spec_from_json(doc: Mapping, layout: RoundLayout) -> AttackSpec:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each returns a Result and writes nothing.
+
+Result = tuple[int, dict | str, list[list] | None]
 
 
-def _cmd_carve(cfg: SessionConfig) -> tuple[int, dict]:
+def _cmd_help(cfg: SessionConfig) -> Result:
+    return EXIT_ACCEPT, build_parser().format_help(), None
+
+
+def _cmd_carve(cfg: SessionConfig) -> Result:
     m, n, kind = _require(cfg, "m", "n", "kind")
     if kind == "target":
         g = carve_target(m, n)
@@ -507,8 +511,7 @@ def _cmd_carve(cfg: SessionConfig) -> tuple[int, dict]:
     doc = g.to_json_dict()
     doc["tool_version"] = __version__
     doc["seed"] = cfg.seed
-    _emit(cfg, doc)
-    return EXIT_ACCEPT, doc
+    return EXIT_ACCEPT, doc, None
 
 
 def _load_angles(path: str) -> dict[int, float]:
@@ -522,7 +525,7 @@ def _load_angles(path: str) -> dict[int, float]:
     raise CliError(f"angles file {path} must map vertex ids to integer grid steps")
 
 
-def _cmd_simulate(cfg: SessionConfig) -> tuple[int, dict]:
+def _cmd_simulate(cfg: SessionConfig) -> Result:
     (graph_path,) = _require(cfg, "graph")
     g = GraphSpec.from_json_dict(_read_json(graph_path, "layout"))
     angles_path = cfg.extras.get("angles")
@@ -530,27 +533,25 @@ def _cmd_simulate(cfg: SessionConfig) -> tuple[int, dict]:
     samples = cfg.extras.get("samples")
     exact = cfg.extras.get("exact") or samples is None
     dist = exact_output_distribution(g, angles, cap=cfg.extras["cap"])
+    strings = sorted(dist.probs)
     if exact:
-        payload = _stamp(cfg, {"kind": "distribution", "probs": dict(sorted(dist.probs.items()))})
-        rows = [["string", "probability"]] + [
-            [s, repr(p)] for s, p in sorted(dist.probs.items())
-        ]
-        _emit(cfg, payload, rows)
-        return EXIT_ACCEPT, payload
-    drawn = dist.sample(samples, _rng(cfg.seed))
-    counts: dict[str, int] = {}
-    for s in drawn:
-        counts[s] = counts.get(s, 0) + 1
-    payload = _stamp(
-        cfg,
-        {"kind": "samples", "count": samples, "counts": dict(sorted(counts.items()))},
-    )
-    rows = [["string", "count"]] + [[s, c] for s, c in sorted(counts.items())]
-    _emit(cfg, payload, rows)
-    return EXIT_ACCEPT, payload
+        probs = {s: dist.probs[s] for s in strings}
+        rows = [["string", "probability"]] + [[s, repr(p)] for s, p in probs.items()]
+        return EXIT_ACCEPT, _stamp(cfg, {"kind": "distribution", "probs": probs}), rows
+    # one multinomial draw over the sorted strings: memory does not grow
+    # with the sample count
+    weights = np.array([dist.probs[s] for s in strings])
+    drawn = _rng(cfg.seed).multinomial(samples, weights / weights.sum())
+    counts = {s: int(c) for s, c in zip(strings, drawn) if c}
+    payload = _stamp(cfg, {"kind": "samples", "count": samples, "counts": counts})
+    rows = [["string", "count"]] + [[s, c] for s, c in counts.items()]
+    return EXIT_ACCEPT, payload, rows
 
 
 def _scheme_parameters(cfg: SessionConfig, n_qubits: int, kappa: int) -> tuple[int, float, dict]:
+    # the artifact's config carries --beta even when --auto-params is off
+    if cfg.beta is not None and not 0 < cfg.beta < 1:
+        raise CliError(f"--beta must lie in (0, 1), got {cfg.beta}")
     if cfg.auto_params:
         if cfg.beta is None:
             raise CliError("--auto-params needs --beta")
@@ -570,7 +571,7 @@ def _scheme_parameters(cfg: SessionConfig, n_qubits: int, kappa: int) -> tuple[i
     return cfg.scheme_m, cfg.scheme_l, {"derived": False}
 
 
-def _cmd_verify(cfg: SessionConfig) -> tuple[int, dict]:
+def _cmd_verify(cfg: SessionConfig) -> Result:
     m, n, kappa = _require(cfg, "m", "n", "kappa")
     layout = make_round_layout(m, n, kappa)
     noise = NoiseModel(eps_v=cfg.eps_v, eps_p=cfg.eps_p)
@@ -612,11 +613,50 @@ def _cmd_verify(cfg: SessionConfig) -> tuple[int, dict]:
             },
         },
     )
-    _emit(cfg, artifact)
-    return (EXIT_ACCEPT if verdict.accept else EXIT_REJECT), artifact
+    return (EXIT_ACCEPT if verdict.accept else EXIT_REJECT), artifact, None
 
 
-def _twirl_payload(cfg: SessionConfig) -> dict:
+def _bounds_delta_kappa(cfg: SessionConfig) -> tuple[dict | str, None]:
+    (kappa,) = _require(cfg, "kappa")
+    value = bounds.delta_kappa(kappa)
+    # stdout gets the bare fraction, a file the stamped document
+    if cfg.out:
+        return _stamp(cfg, {"kappa": kappa, "delta_kappa": str(value)}), None
+    return f"{value}\n", None
+
+
+def _bounds_attack_table(cfg: SessionConfig) -> tuple[dict, list[list]]:
+    (kappa,) = _require(cfg, "kappa")
+    header = ["kappa", "lam", "xi", "trap_term", "escape_bound", "gap"]
+    table = []
+    for cls in bounds.valid_attack_classes(kappa):
+        values = (cls.kappa, cls.lam, cls.xi, *map(str, bounds.attack_gap(cls)))
+        table.append(dict(zip(header, values)))
+    rows = [header] + [list(entry.values()) for entry in table]
+    return _stamp(cfg, {"classes": table}), rows
+
+
+def _bounds_thm1(cfg: SessionConfig) -> tuple[dict, None]:
+    n_qubits, kappa, beta = _require(cfg, "n_qubits", "kappa", "beta")
+    params = bounds.theorem1_params(n_qubits, kappa, cfg.eps_v, cfg.eps_p, beta)
+    return _stamp(cfg, {"params": asdict(params)}), None
+
+
+def _bounds_thm2(cfg: SessionConfig) -> tuple[dict, None]:
+    eps2, kappa, beta = _require(cfg, "eps2", "kappa", "beta")
+    params = bounds.theorem2_params(eps2, kappa, beta)
+    return _stamp(cfg, {"params": asdict(params)}), None
+
+
+def _bounds_thm3(cfg: SessionConfig) -> tuple[dict, None]:
+    alpha1, alpha2, beta1, beta2, n_qubits = _require(
+        cfg, "alpha1", "alpha2", "beta1", "beta2", "n_qubits"
+    )
+    hb = bounds.theorem3_epsilon(alpha1, alpha2, beta1, beta2, n_qubits)
+    return _stamp(cfg, {"epsilon": hb.value, "feasible": hb.feasible}), None
+
+
+def _bounds_twirl(cfg: SessionConfig) -> tuple[dict, None]:
     n = cfg.extras.get("n_qubits", 1)
     q = cfg.extras.get("q") or "X" * n
     qprime = cfg.extras.get("q_prime") or "Z" * n
@@ -643,90 +683,27 @@ def _twirl_payload(cfg: SessionConfig) -> dict:
             "trials": trials,
             "max_residual": max(residuals),
         },
-    )
+    ), None
 
 
-def _fraction_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
+# verb -> its payload function, which returns (payload, CSV rows or None);
+# the parser's choices of verb are this table's keys
+_BOUNDS_VERBS = {
+    "delta-kappa": _bounds_delta_kappa,
+    "attack-table": _bounds_attack_table,
+    "thm1": _bounds_thm1,
+    "thm2": _bounds_thm2,
+    "thm3": _bounds_thm3,
+    "twirl": _bounds_twirl,
+}
 
 
-def _cmd_bounds(cfg: SessionConfig) -> tuple[int, dict]:
-    verb = cfg.extras.get("verb")
-    if verb == "delta-kappa":
-        (kappa,) = _require(cfg, "kappa")
-        value = bounds.delta_kappa(kappa)
-        payload = _stamp(
-            cfg, {"kappa": kappa, "delta_kappa": _fraction_str(value)}
-        )
-        if cfg.out or cfg.fmt == "csv":
-            _emit(cfg, payload)
-        else:
-            print(_fraction_str(value))
-        return EXIT_ACCEPT, payload
-    if verb == "attack-table":
-        (kappa,) = _require(cfg, "kappa")
-        rows = [["kappa", "lam", "xi", "trap_term", "escape_bound", "gap"]]
-        table = []
-        for cls in bounds.valid_attack_classes(kappa):
-            ft, fc2, gap = bounds.attack_gap(cls)
-            rows.append(
-                [cls.kappa, cls.lam, cls.xi, _fraction_str(ft), _fraction_str(fc2), _fraction_str(gap)]
-            )
-            table.append(
-                {
-                    "kappa": cls.kappa,
-                    "lam": cls.lam,
-                    "xi": cls.xi,
-                    "trap_term": _fraction_str(ft),
-                    "escape_bound": _fraction_str(fc2),
-                    "gap": _fraction_str(gap),
-                }
-            )
-        payload = _stamp(cfg, {"classes": table})
-        _emit(cfg, payload, rows)
-        return EXIT_ACCEPT, payload
-    if verb == "thm1":
-        n_qubits, kappa, beta = _require(cfg, "n_qubits", "kappa", "beta")
-        params = bounds.theorem1_params(n_qubits, kappa, cfg.eps_v, cfg.eps_p, beta)
-        payload = _stamp(cfg, {"params": _params_dict(params)})
-        _emit(cfg, payload)
-        return EXIT_ACCEPT, payload
-    if verb == "thm2":
-        eps2, kappa, beta = _require(cfg, "eps2", "kappa", "beta")
-        params = bounds.theorem2_params(eps2, kappa, beta)
-        payload = _stamp(cfg, {"params": _params_dict(params)})
-        _emit(cfg, payload)
-        return EXIT_ACCEPT, payload
-    if verb == "thm3":
-        alpha1, alpha2, beta1, beta2, n_qubits = _require(
-            cfg, "alpha1", "alpha2", "beta1", "beta2", "n_qubits"
-        )
-        hb = bounds.theorem3_epsilon(alpha1, alpha2, beta1, beta2, n_qubits)
-        payload = _stamp(
-            cfg, {"epsilon": hb.value, "feasible": hb.feasible}
-        )
-        _emit(cfg, payload)
-        return EXIT_ACCEPT, payload
-    if verb == "twirl":
-        payload = _twirl_payload(cfg)
-        _emit(cfg, payload)
-        return EXIT_ACCEPT, payload
-    raise CliError(f"unknown bounds verb {verb!r}")
+def _cmd_bounds(cfg: SessionConfig) -> Result:
+    payload, rows = _BOUNDS_VERBS[cfg.extras["verb"]](cfg)
+    return EXIT_ACCEPT, payload, rows
 
 
-def _params_dict(p: bounds.SchemeParams) -> dict:
-    return {
-        "m": p.m,
-        "m_real": p.m_real,
-        "l": p.l,
-        "completeness": list(p.completeness),
-        "soundness": list(p.soundness),
-        "out_of_regime": p.out_of_regime,
-        "raw": dict(p.raw),
-    }
-
-
-def _cmd_ft(cfg: SessionConfig) -> tuple[int, dict]:
+def _cmd_ft(cfg: SessionConfig) -> Result:
     eps = cfg.extras.get("eps")
     fraction = cfg.extras.get("fraction_of_threshold")
     if (eps is None) == (fraction is None):
@@ -742,14 +719,9 @@ def _cmd_ft(cfg: SessionConfig) -> tuple[int, dict]:
             poly_prefactor=cfg.extras["poly_prefactor"],
         )
     )
-    payload = _stamp(cfg, {"report": report.__dict__})
-    rows = [["fraction", "eps", "p_c", "m_real", "m", "astronomical"]]
-    for row in ftcalc.overhead_table():
-        rows.append(
-            [row.fraction, repr(row.eps), repr(row.p_c), repr(row.m_real), row.m, row.astronomical]
-        )
-    _emit(cfg, payload, rows)
-    return EXIT_ACCEPT, payload
+    header = [f.name for f in fields(ftcalc.OverheadRow)]
+    rows = [header] + [list(astuple(row)) for row in ftcalc.overhead_table()]
+    return EXIT_ACCEPT, _stamp(cfg, {"report": asdict(report)}), rows
 
 
 def _first_difference(a: object, b: object, path: str = "$") -> str | None:
@@ -772,8 +744,8 @@ def _first_difference(a: object, b: object, path: str = "$") -> str | None:
     return None if json.dumps(a) == json.dumps(b) else path
 
 
-def _cmd_replay(cfg: SessionConfig) -> tuple[int, dict]:
-    (path,) = _require(cfg, "artifact")
+def _cmd_replay(cfg: SessionConfig) -> Result:
+    path = cfg.extras["artifact"]
     artifact = _read_json(path, "artifact")
     if not isinstance(artifact, dict):
         raise CliError(f"artifact {path} must hold a JSON object")
@@ -795,10 +767,7 @@ def _cmd_replay(cfg: SessionConfig) -> tuple[int, dict]:
             f"this build runs engine version {ENGINE_VERSION}, which draws "
             f"different outcomes from the same seed, so it cannot replay it"
         )
-    saved_cfg = replace(
-        saved_cfg, out=None, extras={**saved_cfg.extras, "quiet": True}
-    )
-    code, fresh = execute(saved_cfg)
+    code, fresh, _ = execute(saved_cfg)
     # All but the telemetry, compared as JSON text, where true and 1 differ.
     stored, rerun = ({**doc, "telemetry": None} for doc in (artifact, fresh))
     if _encode(stored) != _encode(rerun):
@@ -807,11 +776,11 @@ def _cmd_replay(cfg: SessionConfig) -> tuple[int, dict]:
             f"re-run differs from the stored artifact (nondeterminism or "
             f"tampering)"
         )
-    sys.stdout.write(_encode(fresh["verdict"]))
-    return code, fresh
+    return code, fresh["verdict"], None
 
 
 _HANDLERS = {
+    "help": _cmd_help,
     "carve": _cmd_carve,
     "simulate": _cmd_simulate,
     "verify": _cmd_verify,
@@ -821,27 +790,21 @@ _HANDLERS = {
 }
 
 
-def execute(cfg: SessionConfig) -> tuple[int, dict]:
-    """Dispatch one resolved configuration; returns (exit code, payload)."""
-    if cfg.subcommand == "help":
-        build_parser().print_help()
-        return EXIT_ACCEPT, {}
-    handler = _HANDLERS.get(cfg.subcommand)
-    if handler is None:
-        raise CliError(f"unknown subcommand {cfg.subcommand!r}")
-    return handler(cfg)
+def execute(cfg: SessionConfig) -> Result:
+    """Run one resolved configuration and return its result; write nothing."""
+    return _HANDLERS[cfg.subcommand](cfg)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         cfg = parse_config(argv, env=os.environ)
-        code, _ = execute(cfg)
+        code, payload, csv_rows = execute(cfg)
+        _emit(cfg, payload, csv_rows)
         return code
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, ArithmeticError, OSError, RecursionError) as exc:  # deep JSON
+    except (CliError, ValueError, ArithmeticError, OSError, RecursionError, MemoryError) as exc:
+        # RecursionError: JSON nested too deep; MemoryError: an allocation
+        # the machine cannot hold
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -38,6 +38,10 @@ class FtConfig:
             raise ValueError("distance and syndromes must be >= 1")
         if self.ops_per_syndrome < 1:
             raise ValueError("ops_per_syndrome must be >= 1")
+        for name in ("saw_prefactor", "poly_prefactor"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:  # NaN fails both comparisons
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)

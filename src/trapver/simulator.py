@@ -86,13 +86,6 @@ class Distribution:
         if abs(total - 1) > 1e-10:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
 
-    def sample(self, count: int, rng: np.random.Generator) -> list[str]:
-        keys = sorted(self.probs)
-        weights = np.array([self.probs[k] for k in keys], dtype=float)
-        weights = weights / weights.sum()
-        picks = rng.choice(len(keys), size=count, p=weights)
-        return [keys[i] for i in picks]
-
 
 def fwht_inplace(a: np.ndarray) -> None:
     """Unnormalized Walsh-Hadamard transform, kernel (−1)^{s·z}, of each

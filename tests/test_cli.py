@@ -266,6 +266,26 @@ def test_simulate_csv(tmp_path, layout_file):
     assert len(lines) == 129
 
 
+def test_simulate_draws_any_sample_count_in_fixed_memory(tmp_path, layout_file):
+    """10^11 samples are one multinomial draw over the 128 strings, not an
+    array of 10^11 picks."""
+    out = tmp_path / "many.json"
+    argv = ["simulate", "--graph", str(layout_file), "--samples", str(10**11),
+            "--out", str(out)]
+    assert main(argv) == 0
+    counts = read_json(out)["counts"]
+    assert sum(counts.values()) == 10**11 and len(counts) == 128
+
+
+def test_memory_error_is_one_error_line(layout_file, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr("trapver.cli.exact_output_distribution", refuse)
+    assert main(["simulate", "--graph", str(layout_file), "--exact"]) == 1
+    assert capsys.readouterr() == ("", "error: Unable to allocate 745. GiB\n")
+
+
 def test_simulate_missing_graph(tmp_path):
     assert main(["simulate", "--graph", str(tmp_path / "nope.json")]) == 1
 
@@ -405,6 +425,21 @@ def test_replay_round_trip(tmp_path, kill_attack_file):
     pretty = tmp_path / "pretty.json"
     pretty.write_text(json.dumps(read_json(honest_out), indent=4))
     assert main(["replay", str(pretty)]) == 0
+
+
+def test_replay_prints_its_verdict_under_a_shared_out(tmp_path, capsys):
+    """replay has no --out, so an out from a config shared with verify
+    leaves the artifact it reads alone and prints the verdict."""
+    argv, out = verify_argv(
+        tmp_path, "session.json", ["--scheme-M", "3", "--scheme-l", "0.9"]
+    )
+    assert main(argv) == 0
+    before = out.read_bytes()
+    capsys.readouterr()
+    with mock.patch.dict(os.environ, {"TRAPVER_OUT": str(out)}):
+        assert main(["replay", str(out)]) == 0
+    assert out.read_bytes() == before
+    assert json.loads(capsys.readouterr().out) == read_json(out)["verdict"]
 
 
 def test_replay_detects_tampering(tmp_path, capsys):
@@ -900,6 +935,102 @@ def test_ft_csv_table(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 4
     assert lines[0].startswith("fraction,")
+
+
+# sha256 of each calculator's stdout, recorded before the handlers returned
+# their payloads and the bounds verbs became one table
+PINNED_CALCULATOR_DIGESTS = {
+    "delta-kappa": (
+        ["bounds", "delta-kappa", "--kappa", "2"],
+        "54142ecf32950a6324db3fded22e0da191a8d881ae586026d22eb580acb5802b",
+    ),
+    "attack-table-json": (
+        ["bounds", "attack-table", "--kappa", "2"],
+        "459211493931fa5f58defb1ecf1844e640d6ecd14f436c949f4d1c41b0e994fb",
+    ),
+    "attack-table-csv": (
+        ["bounds", "attack-table", "--kappa", "2", "--format", "csv"],
+        "fb2d12720fd1859d0f2c0bef8322167bcf5e7d763faf2519fcad88c16f708533",
+    ),
+    "thm1": (
+        ["bounds", "thm1", "--n-qubits", "5", "--kappa", "2", "--eps-v", "0.001",
+         "--eps-p", "0.001", "--beta", "0.05"],
+        "48bb05005d180ff915a4d1f5de9a15afe0c129cd8d82e52fdfafbe7353cb7947",
+    ),
+    "thm2": (
+        ["bounds", "thm2", "--eps2", "0.01", "--kappa", "2", "--beta", "0.05"],
+        "2509a717584ec52230aefaeb3292678fa2df3461f5a57016c049d89946c5f55a",
+    ),
+    "thm3": (
+        ["bounds", "thm3", "--alpha1", "0.1", "--alpha2", "0.2", "--beta1", "0.05",
+         "--beta2", "0.05", "--n-qubits", "5"],
+        "1834834a356fbfa2b92c44d2b19bd75bd34aad8f3f7962d667314088a244c1c8",
+    ),
+    "twirl": (
+        ["bounds", "twirl", "--n-qubits", "2", "--trials", "5", "--seed", "3"],
+        "b569aaf95c5fa1ff1911871bf553ec99b57e3aae00902c99443cc5c5f12d911d",
+    ),
+    "ft-json": (
+        ["ft", "--fraction-of-threshold", "0.01"],
+        "f562b769a82191438588f32149f23b27e10aec05d18cca06531d43c8f9ec7e81",
+    ),
+    "ft-csv": (
+        ["ft", "--fraction-of-threshold", "0.01", "--format", "csv"],
+        "7713dc5f9179e6851b1161e5916ddce96061133d150ffbc68d45c00dda6f5469",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CALCULATOR_DIGESTS))
+def test_calculator_outputs_are_pinned(name, capsys):
+    argv, digest = PINNED_CALCULATOR_DIGESTS[name]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Every float option is swept on each of these; an option that a base does
+# not read still has to leave its output valid.
+_SWEEP_BASES = {
+    "verify": ["verify", "--m-rounds", "3", "--n-rounds", "3", "--kappa", "1",
+               "--scheme-M", "2", "--scheme-l", "0.5"],
+    "verify-auto": ["verify", "--m-rounds", "3", "--n-rounds", "3", "--kappa", "1",
+                    "--auto-params", "--beta", "0.05", "--eps-v", "0.05",
+                    "--eps-p", "0.05"],
+    "thm1": ["bounds", "thm1", "--n-qubits", "9", "--kappa", "1", "--eps-v", "0.001",
+             "--eps-p", "0.001", "--beta", "0.05"],
+    "thm2": ["bounds", "thm2", "--eps2", "0.01", "--kappa", "2", "--beta", "0.05"],
+    "thm3": ["bounds", "thm3", "--alpha1", "0.1", "--alpha2", "0.2", "--beta1", "0.9",
+             "--beta2", "0.9", "--n-qubits", "10"],
+    "ft-eps": ["ft", "--eps", "0.001"],
+    "ft-fraction": ["ft", "--fraction-of-threshold", "0.01"],
+}
+_SWEEP = [
+    (base, action.option_strings[0], value)
+    for base, argv in _SWEEP_BASES.items()
+    for action in _subparsers(build_parser())[argv[0]]._actions
+    if action.type is float
+    for value in ("nan", "inf", "-inf", "-1")
+]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "base, flag, value", _SWEEP, ids=["-".join(case) for case in _SWEEP]
+)
+def test_float_options_give_valid_json_or_exit_1(base, flag, value, capsys):
+    """NaN, infinities and -1 in any float option either exit 1 or give
+    output that strict JSON accepts: no NaN or Infinity is written."""
+    code = main(_SWEEP_BASES[base] + [f"{flag}={value}"])
+    out, err = capsys.readouterr()
+    if code == 1:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert code in (0, 2)
+        json.loads(out, parse_constant=_refuse_constant)
 
 
 # -- fuzzing the config sources ----------------------------------------------

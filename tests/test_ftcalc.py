@@ -157,6 +157,10 @@ def test_ft_config_validation():
         FtConfig(syndromes=0)
     with pytest.raises(ValueError):
         FtConfig(ops_per_syndrome=0)
+    for name in ("saw_prefactor", "poly_prefactor"):
+        for value in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match=name):
+                FtConfig(**{name: value})
 
 
 def test_ft_report_assembly():

@@ -260,11 +260,6 @@ def test_distribution_validation():
         Distribution(1, {"0": 1.5, "1": -0.5})
 
 
-def test_distribution_sampling_deterministic():
-    d = Distribution(2, {"00": 0.25, "01": 0.25, "10": 0.25, "11": 0.25})
-    assert d.sample(50, rng_from(4)) == d.sample(50, rng_from(4))
-
-
 def test_tv_distance_cases():
     p = Distribution(1, {"0": 0.5, "1": 0.5})
     assert tv_distance(p, p) == 0
