@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -202,6 +203,9 @@ def _convert(table: Mapping[str, tuple], name: str, raw: object) -> object:
         value = conv(str(raw))
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad value for {name}: {raw!r}") from exc
+    # NaN or an infinity would reach an artifact's config, which is JSON
+    if isinstance(value, float) and not math.isfinite(value):
+        raise CliError(f"bad value for {name}: {raw!r} is not finite")
     if choices is not None and value not in choices:
         raise CliError(f"bad value for {name}: {raw!r}, choose from {sorted(choices)}")
     return value
@@ -571,6 +575,20 @@ def _scheme_parameters(cfg: SessionConfig, n_qubits: int, kappa: int) -> tuple[i
     return cfg.scheme_m, cfg.scheme_l, {"derived": False}
 
 
+def _check_records_fit(scheme_m: int, kappa: int, cells: int) -> None:
+    """Refuse a run whose records cannot fit in physical memory: each of
+    the M repetitions keeps a raw and a decrypted string of one character
+    per cell for each of its 2κ+1 slots."""
+    need = 2 * scheme_m * (2 * kappa + 1) * cells
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise CliError(
+            f"M = {scheme_m} repetitions at kappa = {kappa} would keep "
+            f"{need:,} bytes of slot strings, more than the {have:,} bytes "
+            f"of physical memory"
+        )
+
+
 def _cmd_verify(cfg: SessionConfig) -> Result:
     m, n, kappa = _require(cfg, "m", "n", "kappa")
     layout = make_round_layout(m, n, kappa)
@@ -583,6 +601,7 @@ def _cmd_verify(cfg: SessionConfig) -> Result:
     strategy = None if attack_doc is None else attack_spec_from_json(attack_doc, layout)
     n_qubits = len(layout.target.non_dummy_ids())
     scheme_m, scheme_l, meta = _scheme_parameters(cfg, n_qubits, kappa)
+    _check_records_fit(scheme_m, kappa, m * n)
     records: list[RunRecord] = []
     started = time.time()
     verdict = run_scheme(

@@ -337,7 +337,7 @@ def _sim_plan(g: GraphSpec, cap: int) -> _SimPlan:
         probs = component_probabilities(
             comp, edges, {v: k_to_radians(g.phi_k[v]) for v in comp}
         )
-        cdf = np.cumsum(probs)
+        cdf = np.cumsum(probs, out=probs)
         cdf /= cdf[-1]
         comps.append(_ComponentPlan(comp, edges, cdf))
     comps += [_ComponentPlan((v,), (), np.array([0.5, 1.0])) for v in g.dummy_ids()]
@@ -482,7 +482,7 @@ def _sample_round(
             chunk = max(1, _RECOMPUTE_AMPLITUDES >> len(cols))
             for rows in (runs[lo : lo + chunk] for lo in range(0, len(runs), chunk)):
                 probs = component_probability_rows(vertices, edges, _PHASES[k[rows][:, cols]])
-                cdf = np.cumsum(probs, axis=1)
+                cdf = np.cumsum(probs, axis=1, out=probs)
                 # per row, the searchsorted(side="right") of its scaled uniform
                 pick = (cdf <= (u[rows, j] * cdf[:, -1])[:, None]).sum(axis=1)
                 raw[rows[:, None], cols] = (pick[:, None] >> np.arange(len(cols))) & 1
@@ -787,14 +787,11 @@ def _correction_index_map(g: GraphSpec) -> np.ndarray:
     """Connector-correction involution as a permutation of outcome indices."""
     nd = g.non_dummy_ids()
     pos = {v: j for j, v in enumerate(nd)}
-    n = len(nd)
-    idx = np.arange(2**n)
-    out = idx.copy()
+    out = np.arange(2 ** len(nd))
     for b in g.bridge_ids():
         ends = g.induced_neighbors[b]
-        mask = (1 << pos[ends[0]]) | (1 << pos[ends[1]])
-        hit = ((idx >> pos[b]) & 1).astype(bool)
-        out[hit] ^= mask
+        # the indices with bridge b's bit set, as a strided view, flip both ends
+        out.reshape(-1, 2, 2 ** pos[b])[:, 1] ^= (1 << pos[ends[0]]) | (1 << pos[ends[1]])
     return out
 
 

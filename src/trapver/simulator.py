@@ -89,11 +89,19 @@ class Distribution:
 
 def fwht_inplace(a: np.ndarray) -> None:
     """Unnormalized Walsh-Hadamard transform, kernel (−1)^{s·z}, of each
-    row of C-contiguous ``a`` along its last axis."""
+    row of C-contiguous ``a`` along its last axis.
+
+    One half-size scratch buffer, allocated once, holds each stage's
+    upper halves, so the transform never holds more than ``a`` plus half
+    of it.  Every butterfly is (x − y, x + y) in the same order, so the
+    result is bit for bit that of a fresh copy per stage.
+    """
     h = 1
+    scratch = np.empty(a.size // 2, a.dtype)
     while h < a.shape[-1]:
         view = a.reshape(-1, 2 * h)
-        y = view[:, h:].copy()  # the one half-size temporary per stage
+        y = scratch.reshape(-1, h)
+        np.copyto(y, view[:, h:])
         np.subtract(view[:, :h], y, out=view[:, h:])
         view[:, :h] += y
         h *= 2
@@ -187,8 +195,9 @@ def exact_probability_array(
         comp_edges = [e for e in induced if e[0] in comp and e[1] in comp]
         p = component_probabilities(comp, comp_edges, angles)
         # Little-endian outer product: the new component lands in the
-        # high bits, previously placed vertices keep the low bits.
-        joint = np.multiply.outer(p, joint).reshape(-1)
+        # high bits, previously placed vertices keep the low bits.  The
+        # first component is the joint array itself, not a copy of it.
+        joint = np.multiply.outer(p, joint).reshape(-1) if order else p
         order.extend(comp)
     n = len(nd)
     # Permute bit positions so bit j belongs to nd[j].

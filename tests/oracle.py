@@ -13,7 +13,11 @@ arrays for a single run.
 The joint register: a run whose deviation is one unitary on every
 round's qubits at once, simulated as a dense state per run.  It is the
 independent route the engine's Pauli-mixture treatment of unitary
-attacks (`trapver.protocol.unitary_attack`) is checked against."""
+attacks (`trapver.protocol.unitary_attack`) is checked against.
+
+The per-stage-copy Walsh-Hadamard transform: the kernel as it was
+before it kept one scratch buffer, against which the engine's
+`trapver.simulator.fwht_inplace` is checked bit for bit."""
 from __future__ import annotations
 
 import math
@@ -276,6 +280,23 @@ def dense_round_state(
         apply_pauli(state, v, letter)
     hit(len(g.edges))
     return state
+
+
+# ---------------------------------------------------------------------------
+# The per-stage-copy Walsh-Hadamard transform
+
+
+def fwht_per_stage_copy(a: np.ndarray) -> None:
+    """Unnormalized Walsh-Hadamard transform of each row of C-contiguous
+    ``a`` along its last axis, with a fresh copy of the upper halves at
+    every stage."""
+    h = 1
+    while h < a.shape[-1]:
+        view = a.reshape(-1, 2 * h)
+        y = view[:, h:].copy()
+        np.subtract(view[:, :h], y, out=view[:, h:])
+        view[:, :h] += y
+        h *= 2
 
 
 # ---------------------------------------------------------------------------

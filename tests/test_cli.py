@@ -750,6 +750,40 @@ def test_seed7_artifact_bytes_are_pinned(tmp_path):
     assert digest == "6f1f70cc37337a342b992a52da92727b0f49a7b4e110f359660a1160572c6d82"
 
 
+def test_verify_refuses_a_run_beyond_physical_memory(tmp_path, capsys):
+    """ε_V = 1e-9 derives M = 30 568 696 668 918 272, whose records could
+    never be held: verify exits 1 before the run, naming M and κ."""
+    argv, out = verify_argv(
+        tmp_path, "huge.json", ["--auto-params", "--beta", "0.05", "--eps-v", "1e-9"]
+    )
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: M = 30568696668918272 repetitions at kappa = 1 ")
+    assert "bytes of physical memory" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_replay_refuses_an_artifact_edited_beyond_physical_memory(tmp_path, capsys):
+    """κ edited to 10⁶: the 2κ+1 slot strings of M repetitions would not
+    fit, so replay exits 1 before the run.  M is chosen so that they
+    would not fit in this machine's memory, whatever its size."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    scheme_m = memory // (2 * (2 * 10**6 + 1) * 9) + 1
+    argv, out = verify_argv(
+        tmp_path, "edited.json", ["--scheme-M", str(scheme_m), "--scheme-l", "0.5"]
+    )
+    assert main(argv) == 0
+    doc = read_json(out)
+    doc["config"]["kappa"] = 10**6
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: M = {scheme_m} repetitions at kappa = 1000000 ")
+    assert err.count("\n") == 1
+
+
 def test_verify_auto_params_needs_noise(tmp_path):
     argv, _ = verify_argv(
         tmp_path, "degenerate.json", ["--auto-params", "--beta", "0.05"]
@@ -1027,6 +1061,43 @@ def test_float_options_give_valid_json_or_exit_1(base, flag, value, capsys):
     code = main(_SWEEP_BASES[base] + [f"{flag}={value}"])
     out, err = capsys.readouterr()
     if code == 1:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert code in (0, 2)
+        json.loads(out, parse_constant=_refuse_constant)
+
+
+_FLOAT_KEYS = {
+    action.option_strings[0]: action.dest
+    for sub in _subparsers(build_parser()).values()
+    for action in sub._actions
+    if action.type is float
+}
+
+
+@pytest.mark.parametrize("source", ["env", "file"])
+@pytest.mark.parametrize(
+    "base, flag, value", _SWEEP, ids=["-".join(case) for case in _SWEEP]
+)
+def test_float_keys_from_env_and_file_refuse_non_finite_values(
+    base, flag, value, source, tmp_path, capsys
+):
+    """The float sweep through the environment and a config file, which
+    reach every option, read or not: NaN and the infinities exit 1 naming
+    their key, and -1 exits 1 or gives strict JSON."""
+    key = _FLOAT_KEYS[flag]
+    if source == "env":
+        with mock.patch.dict(os.environ, {f"TRAPVER_{key.upper()}": value}):
+            code = main(_SWEEP_BASES[base])
+    else:
+        cfg_file = tmp_path / "config.json"
+        cfg_file.write_text(json.dumps({key: float(value)}))  # NaN, Infinity
+        code = main(["--config", str(cfg_file)] + _SWEEP_BASES[base])
+    out, err = capsys.readouterr()
+    if value != "-1":
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: bad value for {key}: ") and err.endswith(" is not finite\n")
+    elif code == 1:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     else:
         assert code in (0, 2)

@@ -17,6 +17,7 @@ from trapver.graphs import (
     ROLE_DUMMY,
     ROLE_TRAP,
     GraphSpec,
+    carve_target,
     carve_trap_graph,
     k_to_radians,
 )
@@ -629,8 +630,9 @@ def test_stacked_recompute_equals_per_hit_loop(m):
 
 def test_noisy_9x3_recompute_stays_under_the_amplitude_cap(monkeypatch):
     """A 20-cell component recomputes one 2^20-amplitude row at a time,
-    so a noisy 9x3 batch peaks below the memory of two stacked rows
-    (over 80 MiB); a 3x3 batch recomputes its 7-cell target in one stack."""
+    with its CDF taken in place and one half-size WHT scratch, so a noisy
+    9x3 batch peaks below 40 MiB (two stacked rows would take over 80);
+    a 3x3 batch recomputes its 7-cell target in one stack."""
     calls: list[tuple[int, int]] = []
 
     def recording(vertices, edges, phases):
@@ -653,11 +655,31 @@ def test_noisy_9x3_recompute_stays_under_the_amplitude_cap(monkeypatch):
             tracemalloc.stop()
     assert calls.count((1, 20)) >= 2
     assert all(rows << cells <= protocol._RECOMPUTE_AMPLITUDES for rows, cells in calls)
-    assert peak < 64 * 2**20
+    assert peak < 40 * 2**20
     calls.clear()
     _run_batch(make_round_layout(3, 3, 1), None, noise, rng_from(121).spawn(478), DEFAULT_QUBIT_CAP)
     sevens = [rows for rows, cells in calls if cells == 7]
     assert len(sevens) == 1 and sevens[0] > 50
+
+
+def test_9x3_target_plan_holds_amplitudes_plus_half_a_scratch():
+    """The 20-cell target component's plan peaks at its 16 MiB amplitude
+    array plus one 8 MiB WHT scratch, with the CDF taken in place, and
+    keeps only the 8 MiB CDF."""
+    g = carve_target(9, 3)
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        plan = _sim_plan.__wrapped__(g, DEFAULT_QUBIT_CAP)  # bypass the cache
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert len(plan.components[0].vertices) == 20
+    assert peak - before < 25 * 2**20
+    assert retained - before <= 8.1 * 2**20
 
 
 def test_trap_plans_at_21x11_stay_under_a_mebibyte():
@@ -713,25 +735,52 @@ def test_event_rate_per_site_matches_noise_model(layout33):
         assert abs(hits.get(site, 0) - n * rate) < 4 * sigma, site
 
 
-@pytest.mark.parametrize("m, runs", [(5, 1500), (9, 300)])
-def test_honest_outputs_reach_exact_cross_entropy(m, runs):
+@pytest.mark.parametrize("m, n", [(3, 3), (5, 3), (9, 3)])
+def test_correction_index_map_equals_the_masked_loop(m, n):
+    """The map flipped in place through strided views is the per-bridge
+    loop over masked index copies it replaced, and an involution."""
+    g = carve_target(m, n)
+    pos = {v: j for j, v in enumerate(g.non_dummy_ids())}
+    idx = np.arange(2 ** len(pos))
+    want = idx.copy()
+    for b in g.bridge_ids():
+        a, c = g.induced_neighbors[b]
+        want[((idx >> pos[b]) & 1).astype(bool)] ^= (1 << pos[a]) | (1 << pos[c])
+    got = _correction_index_map(g)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got[got], idx)
+
+
+@pytest.mark.parametrize(
+    "m, n, cap, runs",
+    [(5, 3, DEFAULT_QUBIT_CAP, 1500), (9, 3, DEFAULT_QUBIT_CAP, 300), (7, 5, 24, 2000)],
+    ids=["5-1500", "9-300", "7x5-cap24-2000"],
+)
+def test_honest_outputs_reach_exact_cross_entropy(m, n, cap, runs):
     """Linear cross-entropy of honest outputs against the exact corrected
-    distribution.  Its expectation is 2.25 here and uniform strings give
-    1.0, so a decryption or mask bug cannot pass."""
-    layout = make_round_layout(m, 3, 1)
+    distribution.  Its expectation is 2.25 at 5x3 and 9x3, 1.875 at 7x5
+    (24 qubits, the smallest carving with staggered connectors), and
+    uniform strings give 1.0, so a decryption or mask bug cannot pass."""
+    layout = make_round_layout(m, n, 1)
     g = layout.target
-    probs = exact_probability_array(g, g.base_angles())
+    probs = exact_probability_array(g, g.base_angles(), cap=cap)
     ref = np.zeros_like(probs)
     np.add.at(ref, _correction_index_map(g), probs)
+    del probs  # at 7x5 every array here is 128 MiB
     scaled = ref * ref.size
     want = float((ref * scaled).sum())
     sd = math.sqrt(float((ref * scaled**2).sum()) - want**2)
+    del ref
     tol = 4 * sd / math.sqrt(runs)
     assert want - tol > 1.0
     sink: list = []
-    verdict = run_scheme(
-        layout, None, None, runs, 1.0, rng_from(80 + m), record_sink=sink
-    )
+    try:
+        verdict = run_scheme(
+            layout, None, None, runs, 1.0, rng_from(80 + m), cap=cap, record_sink=sink
+        )
+    finally:
+        if cap > DEFAULT_QUBIT_CAP:
+            _sim_plan.cache_clear()  # drop the 2^24-entry CDF
     assert verdict.pass_fraction == 1.0
     got = float(scaled[[string_to_bits(r.target_output) for r in sink]].mean())
     assert abs(got - want) < tol

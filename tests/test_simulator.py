@@ -34,6 +34,7 @@ from trapver.simulator import (
 from helpers import density_matrix, empirical_distribution, tv_distance
 from oracle import (
     StateVector,
+    fwht_per_stage_copy,
     apply_cz,
     apply_pauli,
     apply_phase,
@@ -309,6 +310,20 @@ def test_fwht_transforms_each_row():
         fwht_inplace(row)
     fwht_inplace(rows)
     np.testing.assert_array_equal(rows, one_by_one)
+
+
+@pytest.mark.parametrize(
+    "shape", [(3, 2**c) for c in range(13)] + [(2**20,)], ids=str
+)
+def test_fwht_matches_the_per_stage_copy_route(shape):
+    """The one-scratch kernel gives every bit the per-stage-copy kernel
+    gives, on stacks of 2^0 to 2^12 columns and on one 2^20 row."""
+    rng = rng_from(sum(shape))
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    want = a.copy()
+    fwht_per_stage_copy(want)
+    fwht_inplace(a)
+    assert np.array_equal(a.view(np.uint64), want.view(np.uint64))
 
 
 def _one_setting_probabilities(vertices, edges, angles) -> np.ndarray:
