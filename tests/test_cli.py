@@ -1052,6 +1052,14 @@ def _refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+def _assert_strict_json_or_exit_1(code, out, err):
+    if code == 1:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert code in (0, 2)
+        json.loads(out, parse_constant=_refuse_constant)
+
+
 @pytest.mark.parametrize(
     "base, flag, value", _SWEEP, ids=["-".join(case) for case in _SWEEP]
 )
@@ -1059,12 +1067,7 @@ def test_float_options_give_valid_json_or_exit_1(base, flag, value, capsys):
     """NaN, infinities and -1 in any float option either exit 1 or give
     output that strict JSON accepts: no NaN or Infinity is written."""
     code = main(_SWEEP_BASES[base] + [f"{flag}={value}"])
-    out, err = capsys.readouterr()
-    if code == 1:
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
-    else:
-        assert code in (0, 2)
-        json.loads(out, parse_constant=_refuse_constant)
+    _assert_strict_json_or_exit_1(code, *capsys.readouterr())
 
 
 _FLOAT_KEYS = {
@@ -1094,14 +1097,10 @@ def test_float_keys_from_env_and_file_refuse_non_finite_values(
         cfg_file.write_text(json.dumps({key: float(value)}))  # NaN, Infinity
         code = main(["--config", str(cfg_file)] + _SWEEP_BASES[base])
     out, err = capsys.readouterr()
+    _assert_strict_json_or_exit_1(code, out, err)
     if value != "-1":
-        assert code == 1 and out == ""
+        assert code == 1
         assert err.startswith(f"error: bad value for {key}: ") and err.endswith(" is not finite\n")
-    elif code == 1:
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
-    else:
-        assert code in (0, 2)
-        json.loads(out, parse_constant=_refuse_constant)
 
 
 # -- fuzzing the config sources ----------------------------------------------
