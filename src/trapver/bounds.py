@@ -104,11 +104,6 @@ def attack_gap(a: AttackClass) -> tuple[Fraction, Fraction, Fraction]:
     return ft, fc2, ft - fc2
 
 
-def max_attack_gap(kappa: int) -> Fraction:
-    """Exhaustive maximum of the gap over every valid class."""
-    return max(attack_gap(a)[2] for a in valid_attack_classes(kappa))
-
-
 @dataclass(frozen=True)
 class SchemeParams:
     """Repetition count and thresholds for one scheme instantiation.

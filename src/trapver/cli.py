@@ -42,7 +42,10 @@ from .protocol import (
 from .simulator import (
     DEFAULT_QUBIT_CAP,
     NoiseModel,
-    exact_output_distribution,
+    _induced_components,
+    bit_strings,
+    exact_probability_array,
+    index_bits,
 )
 
 ARTIFACT_SCHEMA = 2
@@ -536,15 +539,20 @@ def _cmd_simulate(cfg: SessionConfig) -> Result:
     angles = _load_angles(angles_path) if angles_path else g.base_angles()
     samples = cfg.extras.get("samples")
     exact = cfg.extras.get("exact") or samples is None
-    dist = exact_output_distribution(g, angles, cap=cfg.extras["cap"])
-    strings = sorted(dist.probs)
+    _check_components_fit(g, cfg.extras["cap"], joint=True)
+    probs = exact_probability_array(g, angles, cap=cfg.extras["cap"])
+    n = len(g.non_dummy_ids())
+    # row k spells k in binary, so the strings come out sorted; character j
+    # is bit j of the probability index
+    bits = index_bits(n)[:, ::-1]
+    strings = bit_strings(bits)
+    weights = probs[bits @ (1 << np.arange(n))]
     if exact:
-        probs = {s: dist.probs[s] for s in strings}
-        rows = [["string", "probability"]] + [[s, repr(p)] for s, p in probs.items()]
-        return EXIT_ACCEPT, _stamp(cfg, {"kind": "distribution", "probs": probs}), rows
+        table = dict(zip(strings, weights.tolist()))  # Python floats: the CSV holds their repr
+        rows = [["string", "probability"]] + [[s, repr(p)] for s, p in table.items()]
+        return EXIT_ACCEPT, _stamp(cfg, {"kind": "distribution", "probs": table}), rows
     # one multinomial draw over the sorted strings: memory does not grow
     # with the sample count
-    weights = np.array([dist.probs[s] for s in strings])
     drawn = _rng(cfg.seed).multinomial(samples, weights / weights.sum())
     counts = {s: int(c) for s, c in zip(strings, drawn) if c}
     payload = _stamp(cfg, {"kind": "samples", "count": samples, "counts": counts})
@@ -575,18 +583,35 @@ def _scheme_parameters(cfg: SessionConfig, n_qubits: int, kappa: int) -> tuple[i
     return cfg.scheme_m, cfg.scheme_l, {"derived": False}
 
 
-def _check_records_fit(scheme_m: int, kappa: int, cells: int) -> None:
-    """Refuse a run whose records cannot fit in physical memory: each of
-    the M repetitions keeps a raw and a decrypted string of one character
-    per cell for each of its 2κ+1 slots."""
-    need = 2 * scheme_m * (2 * kappa + 1) * cells
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_fits(need: int, what: str) -> None:
+    """Refuse, before anything is allocated, ``what`` that needs more
+    bytes than physical memory holds."""
+    if need > (have := _physical_memory()):
         raise CliError(
-            f"M = {scheme_m} repetitions at kappa = {kappa} would keep "
-            f"{need:,} bytes of slot strings, more than the {have:,} bytes "
-            f"of physical memory"
+            f"{what} would keep {need:,} bytes, more than the {have:,} bytes of physical memory"
         )
+
+
+def _check_components_fit(g: GraphSpec, cap: int, joint: bool) -> None:
+    """Refuse a run of ``g`` whose components ``cap`` admits but memory cannot
+    hold: c qubits peak at 24·2^c bytes (amplitudes and a half-size WHT scratch),
+    and with ``joint`` the exact distribution of N ≤ cap vertices adds 8·2^N."""
+    c = max((s for s in map(len, _induced_components(g)) if s <= cap), default=0)
+    n = len(g.non_dummy_ids())
+    joint = joint and n <= cap
+    what = f"a component of {c} qubits" + (f" and the {n}-bit joint distribution" if joint else "")
+    _check_fits(24 * 2**c + joint * 8 * 2**n, what)
+
+
+def _record_bytes(kappa: int, cells: int) -> int:
+    """What a verify holds per repetition until its artifact is written (its
+    JSON dict and lists, batch columns and encoded text): 1 to 2 times the
+    tracemalloc peak per repetition at 3x3 and 5x3."""
+    return 1024 + (2 * kappa + 1) * (192 + 8 * cells)
 
 
 def _cmd_verify(cfg: SessionConfig) -> Result:
@@ -601,7 +626,10 @@ def _cmd_verify(cfg: SessionConfig) -> Result:
     strategy = None if attack_doc is None else attack_spec_from_json(attack_doc, layout)
     n_qubits = len(layout.target.non_dummy_ids())
     scheme_m, scheme_l, meta = _scheme_parameters(cfg, n_qubits, kappa)
-    _check_records_fit(scheme_m, kappa, m * n)
+    # trap carvings hold only isolated traps: the target's components are the largest
+    _check_components_fit(layout.target, cfg.extras["cap"], joint=False)
+    need = scheme_m * _record_bytes(kappa, m * n)
+    _check_fits(need, f"M = {scheme_m} repetitions at kappa = {kappa}")
     records: list[RunRecord] = []
     started = time.time()
     verdict = run_scheme(

@@ -42,15 +42,6 @@ def k_to_radians(k: int) -> float:
     return (k % ANGLE_STEPS) * math.pi / 8
 
 
-def radians_to_k(angle: float) -> int:
-    """Snap an angle to the 16-point grid; reject anything off-grid."""
-    steps = angle / (math.pi / 8)
-    k = round(steps)
-    if abs(steps - k) > 1e-9:
-        raise ValueError(f"angle {angle!r} is not a multiple of pi/8")
-    return k % ANGLE_STEPS
-
-
 @dataclass(frozen=True)
 class GraphSpec:
     """One carved lattice: dimensions, per-cell role and base angle, edges.
@@ -108,11 +99,6 @@ class GraphSpec:
     # -- coordinates ------------------------------------------------------
     def coord(self, v: int) -> tuple[int, int]:
         return divmod(v, self.m)
-
-    def vertex_id(self, row: int, col: int) -> int:
-        if not (0 <= row < self.n and 0 <= col < self.m):
-            raise ValueError(f"({row}, {col}) outside the lattice")
-        return row * self.m + col
 
     def parity(self, v: int) -> int:
         row, col = self.coord(v)
@@ -266,20 +252,6 @@ def lattice_edges(m: int, n: int) -> tuple[tuple[int, int], ...]:
             if row + 1 < n:
                 edges.append((v, v + m))
     return tuple(sorted(edges))
-
-
-def build_square_lattice(m: int, n: int) -> GraphSpec:
-    """The uncarved lattice: every cell computational at angle 0."""
-    if m < 1 or n < 1:
-        raise ValueError("lattice dimensions must be positive")
-    size = m * n
-    return GraphSpec(
-        m=m,
-        n=n,
-        roles=(ROLE_COMPUTATIONAL,) * size,
-        phi_k=(0,) * size,
-        edges=lattice_edges(m, n),
-    )
 
 
 def rung_columns(pair: int, m: int) -> tuple[int, ...]:

@@ -52,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,8 +62,8 @@ from .graphs import (
 )
 from .simulator import (
     DEFAULT_QUBIT_CAP, Distribution, NoiseModel, _check_cap, _induced_components,
-    bits_to_string, component_probabilities, component_probability_rows,
-    exact_probability_array,
+    bit_strings, component_probabilities, component_probability_rows,
+    exact_probability_array, index_bits,
 )
 
 # Bumped whenever a seed would draw different outcomes.  Engine 2 samples
@@ -164,10 +164,6 @@ class SecretKey(NamedTuple):
     def target_slot(self) -> int:
         return self.perm.index(0)
 
-    def run(self, i: int) -> SecretKey:
-        """Run ``i``'s key out of a batch's keys."""
-        return SecretKey(tuple(self.perm[i].tolist()), *(t[i] for t in self[1:]))
-
 
 def _key_words(layout: RoundLayout) -> int:
     """Words at the head of a block that hold the key."""
@@ -214,11 +210,6 @@ class AttackSpec:
             for (_slot, _v), letter in letters:
                 if letter not in _LETTER_CODE:
                     raise ValueError(f"bad Pauli letter {letter!r}")
-
-
-def single_pauli_attack(letters: Mapping[tuple[int, int], str]) -> AttackSpec:
-    """Deterministic attack: one Pauli string with weight 1."""
-    return AttackSpec(pauli_terms=((1.0, tuple(sorted(letters.items()))),))
 
 
 def _pauli_weights(unitary: np.ndarray, n: int) -> np.ndarray:
@@ -514,26 +505,19 @@ def _masks(layout: RoundLayout, keys: SecretKey) -> np.ndarray:
     return masks
 
 
-def _bit_strings(bits: np.ndarray) -> list[str]:
-    """Each row of ``bits`` as an outcome string."""
-    nbits = bits.shape[1]
-    text = (bits + ord("0")).astype(np.uint8).tobytes().decode("ascii")
-    return [text[i : i + nbits] for i in range(0, len(text), nbits)]
-
-
 @lru_cache(maxsize=None)
 def _string_table(nbits: int) -> list[str]:
     """Every ``nbits``-bit outcome string by index; short outputs are
     served from here, so stored outputs share their strings."""
-    return _bit_strings((np.arange(2**nbits)[:, None] >> np.arange(nbits)) & 1)
+    return bit_strings(index_bits(nbits))
 
 
 @dataclass(frozen=True, eq=False)
 class RunBatch:
     """One batch of protocol runs as columns, run axis first.
 
-    Indexing or iterating yields each run's `RunRecord`; the JSON fields
-    of all runs are packed together, the first time one is asked for.
+    Indexing or iterating yields each run's `RunRecord`; the JSON dicts
+    of all runs are built together, the first time one is asked for.
     """
 
     layout: RoundLayout
@@ -550,108 +534,56 @@ class RunBatch:
         return len(self.outputs)
 
     def __getitem__(self, i: int) -> RunRecord:
-        return RunRecord(self, range(len(self))[i])
-
-    def __iter__(self):
-        return (RunRecord(self, i) for i in range(len(self)))
+        return RunRecord(self, range(len(self))[i])  # IndexError ends iteration
 
     @cached_property
     def target_slots(self) -> np.ndarray:
         return (self.perm == 0).argmax(axis=1)
 
     @cached_property
-    def _json_rows(self) -> list[tuple]:
-        """Per run: slot raw strings, slot decrypted strings, slot trap
-        verdicts, accept, output, target slot and term."""
-        count, rounds, size = self.raw.shape
-        raw = _bit_strings(self.raw.reshape(-1, size))
+    def _json_rows(self) -> list[dict]:
+        """Every run's `RunRecord.to_json_dict`; one attack term's runs share its letters."""
+        _, rounds, size = self.raw.shape
+        raw = bit_strings(self.raw.reshape(-1, size))
         dec = [
-            _bit_strings(self.decrypted[:, gi][:, list(g.non_dummy_ids())])
+            bit_strings(self.decrypted[:, gi][:, list(g.non_dummy_ids())])
             for gi, g in enumerate(self.layout.graphs)
         ]
+        letters = [[[s, v, p] for (s, v), p in term] for term in self.term_letters]
         accept, slots, terms = self.accept.tolist(), self.target_slots.tolist(), self.terms.tolist()
         return [
-            (
-                raw[i * rounds : (i + 1) * rounds],
-                [dec[gi][i] for gi in perm],
-                [passed[gi] if gi else None for gi in perm],  # round 0 has no verdict
-                accept[i], self.outputs[i], slots[i], terms[i],
-            )
+            {
+                "raw": raw[i * rounds : (i + 1) * rounds],
+                "decrypted": [dec[gi][i] for gi in perm],
+                "trap_passed": [passed[gi] if gi else None for gi in perm],  # round 0 has no verdict
+                "accept": accept[i],
+                "target_output": self.outputs[i],
+                "target_slot": slots[i],
+                "attack_letters": letters[terms[i]],
+            }
             for i, (perm, passed) in enumerate(zip(self.perm.tolist(), self.passed.tolist()))
         ]
 
 
 class RunRecord:
     """Transcript of one protocol run, verifier's view: run ``index`` of
-    its `RunBatch`.  In JSON each slot's ``raw`` and ``decrypted``
-    outcomes are one ``"0101…"`` string."""
+    its `RunBatch`."""
 
     __slots__ = ("batch", "index")
-    FIELDS = (
-        "raw", "decrypted", "trap_passed", "accept", "target_output",
-        "target_slot", "attack_letters",
-    )
 
     def __init__(self, batch: RunBatch, index: int) -> None:
         self.batch, self.index = batch, index
 
     @property
-    def raw(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.batch.raw[self.index].tolist()))
-
-    @property
-    def decrypted(self) -> tuple[tuple[int, ...], ...]:
-        b, graphs = self.batch, self.batch.layout.graphs
-        return tuple(
-            tuple(b.decrypted[self.index, gi, list(graphs[gi].non_dummy_ids())].tolist())
-            for gi in b.perm[self.index].tolist()
-        )
-
-    @property
-    def trap_passed(self) -> tuple[bool | None, ...]:
-        return tuple(self.batch._json_rows[self.index][2])
-
-    @property
-    def accept(self) -> bool:
-        return bool(self.batch.accept[self.index])
-
-    @property
     def target_output(self) -> str:
         return self.batch.outputs[self.index]
 
-    @property
-    def target_slot(self) -> int:
-        return int(self.batch.target_slots[self.index])
-
-    @property
-    def attack_letters(self) -> tuple[tuple[tuple[int, int], str], ...]:
-        return self.batch.term_letters[self.batch.terms[self.index]]
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.FIELDS)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RunRecord):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return "RunRecord(" + ", ".join(f"{f}={getattr(self, f)!r}" for f in self.FIELDS) + ")"
-
     def to_json_dict(self) -> dict:
-        raw, dec, traps, accept, output, slot, term = self.batch._json_rows[self.index]
-        return {
-            "raw": list(raw),
-            "decrypted": list(dec),
-            "trap_passed": list(traps),
-            "accept": accept,
-            "target_output": output,
-            "target_slot": slot,
-            "attack_letters": [[s, v, p] for (s, v), p in self.batch.term_letters[term]],
-        }
+        """Each slot's ``raw`` and ``decrypted`` outcomes as one ``"0101…"``
+        string, the slot trap verdicts, accept, the computation string and
+        slot, and the attack letters.  The dict and its lists are shared
+        with the batch and every caller: read them, never change them."""
+        return self.batch._json_rows[self.index]
 
 
 def _run_batch(
@@ -701,7 +633,7 @@ def _run_batch(
     nd = list(layout.target.non_dummy_ids())
     out_bits, nbits = dec[:, 0][:, nd], len(nd)
     if nbits > _SHARED_STRING_BITS:
-        outputs = _bit_strings(out_bits)
+        outputs = bit_strings(out_bits)
     else:
         index = (out_bits @ (1 << np.arange(nbits))).tolist()
         outputs = [_string_table(nbits)[j] for j in index]
@@ -795,22 +727,13 @@ def _correction_index_map(g: GraphSpec) -> np.ndarray:
     return out
 
 
-def honest_target_distribution(
-    g: GraphSpec, cap: int = DEFAULT_QUBIT_CAP
-) -> Distribution:
+def honest_target_distribution(g: GraphSpec, cap: int = DEFAULT_QUBIT_CAP) -> Distribution:
     """What the decrypted computation string looks like for an honest run:
     the carved graph measured at its base angles, pushed through the
-    connector corrections."""
-    probs = exact_probability_array(g, g.base_angles(), cap=cap)
-    corrected = np.zeros_like(probs)
-    np.add.at(corrected, _correction_index_map(g), probs)
+    connector corrections, an involution: index j takes index map[j]'s mass."""
+    corrected = exact_probability_array(g, g.base_angles(), cap=cap)[_correction_index_map(g)]
     n = len(g.non_dummy_ids())
-    return Distribution(
-        nbits=n,
-        probs={
-            bits_to_string(i, n): float(p) for i, p in enumerate(corrected)
-        },
-    )
+    return Distribution(n, dict(zip(bit_strings(index_bits(n)), corrected.tolist())))
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,17 @@
-"""Graph-state outcome distributions and the exact output-distribution oracles.
+"""Graph-state outcome probabilities, the noise model and outcome strings.
 
-Two independent routes to the same answer live here on purpose: the
-per-component Walsh-Hadamard route (`exact_output_distribution`) and the
-imaginary-temperature partition-function route
-(`ising_partition_probability`).  They share no code beyond the graph
-structure, so agreement between them is evidence, not tautology.
+One route gives outcome probabilities: the Walsh-Hadamard transform of a
+component's graph-state phases, `component_probability_rows`, which
+`exact_probability_array` joins over a carving's components.  The tests
+check it against an independent spin-sum oracle.
 
 Bit convention, used everywhere in this package: amplitudes are indexed
 little-endian — bit ``j`` of the array index is qubit ``j``.  Outcome
-strings read left to right in ascending vertex order, i.e. the leftmost
-character belongs to the lowest vertex id.
+strings (`bit_strings`) read left to right in ascending vertex order,
+i.e. the leftmost character belongs to the lowest vertex id.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -187,11 +185,10 @@ def exact_probability_array(
     for v in nd:
         if v not in angles:
             raise ValueError(f"no measurement angle for vertex {v}")
-    comps = _induced_components(g)
     induced = set(g.induced_edges())
     joint = np.ones(1, dtype=np.float64)
     order: list[int] = []
-    for comp in comps:
+    for comp in _induced_components(g):
         comp_edges = [e for e in induced if e[0] in comp and e[1] in comp]
         p = component_probabilities(comp, comp_edges, angles)
         # Little-endian outer product: the new component lands in the
@@ -200,112 +197,20 @@ def exact_probability_array(
         joint = np.multiply.outer(p, joint).reshape(-1) if order else p
         order.extend(comp)
     n = len(nd)
-    # Permute bit positions so bit j belongs to nd[j].
-    axes_vertex = [order[n - 1 - a] for a in range(n)]  # axis -> vertex
-    want_axis_vertex = [nd[n - 1 - a] for a in range(n)]
-    perm = [axes_vertex.index(v) for v in want_axis_vertex]
-    joint = joint.reshape((2,) * n).transpose(perm).reshape(-1)
-    return joint
+    # Axis a of the (2,)*n view holds bit n-1-a; permute so bit j is nd[j].
+    perm = [n - 1 - order.index(v) for v in reversed(nd)]
+    return joint.reshape((2,) * n).transpose(perm).reshape(-1)
 
 
-def bits_to_string(index: int, nbits: int) -> str:
-    """Little-endian index to outcome string, lowest bit leftmost."""
-    return "".join("1" if (index >> j) & 1 else "0" for j in range(nbits))
+def index_bits(nbits: int) -> np.ndarray:
+    """Row ``i``: the ``nbits`` bits of ``i``, lowest first, as uint8."""
+    index = np.arange(2**nbits, dtype="<u8").reshape(-1, 1).view(np.uint8)
+    return np.unpackbits(index, axis=1, count=nbits, bitorder="little")
 
 
-def string_to_bits(s: str) -> int:
-    return sum(1 << j for j, ch in enumerate(s) if ch == "1")
-
-
-def exact_output_distribution(
-    g: GraphSpec,
-    angles: Mapping[int, float],
-    cap: int = DEFAULT_QUBIT_CAP,
-) -> Distribution:
-    """Exact outcome distribution of measuring the carved graph state.
-
-    Non-dummy vertices are prepared as |+⟩, entangled along the induced
-    edges, and each measured in the xy-plane at its angle.  No sampling is
-    involved; probabilities come from full enumeration.
-    """
-    probs = exact_probability_array(g, angles, cap=cap)
-    n = len(g.non_dummy_ids())
-    return Distribution(
-        nbits=n,
-        probs={bits_to_string(i, n): float(p) for i, p in enumerate(probs)},
-    )
-
-
-@dataclass(frozen=True)
-class IsingInstance:
-    """Couplings and fields whose imaginary-temperature trace reproduces
-    the sampler's outcome probabilities."""
-
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    couplings: tuple[float, ...]
-    fields: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.couplings) != len(self.edges):
-            raise ValueError("one coupling per edge required")
-        if len(self.fields) != self.n:
-            raise ValueError("one local field per vertex required")
-        for a, b in self.edges:
-            if not (0 <= a < self.n and 0 <= b < self.n):
-                raise ValueError(f"edge {(a, b)} out of range")
-
-    @classmethod
-    def from_carved_graph(
-        cls, g: GraphSpec, angles: Mapping[int, float]
-    ) -> "IsingInstance":
-        """Map measurement angles to fields: J = π/4 on every surviving
-        edge, B_i = π·deg(i)/4 − δ_i/2, vertices relabeled 0..N−1 in
-        ascending id order."""
-        nd = g.non_dummy_ids()
-        pos = {v: i for i, v in enumerate(nd)}
-        edges = tuple(
-            (pos[a], pos[b]) for a, b in g.induced_edges()
-        )
-        fields = tuple(
-            math.pi * g.induced_degree(v) / 4 - angles[v] / 2 for v in nd
-        )
-        return cls(
-            n=len(nd),
-            edges=edges,
-            couplings=(math.pi / 4,) * len(edges),
-            fields=fields,
-        )
-
-
-def ising_partition_probability(
-    inst: IsingInstance,
-    x: str | Sequence[int],
-    cap: int = DEFAULT_QUBIT_CAP,
-    chunk: int = 1 << 16,
-) -> float:
-    """|Tr e^{−i(H + (π/2)Σ x_i Z_i)}|² / 2^{2N} by explicit spin summation.
-
-    H = −Σ J Z_iZ_j + Σ B_i Z_i is diagonal, so the trace is a sum of
-    phases over all 2^N spin configurations s ∈ {±1}^N, evaluated here in
-    chunks to bound memory.
-    """
-    _check_cap(inst.n, cap)
-    bits = (
-        [int(ch) for ch in x] if isinstance(x, str) else [int(b) for b in x]
-    )
-    if len(bits) != inst.n:
-        raise ValueError(f"outcome has {len(bits)} bits, expected {inst.n}")
-    shifted = np.array(inst.fields) + math.pi / 2 * np.array(bits)
-    total = 0.0 + 0.0j
-    for start in range(0, 2**inst.n, chunk):
-        idx = np.arange(start, min(start + chunk, 2**inst.n))
-        # spin s_i = +1 for index bit 0, -1 for bit 1
-        spins = 1.0 - 2.0 * (
-            (idx[:, None] >> np.arange(inst.n)[None, :]) & 1
-        )
-        energy = shifted @ spins.T
-        for (a, b), j in zip(inst.edges, inst.couplings):
-            energy -= j * spins[:, a] * spins[:, b]
-        total += np.exp(-1j * energy).sum()
-    return float(abs(total) ** 2 / 2 ** (2 * inst.n))
+def bit_strings(bits: np.ndarray) -> list[str]:
+    """Each row of the 0/1 array ``bits`` as an outcome string: column j
+    is character j, so a little-endian index's bits read lowest first."""
+    nbits = bits.shape[1]
+    text = (bits + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+    return [text[i * nbits : (i + 1) * nbits] for i in range(len(bits))]

@@ -1,12 +1,17 @@
-"""Test-only helpers over the simulator's and the oracle's types: density
-matrices and distances between outcome distributions."""
+"""Test-only helpers over the package's and the oracle's types: density
+matrices, distances between outcome distributions, and the constructors
+and maxima that only tests ask for."""
 from __future__ import annotations
 
-from typing import Sequence
+from fractions import Fraction
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from trapver.simulator import Distribution
+from trapver.bounds import attack_gap, valid_attack_classes
+from trapver.graphs import ROLE_COMPUTATIONAL, GraphSpec, lattice_edges
+from trapver.protocol import AttackSpec
+from trapver.simulator import Distribution, bit_strings, index_bits
 
 from oracle import StateVector
 
@@ -37,3 +42,39 @@ def empirical_distribution(samples: Sequence[str]) -> Distribution:
         nbits=len(samples[0]),
         probs={k: v / total for k, v in counts.items()},
     )
+
+
+def array_distribution(probs: np.ndarray) -> Distribution:
+    """A probability array, bit j of the index = character j, as the
+    string-keyed `Distribution` the distances above read."""
+    nbits = probs.size.bit_length() - 1
+    return Distribution(nbits, dict(zip(bit_strings(index_bits(nbits)), probs.tolist())))
+
+
+def bits_of(strings: Sequence[str]) -> tuple[tuple[int, ...], ...]:
+    """Packed ``"0101…"`` record strings as tuples of 0/1 integers."""
+    return tuple(tuple(map(int, s)) for s in strings)
+
+
+def build_square_lattice(m: int, n: int) -> GraphSpec:
+    """The uncarved lattice: every cell computational at angle 0."""
+    if m < 1 or n < 1:
+        raise ValueError("lattice dimensions must be positive")
+    size = m * n
+    return GraphSpec(
+        m=m,
+        n=n,
+        roles=(ROLE_COMPUTATIONAL,) * size,
+        phi_k=(0,) * size,
+        edges=lattice_edges(m, n),
+    )
+
+
+def single_pauli_attack(letters: Mapping[tuple[int, int], str]) -> AttackSpec:
+    """Deterministic attack: one Pauli string with weight 1."""
+    return AttackSpec(pauli_terms=((1.0, tuple(sorted(letters.items()))),))
+
+
+def max_attack_gap(kappa: int) -> Fraction:
+    """Exhaustive maximum of the gap over every valid class."""
+    return max(attack_gap(a)[2] for a in valid_attack_classes(kappa))

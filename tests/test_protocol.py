@@ -40,7 +40,6 @@ from trapver.protocol import (
     make_round_layout,
     run_protocol,
     run_scheme,
-    single_pauli_attack,
     unitary_attack,
 )
 from trapver.simulator import (
@@ -50,10 +49,9 @@ from trapver.simulator import (
     component_probability_rows,
     exact_probability_array,
     fwht_inplace,
-    string_to_bits,
 )
 
-from helpers import empirical_distribution, tv_distance
+from helpers import bits_of, empirical_distribution, single_pauli_attack, tv_distance
 from oracle import (
     NoiseEvent,
     decrypt,
@@ -138,9 +136,9 @@ def test_keygen_is_the_key_of_a_run(layout33):
     """`keygen` reads the key words that open a repetition's block, so a
     run on an equally seeded generator decrypts under that key."""
     key = keygen(layout33, rng_from(44))
-    rec = run_protocol(layout33, None, None, rng_from(44))
-    assert rec.target_slot == key.target_slot
-    assert decrypt(key, layout33, rec.raw) == rec.decrypted
+    rec = run_protocol(layout33, None, None, rng_from(44)).to_json_dict()
+    assert rec["target_slot"] == key.target_slot
+    assert decrypt(key, layout33, bits_of(rec["raw"])) == bits_of(rec["decrypted"])
 
 
 def test_target_slot_uniform(layout33):
@@ -284,12 +282,12 @@ def test_attack_spec_validation():
 def test_honest_run_accepts(layout33):
     rng = rng_from(10)
     for _ in range(50):
-        rec = run_protocol(layout33, None, None, rng)
-        assert rec.accept
-        assert rec.trap_passed[rec.target_slot] is None
-        assert sum(1 for t in rec.trap_passed if t is True) == 2
-        assert len(rec.target_output) == 7
-        assert len(rec.raw) == 3 and all(len(r) == 9 for r in rec.raw)
+        rec = run_protocol(layout33, None, None, rng).to_json_dict()
+        assert rec["accept"]
+        assert rec["trap_passed"][rec["target_slot"]] is None
+        assert sum(1 for t in rec["trap_passed"] if t is True) == 2
+        assert len(rec["target_output"]) == 7
+        assert len(rec["raw"]) == 3 and all(len(r) == 9 for r in rec["raw"])
 
 
 def test_run_record_json_shape(layout33):
@@ -302,8 +300,14 @@ def test_run_record_json_shape(layout33):
     assert d["attack_letters"] == [[0, 0, "Z"]]
     # each slot's outcomes are one packed "0101…" string, read left to right
     assert all(type(s) is str and set(s) <= {"0", "1"} for s in d["raw"] + d["decrypted"])
-    assert [tuple(map(int, s)) for s in d["raw"]] == list(rec.raw)
-    assert [tuple(map(int, s)) for s in d["decrypted"]] == list(rec.decrypted)
+    # and they spell the batch columns: raw by slot, decrypted over each
+    # slot's non-dummy cells
+    b, i = rec.batch, rec.index
+    assert bits_of(d["raw"]) == tuple(map(tuple, b.raw[i].tolist()))
+    assert bits_of(d["decrypted"]) == tuple(
+        tuple(b.decrypted[i, gi, list(layout33.graphs[gi].non_dummy_ids())].tolist())
+        for gi in b.perm[i].tolist()
+    )
 
 
 def test_run_requires_seeded_generator(layout33):
@@ -319,7 +323,7 @@ def test_trap_flip_semantics(layout33):
         slot = keygen(layout33, rng_from(seed)).perm.index(1)
         for letter, want in (("Z", 1), ("X", 0)):
             attack = single_pauli_attack({(slot, 0): letter})
-            dec = run_protocol(layout33, attack, None, rng_from(seed)).decrypted
+            dec = bits_of(run_protocol(layout33, attack, None, rng_from(seed)).to_json_dict()["decrypted"])
             assert dec[slot][0] == want
             assert dec[slot][1:] == (0, 0, 0)
 
@@ -330,7 +334,7 @@ def test_single_position_attack_accept_rate(layout33):
     rng = rng_from(21)
     attack = single_pauli_attack({(0, 0): "Z"})
     n = 3000
-    hits = sum(run_protocol(layout33, attack, None, rng).accept for _ in range(n))
+    hits = sum(run_protocol(layout33, attack, None, rng).to_json_dict()["accept"] for _ in range(n))
     # binomial 4 sigma around 2/3
     assert abs(hits / n - 2 / 3) < 4 * math.sqrt(2 / 9 / n)
 
@@ -340,7 +344,7 @@ def test_same_cell_all_rounds_never_accepts(layout33):
     rng = rng_from(22)
     attack = single_pauli_attack({(s, 0): "Z" for s in range(3)})
     assert not any(
-        run_protocol(layout33, attack, None, rng).accept for _ in range(2000)
+        run_protocol(layout33, attack, None, rng).to_json_dict()["accept"] for _ in range(2000)
     )
 
 
@@ -351,8 +355,8 @@ def test_verdict_monotone_under_extra_letter(layout33):
     more = single_pauli_attack({(0, 0): "Z", (1, 1): "Z"})
     flips = {"gain": 0, "loss": 0}
     for seed in range(500):
-        a = run_protocol(layout33, base, None, rng_from(seed)).accept
-        b = run_protocol(layout33, more, None, rng_from(seed)).accept
+        a = run_protocol(layout33, base, None, rng_from(seed)).to_json_dict()["accept"]
+        b = run_protocol(layout33, more, None, rng_from(seed)).to_json_dict()["accept"]
         if b and not a:
             flips["gain"] += 1
         if a and not b:
@@ -782,7 +786,7 @@ def test_honest_outputs_reach_exact_cross_entropy(m, n, cap, runs):
         if cap > DEFAULT_QUBIT_CAP:
             _sim_plan.cache_clear()  # drop the 2^24-entry CDF
     assert verdict.pass_fraction == 1.0
-    got = float(scaled[[string_to_bits(r.target_output) for r in sink]].mean())
+    got = float(scaled[[int(r.target_output[::-1], 2) for r in sink]].mean())
     assert abs(got - want) < tol
 
 
@@ -828,12 +832,14 @@ def test_records_do_not_depend_on_the_batch(case, monkeypatch):
         _run_batch(layout, attack, noise, [s], DEFAULT_QUBIT_CAP)[0]
         for s in rng_from(2030).spawn(m)
     ]
-    assert sink == list(whole) == one_by_one
+    assert [r.to_json_dict() for r in sink] == [r.to_json_dict() for r in whole] == [
+        r.to_json_dict() for r in one_by_one
+    ]
     if noise is not None:
-        assert not all(r.accept for r in sink)  # the noise did fire
+        assert not all(r.to_json_dict()["accept"] for r in sink)  # the noise did fire
     if attack is not None:
-        assert {r.attack_letters for r in sink} == {
-            tuple(sorted(term)) for _, term in attack.pauli_terms
+        assert {tuple(map(tuple, r.to_json_dict()["attack_letters"])) for r in sink} == {
+            tuple((s, v, p) for (s, v), p in sorted(term)) for _, term in attack.pauli_terms
         }
 
 
@@ -941,7 +947,7 @@ def test_phase_noise_accept_rate_matches_closed_form(layout33):
     expected = p_deg2**4 * p_deg3**3
     rng = rng_from(41)
     n = 3000
-    hits = sum(run_protocol(layout33, None, noise, rng).accept for _ in range(n))
+    hits = sum(run_protocol(layout33, None, noise, rng).to_json_dict()["accept"] for _ in range(n))
     se = math.sqrt(expected * (1 - expected) / n)
     assert abs(hits / n - expected) < 4 * se
 
@@ -990,11 +996,11 @@ def test_noisy_9x3_runs_under_the_default_cap():
 def test_more_noise_means_fewer_accepts(layout33):
     rng = rng_from(42)
     lo = sum(
-        run_protocol(layout33, None, NoiseModel(eps_v=0.01), rng).accept
+        run_protocol(layout33, None, NoiseModel(eps_v=0.01), rng).to_json_dict()["accept"]
         for _ in range(400)
     )
     hi = sum(
-        run_protocol(layout33, None, NoiseModel(eps_v=0.08), rng).accept
+        run_protocol(layout33, None, NoiseModel(eps_v=0.08), rng).to_json_dict()["accept"]
         for _ in range(400)
     )
     assert hi < lo
@@ -1140,8 +1146,8 @@ def test_unitary_attack_matches_letter_attack():
         by_letter = single_pauli_attack({divmod(q, 2): p for q, p in enumerate(word) if p != "I"})
         for noise in (None, NoiseModel(eps_v=0.05, eps_p=0.05)):
             for seed in range(100):
-                ru = run_protocol(lay, by_unitary, noise, rng_from(seed))
-                assert ru == run_protocol(lay, by_letter, noise, rng_from(seed))
+                ru = run_protocol(lay, by_unitary, noise, rng_from(seed)).to_json_dict()
+                assert ru == run_protocol(lay, by_letter, noise, rng_from(seed)).to_json_dict()
 
 
 def test_unitary_attack_output_distribution():
@@ -1252,6 +1258,16 @@ def test_gap_estimate_of_a_unitary_attack():
     est = estimate_fidelity_gap(layout, attack, samples, rng_from(4200))
     assert est.samples == samples
     assert abs(est.ft2 - want) < 4 * math.sqrt(want * (1 - want) / samples)
+
+
+def test_honest_target_distribution_is_the_scattered_array():
+    """Indexing by the correction involution gives, bit for bit, the
+    scatter-add of the exact array through the correction map."""
+    g = carve_target(5, 3)
+    probs = exact_probability_array(g, g.base_angles())
+    want = np.zeros_like(probs)
+    np.add.at(want, _correction_index_map(g), probs)
+    assert list(honest_target_distribution(g).probs.values()) == want.tolist()
 
 
 def test_honest_target_distribution_uniform(layout33):

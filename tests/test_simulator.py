@@ -17,24 +17,23 @@ from trapver.graphs import (
 )
 from trapver.simulator import (
     Distribution,
-    IsingInstance,
     NoiseModel,
     QubitCapError,
     _induced_components,
-    bits_to_string,
+    bit_strings,
     component_probabilities,
     component_probability_rows,
-    exact_output_distribution,
     exact_probability_array,
     fwht_inplace,
-    ising_partition_probability,
-    string_to_bits,
+    index_bits,
 )
 
 from helpers import density_matrix, empirical_distribution, tv_distance
 from oracle import (
+    IsingInstance,
     StateVector,
     fwht_per_stage_copy,
+    ising_partition_probability,
     apply_cz,
     apply_pauli,
     apply_phase,
@@ -281,11 +280,14 @@ def test_empirical_distribution_counts():
 
 def test_bit_string_convention():
     # leftmost character is qubit 0
-    assert bits_to_string(1, 3) == "100"
-    assert bits_to_string(4, 3) == "001"
-    assert string_to_bits("100") == 1
-    for i in range(16):
-        assert string_to_bits(bits_to_string(i, 4)) == i
+    assert bit_strings(np.array([[1, 0, 0], [0, 0, 1]], np.uint8)) == ["100", "001"]
+    strings = bit_strings(index_bits(3))
+    assert strings[1] == "100" and strings[4] == "001"
+    for i, s in enumerate(bit_strings(index_bits(4))):
+        assert int(s[::-1], 2) == i
+    for n in range(13):  # the shift-and-mask route index_bits replaced
+        assert np.array_equal(index_bits(n), (np.arange(2**n)[:, None] >> np.arange(n)) & 1)
+    assert bit_strings(index_bits(0)) == [""]
 
 
 def test_fwht_involution_and_delta():
@@ -376,16 +378,16 @@ def test_stacked_probabilities_equal_one_setting_at_a_time(m):
 
 def test_single_trap_vertex_is_deterministic():
     g = GraphSpec(1, 1, (ROLE_TRAP,), (0,), ())
-    dist = exact_output_distribution(g, {0: 0.0})
-    assert dist.probs["0"] == 1.0
-    assert dist.probs.get("1", 0.0) == 0.0
+    probs = exact_probability_array(g, {0: 0.0})
+    assert probs[0] == 1.0
+    assert probs[1] == 0.0
 
 
 def test_two_vertex_chain_uniform():
     g = GraphSpec(2, 1, (ROLE_COMPUTATIONAL,) * 2, (0, 0), ((0, 1),))
-    dist = exact_output_distribution(g, {0: 0.0, 1: 0.0})
-    assert set(dist.probs) == {"00", "01", "10", "11"}
-    for p in dist.probs.values():
+    probs = exact_probability_array(g, {0: 0.0, 1: 0.0})
+    assert probs.shape == (4,)
+    for p in probs:
         assert abs(p - 0.25) <= 1e-12
 
 
@@ -535,8 +537,9 @@ def test_spin_sum_matches_state_vector_route():
     angles = g.base_angles()
     probs = exact_probability_array(g, angles)
     inst = IsingInstance.from_carved_graph(g, angles)
+    strings = bit_strings(index_bits(7))
     worst = max(
-        abs(ising_partition_probability(inst, bits_to_string(x, 7)) - probs[x])
+        abs(ising_partition_probability(inst, strings[x]) - probs[x])
         for x in range(128)
     )
     assert worst <= 1e-10
