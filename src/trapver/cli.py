@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import __version__, bounds, ftcalc
-from .graphs import GraphSpec, carve_target, carve_trap_graph, check_embedding, k_to_radians
+from .graphs import GraphSpec, carve_target, carve_trap_graph, check_embedding
 from .protocol import (
     ENGINE_VERSION,
     AttackSpec,
@@ -42,7 +42,6 @@ from .protocol import (
 from .simulator import (
     DEFAULT_QUBIT_CAP,
     NoiseModel,
-    _induced_components,
     bit_strings,
     exact_probability_array,
     index_bits,
@@ -521,12 +520,12 @@ def _cmd_carve(cfg: SessionConfig) -> Result:
     return EXIT_ACCEPT, doc, None
 
 
-def _load_angles(path: str) -> dict[int, float]:
+def _load_angles(path: str) -> dict[int, int]:
     """Read a JSON object mapping vertex ids to integer grid steps."""
     raw = _read_json(path, "angles")
     try:
         if isinstance(raw, dict) and all(type(v) is int for v in raw.values()):
-            return {int(k): k_to_radians(v) for k, v in raw.items()}
+            return {int(k): v for k, v in raw.items()}
     except ValueError as exc:  # a key that is not a vertex id
         raise CliError(f"cannot read angles {path}: {exc}") from exc
     raise CliError(f"angles file {path} must map vertex ids to integer grid steps")
@@ -536,11 +535,11 @@ def _cmd_simulate(cfg: SessionConfig) -> Result:
     (graph_path,) = _require(cfg, "graph")
     g = GraphSpec.from_json_dict(_read_json(graph_path, "layout"))
     angles_path = cfg.extras.get("angles")
-    angles = _load_angles(angles_path) if angles_path else g.base_angles()
+    steps = _load_angles(angles_path) if angles_path else None
     samples = cfg.extras.get("samples")
     exact = cfg.extras.get("exact") or samples is None
     _check_components_fit(g, cfg.extras["cap"], joint=True)
-    probs = exact_probability_array(g, angles, cap=cfg.extras["cap"])
+    probs = exact_probability_array(g, steps, cap=cfg.extras["cap"])
     n = len(g.non_dummy_ids())
     # row k spells k in binary, so the strings come out sorted; character j
     # is bit j of the probability index
@@ -600,7 +599,7 @@ def _check_components_fit(g: GraphSpec, cap: int, joint: bool) -> None:
     """Refuse a run of ``g`` whose components ``cap`` admits but memory cannot
     hold: c qubits peak at 24·2^c bytes (amplitudes and a half-size WHT scratch),
     and with ``joint`` the exact distribution of N ≤ cap vertices adds 8·2^N."""
-    c = max((s for s in map(len, _induced_components(g)) if s <= cap), default=0)
+    c = max((len(vs) for vs, _ in g.components if len(vs) <= cap), default=0)
     n = len(g.non_dummy_ids())
     joint = joint and n <= cap
     what = f"a component of {c} qubits" + (f" and the {n}-bit joint distribution" if joint else "")

@@ -26,8 +26,6 @@ class FtConfig:
     distance: int = 2
     eps: float = 0.0
     syndromes: int = DEFAULT_SYNDROMES
-    ops_per_syndrome: int = DEFAULT_OPS_PER_SYNDROME
-    saw_growth: int = DEFAULT_SAW_GROWTH
     saw_prefactor: float = DEFAULT_SAW_PREFACTOR
     poly_prefactor: float = 1.0
 
@@ -36,8 +34,6 @@ class FtConfig:
             raise ValueError(f"eps must lie in [0, 1), got {self.eps}")
         if self.distance < 1 or self.syndromes < 1:
             raise ValueError("distance and syndromes must be >= 1")
-        if self.ops_per_syndrome < 1:
-            raise ValueError("ops_per_syndrome must be >= 1")
         for name in ("saw_prefactor", "poly_prefactor"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:  # NaN fails both comparisons
@@ -100,7 +96,10 @@ def detection_overhead(
     p_c = cube_failure_prob(eps, c_ops)
     if p_c >= 1:
         raise ValueError("cube failure probability reached 1")
-    m_real = (1 - p_c) ** -syndromes
+    try:
+        m_real = (1 - p_c) ** -syndromes
+    except OverflowError:
+        raise ValueError(f"overhead at eps = {eps}, syndromes = {syndromes} exceeds floats") from None
     return m_real, math.ceil(m_real)
 
 
@@ -120,7 +119,10 @@ def faulty_series_bound(
 ) -> SeriesBound:
     """Partial sum 2·poly·Σ_{L=l_d}^{n} pref·(μ·ε/(1−ε))^L.
 
-    Converges (as n grows) iff the odds ratio stays below 1/μ.
+    Converges (as n grows) iff the odds ratio stays below 1/μ.  The sum
+    stops early with the same value: at ratio ≤ 1 the terms only shrink, so
+    once one leaves it unchanged every later one would, and an infinite sum
+    stays infinite.
     """
     if not 0 <= eps < 1:
         raise ValueError(f"eps must lie in [0, 1), got {eps}")
@@ -128,7 +130,11 @@ def faulty_series_bound(
         raise ValueError("need 1 <= l_d <= n_terms")
     odds = eps / (1 - eps)
     ratio = saw_growth * odds
-    total = sum(ratio**length for length in range(l_d, n_terms + 1))
+    total = 0.0
+    for length in range(l_d, n_terms + 1):
+        before, total = total, total + ratio**length
+        if total == math.inf or (total == before and ratio <= 1):
+            break
     return SeriesBound(
         value=2 * poly_prefactor * saw_prefactor * total,
         converges=odds < 1 / saw_growth,
@@ -174,20 +180,19 @@ def overhead_table(
 
 def ft_report(cfg: FtConfig) -> FtReport:
     """Assemble every headline number for one configuration."""
-    m_real, m = detection_overhead(cfg.eps, cfg.syndromes, cfg.ops_per_syndrome)
+    m_real, m = detection_overhead(cfg.eps, cfg.syndromes)
     series = faulty_series_bound(
         cfg.eps,
         l_d=max(cfg.distance, 1),
         n_terms=max(cfg.syndromes, cfg.distance),
         poly_prefactor=cfg.poly_prefactor,
         saw_prefactor=cfg.saw_prefactor,
-        saw_growth=cfg.saw_growth,
     )
     return FtReport(
         phenomenological=phenomenological_threshold(),
-        physical=physical_threshold(c_ops=cfg.ops_per_syndrome),
+        physical=physical_threshold(),
         eps=cfg.eps,
-        p_c=cube_failure_prob(cfg.eps, cfg.ops_per_syndrome),
+        p_c=cube_failure_prob(cfg.eps),
         m_real=m_real,
         m=m,
         series_bound=series.value,

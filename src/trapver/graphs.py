@@ -3,7 +3,7 @@
 A layout is a rectangular grid of qubits with one role per cell.  Dummy
 cells sever entanglement, which is how the target pattern and the two trap
 patterns are all cut from the same lattice.  Everything here is plain
-bookkeeping: roles, base measurement angles and edges.
+bookkeeping: roles, base measurement angles, edges and components.
 
 Angles are stored as integers ``k`` meaning ``k*pi/8``, reduced mod 16, so
 key-schedule arithmetic stays exact.  Vertex ids are row-major:
@@ -170,9 +170,25 @@ class GraphSpec:
     def induced_degree(self, v: int) -> int:
         return len(self.induced_neighbors.get(v, ()))
 
-    def base_angles(self) -> dict[int, float]:
-        """Measurement angles (radians) of the unencrypted computation."""
-        return {v: k_to_radians(self.phi_k[v]) for v in self.non_dummy_ids()}
+    @cached_property
+    def components(self) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]:
+        """The connected components of the non-dummy induced subgraph, by
+        smallest vertex: each one's vertices ascending and its induced edges
+        in ``edges`` order.  An isolated vertex is a component of its own."""
+        least: dict[int, int] = {}  # vertex -> least vertex of its component
+        for start in self.non_dummy_ids():
+            stack = [start]
+            while stack:
+                v = stack.pop()
+                if v not in least:
+                    least[v] = start
+                    stack.extend(self.induced_neighbors[v])
+        comps: dict[int, tuple[list, list]] = {}
+        for v in self.non_dummy_ids():
+            comps.setdefault(least[v], ([], []))[0].append(v)
+        for a, b in self.induced_edges():
+            comps[least[a]][1].append((a, b))
+        return tuple((tuple(vs), tuple(es)) for vs, es in comps.values())
 
     # -- serialization ----------------------------------------------------
     def to_json_dict(self) -> dict:

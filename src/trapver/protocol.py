@@ -57,13 +57,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .bounds import pauli_matrix
-from .graphs import (
-    ANGLE_STEPS, GraphSpec, carve_target, carve_trap_graph, k_to_radians,
-)
+from .graphs import ANGLE_STEPS, GraphSpec, carve_target, carve_trap_graph
 from .simulator import (
-    DEFAULT_QUBIT_CAP, Distribution, NoiseModel, _check_cap, _induced_components,
-    bit_strings, component_probabilities, component_probability_rows,
-    exact_probability_array, index_bits,
+    DEFAULT_QUBIT_CAP, PHASES, Distribution, NoiseModel, _check_cap, bit_strings,
+    component_probability_rows, exact_probability_array, index_bits,
 )
 
 # Bumped whenever a seed would draw different outcomes.  Engine 2 samples
@@ -85,8 +82,6 @@ _CODE_LETTER = "IXZY"
 # qubit's (row bit a, column bit b) pair with row l takes Tr(σ·) there.
 _LETTER_TRACE = np.array([pauli_matrix(c).T.reshape(4) for c in _CODE_LETTER])
 _NOISELESS = NoiseModel()
-# e^{−iδ} at each grid angle, exactly as `component_probabilities` forms it.
-_PHASES = np.array([np.exp(-1j * k_to_radians(k)) for k in range(ANGLE_STEPS)])
 # Amplitudes a batched recompute holds at once: one component's hit runs
 # go max(1, 2^20 >> cells) rows at a time, so a 20-cell one goes singly.
 _RECOMPUTE_AMPLITUDES = 2**20
@@ -320,17 +315,14 @@ class _SimPlan(NamedTuple):
 def _sim_plan(g: GraphSpec, cap: int) -> _SimPlan:
     """Per-component outcome distributions of ``g`` at its base angles,
     and the cZ order that carries X errors through the round."""
-    induced = g.induced_edges()
     comps = []
-    for comp in _induced_components(g):
-        _check_cap(len(comp), cap)
-        edges = tuple(e for e in induced if e[0] in comp)
-        probs = component_probabilities(
-            comp, edges, {v: k_to_radians(g.phi_k[v]) for v in comp}
-        )
+    for vertices, edges in g.components:
+        _check_cap(len(vertices), cap)
+        phases = PHASES[[[g.phi_k[v] for v in vertices]]]
+        probs = component_probability_rows(vertices, edges, phases)[0]
         cdf = np.cumsum(probs, out=probs)
         cdf /= cdf[-1]
-        comps.append(_ComponentPlan(comp, edges, cdf))
+        comps.append(_ComponentPlan(vertices, edges, cdf))
     comps += [_ComponentPlan((v,), (), np.array([0.5, 1.0])) for v in g.dummy_ids()]
     size = g.m * g.n
     comp_of = np.zeros(size, int)
@@ -472,7 +464,7 @@ def _sample_round(
             cols, runs = list(vertices), np.flatnonzero(hit[:, j])
             chunk = max(1, _RECOMPUTE_AMPLITUDES >> len(cols))
             for rows in (runs[lo : lo + chunk] for lo in range(0, len(runs), chunk)):
-                probs = component_probability_rows(vertices, edges, _PHASES[k[rows][:, cols]])
+                probs = component_probability_rows(vertices, edges, PHASES[k[rows][:, cols]])
                 cdf = np.cumsum(probs, axis=1, out=probs)
                 # per row, the searchsorted(side="right") of its scaled uniform
                 pick = (cdf <= (u[rows, j] * cdf[:, -1])[:, None]).sum(axis=1)
@@ -731,7 +723,7 @@ def honest_target_distribution(g: GraphSpec, cap: int = DEFAULT_QUBIT_CAP) -> Di
     """What the decrypted computation string looks like for an honest run:
     the carved graph measured at its base angles, pushed through the
     connector corrections, an involution: index j takes index map[j]'s mass."""
-    corrected = exact_probability_array(g, g.base_angles(), cap=cap)[_correction_index_map(g)]
+    corrected = exact_probability_array(g, cap=cap)[_correction_index_map(g)]
     n = len(g.non_dummy_ids())
     return Distribution(n, dict(zip(bit_strings(index_bits(n)), corrected.tolist())))
 

@@ -2,8 +2,9 @@
 
 One route gives outcome probabilities: the Walsh-Hadamard transform of a
 component's graph-state phases, `component_probability_rows`, which
-`exact_probability_array` joins over a carving's components.  The tests
-check it against an independent spin-sum oracle.
+`exact_probability_array` joins over a carving's `GraphSpec.components`.
+The tests check it against an independent spin-sum oracle.  Angles are
+grid steps k meaning kπ/8, as in `graphs`; `PHASES` holds their e^{−iδ}.
 
 Bit convention, used everywhere in this package: amplitudes are indexed
 little-endian — bit ``j`` of the array index is qubit ``j``.  Outcome
@@ -17,9 +18,12 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graphs import GraphSpec
+from .graphs import ANGLE_STEPS, GraphSpec, k_to_radians
 
 DEFAULT_QUBIT_CAP = 22
+
+# e^{−iδ} at each grid step k, δ = kπ/8: every angle the package measures at.
+PHASES = np.array([np.exp(-1j * k_to_radians(k)) for k in range(ANGLE_STEPS)])
 
 PAULI_LETTERS = ("X", "Y", "Z")
 
@@ -105,46 +109,16 @@ def fwht_inplace(a: np.ndarray) -> None:
         h *= 2
 
 
-def _induced_components(g: GraphSpec) -> list[tuple[int, ...]]:
-    """Connected components of the non-dummy induced subgraph, ids ascending."""
-    adj = g.induced_neighbors
-    seen: set[int] = set()
-    comps: list[tuple[int, ...]] = []
-    for start in g.non_dummy_ids():
-        if start in seen:
-            continue
-        stack, comp = [start], []
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        comps.append(tuple(sorted(comp)))
-    return comps
-
-
-def component_probabilities(
-    vertices: Sequence[int],
-    edges: Iterable[tuple[int, int]],
-    angles: Mapping[int, float],
-) -> np.ndarray:
-    """Outcome probabilities for one connected graph-state component,
-    measured at ``angles``; index bit ``j`` belongs to ``vertices[j]``."""
-    phases = np.array([[np.exp(-1j * angles[v]) for v in vertices]])
-    return component_probability_rows(vertices, edges, phases)[0]
-
-
 def component_probability_rows(
     vertices: Sequence[int],
     edges: Iterable[tuple[int, int]],
     phases: np.ndarray,
 ) -> np.ndarray:
-    """`component_probabilities` at many angle settings at once: row ``i``
-    of ``phases`` holds e^{−iδ} per vertex, row ``i`` of the result the
-    probabilities.  Each row is computed exactly as a row on its own.
+    """Outcome probabilities of one connected graph-state component at many
+    angle settings at once: row ``i`` of ``phases`` holds e^{−iδ} per vertex
+    (`PHASES` at its grid step), row ``i`` of the result the probabilities,
+    index bit ``j`` belonging to ``vertices[j]``.  Each row is computed
+    exactly as a row on its own.
 
     The amplitude for outcome ``s`` is the Walsh-Hadamard transform, at
     index ``s``, of z ↦ (−1)^{#edges inside z} · e^{−i δ·z}, scaled by
@@ -176,26 +150,28 @@ def component_probability_rows(
 
 def exact_probability_array(
     g: GraphSpec,
-    angles: Mapping[int, float],
+    steps: Mapping[int, int] | None = None,
     cap: int = DEFAULT_QUBIT_CAP,
 ) -> np.ndarray:
-    """Joint outcome probabilities, index bit ``j`` = j-th non-dummy vertex."""
+    """Joint outcome probabilities, index bit ``j`` = j-th non-dummy vertex,
+    each vertex ``v`` measured at grid step ``steps[v]`` (``g.phi_k`` by
+    default), taken mod 16."""
     nd = g.non_dummy_ids()
     _check_cap(len(nd), cap)
+    steps = dict(enumerate(g.phi_k)) if steps is None else steps
     for v in nd:
-        if v not in angles:
+        if v not in steps:
             raise ValueError(f"no measurement angle for vertex {v}")
-    induced = set(g.induced_edges())
     joint = np.ones(1, dtype=np.float64)
     order: list[int] = []
-    for comp in _induced_components(g):
-        comp_edges = [e for e in induced if e[0] in comp and e[1] in comp]
-        p = component_probabilities(comp, comp_edges, angles)
+    for vertices, edges in g.components:
+        phases = PHASES[[[steps[v] % ANGLE_STEPS for v in vertices]]]
+        p = component_probability_rows(vertices, edges, phases)[0]
         # Little-endian outer product: the new component lands in the
         # high bits, previously placed vertices keep the low bits.  The
         # first component is the joint array itself, not a copy of it.
         joint = np.multiply.outer(p, joint).reshape(-1) if order else p
-        order.extend(comp)
+        order.extend(vertices)
     n = len(nd)
     # Axis a of the (2,)*n view holds bit n-1-a; permute so bit j is nd[j].
     perm = [n - 1 - order.index(v) for v in reversed(nd)]

@@ -9,9 +9,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from trapver.bounds import attack_gap, valid_attack_classes
-from trapver.graphs import ROLE_COMPUTATIONAL, GraphSpec, lattice_edges
+from trapver.graphs import ANGLE_STEPS, ROLE_COMPUTATIONAL, GraphSpec, lattice_edges
 from trapver.protocol import AttackSpec
-from trapver.simulator import Distribution, bit_strings, index_bits
+from trapver.simulator import (
+    PHASES, Distribution, bit_strings, component_probability_rows, index_bits,
+)
 
 from oracle import StateVector
 
@@ -49,6 +51,15 @@ def array_distribution(probs: np.ndarray) -> Distribution:
     string-keyed `Distribution` the distances above read."""
     nbits = probs.size.bit_length() - 1
     return Distribution(nbits, dict(zip(bit_strings(index_bits(nbits)), probs.tolist())))
+
+
+def probabilities_at(
+    vertices: Sequence[int], edges: Sequence[tuple[int, int]], steps: Sequence[int]
+) -> np.ndarray:
+    """One component's outcome probabilities with ``vertices[j]`` measured
+    at grid step ``steps[j]``: the kernel's one-row case."""
+    phases = PHASES[[[k % ANGLE_STEPS for k in steps]]]
+    return component_probability_rows(vertices, edges, phases)[0]
 
 
 def bits_of(strings: Sequence[str]) -> tuple[tuple[int, ...], ...]:

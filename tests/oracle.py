@@ -50,6 +50,12 @@ from trapver.simulator import DEFAULT_QUBIT_CAP, NoiseModel, _check_cap
 _SQRT_HALF = 1 / math.sqrt(2)
 
 
+def radians(g: GraphSpec) -> dict[int, float]:
+    """The base angle of each non-dummy vertex of ``g`` in radians, the
+    form the dense and spin-sum oracles read."""
+    return {v: k_to_radians(g.phi_k[v]) for v in g.non_dummy_ids()}
+
+
 def radians_to_k(angle: float) -> int:
     """Snap an angle to the 16-point grid; reject anything off-grid."""
     steps = angle / (math.pi / 8)

@@ -60,6 +60,7 @@ from oracle import (
     ising_partition_probability,
     keygen,
     prepare_qubit,
+    radians,
 )
 
 
@@ -115,9 +116,7 @@ def test_honest_acceptance_is_exact(honest_campaign):
 @pytest.mark.criterion(1, "completeness at zero noise")
 def test_honest_output_matches_exact_distribution(honest_campaign):
     layout, _, outputs = honest_campaign
-    exact = array_distribution(
-        exact_probability_array(layout.target, layout.target.base_angles())
-    )
+    exact = array_distribution(exact_probability_array(layout.target))
     tv = tv_distance(empirical_distribution(outputs), exact)
     assert tv <= 0.02, f"TV {tv:.4f} exceeds the 0.02 budget at 10^5 runs"
 
@@ -128,11 +127,10 @@ def test_honest_output_matches_exact_distribution(honest_campaign):
 @pytest.mark.criterion(2, "spin-sum oracle equivalence")
 def test_partition_sum_matches_state_vector_route():
     g = carve_target(5, 3)
-    angles = g.base_angles()
     nd = g.non_dummy_ids()
     assert len(nd) == 12
-    probs = exact_probability_array(g, angles)
-    inst = IsingInstance.from_carved_graph(g, angles)
+    probs = exact_probability_array(g)
+    inst = IsingInstance.from_carved_graph(g, radians(g))
     strings = bit_strings(index_bits(12))
     worst = max(
         abs(ising_partition_probability(inst, strings[x]) - probs[x])

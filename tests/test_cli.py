@@ -230,6 +230,21 @@ def test_simulate_angle_override(tmp_path, layout_file):
     assert read_json(out_base)["probs"] != read_json(out_flat)["probs"]
 
 
+@pytest.mark.parametrize("options", [["--exact"], ["--samples", "500", "--seed", "7"]])
+def test_simulate_angle_steps_count_mod_16(tmp_path, layout_file, options):
+    """Grid steps outside 0..15 measure where their residues do."""
+    nd = GraphSpec.from_json_dict(read_json(layout_file)).non_dummy_ids()
+    steps = [-16, 17, -14, 21, -10, 23, -8]
+    written = []
+    for name, ks in (("steps", steps), ("residues", [k % 16 for k in steps])):
+        angles, out = tmp_path / f"{name}.json", tmp_path / f"{name}.out"
+        angles.write_text(json.dumps(dict(zip(map(str, nd), ks))))
+        assert main(["simulate", "--graph", str(layout_file), *options,
+                     "--angles", str(angles), "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
@@ -1046,6 +1061,13 @@ def test_ft_requires_exactly_one_rate(capsys):
     assert main(["ft"]) == 1
     assert main(["ft", "--eps", "0.001", "--fraction-of-threshold", "0.1"]) == 1
     assert "exactly one" in capsys.readouterr().err
+
+
+def test_ft_overhead_beyond_floats_is_one_error_line(capsys):
+    assert main(["ft", "--eps", "0.001", "--syndromes", "10000000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "eps = 0.001, syndromes = 10000000" in err
 
 
 def test_ft_csv_table(tmp_path):

@@ -273,6 +273,45 @@ def test_trap_count_matches_parity_census():
     assert len(carve_trap_graph(7, 5, "odd").trap_ids()) == by_parity[1]
 
 
+# -- component table ----------------------------------------------------------
+
+# Every target from 3x3 to 9x5 (five rows need width 7 for the staggered
+# connectors).
+TARGETS = [(m, 3) for m in range(3, 10)] + [(m, 5) for m in range(7, 10)]
+
+
+def _assert_components_match_networkx(g: GraphSpec) -> None:
+    """``g.components`` are networkx's components of the non-dummy induced
+    subgraph, by smallest vertex, and their edge lists partition the
+    induced edges."""
+    h = nx.Graph()
+    h.add_nodes_from(g.non_dummy_ids())
+    h.add_edges_from(g.induced_edges())
+    want = sorted(tuple(sorted(c)) for c in nx.connected_components(h))
+    assert [vertices for vertices, _ in g.components] == want
+    for vertices, edges in g.components:
+        assert all(a in vertices and b in vertices for a, b in edges)
+    listed = [e for _, edges in g.components for e in edges]
+    assert sorted(listed) == list(g.induced_edges())
+    for t in g.trap_ids():
+        assert ((t,), ()) in g.components
+
+
+@pytest.mark.parametrize("m, n", TARGETS)
+def test_components_match_networkx(m, n):
+    for g in (carve_target(m, n), carve_trap_graph(m, n, "even"), carve_trap_graph(m, n, "odd")):
+        _assert_components_match_networkx(g)
+    assert len(carve_target(m, n).components) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 5), n=st.integers(1, 5), data=st.data())
+def test_components_match_networkx_under_random_roles(m, n, data):
+    dummy = data.draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n))
+    roles = tuple(ROLE_DUMMY if d else ROLE_COMPUTATIONAL for d in dummy)
+    _assert_components_match_networkx(GraphSpec(m, n, roles, (0,) * (m * n), lattice_edges(m, n)))
+
+
 # -- dummy parity and connector corrections ---------------------------------
 
 

@@ -19,7 +19,6 @@ from trapver.graphs import (
     GraphSpec,
     carve_target,
     carve_trap_graph,
-    k_to_radians,
 )
 from trapver import protocol
 from trapver.protocol import (
@@ -45,13 +44,14 @@ from trapver.protocol import (
 from trapver.simulator import (
     DEFAULT_QUBIT_CAP,
     NoiseModel,
-    component_probabilities,
     component_probability_rows,
     exact_probability_array,
     fwht_inplace,
 )
 
-from helpers import bits_of, empirical_distribution, single_pauli_attack, tv_distance
+from helpers import (
+    bits_of, empirical_distribution, probabilities_at, single_pauli_attack, tv_distance,
+)
 from oracle import (
     NoiseEvent,
     decrypt,
@@ -388,17 +388,13 @@ def test_base_distribution_shifted_by_mask_equals_per_key_route(m):
         deltas = encrypt_angles(key, layout)
         for gi, g in enumerate(layout.graphs):
             mask = _pad_mask(g, key.r[gi], key.rprime[gi])
-            induced = g.induced_edges()
             for comp in _sim_plan(g, DEFAULT_QUBIT_CAP).components:
                 if g.is_dummy(comp.vertices[0]):
                     continue  # a dummy's coin has no per-key route
-                per_key = component_probabilities(
+                per_key = probabilities_at(
                     comp.vertices,
-                    [e for e in induced if e[0] in comp.vertices],
-                    {
-                        v: k_to_radians(deltas[gi][v] - key.theta_k[gi][v])
-                        for v in comp.vertices
-                    },
+                    comp.edges,
+                    [deltas[gi][v] - key.theta_k[gi][v] for v in comp.vertices],
                 )
                 idx = np.arange(per_key.size)
                 shifted = _base_probs(comp)[idx ^ _mask_index(mask, comp.vertices)]
@@ -441,10 +437,8 @@ def _frame_distribution(g, key, gi, events, letters) -> np.ndarray:
     for comp in plan.components:  # dummies are one-cell fair coins
         sub = sum(((cells >> v) & 1) << j for j, v in enumerate(comp.vertices))
         if any(x[v] and not g.is_dummy(v) for v in comp.vertices):
-            probs = component_probabilities(
-                comp.vertices,
-                comp.edges,
-                {v: k_to_radians(int(keyed[v])) for v in comp.vertices},
+            probs = probabilities_at(
+                comp.vertices, comp.edges, [int(keyed[v]) for v in comp.vertices]
             )
         else:
             idx = np.arange(comp.cdf.size)
@@ -585,8 +579,8 @@ def _check_recomputed_draws(layout, key, gi, events):
 
 def _per_hit_sample_round(g, plan, mask, key_tables, x, z, u) -> np.ndarray:
     """`_sample_round` as it was before recomputes were stacked: one
-    `component_probabilities` call and one search per hit (run,
-    component).  The oracle for the stacked recompute."""
+    one-row kernel call and one search per hit (run, component).  The
+    oracle for the stacked recompute."""
     raw = np.zeros((len(u), g.m * g.n), np.uint8)
     raw[:, plan.one_cells] = u[:, plan.ones] >= plan.one_p0
     for j in plan.multi:
@@ -601,8 +595,7 @@ def _per_hit_sample_round(g, plan, mask, key_tables, x, z, u) -> np.ndarray:
         hits = set(zip(hit_runs.tolist(), plan.comp_of[hit_cells].tolist()))
         for i, j in sorted(hits):
             vertices, edges, _ = plan.components[j]
-            angles = {v: k_to_radians(int(k[i, v])) for v in vertices}
-            cdf = np.cumsum(component_probabilities(vertices, edges, angles))
+            cdf = np.cumsum(probabilities_at(vertices, edges, [int(k[i, v]) for v in vertices]))
             pick = int(cdf.searchsorted(u[i, j] * cdf[-1], side="right"))
             raw[i, vertices] = [(pick >> b) & 1 for b in range(len(vertices))]
     return raw ^ z
@@ -767,7 +760,7 @@ def test_honest_outputs_reach_exact_cross_entropy(m, n, cap, runs):
     uniform strings give 1.0, so a decryption or mask bug cannot pass."""
     layout = make_round_layout(m, n, 1)
     g = layout.target
-    probs = exact_probability_array(g, g.base_angles(), cap=cap)
+    probs = exact_probability_array(g, cap=cap)
     ref = np.zeros_like(probs)
     np.add.at(ref, _correction_index_map(g), probs)
     del probs  # at 7x5 every array here is 128 MiB
@@ -1264,7 +1257,7 @@ def test_honest_target_distribution_is_the_scattered_array():
     """Indexing by the correction involution gives, bit for bit, the
     scatter-add of the exact array through the correction map."""
     g = carve_target(5, 3)
-    probs = exact_probability_array(g, g.base_angles())
+    probs = exact_probability_array(g)
     want = np.zeros_like(probs)
     np.add.at(want, _correction_index_map(g), probs)
     assert list(honest_target_distribution(g).probs.values()) == want.tolist()

@@ -16,19 +16,18 @@ from trapver.graphs import (
     k_to_radians,
 )
 from trapver.simulator import (
+    PHASES,
     Distribution,
     NoiseModel,
     QubitCapError,
-    _induced_components,
     bit_strings,
-    component_probabilities,
     component_probability_rows,
     exact_probability_array,
     fwht_inplace,
     index_bits,
 )
 
-from helpers import density_matrix, empirical_distribution, tv_distance
+from helpers import density_matrix, empirical_distribution, probabilities_at, tv_distance
 from oracle import (
     IsingInstance,
     StateVector,
@@ -40,6 +39,7 @@ from oracle import (
     measure_xy,
     neighbor_dummy_parity,
     prepare_qubit,
+    radians,
     tensor,
 )
 
@@ -329,8 +329,9 @@ def test_fwht_matches_the_per_stage_copy_route(shape):
 
 
 def _one_setting_probabilities(vertices, edges, angles) -> np.ndarray:
-    """`component_probabilities` as it was before angle settings were
-    stacked: a one-dimensional doubling fill, WHT and squared modulus."""
+    """One component's probabilities at ``angles`` (radians) as the kernel
+    gave them before angle settings were stacked: a one-dimensional
+    doubling fill, WHT and squared modulus."""
     c = len(vertices)
     pos = {v: j for j, v in enumerate(vertices)}
     earlier: list[list[int]] = [[] for _ in range(c)]
@@ -355,21 +356,21 @@ def _one_setting_probabilities(vertices, edges, angles) -> np.ndarray:
 @pytest.mark.parametrize("m", [3, 5, 9])
 def test_stacked_probabilities_equal_one_setting_at_a_time(m):
     """Bit for bit, not within a tolerance: every multi-cell component of
-    the m x 3 target at random grid-angle rows, stacked, equals
-    `component_probabilities` and the one-dimensional kernel row by row,
-    so a stacked recompute draws exactly what a lone one did."""
+    the m x 3 target at random grid-angle rows, stacked, equals the
+    kernel's one-row case and the one-dimensional kernel row by row, so a
+    stacked recompute draws exactly what a lone one did."""
     g = carve_target(m, 3)
     rng = rng_from(40 + m)
     phase = np.array([np.exp(-1j * k_to_radians(k)) for k in range(16)])
-    multi = [comp for comp in _induced_components(g) if len(comp) > 1]
+    assert np.array_equal(PHASES, phase)
+    multi = [(comp, edges) for comp, edges in g.components if len(comp) > 1]
     assert multi
-    for comp in multi:
-        edges = [e for e in g.induced_edges() if e[0] in comp]
+    for comp, edges in multi:
         k = rng.integers(0, 16, size=(2 if len(comp) > 16 else 24, len(comp)))
-        stacked = component_probability_rows(comp, edges, phase[k])
+        stacked = component_probability_rows(comp, edges, PHASES[k])
         for row, probs in zip(k.tolist(), stacked):
             angles = {v: k_to_radians(kv) for v, kv in zip(comp, row)}
-            assert np.array_equal(probs, component_probabilities(comp, edges, angles))
+            assert np.array_equal(probs, probabilities_at(comp, edges, row))
             assert np.array_equal(probs, _one_setting_probabilities(comp, edges, angles))
 
 
@@ -378,14 +379,14 @@ def test_stacked_probabilities_equal_one_setting_at_a_time(m):
 
 def test_single_trap_vertex_is_deterministic():
     g = GraphSpec(1, 1, (ROLE_TRAP,), (0,), ())
-    probs = exact_probability_array(g, {0: 0.0})
+    probs = exact_probability_array(g, {0: 0})
     assert probs[0] == 1.0
     assert probs[1] == 0.0
 
 
 def test_two_vertex_chain_uniform():
     g = GraphSpec(2, 1, (ROLE_COMPUTATIONAL,) * 2, (0, 0), ((0, 1),))
-    probs = exact_probability_array(g, {0: 0.0, 1: 0.0})
+    probs = exact_probability_array(g, {0: 0, 1: 0})
     assert probs.shape == (4,)
     for p in probs:
         assert abs(p - 0.25) <= 1e-12
@@ -403,8 +404,7 @@ def test_exact_probabilities_sum_to_one(m, n, seed):
         tuple(int(k) for k in rng_from(seed).integers(0, 16, size=m * n)),
         tuple((a, b) for a, b in __import__("trapver.graphs", fromlist=["lattice_edges"]).lattice_edges(m, n)),
     )
-    angles = {v: g.phi_k[v] * math.pi / 8 for v in range(m * n)}
-    probs = exact_probability_array(g, angles)
+    probs = exact_probability_array(g, {v: g.phi_k[v] for v in range(m * n)})
     assert abs(probs.sum() - 1) <= 1e-10
     assert probs.min() >= -1e-15
 
@@ -412,13 +412,13 @@ def test_exact_probabilities_sum_to_one(m, n, seed):
 def test_exact_enumeration_respects_cap():
     g = carve_target(3, 3)
     with pytest.raises(QubitCapError):
-        exact_probability_array(g, g.base_angles(), cap=3)
+        exact_probability_array(g, cap=3)
 
 
 def test_exact_requires_angle_per_vertex():
     g = carve_target(3, 3)
-    with pytest.raises(ValueError):
-        exact_probability_array(g, {0: 0.0})
+    with pytest.raises(ValueError, match="no measurement angle for vertex 1"):
+        exact_probability_array(g, {0: 0})
 
 
 def test_carving_equivalence_dense_vs_induced():
@@ -475,7 +475,7 @@ def test_bridge_equivalence_against_contracted_graph():
     chain angles.  TV must vanish to numerical precision.
     """
     g = carve_target(3, 3)
-    probs = exact_probability_array(g, g.base_angles())
+    probs = exact_probability_array(g)
     nd = g.non_dummy_ids()
     bridge_pos = nd.index(5)
     flip_positions = [nd.index(2), nd.index(8)]
@@ -496,10 +496,10 @@ def test_bridge_equivalence_against_contracted_graph():
             out_bit += 1
         merged[rest] += p
 
-    contracted = component_probabilities(
+    contracted = probabilities_at(
         [0, 1, 2, 6, 7, 8],
         [(0, 1), (1, 2), (6, 7), (7, 8), (2, 8)],
-        {0: 0.0, 1: math.pi / 8, 2: 0.0, 6: 0.0, 7: math.pi / 8, 8: 0.0},
+        [0, 1, 0, 0, 1, 0],
     )
     assert 0.5 * np.abs(merged - contracted).sum() <= 1e-10
 
@@ -523,7 +523,7 @@ def test_free_spin_outcomes():
 
 def test_instance_fields_from_carving():
     g = carve_target(3, 3)
-    inst = IsingInstance.from_carved_graph(g, g.base_angles())
+    inst = IsingInstance.from_carved_graph(g, radians(g))
     assert inst.n == 7
     assert all(abs(j - math.pi / 4) <= 1e-15 for j in inst.couplings)
     # vertex 0 survives with one neighbor at angle 0: B = pi/4 - 0
@@ -534,9 +534,8 @@ def test_instance_fields_from_carving():
 
 def test_spin_sum_matches_state_vector_route():
     g = carve_target(3, 3)
-    angles = g.base_angles()
-    probs = exact_probability_array(g, angles)
-    inst = IsingInstance.from_carved_graph(g, angles)
+    probs = exact_probability_array(g)
+    inst = IsingInstance.from_carved_graph(g, radians(g))
     strings = bit_strings(index_bits(7))
     worst = max(
         abs(ising_partition_probability(inst, strings[x]) - probs[x])
