@@ -398,10 +398,29 @@ def _emit(cfg: SessionConfig, payload: dict | str, csv_rows: list[list] | None) 
         sys.stdout.write(text)
 
 
+class _JsonItems(tuple):
+    """A JSON list as texts already encoded: each text is one or more of
+    its items, joined by ", " as `json.dumps` joins them."""
+
+
+# stands in for a verify artifact's records until their texts are spliced in
+_HOLE = "\x00records"
+
+
 def _encode(doc: dict) -> str:
     """Every JSON document's text: one compact, key-sorted encoder call.
-    Documents are trees, so the encoder's cycle check is skipped."""
-    return json.dumps(doc, sort_keys=True, check_circular=False) + "\n"
+    Documents are trees, so the encoder's cycle check is skipped.
+
+    Records given as `_JsonItems` are encoded as `_HOLE` and their texts
+    spliced in at the hole's last occurrence, which is theirs: the keys
+    that sort after "records" hold only values the program computed."""
+    records = doc.get("records")
+    if not isinstance(records, _JsonItems):
+        return json.dumps(doc, sort_keys=True, check_circular=False) + "\n"
+    text = json.dumps({**doc, "records": _HOLE}, sort_keys=True, check_circular=False)
+    head, _, tail = text.rpartition(json.dumps(_HOLE))
+    items = [part for t in records for part in (", ", t)][1:]
+    return "".join([head, "[", *items, "]", tail, "\n"])
 
 
 def _offers(subcommand: str, dest: str, choice: str | None = None) -> bool:
@@ -607,10 +626,10 @@ def _check_components_fit(g: GraphSpec, cap: int, joint: bool) -> None:
 
 
 def _record_bytes(kappa: int, cells: int) -> int:
-    """What a verify holds per repetition until its artifact is written (its
-    JSON dict and lists, batch columns and encoded text): 1 to 2 times the
-    tracemalloc peak per repetition at 3x3 and 5x3."""
-    return 1024 + (2 * kappa + 1) * (192 + 8 * cells)
+    """What a verify holds per repetition until its artifact is written (the
+    batch columns, each batch's record text and the document spliced from
+    it): 1 to 2 times the tracemalloc peak per repetition at 3x3 and 5x3."""
+    return 512 + (2 * kappa + 1) * (48 + 8 * cells)
 
 
 def _cmd_verify(cfg: SessionConfig) -> Result:
@@ -629,7 +648,7 @@ def _cmd_verify(cfg: SessionConfig) -> Result:
     _check_components_fit(layout.target, cfg.extras["cap"], joint=False)
     need = scheme_m * _record_bytes(kappa, m * n)
     _check_fits(need, f"M = {scheme_m} repetitions at kappa = {kappa}")
-    records: list[RunRecord] = []
+    sink: list[RunRecord] = []
     started = time.time()
     verdict = run_scheme(
         layout,
@@ -639,9 +658,11 @@ def _cmd_verify(cfg: SessionConfig) -> Result:
         scheme_l,
         _rng(cfg.seed),
         cap=cfg.extras["cap"],
-        record_sink=records,
+        record_sink=sink,
     )
     elapsed = time.time() - started
+    # each batch once, in run order, as the text of its runs' records
+    records = _JsonItems(batch.json_text for batch in dict.fromkeys(r.batch for r in sink))
     snapshot = cfg.to_json_dict()
     if attack_doc is not None:
         snapshot["extras"] = {**snapshot["extras"], "attack_doc": attack_doc}
@@ -651,7 +672,7 @@ def _cmd_verify(cfg: SessionConfig) -> Result:
             "engine_version": ENGINE_VERSION,
             "config": snapshot,
             "scheme": {"m": scheme_m, "l": scheme_l, **meta, "n_qubits": n_qubits},
-            "records": [r.to_json_dict() for r in records],
+            "records": records,
             "verdict": verdict.to_json_dict(),
             "telemetry": {
                 "wall_clock_s": elapsed,
@@ -814,15 +835,17 @@ def _cmd_replay(cfg: SessionConfig) -> Result:
             f"different outcomes from the same seed, so it cannot replay it"
         )
     code, fresh, _ = execute(saved_cfg)
-    # All but the telemetry, compared as JSON text, where true and 1 differ.
-    stored, rerun = ({**doc, "telemetry": None} for doc in (artifact, fresh))
-    if _encode(stored) != _encode(rerun):
+    # All but the telemetry, compared as JSON text, where true and 1 differ;
+    # the re-run is decoded only to name where a mismatch lies.
+    stored = {**artifact, "telemetry": None}
+    rerun = _encode({**fresh, "telemetry": None})
+    if _encode(stored) != rerun:
         raise CliError(
-            f"replay mismatch at {_first_difference(stored, rerun)}: the "
-            f"re-run differs from the stored artifact (nondeterminism or "
+            f"replay mismatch at {_first_difference(stored, json.loads(rerun))}: "
+            f"the re-run differs from the stored artifact (nondeterminism or "
             f"tampering)"
         )
-    return code, fresh["verdict"], None
+    return code, artifact["verdict"], None
 
 
 _HANDLERS = {

@@ -3,7 +3,7 @@
 A protocol run is 2κ+1 rounds — one computation round and κ trap rounds
 per parity — executed in a secret random order against a prover that may
 be honest, noisy, or actively deviating.  `_run_batch` is the one
-function that executes runs: given one generator per repetition, it
+function that executes runs: given one bit generator per repetition, it
 draws the whole batch's keys, attack terms, outcomes and noise events as
 arrays, decrypts with GF(2) products and reads the trap verdicts off as
 row reductions.  It returns the batch as columns, a `RunBatch`, whose
@@ -29,7 +29,7 @@ flip outcomes.  Only a run whose frame puts an X bit on a component
 recomputes that component, at its per-key angles.
 
 Each repetition draws one fixed-layout block of raw 64-bit words from
-its own generator, so its record does not depend on its batch.  With
+its own bit generator, so its record does not depend on its batch.  With
 R = 2κ+1 rounds, C cells and E lattice edges, a block holds in order:
 
 - R words whose ranks order the slots: slot s runs canonical round
@@ -49,6 +49,7 @@ therefore exactly a raw-outcome bit flip, and an X letter does nothing.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
@@ -165,10 +166,12 @@ def _key_words(layout: RoundLayout) -> int:
     return layout.rounds + -(-layout.rounds * layout.m * layout.n // 8)
 
 
-def _draw_blocks(rngs: Sequence[np.random.Generator], words: int) -> np.ndarray:
-    """Each generator's next ``words`` raw 64-bit words, one row per run."""
-    rows = [rng.bit_generator.random_raw(words) for rng in rngs]
-    return np.array(rows, dtype=np.uint64).reshape(len(rows), words)
+def _draw_blocks(streams: Sequence[np.random.BitGenerator], words: int) -> np.ndarray:
+    """Each bit generator's next ``words`` raw 64-bit words, one row per run."""
+    blocks = np.empty((len(streams), words), np.uint64)
+    for i, stream in enumerate(streams):
+        blocks[i] = stream.random_raw(words)
+    return blocks
 
 
 def _keys(layout: RoundLayout, words: np.ndarray) -> SecretKey:
@@ -504,12 +507,41 @@ def _string_table(nbits: int) -> list[str]:
     return bit_strings(index_bits(nbits))
 
 
+def _table(texts: Sequence[bytes]) -> np.ndarray:
+    """Byte strings as the rows of a uint8 matrix, 0-padded to one width."""
+    return np.array(texts, dtype=bytes).view(np.uint8).reshape(len(texts), -1)
+
+
+_SEP = np.frombuffer(b", ", np.uint8)
+_BOOL_TEXT = _table([b"false", b"true"])
+# trap_passed per slot: null for the computation round, else its verdict
+_VERDICT_TEXT = _table([b"null", b"false", b"true"])
+
+
+def _quoted(bits: np.ndarray) -> np.ndarray:
+    """Each row of 0/1 ``bits`` (leading axes kept) as a JSON string's
+    bytes, ``"0101…"``."""
+    text = np.full(bits.shape[:-1] + (bits.shape[-1] + 2,), ord('"'), np.uint8)
+    np.add(bits, ord("0"), out=text[..., 1:-1])
+    return text
+
+
+def _items(texts: np.ndarray) -> np.ndarray:
+    """runs × k × w item texts as each run's JSON list items, joined by ", "."""
+    runs, k, w = texts.shape
+    out = np.zeros((runs, k, w + 2), np.uint8)
+    out[:, :, :w] = texts
+    out[:, :-1, w:] = _SEP
+    return out.reshape(runs, -1)
+
+
 @dataclass(frozen=True, eq=False)
 class RunBatch:
     """One batch of protocol runs as columns, run axis first.
 
-    Indexing or iterating yields each run's `RunRecord`; the JSON dicts
-    of all runs are built together, the first time one is asked for.
+    Indexing yields each run's `RunRecord`.  The records' JSON text is
+    encoded for all runs together, column by column, the first time it
+    is asked for.
     """
 
     layout: RoundLayout
@@ -532,29 +564,50 @@ class RunBatch:
     def target_slots(self) -> np.ndarray:
         return (self.perm == 0).argmax(axis=1)
 
+    @property
+    def json_text(self) -> str:
+        """Every run's record as the JSON text ``json.dumps(record,
+        sort_keys=True)`` would write, joined by ", ": the items of the
+        records' JSON list."""
+        return self._encoded[0]
+
     @cached_property
-    def _json_rows(self) -> list[dict]:
-        """Every run's `RunRecord.to_json_dict`; one attack term's runs share its letters."""
-        _, rounds, size = self.raw.shape
-        raw = bit_strings(self.raw.reshape(-1, size))
-        dec = [
-            bit_strings(self.decrypted[:, gi][:, list(g.non_dummy_ids())])
-            for gi, g in enumerate(self.layout.graphs)
+    def _encoded(self) -> tuple[str, np.ndarray]:
+        """`json_text` and the offset at which each run's record starts.
+
+        The records are one uint8 matrix, a run per row: variable-width
+        fields are 0-padded to their widest, and the nonzero bytes are
+        the text.  Each used attack term's letters are encoded once."""
+        runs, rounds, _ = self.raw.shape
+        rows = np.arange(runs)[:, None]
+        nd = [list(g.non_dummy_ids()) for g in self.layout.graphs]
+        dec = np.zeros((runs, rounds, max(map(len, nd)) + 2), np.uint8)
+        for gi, cols in enumerate(nd):
+            dec[:, gi, : len(cols) + 2] = _quoted(self.decrypted[:, gi][:, cols])
+        used, term_of_run = np.unique(self.terms, return_inverse=True)
+        letters = _table([
+            json.dumps([[s, v, p] for (s, v), p in self.term_letters[t]]).encode()
+            for t in used.tolist()
+        ])
+        slots = _table([str(s).encode() for s in range(rounds)])
+        verdict = (self.perm != 0) * (1 + self.passed[rows, self.perm])
+        pieces = [
+            b'{"accept": ', _BOOL_TEXT[self.accept.astype(np.intp)],
+            b', "attack_letters": ', letters[term_of_run.reshape(-1)],
+            b', "decrypted": [', _items(dec[rows, self.perm]),
+            b'], "raw": [', _items(_quoted(self.raw)),
+            b'], "target_output": ', dec[:, 0],
+            b', "target_slot": ', slots[self.target_slots],
+            b', "trap_passed": [', _items(_VERDICT_TEXT[verdict]),
+            b"]}, ",
         ]
-        letters = [[[s, v, p] for (s, v), p in term] for term in self.term_letters]
-        accept, slots, terms = self.accept.tolist(), self.target_slots.tolist(), self.terms.tolist()
-        return [
-            {
-                "raw": raw[i * rounds : (i + 1) * rounds],
-                "decrypted": [dec[gi][i] for gi in perm],
-                "trap_passed": [passed[gi] if gi else None for gi in perm],  # round 0 has no verdict
-                "accept": accept[i],
-                "target_output": self.outputs[i],
-                "target_slot": slots[i],
-                "attack_letters": letters[terms[i]],
-            }
-            for i, (perm, passed) in enumerate(zip(self.perm.tolist(), self.passed.tolist()))
-        ]
+        text = np.concatenate([
+            np.broadcast_to(np.frombuffer(p, np.uint8), (runs, len(p))) if isinstance(p, bytes) else p
+            for p in pieces
+        ], axis=1)
+        keep = text != 0
+        starts = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+        return text[keep][:-2].tobytes().decode("ascii"), starts
 
 
 class RunRecord:
@@ -573,34 +626,36 @@ class RunRecord:
     def to_json_dict(self) -> dict:
         """Each slot's ``raw`` and ``decrypted`` outcomes as one ``"0101…"``
         string, the slot trap verdicts, accept, the computation string and
-        slot, and the attack letters.  The dict and its lists are shared
-        with the batch and every caller: read them, never change them."""
-        return self.batch._json_rows[self.index]
+        slot, and the attack letters: a fresh dict decoded from the run's
+        slice of `RunBatch.json_text`."""
+        text, starts = self.batch._encoded
+        return json.loads(text[starts[self.index] : starts[self.index + 1] - 2])
 
 
 def _run_batch(
     layout: RoundLayout,
     strategy: AttackSpec | None,
     noise: NoiseModel | None,
-    rngs: Sequence[np.random.Generator],
+    streams: Sequence[np.random.BitGenerator],
     cap: int,
 ) -> RunBatch:
-    """Execute one repetition per generator in ``rngs``; their columns.
+    """Execute one repetition per bit generator in ``streams``; their columns.
 
     The one place repetitions are executed.  An attack letter outside
     the layout is refused before anything is drawn.  Every run draws its
-    block from its own generator, in list order, so a generator listed k
-    times serves k successive blocks, as k `run_protocol` calls on it
-    would; then keys, attack terms, rounds, decryption and trap verdicts
-    are computed for the whole batch, and nothing else is drawn.
+    block from its own bit generator, in list order, so one listed k
+    times serves k successive blocks, as k `run_protocol` calls on its
+    generator would; then keys, attack terms, rounds, decryption and
+    trap verdicts are computed for the whole batch, and nothing else is
+    drawn.
     """
-    noise, count, size = noise or _NOISELESS, len(rngs), layout.m * layout.n
+    noise, count, size = noise or _NOISELESS, len(streams), layout.m * layout.n
     cum, flips, term_letters = _attack_tables(strategy, layout)
     plans = [_sim_plan(g, cap) for g in layout.graphs]
     noisy = not noise.is_noiseless()
     widths = [len(p.components) + noisy * _sites(g) for g, p in zip(layout.graphs, plans)]
     head = _key_words(layout)
-    words = _draw_blocks(rngs, head + 1 + sum(widths))
+    words = _draw_blocks(streams, head + 1 + sum(widths))
     keys, u = _keys(layout, words), (words[:, head:] >> 11) * 2.0**-53
     terms = np.minimum(np.searchsorted(cum, u[:, 0], side="right"), len(cum) - 1)
     bounds = np.cumsum([1] + widths).tolist()
@@ -649,7 +704,7 @@ def run_protocol(
     """
     if rng is None:
         raise ValueError("an explicitly seeded generator is required")
-    return _run_batch(layout, strategy, noise, [rng], cap)[0]
+    return _run_batch(layout, strategy, noise, [rng.bit_generator], cap)[0]
 
 
 @dataclass(frozen=True)
@@ -691,13 +746,14 @@ def run_scheme(
     passes = 0
     outputs: list[str] = []
     for start in range(0, m_repetitions, _BATCH):
-        # successive spawns continue one sequence of child streams
-        streams = rng.spawn(min(_BATCH, m_repetitions - start))
+        # successive spawns continue one sequence of child streams, the
+        # streams `Generator.spawn` would wrap
+        streams = rng.bit_generator.spawn(min(_BATCH, m_repetitions - start))
         batch = _run_batch(layout, strategy, noise, streams, cap)
         passes += int(batch.accept.sum())
         outputs += batch.outputs
         if record_sink is not None:
-            record_sink.extend(batch)
+            record_sink.extend(RunRecord(batch, i) for i in range(len(batch)))
     fraction = passes / m_repetitions
     output = outputs[int(rng.integers(m_repetitions))]
     return SchemeVerdict(fraction >= l_threshold, fraction, output, m_repetitions, l_threshold)
@@ -774,7 +830,7 @@ def estimate_fidelity_gap(
     escapes = np.zeros(samples)
     for start in range(0, samples, _BATCH):
         size = min(_BATCH, samples - start)
-        batch = _run_batch(layout, strategy, None, [rng] * size, cap)
+        batch = _run_batch(layout, strategy, None, [rng.bit_generator] * size, cap)
         passes[start : start + size] = batch.accept
         escapes[start : start + size] = escape[batch.terms, batch.target_slots]
 

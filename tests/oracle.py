@@ -8,7 +8,8 @@ route the frame kernel's exact distributions are checked against.
 One-run views: a repetition's key, its encrypted angles, the decryption
 of one run's raw outcomes and one round's noise events.  The engine
 computes these for a whole batch at once; these read the same draws and
-arrays for a single run.
+arrays for a single run.  The record dicts: each run's record built
+run by run, the reference for the batch's column-wise JSON encoder.
 
 The joint register: a run whose deviation is one unitary on every
 round's qubits at once, simulated as a dense state per run.  It is the
@@ -36,6 +37,7 @@ from trapver.graphs import ANGLE_STEPS, GraphSpec, k_to_radians
 from trapver.protocol import (
     _CODE_LETTER,
     RoundLayout,
+    RunBatch,
     SecretKey,
     _decode_events,
     _decrypt,
@@ -45,7 +47,7 @@ from trapver.protocol import (
     _masks,
     _sites,
 )
-from trapver.simulator import DEFAULT_QUBIT_CAP, NoiseModel, _check_cap
+from trapver.simulator import DEFAULT_QUBIT_CAP, NoiseModel, _check_cap, bit_strings
 
 _SQRT_HALF = 1 / math.sqrt(2)
 
@@ -328,8 +330,33 @@ def keygen(layout: RoundLayout, rng: np.random.Generator) -> SecretKey:
     """Draw a fresh uniform key: the key words of one repetition's block,
     so a seeded generator reproduces the key exactly, and `run_protocol`
     given an equally seeded generator runs under the same key."""
-    keys = _keys(layout, _draw_blocks([rng], _key_words(layout)))
+    keys = _keys(layout, _draw_blocks([rng.bit_generator], _key_words(layout)))
     return SecretKey(tuple(keys.perm[0].tolist()), *(t[0] for t in keys[1:]))
+
+
+def record_dicts(batch: RunBatch) -> list[dict]:
+    """Every run's record as a JSON dict, built run by run from the batch
+    columns: the reference `RunBatch.json_text` is checked against."""
+    _, rounds, size = batch.raw.shape
+    raw = bit_strings(batch.raw.reshape(-1, size))
+    dec = [
+        bit_strings(batch.decrypted[:, gi][:, list(g.non_dummy_ids())])
+        for gi, g in enumerate(batch.layout.graphs)
+    ]
+    letters = [[[s, v, p] for (s, v), p in term] for term in batch.term_letters]
+    accept, slots, terms = batch.accept.tolist(), batch.target_slots.tolist(), batch.terms.tolist()
+    return [
+        {
+            "raw": raw[i * rounds : (i + 1) * rounds],
+            "decrypted": [dec[gi][i] for gi in perm],
+            "trap_passed": [passed[gi] if gi else None for gi in perm],  # round 0 has no verdict
+            "accept": accept[i],
+            "target_output": batch.outputs[i],
+            "target_slot": slots[i],
+            "attack_letters": letters[terms[i]],
+        }
+        for i, (perm, passed) in enumerate(zip(batch.perm.tolist(), batch.passed.tolist()))
+    ]
 
 
 def decrypt(

@@ -79,7 +79,7 @@ def honest_campaign():
     """10^5 honest runs on the smallest valid carving, one trap per parity.
 
     They are `run_protocol` calls on one generator, drawn as engine
-    batches with that generator listed once per run: the batch serves
+    batches with its bit generator listed once per run: the batch serves
     each run the next block of the stream, as successive calls do.
     """
     layout = make_round_layout(3, 3, 1)
@@ -88,7 +88,7 @@ def honest_campaign():
     outputs = []
     for start in range(0, HONEST_RUNS, _BATCH):
         size = min(_BATCH, HONEST_RUNS - start)
-        batch = _run_batch(layout, None, None, [rng] * size, DEFAULT_QUBIT_CAP)
+        batch = _run_batch(layout, None, None, [rng.bit_generator] * size, DEFAULT_QUBIT_CAP)
         accepts += int(batch.accept.sum())
         outputs += batch.outputs
     return layout, accepts, outputs
@@ -101,7 +101,7 @@ def test_honest_campaign_equals_one_run_at_a_time(honest_campaign):
     layout, _, outputs = honest_campaign
     rng, prefix = rng_from(901), 2000
     loop = [run_protocol(layout, None, None, rng) for _ in range(prefix)]
-    batch = _run_batch(layout, None, None, [rng_from(901)] * prefix, DEFAULT_QUBIT_CAP)
+    batch = _run_batch(layout, None, None, [rng_from(901).bit_generator] * prefix, DEFAULT_QUBIT_CAP)
     assert [r.to_json_dict() for r in batch] == [r.to_json_dict() for r in loop]
     assert outputs[:prefix] == [rec.target_output for rec in loop]
 

@@ -30,7 +30,7 @@ from trapver.graphs import (
     ROLE_COMPUTATIONAL, ROLE_DUMMY, ROLES, SCHEMA_VERSION, GraphSpec, carve_target,
     lattice_edges,
 )
-from trapver.protocol import ENGINE_VERSION
+from trapver.protocol import ENGINE_VERSION, RunRecord
 
 
 def read_json(path):
@@ -567,6 +567,62 @@ def test_replay_compares_the_whole_artifact(tmp_path, capsys):
     edited = tmp_path / "edited-telemetry.json"
     edited.write_text(json.dumps(doc))
     assert main(["replay", str(edited)]) == 0
+
+
+def test_replay_names_a_record_in_the_second_batch(tmp_path, capsys):
+    """M = 1030 runs as two batches; an edit of run 1029's raw outcomes is
+    named by its index in the whole artifact."""
+    argv, out = verify_argv(
+        tmp_path, "session.json", ["--scheme-M", "1030", "--scheme-l", "0.5"]
+    )
+    assert main(argv) == 0
+    doc = read_json(out)
+    assert len(doc["records"]) == 1030
+    raw = doc["records"][1029]["raw"][2]
+    doc["records"][1029]["raw"][2] = "10"[int(raw[0])] + raw[1:]
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", str(tampered)]) == 1
+    assert "mismatch at $.records[1029].raw[2]:" in capsys.readouterr().err
+
+
+def test_verify_and_replay_build_no_record_dict(tmp_path, monkeypatch):
+    """The artifact's records are spliced in from each batch's text: a
+    verify and its replay never ask a record for its dict."""
+
+    def refused(self):
+        raise AssertionError("a record's dict was built")
+
+    monkeypatch.setattr(RunRecord, "to_json_dict", refused)
+    argv, out = verify_argv(
+        tmp_path, "session.json",
+        ["--auto-params", "--beta", "0.05", "--eps-v", "4e-3", "--eps-p", "4e-3"],
+    )
+    assert main(argv) == 0
+    assert len(read_json(out)["records"]) == 478
+    assert main(["replay", str(out)]) == 0
+
+
+def test_records_are_spliced_after_an_attack_file_holding_the_hole(tmp_path):
+    """An attack file may hold any text, the records' stand-in included;
+    the records still land in their own place."""
+    attack = tmp_path / "attack.json"
+    attack.write_text(json.dumps({
+        "pauli_terms": [{"weight": 1.0, "letters": {"0:4": "Z"}}],
+        "records": "\u0000records",
+        "note": ["\u0000records"],
+    }))
+    argv, out = verify_argv(
+        tmp_path, "session.json",
+        ["--scheme-M", "3", "--scheme-l", "0.5", "--attack", str(attack)],
+    )
+    code = main(argv)
+    assert code in (0, 2)
+    doc = read_json(out)
+    assert doc["config"]["extras"]["attack_doc"]["note"] == ["\u0000records"]
+    assert [r["attack_letters"] for r in doc["records"]] == [[[0, 4, "Z"]]] * 3
+    assert main(["replay", str(out)]) == code
 
 
 def test_deeply_nested_json_inputs_are_errors(tmp_path, capsys):

@@ -59,6 +59,7 @@ from oracle import (
     encrypt_angles,
     joint_unitary_run,
     keygen,
+    record_dicts,
     sample_events,
 )
 
@@ -608,7 +609,7 @@ def test_stacked_recompute_equals_per_hit_loop(m):
     layout, runs, noise = make_round_layout(m, 3, 1), 400, NoiseModel(eps_v=0.05, eps_p=0.05)
     rng = rng_from(110 + m)
     keys = protocol._keys(
-        layout, protocol._draw_blocks([rng] * runs, protocol._key_words(layout))
+        layout, protocol._draw_blocks([rng.bit_generator] * runs, protocol._key_words(layout))
     )
     masks = protocol._masks(layout, keys)
     target_hits = 0
@@ -645,7 +646,7 @@ def test_noisy_9x3_recompute_stays_under_the_amplitude_cap(monkeypatch):
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
-        _run_batch(layout, None, noise, rng_from(120).spawn(6), DEFAULT_QUBIT_CAP)
+        _run_batch(layout, None, noise, rng_from(120).bit_generator.spawn(6), DEFAULT_QUBIT_CAP)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         if started:
@@ -654,7 +655,9 @@ def test_noisy_9x3_recompute_stays_under_the_amplitude_cap(monkeypatch):
     assert all(rows << cells <= protocol._RECOMPUTE_AMPLITUDES for rows, cells in calls)
     assert peak < 40 * 2**20
     calls.clear()
-    _run_batch(make_round_layout(3, 3, 1), None, noise, rng_from(121).spawn(478), DEFAULT_QUBIT_CAP)
+    _run_batch(
+        make_round_layout(3, 3, 1), None, noise, rng_from(121).bit_generator.spawn(478), DEFAULT_QUBIT_CAP
+    )
     sevens = [rows for rows, cells in calls if cells == 7]
     assert len(sevens) == 1 and sevens[0] > 50
 
@@ -820,10 +823,10 @@ def test_records_do_not_depend_on_the_batch(case, monkeypatch):
     monkeypatch.setattr(protocol, "_BATCH", 7)
     sink: list = []
     run_scheme(layout, attack, noise, m, 0.5, rng_from(2030), record_sink=sink)
-    whole = _run_batch(layout, attack, noise, rng_from(2030).spawn(m), DEFAULT_QUBIT_CAP)
+    whole = _run_batch(layout, attack, noise, rng_from(2030).bit_generator.spawn(m), DEFAULT_QUBIT_CAP)
     one_by_one = [
         _run_batch(layout, attack, noise, [s], DEFAULT_QUBIT_CAP)[0]
-        for s in rng_from(2030).spawn(m)
+        for s in rng_from(2030).bit_generator.spawn(m)
     ]
     assert [r.to_json_dict() for r in sink] == [r.to_json_dict() for r in whole] == [
         r.to_json_dict() for r in one_by_one
@@ -878,6 +881,62 @@ def test_records_are_pinned_to_engine_4(case):
     run_scheme(layout, attack, noise, 40, 0.5, rng_from(2024), record_sink=sink)
     doc = json.dumps([r.to_json_dict() for r in sink], sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
+def _random_unitary(dim: int, seed: int) -> np.ndarray:
+    q, r = np.linalg.qr(rng_from(seed).normal(size=(dim, dim, 2)).view(complex)[..., 0])
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+_EPS = NoiseModel(eps_v=0.05, eps_p=0.05)
+ENCODER_CASES = {
+    "honest-3x3-kappa1": ((3, 3, 1), None, None, 60),
+    "noisy-3x3-kappa5": ((3, 3, 5), None, _EPS, 60),  # 11 slots: two-digit target_slot
+    "pauli-noisy-5x3-kappa2": ((5, 3, 2), BATCH_CASES["mixture-5x3-kappa2"][1], _EPS, 60),
+    "unitary-noisy-tiny": ("tiny", "unitary", _EPS, 60),
+    "pauli-9x3-kappa1": ((9, 3, 1), single_pauli_attack({(0, 4): "Z", (2, 9): "Y"}), None, 30),
+    "one-run-5x3": ((5, 3, 1), single_pauli_attack({(1, 7): "Y"}), _EPS, 1),
+    "two-batches-3x3": ((3, 3, 1), None, _EPS, 1030),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENCODER_CASES))
+def test_record_text_equals_the_dict_encoding(case):
+    """Each batch's column-wise record text is, byte for byte, the items of
+    ``json.dumps`` (sorted keys) of the run-by-run reference dicts, and each
+    record decodes to its dict: honest, noisy, Pauli- and unitary-attacked
+    runs, κ = 1, 2 and 5, 3x3 to 9x3 (20-bit outputs are not served from
+    the shared string table), one run, and M = 1030 in two batches."""
+    shape, attack, noise, m = ENCODER_CASES[case]
+    layout = tiny_layout() if shape == "tiny" else make_round_layout(*shape)
+    if attack == "unitary":
+        attack = unitary_attack(layout, _random_unitary(2**6, 4040))
+        assert len(attack.pauli_terms) > 1000
+    sink: list = []
+    run_scheme(layout, attack, noise, m, 0.5, rng_from(4041), record_sink=sink)
+    batches = list(dict.fromkeys(r.batch for r in sink))
+    assert len(batches) == -(-m // protocol._BATCH)
+    for batch in batches:
+        want = record_dicts(batch)
+        assert "[" + batch.json_text + "]" == json.dumps(want, sort_keys=True)
+        assert [r.to_json_dict() for r in batch] == want
+    records = [r.to_json_dict() for r in sink]
+    if noise is not None and m > 1:
+        assert not all(r["accept"] for r in records)
+    if attack is not None:
+        assert any(r["attack_letters"] for r in records)
+    if shape == (3, 3, 5):
+        assert {r["target_slot"] for r in records} >= {0, 10}
+
+
+def test_record_dicts_are_fresh():
+    """`RunRecord.to_json_dict` decodes a new dict on every call, so a
+    caller's edit reaches neither the batch nor another caller."""
+    record = run_protocol(make_round_layout(3, 3, 1), None, None, rng_from(4042))
+    first = record.to_json_dict()
+    first["raw"][0] = "edited"
+    assert record.to_json_dict() != first
+    assert record.to_json_dict() is not record.to_json_dict()
 
 
 # -- scheme -------------------------------------------------------------------

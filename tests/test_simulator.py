@@ -260,6 +260,22 @@ def test_distribution_validation():
         Distribution(1, {"0": 1.5, "1": -0.5})
 
 
+def test_distribution_names_the_first_fault_in_key_order():
+    """The whole-table checks find a fault; the message names the first
+    faulty key, whichever check it fails, and the sum is reported."""
+    for probs, message in [
+        ({"01": 0.5, "0a": 0.25, "1": 0.25}, "malformed outcome string '0a'"),
+        ({"01": 0.5, "011": 0.5}, "malformed outcome string '011'"),
+        ({"01": 0.5, "10": -0.5, "1": 1.0}, "negative probability for '10'"),
+        ({"01": -0.5, "0a": 1.5}, "negative probability for '01'"),
+        ({"01": 0.5, "10": 0.75}, "probabilities sum to 1.25, not 1"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            Distribution(2, probs)
+        assert str(err.value) == message
+    Distribution(2, {"01": 0.5, "10": 0.5 - 1e-13, "11": 1e-13})
+
+
 def test_tv_distance_cases():
     p = Distribution(1, {"0": 0.5, "1": 0.5})
     assert tv_distance(p, p) == 0
