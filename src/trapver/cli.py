@@ -22,7 +22,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from functools import cache
 from typing import Mapping, Sequence
 
@@ -64,33 +64,28 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+# The options a schema-2 snapshot stores at its top level, null when unset;
+# every other option but ``out`` goes under "extras".
+_SNAPSHOT_TOP = (
+    "m", "n", "kappa", "eps_v", "eps_p", "scheme_m", "scheme_l",
+    "auto_params", "beta", "attack", "seed", "fmt",
+)
+
+
 @dataclass(frozen=True)
 class SessionConfig:
-    """One resolved invocation: subcommand plus merged options."""
+    """One resolved invocation: subcommand plus every merged option, by
+    key; an option no source set and with no default is absent."""
 
     subcommand: str
-    m: int | None = None
-    n: int | None = None
-    kappa: int | None = None
-    eps_v: float = 0.0
-    eps_p: float = 0.0
-    scheme_m: int | None = None
-    scheme_l: float | None = None
-    auto_params: bool = False
-    beta: float | None = None
-    attack: str | None = None
-    seed: int = 0
-    # where the payload is written is not part of the run, so not snapshotted
-    out: str | None = field(default=None, metadata={"snapshot": False})
-    fmt: str = "json"
-    extras: Mapping[str, object] = field(default_factory=dict)
+    options: Mapping[str, object]
 
     def to_json_dict(self) -> dict:
-        return {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.metadata.get("snapshot", True)
-        }
+        """The schema-2 snapshot.  Where the payload is written, ``out``,
+        is not part of the run, so it is not stored."""
+        top = {k: self.options.get(k) for k in _SNAPSHOT_TOP}
+        extras = {k: v for k, v in self.options.items() if k not in top and k != "out"}
+        return {"subcommand": self.subcommand, **top, "extras": extras}
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "SessionConfig":
@@ -123,7 +118,7 @@ def _resolve(
 ) -> SessionConfig:
     """The one merge of option values: defaults, then each source in turn,
     its values converted as their flags would be, then the flags; then the
-    cross-option rule, and the split into fields and extras."""
+    cross-option rule."""
     table = _option_table(build_parser(), subcommand)
     merged = dict(_DEFAULTS)
     for source in sources:
@@ -137,12 +132,7 @@ def _resolve(
             "--auto-params and explicit --scheme-M/--scheme-l are mutually "
             "exclusive"
         )
-    names = {f.name for f in fields(SessionConfig)}
-    return SessionConfig(
-        subcommand=subcommand,
-        extras={k: v for k, v in merged.items() if k not in names},
-        **{k: v for k, v in merged.items() if k in names},
-    )
+    return SessionConfig(subcommand, merged)
 
 
 def _parse_bool(raw: str) -> bool:
@@ -320,8 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# defaults of the options that are not SessionConfig fields
+# every option's default; an option without one is absent until set
 _DEFAULTS: dict[str, object] = {
+    "eps_v": 0.0,
+    "eps_p": 0.0,
+    "auto_params": False,
+    "seed": 0,
+    "fmt": "json",
     "kind": "target",
     "basis": "full",
     "trials": 20,
@@ -344,7 +339,7 @@ def parse_config(
     flags = vars(parser.parse_args(list(argv)))
     subcommand, path = flags.pop("subcommand"), flags.pop("config")
     if subcommand is None:
-        return SessionConfig(subcommand="help")
+        return SessionConfig("help", dict(_DEFAULTS))
     sources = []
     path = config_path or path or env.get(ENV_PREFIX + "CONFIG")
     if path:
@@ -369,7 +364,7 @@ def _stamp(cfg: SessionConfig, payload: dict) -> dict:
     return {
         "schema_version": ARTIFACT_SCHEMA,
         "tool_version": __version__,
-        "seed": cfg.seed,
+        "seed": cfg.options["seed"],
         **payload,
     }
 
@@ -383,17 +378,18 @@ def _emit(cfg: SessionConfig, payload: dict | str, csv_rows: list[list] | None) 
     config shared with other subcommands does not redirect one without
     ``--out``, so ``replay`` never writes over the artifact it reads.
     """
-    if cfg.fmt == "csv" and csv_rows is None and _offers(cfg.subcommand, "fmt", "csv"):
-        what = " ".join(filter(None, (cfg.subcommand, cfg.extras.get("verb"))))
+    csv_out, out = cfg.options["fmt"] == "csv", cfg.options.get("out")
+    if csv_out and csv_rows is None and _offers(cfg.subcommand, "fmt", "csv"):
+        what = " ".join(filter(None, (cfg.subcommand, cfg.options.get("verb"))))
         raise CliError(f"{what} has no CSV output; use --format json")
-    if cfg.fmt == "csv" and csv_rows is not None:
+    if csv_out and csv_rows is not None:
         buf = io.StringIO()
         csv.writer(buf).writerows(csv_rows)
         text = buf.getvalue()
     else:
         text = payload if isinstance(payload, str) else _encode(payload)
-    if cfg.out and _offers(cfg.subcommand, "out"):
-        _atomic_write(cfg.out, text)
+    if out and _offers(cfg.subcommand, "out"):
+        _atomic_write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -433,9 +429,12 @@ def _offers(subcommand: str, dest: str, choice: str | None = None) -> bool:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` through a temporary file renamed over ``path``, in
+    slices of 64 KiB, so the document is never copied or encoded whole."""
     tmp = f"{path}.tmp-{os.getpid()}"
     with open(tmp, "w") as fh:
-        fh.write(text)
+        for lo in range(0, len(text), 2**16):
+            fh.write(text[lo : lo + 2**16])
     os.replace(tmp, path)
 
 
@@ -456,9 +455,7 @@ def _rng(seed: int) -> np.random.Generator:
 def _require(cfg: SessionConfig, *names: str) -> list[object]:
     vals = []
     for name in names:
-        v = getattr(cfg, name, None)
-        if v is None:
-            v = cfg.extras.get(name)
+        v = cfg.options.get(name)
         if v is None:
             sub = _subparsers(build_parser())[cfg.subcommand]
             flag = next(a.option_strings[0] for a in sub._actions if a.dest == name)
@@ -521,7 +518,7 @@ def _cmd_carve(cfg: SessionConfig) -> Result:
         g = carve_target(m, n)
     else:
         g = carve_trap_graph(m, n, kind.removeprefix("trap-"))
-    if cfg.extras.get("check_isomorphism"):
+    if cfg.options.get("check_isomorphism"):
         if kind == "target":
             check_embedding(g)
         else:
@@ -535,7 +532,7 @@ def _cmd_carve(cfg: SessionConfig) -> Result:
                 raise CliError("trap positions do not match the target carving")
     doc = g.to_json_dict()
     doc["tool_version"] = __version__
-    doc["seed"] = cfg.seed
+    doc["seed"] = cfg.options["seed"]
     return EXIT_ACCEPT, doc, None
 
 
@@ -553,12 +550,13 @@ def _load_angles(path: str) -> dict[int, int]:
 def _cmd_simulate(cfg: SessionConfig) -> Result:
     (graph_path,) = _require(cfg, "graph")
     g = GraphSpec.from_json_dict(_read_json(graph_path, "layout"))
-    angles_path = cfg.extras.get("angles")
+    opts = cfg.options
+    angles_path = opts.get("angles")
     steps = _load_angles(angles_path) if angles_path else None
-    samples = cfg.extras.get("samples")
-    exact = cfg.extras.get("exact") or samples is None
-    _check_components_fit(g, cfg.extras["cap"], joint=True)
-    probs = exact_probability_array(g, steps, cap=cfg.extras["cap"])
+    samples = opts.get("samples")
+    exact = opts.get("exact") or samples is None
+    _check_components_fit(g, opts["cap"], joint=True)
+    probs = exact_probability_array(g, steps, cap=opts["cap"])
     n = len(g.non_dummy_ids())
     # row k spells k in binary, so the strings come out sorted; character j
     # is bit j of the probability index
@@ -571,34 +569,34 @@ def _cmd_simulate(cfg: SessionConfig) -> Result:
         return EXIT_ACCEPT, _stamp(cfg, {"kind": "distribution", "probs": table}), rows
     # one multinomial draw over the sorted strings: memory does not grow
     # with the sample count
-    drawn = _rng(cfg.seed).multinomial(samples, weights / weights.sum())
+    drawn = _rng(opts["seed"]).multinomial(samples, weights / weights.sum())
     counts = {s: int(c) for s, c in zip(strings, drawn) if c}
     payload = _stamp(cfg, {"kind": "samples", "count": samples, "counts": counts})
     rows = [["string", "count"]] + [[s, c] for s, c in counts.items()]
     return EXIT_ACCEPT, payload, rows
 
 
-def _scheme_parameters(cfg: SessionConfig, n_qubits: int, kappa: int) -> tuple[int, float, dict]:
+def _scheme_parameters(opts: Mapping, n_qubits: int, kappa: int) -> tuple[int, float, dict]:
+    beta = opts.get("beta")
     # the artifact's config carries --beta even when --auto-params is off
-    if cfg.beta is not None and not 0 < cfg.beta < 1:
-        raise CliError(f"--beta must lie in (0, 1), got {cfg.beta}")
-    if cfg.auto_params:
-        if cfg.beta is None:
+    if beta is not None and not 0 < beta < 1:
+        raise CliError(f"--beta must lie in (0, 1), got {beta}")
+    if opts["auto_params"]:
+        if beta is None:
             raise CliError("--auto-params needs --beta")
-        params = bounds.theorem1_params(
-            n_qubits, kappa, cfg.eps_v, cfg.eps_p, cfg.beta
-        )
+        params = bounds.theorem1_params(n_qubits, kappa, opts["eps_v"], opts["eps_p"], beta)
         meta = {
             "derived": True,
-            "beta": cfg.beta,
+            "beta": beta,
             "out_of_regime": params.out_of_regime,
             "completeness": list(params.completeness),
             "soundness": list(params.soundness),
         }
         return params.m, params.l, meta
-    if cfg.scheme_m is None or cfg.scheme_l is None:
+    scheme_m, scheme_l = opts.get("scheme_m"), opts.get("scheme_l")
+    if scheme_m is None or scheme_l is None:
         raise CliError("verify needs --scheme-M and --scheme-l, or --auto-params")
-    return cfg.scheme_m, cfg.scheme_l, {"derived": False}
+    return scheme_m, scheme_l, {"derived": False}
 
 
 def _physical_memory() -> int:
@@ -634,18 +632,21 @@ def _record_bytes(kappa: int, cells: int) -> int:
 
 def _cmd_verify(cfg: SessionConfig) -> Result:
     m, n, kappa = _require(cfg, "m", "n", "kappa")
+    opts = cfg.options
     layout = make_round_layout(m, n, kappa)
-    noise = NoiseModel(eps_v=cfg.eps_v, eps_p=cfg.eps_p)
+    noise = NoiseModel(eps_v=opts["eps_v"], eps_p=opts["eps_p"])
     # The parsed attack document is embedded in the artifact so replay
     # does not depend on the original file still existing.
-    attack_doc = cfg.extras.get("attack_doc")
-    if attack_doc is None and cfg.attack:
-        attack_doc = _read_json(cfg.attack, "attack file")
+    attack_doc = opts.get("attack_doc")
+    if attack_doc is None and opts.get("attack"):
+        attack_doc = _read_json(opts["attack"], "attack file")
+    if attack_doc is not None:
+        opts = {**opts, "attack_doc": attack_doc}
     strategy = None if attack_doc is None else attack_spec_from_json(attack_doc, layout)
     n_qubits = len(layout.target.non_dummy_ids())
-    scheme_m, scheme_l, meta = _scheme_parameters(cfg, n_qubits, kappa)
+    scheme_m, scheme_l, meta = _scheme_parameters(opts, n_qubits, kappa)
     # trap carvings hold only isolated traps: the target's components are the largest
-    _check_components_fit(layout.target, cfg.extras["cap"], joint=False)
+    _check_components_fit(layout.target, opts["cap"], joint=False)
     need = scheme_m * _record_bytes(kappa, m * n)
     _check_fits(need, f"M = {scheme_m} repetitions at kappa = {kappa}")
     sink: list[RunRecord] = []
@@ -656,21 +657,18 @@ def _cmd_verify(cfg: SessionConfig) -> Result:
         noise,
         scheme_m,
         scheme_l,
-        _rng(cfg.seed),
-        cap=cfg.extras["cap"],
+        _rng(opts["seed"]),
+        cap=opts["cap"],
         record_sink=sink,
     )
     elapsed = time.time() - started
     # each batch once, in run order, as the text of its runs' records
     records = _JsonItems(batch.json_text for batch in dict.fromkeys(r.batch for r in sink))
-    snapshot = cfg.to_json_dict()
-    if attack_doc is not None:
-        snapshot["extras"] = {**snapshot["extras"], "attack_doc": attack_doc}
     artifact = _stamp(
         cfg,
         {
             "engine_version": ENGINE_VERSION,
-            "config": snapshot,
+            "config": SessionConfig(cfg.subcommand, opts).to_json_dict(),
             "scheme": {"m": scheme_m, "l": scheme_l, **meta, "n_qubits": n_qubits},
             "records": records,
             "verdict": verdict.to_json_dict(),
@@ -687,7 +685,7 @@ def _bounds_delta_kappa(cfg: SessionConfig) -> tuple[dict | str, None]:
     (kappa,) = _require(cfg, "kappa")
     value = bounds.delta_kappa(kappa)
     # stdout gets the bare fraction, a file the stamped document
-    if cfg.out:
+    if cfg.options.get("out"):
         return _stamp(cfg, {"kappa": kappa, "delta_kappa": str(value)}), None
     return f"{value}\n", None
 
@@ -705,7 +703,8 @@ def _bounds_attack_table(cfg: SessionConfig) -> tuple[dict, list[list]]:
 
 def _bounds_thm1(cfg: SessionConfig) -> tuple[dict, None]:
     n_qubits, kappa, beta = _require(cfg, "n_qubits", "kappa", "beta")
-    params = bounds.theorem1_params(n_qubits, kappa, cfg.eps_v, cfg.eps_p, beta)
+    eps_v, eps_p = cfg.options["eps_v"], cfg.options["eps_p"]
+    params = bounds.theorem1_params(n_qubits, kappa, eps_v, eps_p, beta)
     return _stamp(cfg, {"params": asdict(params)}), None
 
 
@@ -724,16 +723,17 @@ def _bounds_thm3(cfg: SessionConfig) -> tuple[dict, None]:
 
 
 def _bounds_twirl(cfg: SessionConfig) -> tuple[dict, None]:
-    n = cfg.extras.get("n_qubits", 1)
-    q = cfg.extras.get("q") or "X" * n
-    qprime = cfg.extras.get("q_prime") or "Z" * n
-    basis, trials = cfg.extras["basis"], cfg.extras["trials"]
+    opts = cfg.options
+    n = opts.get("n_qubits", 1)
+    q = opts.get("q") or "X" * n
+    qprime = opts.get("q_prime") or "Z" * n
+    basis, trials = opts["basis"], opts["trials"]
     # checked before any 2^n x 2^n matrix is drawn
     if not 1 <= n <= 3:
         raise CliError(f"bounds twirl: --n-qubits must be 1, 2 or 3, not {n}")
     if trials < 1:
         raise CliError(f"bounds twirl: --trials must be at least 1, not {trials}")
-    rng = _rng(cfg.seed)
+    rng = _rng(opts["seed"])
     residuals = []
     for _ in range(trials):
         mat = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
@@ -766,24 +766,24 @@ _BOUNDS_VERBS = {
 
 
 def _cmd_bounds(cfg: SessionConfig) -> Result:
-    payload, rows = _BOUNDS_VERBS[cfg.extras["verb"]](cfg)
+    payload, rows = _BOUNDS_VERBS[cfg.options["verb"]](cfg)
     return EXIT_ACCEPT, payload, rows
 
 
 def _cmd_ft(cfg: SessionConfig) -> Result:
-    eps = cfg.extras.get("eps")
-    fraction = cfg.extras.get("fraction_of_threshold")
+    opts = cfg.options
+    eps, fraction = opts.get("eps"), opts.get("fraction_of_threshold")
     if (eps is None) == (fraction is None):
         raise CliError("ft needs exactly one of --eps / --fraction-of-threshold")
     if fraction is not None:
         eps = fraction * ftcalc.physical_threshold()
     report = ftcalc.ft_report(
         ftcalc.FtConfig(
-            distance=cfg.extras["distance"],
+            distance=opts["distance"],
             eps=eps,
-            syndromes=cfg.extras["syndromes"],
-            saw_prefactor=cfg.extras["saw_prefactor"],
-            poly_prefactor=cfg.extras["poly_prefactor"],
+            syndromes=opts["syndromes"],
+            saw_prefactor=opts["saw_prefactor"],
+            poly_prefactor=opts["poly_prefactor"],
         )
     )
     header = [f.name for f in fields(ftcalc.OverheadRow)]
@@ -812,7 +812,7 @@ def _first_difference(a: object, b: object, path: str = "$") -> str | None:
 
 
 def _cmd_replay(cfg: SessionConfig) -> Result:
-    path = cfg.extras["artifact"]
+    path = cfg.options["artifact"]
     artifact = _read_json(path, "artifact")
     if not isinstance(artifact, dict):
         raise CliError(f"artifact {path} must hold a JSON object")

@@ -29,9 +29,6 @@ ROLES = (ROLE_COMPUTATIONAL, ROLE_DUMMY, ROLE_TRAP, ROLE_BRIDGE)
 # 0, pi/8, 0, -pi/4, 0, pi/4, 0, -pi/8.
 CHAIN_PATTERN = (0, 1, 0, 14, 0, 2, 0, 15)
 
-# The sampler's angle alphabet, as k*pi/8 residues.
-SAMPLER_ANGLE_SET = frozenset((0, 1, 2, 14, 15))
-
 # Smallest lattice that fits one full chain pair joined by a connector:
 # chain rows 0 and 2, one connector column in the spacer row.
 MIN_COLS = 3

@@ -117,12 +117,6 @@ class RoundLayout:
     def target(self) -> GraphSpec:
         return self.graphs[0]
 
-    @cached_property
-    def _cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per canonical round and cell: 1 on dummies, and the base angle."""
-        dummy = [[int(g.is_dummy(v)) for v in range(self.m * self.n)] for g in self.graphs]
-        return np.array(dummy, np.uint8), np.array([g.phi_k for g in self.graphs])
-
 
 def make_round_layout(m: int, n: int, kappa: int) -> RoundLayout:
     target = carve_target(m, n)
@@ -156,10 +150,6 @@ class SecretKey(NamedTuple):
     d: np.ndarray
     dummy_delta_k: np.ndarray
 
-    @property
-    def target_slot(self) -> int:
-        return self.perm.index(0)
-
 
 def _key_words(layout: RoundLayout) -> int:
     """Words at the head of a block that hold the key."""
@@ -174,16 +164,16 @@ def _draw_blocks(streams: Sequence[np.random.BitGenerator], words: int) -> np.nd
     return blocks
 
 
-def _keys(layout: RoundLayout, words: np.ndarray) -> SecretKey:
-    """The keys held by the head of each block (see the module docstring)."""
+def _keys(layout: RoundLayout, nd: np.ndarray, words: np.ndarray) -> SecretKey:
+    """The keys held by the head of each block (see the module docstring),
+    given each canonical round's non-dummy cells ``nd`` (rounds × cells)."""
     rounds, size = layout.rounds, layout.m * layout.n
     perm = np.argsort(words[:, :rounds], axis=1, kind="stable")
     head = np.ascontiguousarray(words[:, rounds : _key_words(layout)])
     b = head.astype("<u8", copy=False).view(np.uint8)[:, : rounds * size]
     b = b.reshape(len(words), rounds, size)
-    dummy, low = layout._cells[0], b & 15
-    theta, decoy = low * (dummy ^ 1), low * dummy
-    return SecretKey(perm, theta, (b >> 4) & 1, (b >> 5) & 1, (b >> 6) & dummy, decoy)
+    dummy, low = nd ^ 1, b & 15
+    return SecretKey(perm, low * nd, (b >> 4) & 1, (b >> 5) & 1, (b >> 6) & dummy, low * dummy)
 
 
 @dataclass(frozen=True)
@@ -262,12 +252,10 @@ def _attack_tables(
     strategy: AttackSpec | None, layout: RoundLayout
 ) -> tuple[np.ndarray, np.ndarray, list]:
     """Per Pauli term of ``strategy``: the cumulative weights, the Z/Y
-    flips by slot and cell (None for the honest prover, which acts as one
-    empty term) and the sorted letters a record reports.  A letter on a
-    slot or cell ``layout`` does not have is refused."""
-    if strategy is None:
-        return np.ones(1), None, [()]
-    terms = strategy.pauli_terms
+    flips by slot and cell and the sorted letters a record reports; the
+    honest prover is one empty term.  A letter on a slot or cell
+    ``layout`` does not have is refused."""
+    terms = ((1.0, ()),) if strategy is None else strategy.pauli_terms
     cum = np.cumsum([w for w, _ in terms])
     flips = np.zeros((len(terms), layout.rounds, layout.m * layout.n), np.uint8)
     letters = []
@@ -300,24 +288,30 @@ class _ComponentPlan(NamedTuple):
 
 
 class _SimPlan(NamedTuple):
-    """A carving's round-kernel tables.  Every cell lies in one component:
-    the non-dummy components by smallest vertex, then each dummy alone
-    with a fair coin for its distribution.  A round draws one uniform per
-    component, in this order; one-cell components are drawn together."""
+    """Every table the round engine reads for one carving.  Every cell
+    lies in one component: the non-dummy components by smallest vertex,
+    then each dummy alone with a fair coin for its distribution.  A round
+    draws one uniform per component, in this order; one-cell components
+    are drawn together."""
 
     components: tuple[_ComponentPlan, ...]
     comp_of: np.ndarray   # cell -> index of its component
     multi: tuple[int, ...]  # components of two or more cells
-    ones: np.ndarray      # components of one cell, their cells and P(0)
-    one_cells: np.ndarray
+    ones: np.ndarray      # components of one cell, their vertices and P(0)
+    one_vertices: np.ndarray
     one_p0: np.ndarray
     edge_step: np.ndarray  # [u, v]: index in g.edges of the cZ joining u, v, or -1
+    nd: np.ndarray        # cell -> 1 on a non-dummy
+    nbr: np.ndarray       # [u, v]: 1 when u is a surviving neighbour of v
+    fix: np.ndarray       # connector correction I + B: B[b, u] set when bridge b joins u
+    phi: np.ndarray       # cell -> base angle in grid steps
 
 
 @lru_cache(maxsize=64)
 def _sim_plan(g: GraphSpec, cap: int) -> _SimPlan:
     """Per-component outcome distributions of ``g`` at its base angles,
-    and the cZ order that carries X errors through the round."""
+    the cZ order that carries X errors through the round, and the GF(2)
+    tables and base angles that pad, recompute and decrypt it."""
     comps = []
     for vertices, edges in g.components:
         _check_cap(len(vertices), cap)
@@ -335,23 +329,6 @@ def _sim_plan(g: GraphSpec, cap: int) -> _SimPlan:
     a, b = np.array(g.edges, int).reshape(-1, 2).T
     edge_step[a, b] = edge_step[b, a] = np.arange(len(g.edges))
     ones = [j for j, comp in enumerate(comps) if len(comp.vertices) == 1]
-    return _SimPlan(
-        components=tuple(comps),
-        comp_of=comp_of,
-        multi=tuple(j for j, comp in enumerate(comps) if len(comp.vertices) > 1),
-        ones=np.array(ones, int),
-        one_cells=np.array([comps[j].vertices[0] for j in ones], int),
-        one_p0=np.array([comps[j].cdf[0] for j in ones]),
-        edge_step=edge_step,
-    )
-
-
-@lru_cache(maxsize=64)
-def _gf2(g: GraphSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A carving's GF(2) tables: the non-dummy cells, the surviving-
-    neighbour incidence (entry u, v set when u neighbours v) and the
-    connector correction I + B (B[b, u] set when bridge b joins u)."""
-    size = g.m * g.n
     nd = np.zeros(size, np.uint8)
     nd[list(g.non_dummy_ids())] = 1
     nbr = np.zeros((size, size), np.uint8)
@@ -360,22 +337,29 @@ def _gf2(g: GraphSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     fix = np.eye(size, dtype=np.uint8)
     for b in g.bridge_ids():  # row b: outcome 1 on bridge b flips both its ends
         fix[b, list(g.induced_neighbors[b])] = 1
-    return nd, nbr, fix
+    return _SimPlan(
+        components=tuple(comps),
+        comp_of=comp_of,
+        multi=tuple(j for j, comp in enumerate(comps) if len(comp.vertices) > 1),
+        ones=np.array(ones, int),
+        one_vertices=np.array([comps[j].vertices[0] for j in ones], int),
+        one_p0=np.array([comps[j].cdf[0] for j in ones]),
+        edge_step=edge_step,
+        nd=nd,
+        nbr=nbr,
+        fix=fix,
+        phi=np.array(g.phi_k),
+    )
 
 
-def _pad_mask(g: GraphSpec, r: np.ndarray, rprime: np.ndarray) -> np.ndarray:
+def _pad_mask(plan: _SimPlan, r: np.ndarray, rprime: np.ndarray) -> np.ndarray:
     """Per cell: r on a non-dummy, XOR r′ of its surviving neighbours; 0
     on dummies.  Takes one round's key tables or a batch's rows of them.
 
     This is the whole effect of the one-time pad on a round's raw
     outcomes, and exactly what decryption strips off again.
     """
-    nd, nbr, _ = _gf2(g)
-    return (r & nd) ^ ((rprime @ nbr) & 1)
-
-
-def _sites(g: GraphSpec) -> int:
-    return 2 * g.m * g.n + len(g.edges)
+    return (r & plan.nd) ^ ((rprime @ plan.nbr) & 1)
 
 
 def _decode_events(g: GraphSpec, noise: NoiseModel, u: np.ndarray) -> tuple:
@@ -428,18 +412,15 @@ def _pauli_frame(
     return x, z
 
 
-def _keyed_angles(g: GraphSpec, r, rprime, theta, x) -> np.ndarray:
+def _keyed_angles(plan: _SimPlan, r, rprime, theta, x) -> np.ndarray:
     """Effective angle steps of every cell under key tables r, r′, θ and
     frame X bits ``x``: δ − θ on unflipped cells, −(δ + θ) on flipped ones."""
-    phi = np.array(g.phi_k)
-    k = np.where(rprime, -phi, phi) + 8 * r  # δ − θ
+    k = np.where(rprime, -plan.phi, plan.phi) + 8 * r  # δ − θ
     return np.where(x, -(k + 2 * theta), k) % ANGLE_STEPS
 
 
-def _sample_round(
-    g: GraphSpec, plan: _SimPlan, mask, key_tables, x, z, u
-) -> np.ndarray:
-    """Raw outcomes (runs × cells) of carving ``g`` under Pauli frame
+def _sample_round(plan: _SimPlan, mask, key_tables, x, z, u) -> np.ndarray:
+    """Raw outcomes (runs × cells) of ``plan``'s carving under Pauli frame
     (``x``, ``z``), from each run's row of uniforms ``u``.
 
     Each component reads its uniform against its cached base CDF with the
@@ -450,18 +431,18 @@ def _sample_round(
     stack of rows, at most `_RECOMPUTE_AMPLITUDES` amplitudes at a time.
     Finally every cell in ``z`` is inverted.
     """
-    raw = np.zeros((len(u), g.m * g.n), np.uint8)
-    raw[:, plan.one_cells] = u[:, plan.ones] >= plan.one_p0
+    raw = np.zeros((len(u), len(plan.nd)), np.uint8)
+    raw[:, plan.one_vertices] = u[:, plan.ones] >= plan.one_p0
     for j in plan.multi:
         comp = plan.components[j]
         pick = comp.cdf.searchsorted(u[:, j], side="right")
         raw[:, comp.vertices] = (pick[:, None] >> np.arange(len(comp.vertices))) & 1
     raw ^= mask
-    hit_runs, hit_cells = np.nonzero(x & _gf2(g)[0]) if x is not None else ((), ())
+    hit_runs, hit_verts = np.nonzero(x & plan.nd) if x is not None else ((), ())
     if len(hit_runs):
         hit = np.zeros((len(u), len(plan.components)), bool)
-        hit[hit_runs, plan.comp_of[hit_cells]] = True
-        k = _keyed_angles(g, *key_tables, x)
+        hit[hit_runs, plan.comp_of[hit_verts]] = True
+        k = _keyed_angles(plan, *key_tables, x)
         for j in np.flatnonzero(hit.any(axis=0)).tolist():
             vertices, edges, _ = plan.components[j]
             cols, runs = list(vertices), np.flatnonzero(hit[:, j])
@@ -479,24 +460,24 @@ def _sample_round(
 # Decryption and verdicts
 
 
-def _decrypt(layout: RoundLayout, masks: np.ndarray, raw: np.ndarray) -> np.ndarray:
+def _decrypt(target: _SimPlan, masks: np.ndarray, raw: np.ndarray) -> np.ndarray:
     """Decrypted bits, runs × canonical rounds × cells.
 
     Each bit is unpadded by its `_pad_mask` (``masks`` holds every
     round's); the computation round, canonical round 0, then gets its
-    connector corrections, the GF(2) product with I + B.  Dummy cells
-    keep their raw outcomes.
+    connector corrections, the GF(2) product with the ``target`` plan's
+    I + B.  Dummy cells keep their raw outcomes.
     """
     dec = raw ^ masks
-    dec[:, 0] = (dec[:, 0] @ _gf2(layout.target)[2]) & 1
+    dec[:, 0] = (dec[:, 0] @ target.fix) & 1
     return dec
 
 
-def _masks(layout: RoundLayout, keys: SecretKey) -> np.ndarray:
+def _masks(plans: Sequence[_SimPlan], keys: SecretKey) -> np.ndarray:
     """Every round's `_pad_mask`, keys' leading axes × rounds × cells."""
     masks = np.empty_like(keys.r)
-    for gi, g in enumerate(layout.graphs):
-        masks[..., gi, :] = _pad_mask(g, keys.r[..., gi, :], keys.rprime[..., gi, :])
+    for gi, plan in enumerate(plans):
+        masks[..., gi, :] = _pad_mask(plan, keys.r[..., gi, :], keys.rprime[..., gi, :])
     return masks
 
 
@@ -652,11 +633,16 @@ def _run_batch(
     noise, count, size = noise or _NOISELESS, len(streams), layout.m * layout.n
     cum, flips, term_letters = _attack_tables(strategy, layout)
     plans = [_sim_plan(g, cap) for g in layout.graphs]
+    nd = np.array([p.nd for p in plans])
     noisy = not noise.is_noiseless()
-    widths = [len(p.components) + noisy * _sites(g) for g, p in zip(layout.graphs, plans)]
+    # a noisy round also draws one uniform per site: preparations, cZs, readouts
+    widths = [
+        len(p.components) + noisy * (2 * size + len(g.edges))
+        for g, p in zip(layout.graphs, plans)
+    ]
     head = _key_words(layout)
     words = _draw_blocks(streams, head + 1 + sum(widths))
-    keys, u = _keys(layout, words), (words[:, head:] >> 11) * 2.0**-53
+    keys, u = _keys(layout, nd, words), (words[:, head:] >> 11) * 2.0**-53
     terms = np.minimum(np.searchsorted(cum, u[:, 0], side="right"), len(cum) - 1)
     bounds = np.cumsum([1] + widths).tolist()
     draws = [u[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
@@ -664,19 +650,18 @@ def _run_batch(
         _decode_events(g, noise, d[:, len(p.components) :])
         for g, p, d in zip(layout.graphs, plans, draws)
     ]
-    rows, masks = np.arange(count)[:, None], _masks(layout, keys)
+    rows, masks = np.arange(count)[:, None], _masks(plans, keys)
     raw = np.empty((count, layout.rounds, size), np.uint8)  # canonical order
-    letter_flips = np.zeros_like(raw)
-    if flips is not None:
-        letter_flips[rows, keys.perm] = flips[terms]
-    for gi, (g, plan) in enumerate(zip(layout.graphs, plans)):
+    letter_flips = np.empty_like(raw)  # every run's perm fills every round
+    letter_flips[rows, keys.perm] = flips[terms]
+    for gi, plan in enumerate(plans):
         # the noise events' Pauli frame, with the Z/Y letters in its Z part
         x, z = _pauli_frame(plan, *events[gi], count) if noisy else (None, 0)
         tables = (keys.r[:, gi], keys.rprime[:, gi], keys.theta_k[:, gi])
         z = z ^ letter_flips[:, gi]
-        raw[:, gi] = _sample_round(g, plan, masks[:, gi], tables, x, z, draws[gi])
-    dec = _decrypt(layout, masks, raw)
-    passed = ~(dec & (layout._cells[0] ^ 1)).any(axis=2)
+        raw[:, gi] = _sample_round(plan, masks[:, gi], tables, x, z, draws[gi])
+    dec = _decrypt(plans[0], masks, raw)
+    passed = ~(dec & nd).any(axis=2)
     nd = list(layout.target.non_dummy_ids())
     out_bits, nbits = dec[:, 0][:, nd], len(nd)
     if nbits > _SHARED_STRING_BITS:
@@ -743,19 +728,20 @@ def run_scheme(
         raise ValueError("need at least one repetition")
     if not 0 <= l_threshold <= 1:
         raise ValueError("acceptance fraction must lie in [0, 1]")
-    passes = 0
-    outputs: list[str] = []
+    # spawning leaves rng's own stream alone, so the published run can be
+    # drawn first and only its string kept
+    passes, output, pick = 0, "", int(rng.integers(m_repetitions))
     for start in range(0, m_repetitions, _BATCH):
         # successive spawns continue one sequence of child streams, the
         # streams `Generator.spawn` would wrap
         streams = rng.bit_generator.spawn(min(_BATCH, m_repetitions - start))
         batch = _run_batch(layout, strategy, noise, streams, cap)
         passes += int(batch.accept.sum())
-        outputs += batch.outputs
+        if 0 <= pick - start < len(batch):
+            output = batch.outputs[pick - start]
         if record_sink is not None:
             record_sink.extend(RunRecord(batch, i) for i in range(len(batch)))
     fraction = passes / m_repetitions
-    output = outputs[int(rng.integers(m_repetitions))]
     return SchemeVerdict(fraction >= l_threshold, fraction, output, m_repetitions, l_threshold)
 
 
@@ -822,10 +808,8 @@ def estimate_fidelity_gap(
     if samples < 1:
         raise ValueError("need at least one sample")
     _, flips, _ = _attack_tables(strategy, layout)
-    if flips is None:
-        escape = np.ones((1, layout.rounds), bool)
-    else:  # [term, slot]: no Z/Y letter on a non-dummy cell of the target
-        escape = ~flips[:, :, list(layout.target.non_dummy_ids())].any(axis=2)
+    # [term, slot]: no Z/Y letter on a non-dummy cell of the target
+    escape = ~flips[:, :, list(layout.target.non_dummy_ids())].any(axis=2)
     passes = np.zeros(samples)
     escapes = np.zeros(samples)
     for start in range(0, samples, _BATCH):

@@ -45,7 +45,7 @@ from trapver.protocol import (
     _key_words,
     _keys,
     _masks,
-    _sites,
+    _sim_plan,
 )
 from trapver.simulator import DEFAULT_QUBIT_CAP, NoiseModel, _check_cap, bit_strings
 
@@ -253,9 +253,9 @@ def encrypt_angles(key: SecretKey, layout: RoundLayout) -> np.ndarray:
     dummy cells get their pre-drawn decoy so the transcript looks the
     same everywhere.  Takes one key or a batch's key arrays.
     """
-    dummy, phi = layout._cells
+    phi = np.array([g.phi_k for g in layout.graphs])
     k = key.theta_k + np.where(key.rprime, -phi, phi) + 8 * key.r
-    return np.where(dummy, key.dummy_delta_k, k % ANGLE_STEPS)
+    return np.where(non_dummy(layout), k % ANGLE_STEPS, key.dummy_delta_k)
 
 
 def dense_round_state(
@@ -326,12 +326,25 @@ def fwht_per_stage_copy(a: np.ndarray) -> None:
 # One-run views and the joint register
 
 
+def non_dummy(layout: RoundLayout) -> np.ndarray:
+    """1 on each canonical round's non-dummy cells, rounds × cells, read
+    off the carvings."""
+    cells = range(layout.m * layout.n)
+    return np.array([[not g.is_dummy(v) for v in cells] for g in layout.graphs], np.uint8)
+
+
 def keygen(layout: RoundLayout, rng: np.random.Generator) -> SecretKey:
     """Draw a fresh uniform key: the key words of one repetition's block,
     so a seeded generator reproduces the key exactly, and `run_protocol`
     given an equally seeded generator runs under the same key."""
-    keys = _keys(layout, _draw_blocks([rng.bit_generator], _key_words(layout)))
+    words = _draw_blocks([rng.bit_generator], _key_words(layout))
+    keys = _keys(layout, non_dummy(layout), words)
     return SecretKey(tuple(keys.perm[0].tolist()), *(t[0] for t in keys[1:]))
+
+
+def target_slot(key: SecretKey) -> int:
+    """The execution slot that runs the computation, canonical round 0."""
+    return list(key.perm).index(0)
 
 
 def record_dicts(batch: RunBatch) -> list[dict]:
@@ -374,7 +387,8 @@ def decrypt(
             raise ValueError(f"slot {slot}: need one outcome per cell")
     raw_c = np.zeros((1, layout.rounds, layout.m * layout.n), np.uint8)
     raw_c[0, list(key.perm)] = raw_rounds
-    dec = _decrypt(layout, _masks(layout, key)[None], raw_c)[0]
+    plans = [_sim_plan(g, DEFAULT_QUBIT_CAP) for g in layout.graphs]
+    dec = _decrypt(plans[0], _masks(plans, key)[None], raw_c)[0]
     return tuple(
         tuple(dec[gi, list(layout.graphs[gi].non_dummy_ids())].tolist())
         for gi in key.perm
@@ -388,7 +402,8 @@ def sample_events(
     drawn from ``rng``; a noiseless model draws nothing."""
     if noise.is_noiseless():
         return []
-    _, steps, verts, codes = _decode_events(g, noise, rng.random((1, _sites(g))))
+    sites = 2 * g.m * g.n + len(g.edges)  # each preparation, cZ and readout
+    _, steps, verts, codes = _decode_events(g, noise, rng.random((1, sites)))
     return [
         NoiseEvent(s, v, _CODE_LETTER[c])
         for s, v, c in zip(steps.tolist(), verts.tolist(), codes.tolist())
@@ -454,7 +469,7 @@ def joint_unitary_run(
     raw = joint_raw_rounds(layout, key, unitary, private_qubits, events, rng)
     dec = decrypt(key, layout, raw)
     accept = not any(any(dec[s]) for s in range(layout.rounds) if key.perm[s] != 0)
-    return accept, "".join(map(str, dec[key.target_slot]))
+    return accept, "".join(map(str, dec[target_slot(key)]))
 
 
 # ---------------------------------------------------------------------------

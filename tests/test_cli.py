@@ -7,7 +7,6 @@ import io
 import json
 import os
 import tracemalloc
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -18,6 +17,7 @@ from trapver import __version__
 from trapver.cli import (
     ARTIFACT_SCHEMA,
     CliError,
+    _SNAPSHOT_TOP,
     SessionConfig,
     _option_table,
     _record_bytes,
@@ -58,21 +58,21 @@ def test_precedence_flags_env_file(tmp_path):
 
     base = ["verify", "--m-rounds", "3", "--n-rounds", "3"]
     from_file = parse_config(base, config_path=str(cfg_file))
-    assert from_file.kappa == 3 and from_file.seed == 9
+    assert from_file.options["kappa"] == 3 and from_file.options["seed"] == 9
 
     env = {"TRAPVER_KAPPA": "2"}
     from_env = parse_config(base, env=env, config_path=str(cfg_file))
-    assert from_env.kappa == 2 and from_env.seed == 9
+    assert from_env.options["kappa"] == 2 and from_env.options["seed"] == 9
 
     from_flag = parse_config(
         base + ["--kappa", "1"], env=env, config_path=str(cfg_file)
     )
-    assert from_flag.kappa == 1
+    assert from_flag.options["kappa"] == 1
 
     via_env_path = parse_config(
         base, env={"TRAPVER_CONFIG": str(cfg_file)}
     )
-    assert via_env_path.kappa == 3
+    assert via_env_path.options["kappa"] == 3
 
 
 def test_config_file_errors(tmp_path):
@@ -93,7 +93,7 @@ def test_env_and_file_values_are_checked_like_flags(tmp_path, capsys):
     # choices come from the running subcommand: carve writes only json
     with pytest.raises(CliError, match="fmt"):
         parse_config(["carve"], env={"TRAPVER_FMT": "csv"})
-    assert parse_config(["ft"], env={"TRAPVER_FMT": "csv"}).fmt == "csv"
+    assert parse_config(["ft"], env={"TRAPVER_FMT": "csv"}).options["fmt"] == "csv"
 
     cfg_file = tmp_path / "bad.json"
     for doc, key in (
@@ -114,8 +114,8 @@ def test_env_and_file_values_are_checked_like_flags(tmp_path, capsys):
          "exact": 1, "seed": 4}
     ))
     cfg = parse_config(["verify"], config_path=str(cfg_file))
-    assert cfg.seed == 4 and cfg.fmt == "csv"
-    assert cfg.extras["trials"] == 3 and cfg.extras["exact"] is True
+    assert cfg.options["seed"] == 4 and cfg.options["fmt"] == "csv"
+    assert cfg.options["trials"] == 3 and cfg.options["exact"] is True
 
 
 def test_auto_params_mutually_exclusive_with_explicit():
@@ -787,7 +787,26 @@ def test_config_snapshot_is_pinned_and_round_trips(
     assert snapshot == PINNED_SNAPSHOT
     assert SessionConfig.from_json_dict(snapshot).to_json_dict() == snapshot
     cfg = parse_config(argv)
-    assert SessionConfig.from_json_dict(cfg.to_json_dict()) == replace(cfg, out=None)
+    unwritten = {k: v for k, v in cfg.options.items() if k != "out"}
+    assert SessionConfig.from_json_dict(cfg.to_json_dict()) == SessionConfig(cfg.subcommand, unwritten)
+
+
+def test_snapshot_stores_each_verify_option_once(tmp_path):
+    """Schema 2's layout: each option the verify parser declares but
+    ``out`` appears exactly once in a verify snapshot, at the top level
+    when `_SNAPSHOT_TOP` names it and under extras otherwise; and
+    `_SNAPSHOT_TOP` names only options some parser declares."""
+    assert set(_SNAPSHOT_TOP) <= set(_option_table(build_parser(), "verify"))
+    assert len(set(_SNAPSHOT_TOP)) == len(_SNAPSHOT_TOP)
+    verify = _subparsers(build_parser())["verify"]
+    dests = {a.dest for a in verify._actions if a.option_strings and a.dest != "help"}
+    argv, out = verify_argv(tmp_path, "layout.json", ["--scheme-M", "1", "--scheme-l", "0.5"])
+    assert main(argv) == 0
+    snapshot = read_json(out)["config"]
+    assert "out" not in snapshot and "out" not in snapshot["extras"]
+    for dest in dests - {"out"}:
+        where = (dest in snapshot, dest in snapshot["extras"])
+        assert where == ((True, False) if dest in _SNAPSHOT_TOP else (False, True)), dest
 
 
 @pytest.mark.parametrize(
@@ -896,7 +915,8 @@ def test_replay_refuses_an_artifact_edited_beyond_physical_memory(tmp_path, caps
 def test_record_estimate_brackets_what_a_verify_holds(tmp_path, shape, scheme_m):
     """The records check's bytes per repetition lie between 1 and 2 times
     the tracemalloc peak of the whole `verify`, plans already cached,
-    divided by M: 1.39 and 1.24 times when this was written.  At smaller
+    divided by M: 1.80 and 1.54 times since the artifact is written in
+    slices.  At smaller
     M the peak's part that does not grow with M weighs more."""
     m, n, kappa = shape
     argv = ["verify", "--m-rounds", str(m), "--n-rounds", str(n), "--kappa", str(kappa),

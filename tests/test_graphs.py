@@ -14,7 +14,6 @@ from trapver.graphs import (
     ROLE_COMPUTATIONAL,
     ROLE_DUMMY,
     ROLE_TRAP,
-    SAMPLER_ANGLE_SET,
     SCHEMA_VERSION,
     GraphSpec,
     carve_target,
@@ -28,6 +27,9 @@ from trapver.graphs import (
 
 from helpers import build_square_lattice
 from oracle import neighbor_dummy_parity, radians_to_k
+
+# The sampler's angle alphabet, as k*pi/8 residues.
+SAMPLER_ANGLE_SET = frozenset((0, 1, 2, 14, 15))
 
 # Dimensions known to carve cleanly: odd row count, enough width for every
 # spacer row to get at least one connector.

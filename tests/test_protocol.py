@@ -59,8 +59,10 @@ from oracle import (
     encrypt_angles,
     joint_unitary_run,
     keygen,
+    non_dummy,
     record_dicts,
     sample_events,
+    target_slot,
 )
 
 
@@ -138,7 +140,7 @@ def test_keygen_is_the_key_of_a_run(layout33):
     run on an equally seeded generator decrypts under that key."""
     key = keygen(layout33, rng_from(44))
     rec = run_protocol(layout33, None, None, rng_from(44)).to_json_dict()
-    assert rec["target_slot"] == key.target_slot
+    assert rec["target_slot"] == target_slot(key)
     assert decrypt(key, layout33, bits_of(rec["raw"])) == bits_of(rec["decrypted"])
 
 
@@ -147,7 +149,7 @@ def test_target_slot_uniform(layout33):
     counts = [0, 0, 0]
     n = 6000
     for _ in range(n):
-        counts[keygen(layout33, rng).target_slot] += 1
+        counts[target_slot(keygen(layout33, rng))] += 1
     for c in counts:
         assert abs(c / n - 1 / 3) < 0.025
 
@@ -388,8 +390,9 @@ def test_base_distribution_shifted_by_mask_equals_per_key_route(m):
         key = keygen(layout, rng)
         deltas = encrypt_angles(key, layout)
         for gi, g in enumerate(layout.graphs):
-            mask = _pad_mask(g, key.r[gi], key.rprime[gi])
-            for comp in _sim_plan(g, DEFAULT_QUBIT_CAP).components:
+            plan = _sim_plan(g, DEFAULT_QUBIT_CAP)
+            mask = _pad_mask(plan, key.r[gi], key.rprime[gi])
+            for comp in plan.components:
                 if g.is_dummy(comp.vertices[0]):
                     continue  # a dummy's coin has no per-key route
                 per_key = probabilities_at(
@@ -431,8 +434,8 @@ def _frame_distribution(g, key, gi, events, letters) -> np.ndarray:
     size = g.m * g.n
     plan = _sim_plan(g, DEFAULT_QUBIT_CAP)
     x, z = _frame(g, events, letters)
-    mask = _pad_mask(g, key.r[gi], key.rprime[gi])
-    keyed = _keyed_angles(g, key.r[gi], key.rprime[gi], key.theta_k[gi], x)
+    mask = _pad_mask(plan, key.r[gi], key.rprime[gi])
+    keyed = _keyed_angles(plan, key.r[gi], key.rprime[gi], key.theta_k[gi], x)
     cells = np.arange(2**size)
     out = np.ones(2**size)
     for comp in plan.components:  # dummies are one-cell fair coins
@@ -567,10 +570,10 @@ def _check_recomputed_draws(layout, key, gi, events):
     )
     n = 8000
     rng = rng_from(96)
-    mask = _pad_mask(g, key.r[gi], key.rprime[gi])
+    mask = _pad_mask(plan, key.r[gi], key.rprime[gi])
     tables = [np.tile(a, (n, 1)) for a in (key.r[gi], key.rprime[gi], key.theta_k[gi])]
     frame = [np.tile(a, (n, 1)) for a in (x, z)]
-    raws = _sample_round(g, plan, mask, tables, *frame, rng.random((n, len(plan.components))))
+    raws = _sample_round(plan, mask, tables, *frame, rng.random((n, len(plan.components))))
     picks = raws[:, list(comp.vertices)] @ (1 << np.arange(len(comp.vertices)))
     counts = np.bincount(picks, minlength=want.size)
     tv = 0.5 * np.abs(counts / n - want).sum()
@@ -583,17 +586,17 @@ def _per_hit_sample_round(g, plan, mask, key_tables, x, z, u) -> np.ndarray:
     one-row kernel call and one search per hit (run, component).  The
     oracle for the stacked recompute."""
     raw = np.zeros((len(u), g.m * g.n), np.uint8)
-    raw[:, plan.one_cells] = u[:, plan.ones] >= plan.one_p0
+    raw[:, plan.one_vertices] = u[:, plan.ones] >= plan.one_p0
     for j in plan.multi:
         comp = plan.components[j]
         pick = comp.cdf.searchsorted(u[:, j], side="right")
         raw[:, comp.vertices] = (pick[:, None] >> np.arange(len(comp.vertices))) & 1
     raw ^= mask
     nd = np.array([not g.is_dummy(v) for v in range(g.m * g.n)], np.uint8)
-    hit_runs, hit_cells = np.nonzero(x & nd)
+    hit_runs, hit_verts = np.nonzero(x & nd)
     if len(hit_runs):
-        k = _keyed_angles(g, *key_tables, x)
-        hits = set(zip(hit_runs.tolist(), plan.comp_of[hit_cells].tolist()))
+        k = _keyed_angles(plan, *key_tables, x)
+        hits = set(zip(hit_runs.tolist(), plan.comp_of[hit_verts].tolist()))
         for i, j in sorted(hits):
             vertices, edges, _ = plan.components[j]
             cdf = np.cumsum(probabilities_at(vertices, edges, [int(k[i, v]) for v in vertices]))
@@ -608,18 +611,18 @@ def test_stacked_recompute_equals_per_hit_loop(m):
     draws exactly the raw outcomes of the per-hit loop, on every round."""
     layout, runs, noise = make_round_layout(m, 3, 1), 400, NoiseModel(eps_v=0.05, eps_p=0.05)
     rng = rng_from(110 + m)
-    keys = protocol._keys(
-        layout, protocol._draw_blocks([rng.bit_generator] * runs, protocol._key_words(layout))
-    )
-    masks = protocol._masks(layout, keys)
+    words = protocol._draw_blocks([rng.bit_generator] * runs, protocol._key_words(layout))
+    keys = protocol._keys(layout, non_dummy(layout), words)
+    plans = [_sim_plan(g, DEFAULT_QUBIT_CAP) for g in layout.graphs]
+    masks = protocol._masks(plans, keys)
     target_hits = 0
-    for gi, g in enumerate(layout.graphs):
-        plan = _sim_plan(g, DEFAULT_QUBIT_CAP)
-        events = protocol._decode_events(g, noise, rng.random((runs, protocol._sites(g))))
+    for gi, (g, plan) in enumerate(zip(layout.graphs, plans)):
+        sites = 2 * g.m * g.n + len(g.edges)
+        events = protocol._decode_events(g, noise, rng.random((runs, sites)))
         x, z = _pauli_frame(plan, *events, runs)
         u = rng.random((runs, len(plan.components)))
         tables = (keys.r[:, gi], keys.rprime[:, gi], keys.theta_k[:, gi])
-        got = _sample_round(g, plan, masks[:, gi], tables, x, z, u)
+        got = _sample_round(plan, masks[:, gi], tables, x, z, u)
         assert np.array_equal(got, _per_hit_sample_round(g, plan, masks[:, gi], tables, x, z, u))
         if gi == 0:
             target_hits = int(x[:, list(plan.components[0].vertices)].any(axis=1).sum())
@@ -955,6 +958,20 @@ def test_scheme_honest_accepts(layout33):
         "accept": True, "pass_fraction": 1.0, "output": verdict.output,
         "m": 10, "l": 0.9,
     }
+
+
+@pytest.mark.parametrize("seed", [6, 2], ids=["pick-in-batch-0", "pick-in-batch-1"])
+def test_published_output_is_the_picked_run(seed):
+    """The published output is the string of run ``pick``, the first
+    integer an equally seeded generator draws after spawning the
+    repetitions' streams: spawning leaves its own stream alone."""
+    layout, m_reps = make_round_layout(5, 3, 1), 2 * protocol._BATCH + 3
+    sink: list = []
+    verdict = run_scheme(layout, None, None, m_reps, 0.5, rng_from(seed), record_sink=sink)
+    rng = rng_from(seed)
+    rng.bit_generator.spawn(m_reps)
+    pick = int(rng.integers(m_reps))
+    assert verdict.output == sink[pick].target_output
 
 
 def test_scheme_rejects_killed_traps(layout33):
