@@ -33,6 +33,18 @@ def delta_kappa(kappa: int) -> Fraction:
     )
 
 
+# ln 2^-1075, less a margin for lgamma's rounding: below it a value rounds
+# to the float 0.0
+_LOG_FLOAT_UNDERFLOW = -1075 * math.log(2) - 1
+
+
+def _delta_kappa_float(kappa: int) -> float:
+    """float(delta_kappa(kappa)), without building the factorials once an
+    lgamma bound shows it underflows (it is 0.0 from kappa = 540 on)."""
+    log_delta = math.lgamma(kappa + 1) + math.lgamma(kappa + 2) - math.lgamma(2 * kappa + 2)
+    return 0.0 if log_delta < _LOG_FLOAT_UNDERFLOW else float(delta_kappa(kappa))
+
+
 @dataclass(frozen=True)
 class AttackClass:
     """One orbit of Pauli attacks: λ rounds touched, ξ of them on even
@@ -184,9 +196,7 @@ def theorem1_params(
     m_real = math.log(1 / beta) / (2 * kappa**2 * n_qubits**2 * total**2)
     l_raw = 1 - kappa * n_qubits * (2 * eps_v + 4 * eps_p)
     rad_c = n_qubits * (eps_v + 3 * eps_p)
-    rad_s = kappa * n_qubits * (3 * eps_v + 5 * eps_p) + float(
-        delta_kappa(kappa)
-    )
+    rad_s = kappa * n_qubits * (3 * eps_v + 5 * eps_p) + _delta_kappa_float(kappa)
     return _assemble_params(
         m_real=m_real,
         l_raw=l_raw,
@@ -210,7 +220,7 @@ def theorem2_params(eps2: float, kappa: int, beta: float) -> SchemeParams:
     if kappa < 1:
         raise ValueError(f"kappa must be >= 1, got {kappa}")
     m_real = math.log(1 / beta) / (2 * eps2**2)
-    rad_s = 3 * eps2 + float(delta_kappa(kappa))
+    rad_s = 3 * eps2 + _delta_kappa_float(kappa)
     return _assemble_params(
         m_real=m_real,
         l_raw=1 - 2 * eps2,

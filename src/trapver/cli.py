@@ -1,8 +1,9 @@
 """Command-line front end: configuration, dispatch, artifacts, replay.
 
 Option precedence is flags > environment (TRAPVER_*) > config file >
-defaults.  `build_parser` is the one declaration of the options: env, file
-and replayed-artifact values are converted and checked by its actions.
+defaults.  `_COMMANDS` is the one declaration of the options: the parser,
+the conversion and check of every env, file and replayed-artifact value,
+and the defaults are all read off its rows.
 Every emitted JSON document carries schema_version, tool_version and the
 root seed; verification artifacts embed enough to be re-executed
 bit-identically by `trapver replay`.  Handlers write nothing: each returns
@@ -24,7 +25,7 @@ import sys
 import time
 from dataclasses import asdict, astuple, dataclass, fields
 from functools import cache
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -119,7 +120,7 @@ def _resolve(
     """The one merge of option values: defaults, then each source in turn,
     its values converted as their flags would be, then the flags; then the
     cross-option rule."""
-    table = _option_table(build_parser(), subcommand)
+    table = _option_table(subcommand)
     merged = dict(_DEFAULTS)
     for source in sources:
         for name, raw in source.items():
@@ -144,45 +145,6 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
-def _subparsers(parser: argparse.ArgumentParser) -> dict:
-    """Subcommand name -> its parser."""
-    (action,) = (
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    return action.choices
-
-
-@cache
-def _option_table(parser: argparse.ArgumentParser, subcommand: str) -> dict:
-    """Option key -> (converter, choices or None), read off the subparsers.
-
-    A ``store_const`` flag is a boolean; any other option converts with its
-    ``type`` (default ``str``) and checks its ``choices``.  The running
-    subcommand's own action decides; a key that only other subcommands
-    define stays accepted, with the union of their choices, so one config
-    file can serve every subcommand.  The table is cached: read it, never
-    change it.
-    """
-    table: dict[str, tuple] = {}
-    # stable sort: the running subcommand's actions come last and override
-    for name, sub in sorted(
-        _subparsers(parser).items(), key=lambda kv: kv[0] == subcommand
-    ):
-        for action in sub._actions:
-            if isinstance(action, argparse._HelpAction):
-                continue
-            if isinstance(action, argparse._StoreConstAction):
-                conv = _parse_bool
-            else:
-                conv = action.type or str
-            choices = set(action.choices) if action.choices else None
-            if name != subcommand and action.dest in table:
-                seen = table[action.dest][1]
-                choices = None if seen is None or choices is None else seen | choices
-            table[action.dest] = (conv, choices)
-    return table
-
-
 def _convert(table: Mapping[str, tuple], name: str, raw: object) -> object:
     """Convert one env, file or artifact value exactly as its flag would be."""
     if name not in table:
@@ -203,157 +165,23 @@ def _convert(table: Mapping[str, tuple], name: str, raw: object) -> object:
     return value
 
 
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The process's one parser, built on first use: read it, never add to it."""
-    parser = _Parser(
-        prog="trapver",
-        description=(
-            "Trap-based verification of a nonadaptive sampler: carvings, "
-            "protocol simulation, bound calculators, artifacts."
-        ),
-    )
-    parser.add_argument("--config", help="JSON file with default options")
-    sub = parser.add_subparsers(dest="subcommand")
-
-    p = sub.add_parser("carve", help="emit a carved lattice layout")
-    p.add_argument("--m", type=int, help="lattice columns")
-    p.add_argument("--n", type=int, help="lattice rows")
-    p.add_argument(
-        "--kind",
-        choices=["target", "trap-even", "trap-odd"],
-        help="which carving to emit",
-    )
-    p.add_argument(
-        "--check-isomorphism",
-        action="store_const",
-        const=True,
-        default=None,
-        help="validate the carving against the intended adjacency",
-    )
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--format", dest="fmt", choices=["json"])
-
-    p = sub.add_parser("simulate", help="exact distribution or samples")
-    p.add_argument("--graph", help="layout JSON path")
-    p.add_argument("--angles", help="JSON {vertex: grid steps}; default: layout angles")
-    p.add_argument("--exact", action="store_const", const=True, default=None)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--cap", type=int)
-    p.add_argument("--out")
-    p.add_argument("--format", dest="fmt", choices=["json", "csv"])
-
-    p = sub.add_parser("verify", help="run the M-repetition scheme")
-    p.add_argument("--kappa", type=int)
-    p.add_argument("--m-rounds", dest="m", type=int, help="lattice columns")
-    p.add_argument("--n-rounds", dest="n", type=int, help="lattice rows")
-    p.add_argument("--eps-v", type=float)
-    p.add_argument("--eps-p", type=float)
-    p.add_argument("--attack", help="AttackSpec JSON path")
-    p.add_argument("--scheme-M", dest="scheme_m", type=int)
-    p.add_argument("--scheme-l", dest="scheme_l", type=float)
-    p.add_argument(
-        "--auto-params",
-        action="store_const",
-        const=True,
-        default=None,
-        help="derive (M, l) from the noise-rate bound calculator",
-    )
-    p.add_argument("--beta", type=float, help="confidence budget for --auto-params")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--cap", type=int)
-    p.add_argument("--out")
-
-    p = sub.add_parser("bounds", help="closed-form calculators")
-    p.add_argument("verb", choices=list(_BOUNDS_VERBS))
-    p.add_argument("--kappa", type=int)
-    p.add_argument("--n-qubits", "--n", type=int)
-    p.add_argument("--eps-v", type=float)
-    p.add_argument("--eps-p", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--eps2", type=float)
-    p.add_argument("--alpha1", type=float)
-    p.add_argument("--alpha2", type=float)
-    p.add_argument("--beta1", type=float)
-    p.add_argument("--beta2", type=float)
-    p.add_argument("--q")
-    p.add_argument("--q-prime")
-    p.add_argument("--basis", choices=["full", "z_only"])
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--format", dest="fmt", choices=["json", "csv"])
-
-    p = sub.add_parser("ft", help="fault-tolerance report")
-    p.add_argument("--eps", type=float)
-    p.add_argument("--fraction-of-threshold", type=float)
-    p.add_argument("--distance", type=int)
-    p.add_argument("--syndromes", type=int)
-    p.add_argument("--saw-prefactor", type=float)
-    p.add_argument("--poly-prefactor", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument(
-        "--format",
-        dest="fmt",
-        choices=["json", "csv"],
-        help="csv emits the overhead table instead of the report",
-    )
-
-    p = sub.add_parser(
-        "replay", help="re-execute a verify artifact, compare all but telemetry"
-    )
-    p.add_argument("artifact")
-
-    return parser
-
-
-# every option's default; an option without one is absent until set
-_DEFAULTS: dict[str, object] = {
-    "eps_v": 0.0,
-    "eps_p": 0.0,
-    "auto_params": False,
-    "seed": 0,
-    "fmt": "json",
-    "kind": "target",
-    "basis": "full",
-    "trials": 20,
-    "distance": 2,
-    "syndromes": ftcalc.DEFAULT_SYNDROMES,
-    "saw_prefactor": ftcalc.DEFAULT_SAW_PREFACTOR,
-    "poly_prefactor": 1.0,
-    "cap": DEFAULT_QUBIT_CAP,
-}
-
-
-def parse_config(
-    argv: Sequence[str],
-    env: Mapping[str, str] | None = None,
-    config_path: str | None = None,
-) -> SessionConfig:
+def parse_config(argv: Sequence[str], env: Mapping[str, str] | None = None) -> SessionConfig:
     """Resolve one invocation; precedence flags > env > file > defaults."""
     env = env or {}
-    parser = build_parser()
-    flags = vars(parser.parse_args(list(argv)))
+    flags = vars(build_parser().parse_args(list(argv)))
     subcommand, path = flags.pop("subcommand"), flags.pop("config")
     if subcommand is None:
         return SessionConfig("help", dict(_DEFAULTS))
     sources = []
-    path = config_path or path or env.get(ENV_PREFIX + "CONFIG")
+    path = path or env.get(ENV_PREFIX + "CONFIG")
     if path:
         file_doc = _read_json(path, "config file")
         if not isinstance(file_doc, dict):
             raise CliError(f"config file {path} must hold a JSON object")
         sources.append(file_doc)
-    env_keys = {
-        name: ENV_PREFIX + name.upper() for name in _option_table(parser, subcommand)
-    }
+    env_keys = {name: ENV_PREFIX + name.upper() for name in _option_table(subcommand)}
     sources.append({name: env[key] for name, key in env_keys.items() if key in env})
-    return _resolve(
-        subcommand, sources, {k: v for k, v in flags.items() if v is not None}
-    )
+    return _resolve(subcommand, sources, {k: v for k, v in flags.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +247,10 @@ def _encode(doc: dict) -> str:
     return "".join([head, "[", *items, "]", tail, "\n"])
 
 
-def _offers(subcommand: str, dest: str, choice: str | None = None) -> bool:
-    """Whether the subcommand's own parser has the option (and the choice)."""
-    sub = _subparsers(build_parser())[subcommand]
-    return any(
-        a.dest == dest and (choice is None or choice in (a.choices or ()))
-        for a in sub._actions
-    )
+def _offers(subcommand: str, key: str, choice: str | None = None) -> bool:
+    """Whether the subcommand declares the option (and offers the choice)."""
+    _, options = _COMMANDS[subcommand]
+    return any(o.key == key and (choice is None or choice in (o.choices or ())) for o in options)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -457,8 +282,8 @@ def _require(cfg: SessionConfig, *names: str) -> list[object]:
     for name in names:
         v = cfg.options.get(name)
         if v is None:
-            sub = _subparsers(build_parser())[cfg.subcommand]
-            flag = next(a.option_strings[0] for a in sub._actions if a.dest == name)
+            _, options = _COMMANDS[cfg.subcommand]
+            flag = next(o.flags[0] for o in options if o.key == name)
             raise CliError(f"{cfg.subcommand}: missing required option {flag}")
         vals.append(v)
     return vals
@@ -857,6 +682,161 @@ _HANDLERS = {
     "ft": _cmd_ft,
     "replay": _cmd_replay,
 }
+
+
+# ---------------------------------------------------------------------------
+# The option table: one row per option feeds the parser, the conversion of
+# env, file and artifact values, `_offers`, `_require` and `_DEFAULTS`.
+
+
+class _Option(NamedTuple):
+    """One option: its flags (a positional's name), its conversion (None
+    for a store-true flag), its choices, its default and its help.  Its key
+    is ``dest`` when given, else the first flag as argparse names it."""
+
+    flags: tuple[str, ...]
+    conv: Callable[[str], object] | None = str
+    choices: tuple | None = None
+    default: object = None
+    help: str | None = None
+    dest: str | None = None
+
+    @property
+    def key(self) -> str:
+        return self.dest or self.flags[0].lstrip("-").replace("-", "_")
+
+
+# subcommand -> (its help, its options in --help order)
+_COMMANDS: dict[str, tuple[str, tuple[_Option, ...]]] = {
+    "carve": ("emit a carved lattice layout", (
+        _Option(("--m",), int, help="lattice columns"),
+        _Option(("--n",), int, help="lattice rows"),
+        _Option(("--kind",), choices=("target", "trap-even", "trap-odd"), default="target",
+                help="which carving to emit"),
+        _Option(("--check-isomorphism",), None,
+                help="validate the carving against the intended adjacency"),
+        _Option(("--seed",), int, default=0),
+        _Option(("--out",)),
+        _Option(("--format",), choices=("json",), default="json", dest="fmt"),
+    )),
+    "simulate": ("exact distribution or samples", (
+        _Option(("--graph",), help="layout JSON path"),
+        _Option(("--angles",), help="JSON {vertex: grid steps}; default: layout angles"),
+        _Option(("--exact",), None),
+        _Option(("--samples",), int),
+        _Option(("--seed",), int, default=0),
+        _Option(("--cap",), int, default=DEFAULT_QUBIT_CAP),
+        _Option(("--out",)),
+        _Option(("--format",), choices=("json", "csv"), default="json", dest="fmt"),
+    )),
+    "verify": ("run the M-repetition scheme", (
+        _Option(("--kappa",), int),
+        _Option(("--m-rounds",), int, help="lattice columns", dest="m"),
+        _Option(("--n-rounds",), int, help="lattice rows", dest="n"),
+        _Option(("--eps-v",), float, default=0.0),
+        _Option(("--eps-p",), float, default=0.0),
+        _Option(("--attack",), help="AttackSpec JSON path"),
+        _Option(("--scheme-M",), int, dest="scheme_m"),
+        _Option(("--scheme-l",), float, dest="scheme_l"),
+        _Option(("--auto-params",), None, default=False,
+                help="derive (M, l) from the noise-rate bound calculator"),
+        _Option(("--beta",), float, help="confidence budget for --auto-params"),
+        _Option(("--seed",), int, default=0),
+        _Option(("--cap",), int, default=DEFAULT_QUBIT_CAP),
+        _Option(("--out",)),
+    )),
+    "bounds": ("closed-form calculators", (
+        _Option(("verb",), choices=tuple(_BOUNDS_VERBS)),
+        _Option(("--kappa",), int),
+        _Option(("--n-qubits", "--n"), int),
+        _Option(("--eps-v",), float, default=0.0),
+        _Option(("--eps-p",), float, default=0.0),
+        _Option(("--beta",), float),
+        _Option(("--eps2",), float),
+        _Option(("--alpha1",), float),
+        _Option(("--alpha2",), float),
+        _Option(("--beta1",), float),
+        _Option(("--beta2",), float),
+        _Option(("--q",)),
+        _Option(("--q-prime",)),
+        _Option(("--basis",), choices=("full", "z_only"), default="full"),
+        _Option(("--trials",), int, default=20),
+        _Option(("--seed",), int, default=0),
+        _Option(("--out",)),
+        _Option(("--format",), choices=("json", "csv"), default="json", dest="fmt"),
+    )),
+    "ft": ("fault-tolerance report", (
+        _Option(("--eps",), float),
+        _Option(("--fraction-of-threshold",), float),
+        _Option(("--distance",), int, default=2),
+        _Option(("--syndromes",), int, default=ftcalc.DEFAULT_SYNDROMES),
+        _Option(("--saw-prefactor",), float, default=ftcalc.DEFAULT_SAW_PREFACTOR),
+        _Option(("--poly-prefactor",), float, default=1.0),
+        _Option(("--seed",), int, default=0),
+        _Option(("--out",)),
+        _Option(("--format",), choices=("json", "csv"), default="json", dest="fmt",
+                help="csv emits the overhead table instead of the report"),
+    )),
+    "replay": ("re-execute a verify artifact, compare all but telemetry", (
+        _Option(("artifact",)),
+    )),
+}
+
+# every option's default, one per key; an option without one is absent until set
+_DEFAULTS: dict[str, object] = {
+    o.key: o.default for _, options in _COMMANDS.values() for o in options if o.default is not None
+}
+
+
+@cache
+def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use from `_COMMANDS`: read
+    it, never add to it."""
+    parser = _Parser(
+        prog="trapver",
+        description=(
+            "Trap-based verification of a nonadaptive sampler: carvings, "
+            "protocol simulation, bound calculators, artifacts."
+        ),
+    )
+    parser.add_argument("--config", help="JSON file with default options")
+    sub = parser.add_subparsers(dest="subcommand")
+    for name, (text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for o in options:
+            # every flag defaults to None, so an unset flag overrides no
+            # env, file or artifact value
+            if o.conv is None:
+                how = {"action": "store_const", "const": True}
+            else:
+                how = {"type": o.conv, "choices": o.choices}
+            # argparse refuses a dest beside a positional's name
+            if o.dest:
+                how["dest"] = o.dest
+            p.add_argument(*o.flags, **how, help=o.help)
+    return parser
+
+
+@cache
+def _option_table(subcommand: str) -> dict:
+    """Option key -> (converter, choices or None), read off `_COMMANDS`.
+
+    A store-true flag is a boolean; any other option converts with its
+    conversion and checks its choices.  The running subcommand's own row
+    decides; a key that only other subcommands define stays accepted, with
+    the union of their choices, so one config file can serve every
+    subcommand.  The table is cached: read it, never change it.
+    """
+    table: dict[str, tuple] = {}
+    # stable sort: the running subcommand's rows come last and override
+    for name, (_, options) in sorted(_COMMANDS.items(), key=lambda kv: kv[0] == subcommand):
+        for o in options:
+            choices = set(o.choices) if o.choices else None
+            if name != subcommand and o.key in table:
+                seen = table[o.key][1]
+                choices = None if seen is None or choices is None else seen | choices
+            table[o.key] = (o.conv or _parse_bool, choices)
+    return table
 
 
 def execute(cfg: SessionConfig) -> Result:

@@ -750,7 +750,11 @@ def run_scheme(
 
 
 def _correction_index_map(g: GraphSpec) -> np.ndarray:
-    """Connector-correction involution as a permutation of outcome indices."""
+    """Connector-correction involution as a permutation of outcome indices.
+
+    Nothing else in the package calls it: it is the exact oracle's correction
+    step, read by the tests and, through `honest_target_distribution`, by the
+    benchmark's checks."""
     nd = g.non_dummy_ids()
     pos = {v: j for j, v in enumerate(nd)}
     out = np.arange(2 ** len(nd))
@@ -764,7 +768,10 @@ def _correction_index_map(g: GraphSpec) -> np.ndarray:
 def honest_target_distribution(g: GraphSpec, cap: int = DEFAULT_QUBIT_CAP) -> Distribution:
     """What the decrypted computation string looks like for an honest run:
     the carved graph measured at its base angles, pushed through the
-    connector corrections, an involution: index j takes index map[j]'s mass."""
+    connector corrections, an involution: index j takes index map[j]'s mass.
+
+    Nothing in the package calls it: it is the exact oracle that the tests
+    and the benchmark's checks read."""
     corrected = exact_probability_array(g, cap=cap)[_correction_index_map(g)]
     n = len(g.non_dummy_ids())
     return Distribution(n, dict(zip(bit_strings(index_bits(n)), corrected.tolist())))

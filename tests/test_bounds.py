@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -239,6 +240,29 @@ def test_theorem2_domain():
         theorem2_params(0.0, 1, 0.05)
     with pytest.raises(ValueError):
         theorem2_params(0.01, 0, 0.05)
+
+
+def test_soundness_radicands_add_the_float_of_exact_delta():
+    """Across the switch to the underflow shortcut (the float of Δ_κ is 0.0
+    from κ = 540 on), each soundness radicand is bit for bit the formula
+    with float(delta_kappa(κ)) added."""
+    for k in range(1, 601):
+        delta = float(delta_kappa(k))
+        rad1 = theorem1_params(9, k, 0.001, 0.002, 0.05).raw["radicand_soundness"]
+        assert rad1 == k * 9 * (3 * 0.001 + 5 * 0.002) + delta, k
+        rad2 = theorem2_params(0.01, k, 0.05).raw["radicand_soundness"]
+        assert rad2 == 3 * 0.01 + delta, k
+
+
+def test_theorem_params_at_huge_kappa_are_immediate():
+    """κ = 10^8 would need (2κ+1)! exactly; the float of Δ_κ is 0.0 there,
+    and both calculators return within a second."""
+    started = time.perf_counter()
+    p1 = theorem1_params(20, 10**8, 1e-3, 1e-3, 0.05)
+    p2 = theorem2_params(0.01, 10**8, 0.05)
+    assert time.perf_counter() - started < 1.0
+    assert p1.raw["radicand_soundness"] == 10**8 * 20 * (3e-3 + 5e-3)
+    assert p2.raw["radicand_soundness"] == 3 * 0.01
 
 
 def test_theorem3_frozen_example():

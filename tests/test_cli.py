@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import time
 import tracemalloc
 from unittest import mock
 
@@ -17,11 +18,12 @@ from trapver import __version__
 from trapver.cli import (
     ARTIFACT_SCHEMA,
     CliError,
+    _COMMANDS,
+    _DEFAULTS,
     _SNAPSHOT_TOP,
     SessionConfig,
     _option_table,
     _record_bytes,
-    _subparsers,
     build_parser,
     main,
     parse_config,
@@ -57,16 +59,15 @@ def test_precedence_flags_env_file(tmp_path):
     cfg_file.write_text(json.dumps({"kappa": 3, "seed": 9}))
 
     base = ["verify", "--m-rounds", "3", "--n-rounds", "3"]
-    from_file = parse_config(base, config_path=str(cfg_file))
+    with_file = ["--config", str(cfg_file)] + base
+    from_file = parse_config(with_file)
     assert from_file.options["kappa"] == 3 and from_file.options["seed"] == 9
 
     env = {"TRAPVER_KAPPA": "2"}
-    from_env = parse_config(base, env=env, config_path=str(cfg_file))
+    from_env = parse_config(with_file, env=env)
     assert from_env.options["kappa"] == 2 and from_env.options["seed"] == 9
 
-    from_flag = parse_config(
-        base + ["--kappa", "1"], env=env, config_path=str(cfg_file)
-    )
+    from_flag = parse_config(with_file + ["--kappa", "1"], env=env)
     assert from_flag.options["kappa"] == 1
 
     via_env_path = parse_config(
@@ -77,11 +78,11 @@ def test_precedence_flags_env_file(tmp_path):
 
 def test_config_file_errors(tmp_path):
     with pytest.raises(CliError, match="cannot read"):
-        parse_config(["carve"], config_path=str(tmp_path / "missing.json"))
+        parse_config(["--config", str(tmp_path / "missing.json"), "carve"])
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]")
     with pytest.raises(CliError, match="JSON object"):
-        parse_config(["carve"], config_path=str(bad))
+        parse_config(["--config", str(bad), "carve"])
 
 
 def test_env_and_file_values_are_checked_like_flags(tmp_path, capsys):
@@ -105,7 +106,7 @@ def test_env_and_file_values_are_checked_like_flags(tmp_path, capsys):
     ):
         cfg_file.write_text(json.dumps(doc))
         with pytest.raises(CliError, match=f"bad value for {key}"):
-            parse_config(["simulate"], config_path=str(cfg_file))
+            parse_config(["--config", str(cfg_file), "simulate"])
 
     # a file shared across subcommands: keys of other subcommands still
     # parse, and one that verify lacks takes the union of their choices
@@ -113,7 +114,7 @@ def test_env_and_file_values_are_checked_like_flags(tmp_path, capsys):
         {"kind": "trap-odd", "basis": "z_only", "trials": "3", "fmt": "csv",
          "exact": 1, "seed": 4}
     ))
-    cfg = parse_config(["verify"], config_path=str(cfg_file))
+    cfg = parse_config(["--config", str(cfg_file), "verify"])
     assert cfg.options["seed"] == 4 and cfg.options["fmt"] == "csv"
     assert cfg.options["trials"] == 3 and cfg.options["exact"] is True
 
@@ -132,9 +133,18 @@ def test_missing_required_option(capsys):
     assert main(["bounds", "delta-kappa"]) == 1  # no kappa
 
 
+def _subcommand_help(parser, name):
+    """What ``trapver NAME --help`` prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        parser.parse_args([name, "--help"])
+    return out.getvalue()
+
+
 def test_parser_is_built_once_and_left_unchanged(capsys):
     """Every lookup shares one parser, and parsing, errors and help leave
-    it exactly as a fresh build is."""
+    it exactly as a fresh build is; each subcommand's parser sets exactly
+    the keys its rows of the option table declare."""
     assert build_parser() is build_parser()
     main([])
     main(["carve", "--bogus"])
@@ -143,9 +153,34 @@ def test_parser_is_built_once_and_left_unchanged(capsys):
     parse_config(["ft"], env={"TRAPVER_FMT": "csv"})
     shared, fresh = build_parser(), build_parser.__wrapped__()
     assert shared.format_help() == fresh.format_help()
-    for name, sub in _subparsers(fresh).items():
-        assert _subparsers(shared)[name].format_help() == sub.format_help()
-        assert _option_table(shared, name) == _option_table(fresh, name)
+    for name, (_, options) in _COMMANDS.items():
+        assert _subcommand_help(shared, name) == _subcommand_help(fresh, name)
+        # one value per positional: a choice when it has some
+        argv = [name] + [
+            (o.choices or ("x",))[0] for o in options if not o.flags[0].startswith("-")
+        ]
+        parsed = vars(shared.parse_args(argv))
+        assert parsed == vars(fresh.parse_args(argv))
+        assert set(parsed) - {"config", "subcommand"} == {o.key for o in options}
+
+
+def test_each_key_has_one_default_and_the_defaults_are_pinned():
+    """Every row that declares a key gives it the same default, so
+    `_DEFAULTS`, read off the rows, is one value per key: the thirteen
+    below, types included."""
+    declared: dict[str, set] = {}
+    for _, options in _COMMANDS.values():
+        for o in options:
+            declared.setdefault(o.key, set()).add((type(o.default), o.default))
+    assert {key: found for key, found in declared.items() if len(found) > 1} == {}
+    pinned = {
+        "kind": "target", "seed": 0, "fmt": "json", "cap": 22, "eps_v": 0.0, "eps_p": 0.0,
+        "auto_params": False, "basis": "full", "trials": 20, "distance": 2,
+        "syndromes": 564, "saw_prefactor": 1.2, "poly_prefactor": 1.0,
+    }
+    assert {k: (type(v), v) for k, v in _DEFAULTS.items()} == {
+        k: (type(v), v) for k, v in pinned.items()
+    }
 
 
 # -- carve ---------------------------------------------------------------------
@@ -796,10 +831,9 @@ def test_snapshot_stores_each_verify_option_once(tmp_path):
     ``out`` appears exactly once in a verify snapshot, at the top level
     when `_SNAPSHOT_TOP` names it and under extras otherwise; and
     `_SNAPSHOT_TOP` names only options some parser declares."""
-    assert set(_SNAPSHOT_TOP) <= set(_option_table(build_parser(), "verify"))
+    assert set(_SNAPSHOT_TOP) <= set(_option_table("verify"))
     assert len(set(_SNAPSHOT_TOP)) == len(_SNAPSHOT_TOP)
-    verify = _subparsers(build_parser())["verify"]
-    dests = {a.dest for a in verify._actions if a.option_strings and a.dest != "help"}
+    dests = {o.key for o in _COMMANDS["verify"][1]}
     argv, out = verify_argv(tmp_path, "layout.json", ["--scheme-M", "1", "--scheme-l", "0.5"])
     assert main(argv) == 0
     snapshot = read_json(out)["config"]
@@ -1078,6 +1112,20 @@ def test_bounds_thm1_refuses_non_finite_rates(tmp_path, capsys, rate):
     assert not out.exists()
 
 
+def test_bounds_thm1_at_huge_kappa_exits_at_once(capsys):
+    """κ = 10^8: no exact (2κ+1)! is built, so the verb answers within a
+    second, with the float of Δ_κ, 0.0, in its soundness radicand."""
+    started = time.perf_counter()
+    code = main(
+        ["bounds", "thm1", "--n-qubits", "20", "--kappa", "100000000", "--eps-v", "1e-3",
+         "--eps-p", "1e-3", "--beta", "0.05"]
+    )
+    assert time.perf_counter() - started < 1.0
+    assert code == 0
+    params = json.loads(capsys.readouterr().out)["params"]
+    assert params["raw"]["radicand_soundness"] == 10**8 * 20 * (3e-3 + 5e-3)
+
+
 def test_bounds_twirl_verb(tmp_path):
     out = tmp_path / "twirl.json"
     assert main(
@@ -1226,10 +1274,10 @@ _SWEEP_BASES = {
     "ft-fraction": ["ft", "--fraction-of-threshold", "0.01"],
 }
 _SWEEP = [
-    (base, action.option_strings[0], value)
+    (base, option.flags[0], value)
     for base, argv in _SWEEP_BASES.items()
-    for action in _subparsers(build_parser())[argv[0]]._actions
-    if action.type is float
+    for option in _COMMANDS[argv[0]][1]
+    if option.conv is float
     for value in ("nan", "inf", "-inf", "-1")
 ]
 
@@ -1257,10 +1305,10 @@ def test_float_options_give_valid_json_or_exit_1(base, flag, value, capsys):
 
 
 _FLOAT_KEYS = {
-    action.option_strings[0]: action.dest
-    for sub in _subparsers(build_parser()).values()
-    for action in sub._actions
-    if action.type is float
+    option.flags[0]: option.key
+    for _, options in _COMMANDS.values()
+    for option in options
+    if option.conv is float
 }
 
 
@@ -1293,7 +1341,7 @@ def test_float_keys_from_env_and_file_refuse_non_finite_values(
 
 FUZZ_ARGV = ["verify", "--m-rounds", "3", "--n-rounds", "3", "--kappa", "1",
              "--scheme-M", "1", "--scheme-l", "0.5"]
-FUZZ_KEYS = sorted(_option_table(build_parser(), "verify")) + ["bogus"]
+FUZZ_KEYS = sorted(_option_table("verify")) + ["bogus"]
 
 # Small numbers only: no drawn value may size an allocation.
 _SCALARS = st.one_of(

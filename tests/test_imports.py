@@ -1,6 +1,8 @@
-"""Every name a package module imports is used in that module."""
+"""Static checks of the package modules: every name a module imports is
+used in it, and no module reads argparse's private names."""
 from __future__ import annotations
 
+import argparse
 import ast
 from pathlib import Path
 
@@ -22,3 +24,39 @@ def test_every_imported_name_is_used(path):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def _argparse_private_names() -> set[str]:
+    """The private names (one leading underscore) of the argparse module,
+    of a parser with a subcommand and of each of its actions."""
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--flag", action="store_const", const=True)
+    parser.add_subparsers().add_parser("sub").add_argument("--value", type=int)
+    return {
+        name
+        for obj in (argparse, parser, *parser._actions)
+        for name in dir(obj)
+        if name.startswith("_") and not name.startswith("__")
+    }
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reads_argparse_private_names(path):
+    """Options are read off the module's own table, never out of argparse's
+    internals: no attribute read of a private name that argparse, a parser
+    or an action has, and no private name imported from argparse."""
+    private = _argparse_private_names()
+    nodes = list(ast.walk(ast.parse(path.read_text())))
+    reads = [
+        f"{node.lineno}: .{node.attr}"
+        for node in nodes
+        if isinstance(node, ast.Attribute) and node.attr in private
+    ]
+    reads += [
+        f"{node.lineno}: from argparse import {alias.name}"
+        for node in nodes
+        if isinstance(node, ast.ImportFrom) and node.module == "argparse"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert reads == []
