@@ -40,8 +40,10 @@ _LOG_FLOAT_UNDERFLOW = -1075 * math.log(2) - 1
 
 def _delta_kappa_float(kappa: int) -> float:
     """float(delta_kappa(kappa)), without building the factorials once an
-    lgamma bound shows it underflows (it is 0.0 from kappa = 540 on)."""
-    log_delta = math.lgamma(kappa + 1) + math.lgamma(kappa + 2) - math.lgamma(2 * kappa + 2)
+    lgamma bound shows it underflows (it is 0.0 from kappa = 540 on).  Δ_κ
+    falls as κ grows, so the bound at min(κ, 2^20) serves any larger κ."""
+    k = min(kappa, 2**20)
+    log_delta = math.lgamma(k + 1) + math.lgamma(k + 2) - math.lgamma(2 * k + 2)
     return 0.0 if log_delta < _LOG_FLOAT_UNDERFLOW else float(delta_kappa(kappa))
 
 

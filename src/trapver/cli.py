@@ -48,7 +48,7 @@ from .simulator import (
     index_bits,
 )
 
-ARTIFACT_SCHEMA = 2
+ARTIFACT_SCHEMA = 3
 ENV_PREFIX = "TRAPVER_"
 
 EXIT_ACCEPT = 0
@@ -65,28 +65,23 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-# The options a schema-2 snapshot stores at its top level, null when unset;
-# every other option but ``out`` goes under "extras".
-_SNAPSHOT_TOP = (
-    "m", "n", "kappa", "eps_v", "eps_p", "scheme_m", "scheme_l",
-    "auto_params", "beta", "attack", "seed", "fmt",
-)
-
-
 @dataclass(frozen=True)
 class SessionConfig:
-    """One resolved invocation: subcommand plus every merged option, by
+    """One resolved invocation: subcommand plus each of its own options, by
     key; an option no source set and with no default is absent."""
 
     subcommand: str
     options: Mapping[str, object]
 
     def to_json_dict(self) -> dict:
-        """The schema-2 snapshot.  Where the payload is written, ``out``,
-        is not part of the run, so it is not stored."""
-        top = {k: self.options.get(k) for k in _SNAPSHOT_TOP}
-        extras = {k: v for k, v in self.options.items() if k not in top and k != "out"}
-        return {"subcommand": self.subcommand, **top, "extras": extras}
+        """The schema-3 snapshot: every option the subcommand declares, null
+        when unset, and the attack document when there is one.  Where the
+        payload is written, ``out``, is not part of the run, so it is not
+        stored."""
+        _, options = _COMMANDS[self.subcommand]
+        doc = {"subcommand": self.subcommand, **dict.fromkeys(o.key for o in options), **self.options}
+        doc.pop("out", None)
+        return doc
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "SessionConfig":
@@ -95,12 +90,8 @@ class SessionConfig:
         Raises TypeError or KeyError when ``doc`` has no config shape, and
         CliError for a value its option would refuse.
         """
-        extras = doc.get("extras", {})
-        if not isinstance(extras, Mapping):
-            raise TypeError("extras is not an object")
-        stored = {**extras, **doc}
+        stored = {**doc}
         subcommand = stored.pop("subcommand")
-        stored.pop("extras", None)
         # the parsed attack document is the one replay-only key; it is
         # checked by attack_spec_from_json when the run starts
         attack_doc = stored.pop("attack_doc", None)
@@ -117,14 +108,19 @@ def _resolve(
     sources: Sequence[Mapping[str, object]],
     flags: Mapping[str, object],
 ) -> SessionConfig:
-    """The one merge of option values: defaults, then each source in turn,
-    its values converted as their flags would be, then the flags; then the
-    cross-option rule."""
+    """The one merge of option values: the subcommand's defaults, then each
+    source in turn, its values converted as their flags would be, then the
+    flags; then the cross-option rule.  A source's key that only other
+    subcommands declare is checked like theirs, then dropped."""
+    _, options = _COMMANDS[subcommand]
+    own = {o.key: o.default for o in options}
     table = _option_table(subcommand)
-    merged = dict(_DEFAULTS)
+    merged = {k: v for k, v in own.items() if v is not None}
     for source in sources:
         for name, raw in source.items():
-            merged[name] = _convert(table, name, raw)
+            value = _convert(table, name, raw)
+            if name in own:
+                merged[name] = value
     merged.update(flags)
     if merged.get("auto_params") and (
         merged.get("scheme_m") is not None or merged.get("scheme_l") is not None
@@ -171,7 +167,7 @@ def parse_config(argv: Sequence[str], env: Mapping[str, str] | None = None) -> S
     flags = vars(build_parser().parse_args(list(argv)))
     subcommand, path = flags.pop("subcommand"), flags.pop("config")
     if subcommand is None:
-        return SessionConfig("help", dict(_DEFAULTS))
+        return SessionConfig("help", {})
     sources = []
     path = path or env.get(ENV_PREFIX + "CONFIG")
     if path:
@@ -201,13 +197,14 @@ def _emit(cfg: SessionConfig, payload: dict | str, csv_rows: list[list] | None) 
     """Write a handler's result to --out (atomically) or stdout: its CSV
     rows under ``--format csv``, a JSON document encoded, text as it is.
 
-    A subcommand whose own ``--format`` offers csv refuses it, rather than
-    writing JSON, when the payload has no CSV rows.  An ``out`` set by a
-    config shared with other subcommands does not redirect one without
-    ``--out``, so ``replay`` never writes over the artifact it reads.
+    A payload without CSV rows refuses ``--format csv`` rather than being
+    written as JSON.  Options hold only the subcommand's own keys, so an
+    ``fmt`` or ``out`` from a config shared with other subcommands reaches
+    none that lacks the option: ``replay`` never writes over the artifact
+    it reads.
     """
-    csv_out, out = cfg.options["fmt"] == "csv", cfg.options.get("out")
-    if csv_out and csv_rows is None and _offers(cfg.subcommand, "fmt", "csv"):
+    csv_out, out = cfg.options.get("fmt") == "csv", cfg.options.get("out")
+    if csv_out and csv_rows is None:
         what = " ".join(filter(None, (cfg.subcommand, cfg.options.get("verb"))))
         raise CliError(f"{what} has no CSV output; use --format json")
     if csv_out and csv_rows is not None:
@@ -216,7 +213,7 @@ def _emit(cfg: SessionConfig, payload: dict | str, csv_rows: list[list] | None) 
         text = buf.getvalue()
     else:
         text = payload if isinstance(payload, str) else _encode(payload)
-    if out and _offers(cfg.subcommand, "out"):
+    if out:
         _atomic_write(out, text)
     else:
         sys.stdout.write(text)
@@ -245,12 +242,6 @@ def _encode(doc: dict) -> str:
     head, _, tail = text.rpartition(json.dumps(_HOLE))
     items = [part for t in records for part in (", ", t)][1:]
     return "".join([head, "[", *items, "]", tail, "\n"])
-
-
-def _offers(subcommand: str, key: str, choice: str | None = None) -> bool:
-    """Whether the subcommand declares the option (and offers the choice)."""
-    _, options = _COMMANDS[subcommand]
-    return any(o.key == key and (choice is None or choice in (o.choices or ())) for o in options)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -452,7 +443,7 @@ def _record_bytes(kappa: int, cells: int) -> int:
     """What a verify holds per repetition until its artifact is written (the
     batch columns, each batch's record text and the document spliced from
     it): 1 to 2 times the tracemalloc peak per repetition at 3x3 and 5x3."""
-    return 512 + (2 * kappa + 1) * (48 + 8 * cells)
+    return 384 + (2 * kappa + 1) * (48 + 8 * cells)
 
 
 def _cmd_verify(cfg: SessionConfig) -> Result:
@@ -526,8 +517,17 @@ def _bounds_attack_table(cfg: SessionConfig) -> tuple[dict, list[list]]:
     return _stamp(cfg, {"classes": table}), rows
 
 
+def _beyond_floats(what: str, value: int) -> None:
+    """Theorems 1 and 2 compute in floats: refuse a ``value`` above the
+    largest one, which ``what`` names."""
+    if value > sys.float_info.max:
+        raise CliError(f"{what} exceeds the largest float, {sys.float_info.max:g}")
+
+
 def _bounds_thm1(cfg: SessionConfig) -> tuple[dict, None]:
     n_qubits, kappa, beta = _require(cfg, "n_qubits", "kappa", "beta")
+    # the repetition formula's denominator holds 2κ²N²
+    _beyond_floats("bounds thm1: 2*kappa^2*N^2 of --kappa and --n-qubits", 2 * (kappa * n_qubits) ** 2)
     eps_v, eps_p = cfg.options["eps_v"], cfg.options["eps_p"]
     params = bounds.theorem1_params(n_qubits, kappa, eps_v, eps_p, beta)
     return _stamp(cfg, {"params": asdict(params)}), None
@@ -535,6 +535,7 @@ def _bounds_thm1(cfg: SessionConfig) -> tuple[dict, None]:
 
 def _bounds_thm2(cfg: SessionConfig) -> tuple[dict, None]:
     eps2, kappa, beta = _require(cfg, "eps2", "kappa", "beta")
+    _beyond_floats("bounds thm2: --kappa", kappa)
     params = bounds.theorem2_params(eps2, kappa, beta)
     return _stamp(cfg, {"params": asdict(params)}), None
 
@@ -686,7 +687,7 @@ _HANDLERS = {
 
 # ---------------------------------------------------------------------------
 # The option table: one row per option feeds the parser, the conversion of
-# env, file and artifact values, `_offers`, `_require` and `_DEFAULTS`.
+# env, file and artifact values, the defaults and `_require`.
 
 
 class _Option(NamedTuple):
@@ -782,12 +783,6 @@ _COMMANDS: dict[str, tuple[str, tuple[_Option, ...]]] = {
     )),
 }
 
-# every option's default, one per key; an option without one is absent until set
-_DEFAULTS: dict[str, object] = {
-    o.key: o.default for _, options in _COMMANDS.values() for o in options if o.default is not None
-}
-
-
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The process's one parser, built on first use from `_COMMANDS`: read
@@ -825,7 +820,8 @@ def _option_table(subcommand: str) -> dict:
     conversion and checks its choices.  The running subcommand's own row
     decides; a key that only other subcommands define stays accepted, with
     the union of their choices, so one config file can serve every
-    subcommand.  The table is cached: read it, never change it.
+    subcommand (`_resolve` then drops it).  The table is cached: read it,
+    never change it.
     """
     table: dict[str, tuple] = {}
     # stable sort: the running subcommand's rows come last and override

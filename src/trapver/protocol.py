@@ -577,8 +577,7 @@ class RunBatch:
             b', "attack_letters": ', letters[term_of_run.reshape(-1)],
             b', "decrypted": [', _items(dec[rows, self.perm]),
             b'], "raw": [', _items(_quoted(self.raw)),
-            b'], "target_output": ', dec[:, 0],
-            b', "target_slot": ', slots[self.target_slots],
+            b'], "target_slot": ', slots[self.target_slots],
             b', "trap_passed": [', _items(_VERDICT_TEXT[verdict]),
             b"]}, ",
         ]
@@ -606,9 +605,9 @@ class RunRecord:
 
     def to_json_dict(self) -> dict:
         """Each slot's ``raw`` and ``decrypted`` outcomes as one ``"0101…"``
-        string, the slot trap verdicts, accept, the computation string and
-        slot, and the attack letters: a fresh dict decoded from the run's
-        slice of `RunBatch.json_text`."""
+        string, the slot trap verdicts, accept, the computation slot (its
+        ``decrypted`` string is `target_output`) and the attack letters: a
+        fresh dict decoded from the run's slice of `RunBatch.json_text`."""
         text, starts = self.batch._encoded
         return json.loads(text[starts[self.index] : starts[self.index + 1] - 2])
 

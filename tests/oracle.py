@@ -364,7 +364,6 @@ def record_dicts(batch: RunBatch) -> list[dict]:
             "decrypted": [dec[gi][i] for gi in perm],
             "trap_passed": [passed[gi] if gi else None for gi in perm],  # round 0 has no verdict
             "accept": accept[i],
-            "target_output": batch.outputs[i],
             "target_slot": slots[i],
             "attack_letters": letters[terms[i]],
         }

@@ -19,8 +19,6 @@ from trapver.cli import (
     ARTIFACT_SCHEMA,
     CliError,
     _COMMANDS,
-    _DEFAULTS,
-    _SNAPSHOT_TOP,
     SessionConfig,
     _option_table,
     _record_bytes,
@@ -108,15 +106,20 @@ def test_env_and_file_values_are_checked_like_flags(tmp_path, capsys):
         with pytest.raises(CliError, match=f"bad value for {key}"):
             parse_config(["--config", str(cfg_file), "simulate"])
 
-    # a file shared across subcommands: keys of other subcommands still
-    # parse, and one that verify lacks takes the union of their choices
+    # a file shared across subcommands: keys of other subcommands are
+    # checked, one that verify lacks against the union of their choices,
+    # and then dropped
     cfg_file.write_text(json.dumps(
         {"kind": "trap-odd", "basis": "z_only", "trials": "3", "fmt": "csv",
          "exact": 1, "seed": 4}
     ))
     cfg = parse_config(["--config", str(cfg_file), "verify"])
-    assert cfg.options["seed"] == 4 and cfg.options["fmt"] == "csv"
-    assert cfg.options["trials"] == 3 and cfg.options["exact"] is True
+    assert cfg.options["seed"] == 4
+    assert not {"kind", "basis", "trials", "fmt", "exact"} & set(cfg.options)
+    for doc, key in (({"trials": "3.5"}, "trials"), ({"fmt": "xml"}, "fmt")):
+        cfg_file.write_text(json.dumps(doc))
+        with pytest.raises(CliError, match=f"bad value for {key}"):
+            parse_config(["--config", str(cfg_file), "verify"])
 
 
 def test_auto_params_mutually_exclusive_with_explicit():
@@ -155,32 +158,88 @@ def test_parser_is_built_once_and_left_unchanged(capsys):
     assert shared.format_help() == fresh.format_help()
     for name, (_, options) in _COMMANDS.items():
         assert _subcommand_help(shared, name) == _subcommand_help(fresh, name)
-        # one value per positional: a choice when it has some
-        argv = [name] + [
-            (o.choices or ("x",))[0] for o in options if not o.flags[0].startswith("-")
-        ]
+        argv = [name, *_positionals(options)]
         parsed = vars(shared.parse_args(argv))
         assert parsed == vars(fresh.parse_args(argv))
         assert set(parsed) - {"config", "subcommand"} == {o.key for o in options}
 
 
+def _positionals(options):
+    """One value per positional: a choice when it has some."""
+    return [(o.choices or ("x",))[0] for o in options if not o.flags[0].startswith("-")]
+
+
 def test_each_key_has_one_default_and_the_defaults_are_pinned():
-    """Every row that declares a key gives it the same default, so
-    `_DEFAULTS`, read off the rows, is one value per key: the thirteen
-    below, types included."""
+    """Every row that declares a key gives it the same default, and with no
+    source set each subcommand resolves to exactly its own defaults (and
+    its positionals), types included: the parent's thirteen defaults, each
+    kept by the subcommands that declare its key."""
     declared: dict[str, set] = {}
     for _, options in _COMMANDS.values():
         for o in options:
             declared.setdefault(o.key, set()).add((type(o.default), o.default))
     assert {key: found for key, found in declared.items() if len(found) > 1} == {}
+    common = {"seed": 0, "fmt": "json"}
     pinned = {
-        "kind": "target", "seed": 0, "fmt": "json", "cap": 22, "eps_v": 0.0, "eps_p": 0.0,
-        "auto_params": False, "basis": "full", "trials": 20, "distance": 2,
-        "syndromes": 564, "saw_prefactor": 1.2, "poly_prefactor": 1.0,
+        "carve": {**common, "kind": "target"},
+        "simulate": {**common, "cap": 22},
+        "verify": {"seed": 0, "cap": 22, "eps_v": 0.0, "eps_p": 0.0, "auto_params": False},
+        "bounds": {**common, "eps_v": 0.0, "eps_p": 0.0, "basis": "full", "trials": 20,
+                   "verb": "delta-kappa"},
+        "ft": {**common, "distance": 2, "syndromes": 564, "saw_prefactor": 1.2,
+               "poly_prefactor": 1.0},
+        "replay": {"artifact": "x"},
     }
-    assert {k: (type(v), v) for k, v in _DEFAULTS.items()} == {
-        k: (type(v), v) for k, v in pinned.items()
-    }
+    assert set(pinned) == set(_COMMANDS)
+    for name, (_, options) in _COMMANDS.items():
+        got = parse_config([name, *_positionals(options)]).options
+        assert {k: (type(v), v) for k, v in got.items()} == {
+            k: (type(v), v) for k, v in pinned[name].items()
+        }, name
+
+
+def _valid_values(key):
+    """Values every row that declares ``key`` accepts, as JSON a config
+    file may carry."""
+    rows = [o for _, options in _COMMANDS.values() for o in options if o.key == key]
+    choices = [set(o.choices) for o in rows if o.choices]
+    if choices:
+        return st.sampled_from(sorted(set.intersection(*choices)))
+    if key == "auto_params":  # true beside scheme_m would break the cross-option rule
+        return st.just(False)
+    conv = rows[0].conv
+    if conv is None:
+        return st.booleans()
+    if conv is int:
+        return st.integers(0, 9)
+    if conv is float:
+        return st.floats(0.0, 1.0)
+    return st.text(alphabet="abc./", min_size=1, max_size=4)
+
+
+_ALL_KEYS = sorted({o.key for _, options in _COMMANDS.values() for o in options})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_COMMANDS)),
+    values=st.fixed_dictionaries({k: _valid_values(k) for k in _ALL_KEYS}),
+    in_env=st.sets(st.sampled_from(_ALL_KEYS)),
+)
+def test_options_hold_only_the_subcommands_own_keys(tmp_path_factory, name, values, in_env):
+    """A config file and the environment that set every key of every
+    subcommand leave the resolved options holding exactly the running
+    subcommand's keys, each with the value its source gave (the
+    positionals come from the command line)."""
+    _, options = _COMMANDS[name]
+    cfg_file = tmp_path_factory.mktemp("shared") / "config.json"
+    cfg_file.write_text(json.dumps({k: v for k, v in values.items() if k not in in_env}))
+    env = {f"TRAPVER_{k.upper()}": json.dumps(values[k]).strip('"') for k in in_env}
+    argv = [name, *_positionals(options)]
+    got = parse_config(["--config", str(cfg_file), *argv], env=env).options
+    flags = {o.key: v for o, v in zip((o for o in options if not o.flags[0].startswith("-")), argv[1:])}
+    assert set(got) == {o.key for o in options}
+    assert got == {o.key: flags.get(o.key, values[o.key]) for o in options}
 
 
 # -- carve ---------------------------------------------------------------------
@@ -330,11 +389,12 @@ def test_simulate_draws_any_sample_count_in_fixed_memory(tmp_path, layout_file):
 
 
 # sha256 of `simulate --graph` stdout on the 5x3 target carving, recorded
-# while the exact distribution was still a dict of outcome strings
+# while the exact distribution was still a dict of outcome strings; the JSON
+# entries re-pinned for schema 3 to the same documents with schema_version 3
 PINNED_SIMULATE_DIGESTS = {
     "exact-json": (
         ["--exact"],
-        "ecf98257619f2c7ae1bb83ef5b06685836bb0fd944071586acc6a6f3811bf000",
+        "9cb52974bd6c3d3fdb19cc9e6e43165ab002e1299197024c9c88948a4d4bf894",
     ),
     "exact-csv": (
         ["--exact", "--format", "csv"],
@@ -342,7 +402,7 @@ PINNED_SIMULATE_DIGESTS = {
     ),
     "samples-json": (
         ["--samples", "500", "--seed", "7"],
-        "a5eac59fc21ec26aac07e098edaee5e3121a73fe57875560d7dfbca7167f41ea",
+        "e50435d955f197c7c27b090d6edade10adc927480919bc73d2383420a4ce8089",
     ),
     "samples-csv": (
         ["--samples", "500", "--seed", "7", "--format", "csv"],
@@ -489,7 +549,7 @@ def test_verify_attacked_rejects(tmp_path, kill_attack_file):
     assert doc["verdict"]["accept"] is False
     assert doc["verdict"]["pass_fraction"] == 0.0
     # the attack document travels inside the artifact
-    assert "attack_doc" in doc["config"]["extras"]
+    assert "attack_doc" in doc["config"]
 
 
 def test_replay_round_trip(tmp_path, kill_attack_file):
@@ -588,14 +648,13 @@ def test_replay_compares_the_whole_artifact(tmp_path, capsys):
     assert "mismatch at $.verdict.l:" in capsys.readouterr().err
 
     doc = read_json(out)
-    flipped = "1" if doc["records"][0]["target_output"][0] == "0" else "0"
-    doc["records"][0]["target_output"] = (
-        flipped + doc["records"][0]["target_output"][1:]
-    )
+    slot = doc["records"][0]["target_slot"]  # its decrypted string is the output
+    output = doc["records"][0]["decrypted"][slot]
+    doc["records"][0]["decrypted"][slot] = "10"[int(output[0])] + output[1:]
     tampered = tmp_path / "tampered-output.json"
     tampered.write_text(json.dumps(doc))
     assert main(["replay", str(tampered)]) == 1
-    assert "$.records[0].target_output" in capsys.readouterr().err
+    assert f"$.records[0].decrypted[{slot}]" in capsys.readouterr().err
 
     doc = read_json(out)
     doc["telemetry"]["wall_clock_s"] = 1e9  # telemetry is not replayed
@@ -655,7 +714,7 @@ def test_records_are_spliced_after_an_attack_file_holding_the_hole(tmp_path):
     code = main(argv)
     assert code in (0, 2)
     doc = read_json(out)
-    assert doc["config"]["extras"]["attack_doc"]["note"] == ["\u0000records"]
+    assert doc["config"]["attack_doc"]["note"] == ["\u0000records"]
     assert [r["attack_letters"] for r in doc["records"]] == [[[0, 4, "Z"]]] * 3
     assert main(["replay", str(out)]) == code
 
@@ -678,25 +737,49 @@ def test_deeply_nested_json_inputs_are_errors(tmp_path, capsys):
         assert err.startswith(f"error: cannot read {what} {deep}: ") and err.count("\n") == 1
 
 
-def test_replay_refuses_list_record_artifacts_by_schema(tmp_path, capsys):
-    """Schema 1 wrote each slot's outcomes as a list of ints; such an
+def _as_schema2(doc: dict) -> dict:
+    """A schema-3 verify artifact as schema 2 wrote it: the config split
+    into twelve top-level options and ``extras`` (which also held the
+    defaults of other subcommands' options), and each record's
+    computation string repeated as ``target_output``."""
+    config = dict(doc["config"])
+    top = ("subcommand", "m", "n", "kappa", "eps_v", "eps_p", "scheme_m", "scheme_l",
+           "auto_params", "beta", "attack", "seed")
+    extras = {k: config.pop(k) for k in list(config) if k not in top}
+    extras.update(basis="full", distance=2, kind="target", poly_prefactor=1.0,
+                  saw_prefactor=1.2, syndromes=564, trials=20)
+    for rec in doc["records"]:
+        rec["target_output"] = rec["decrypted"][rec["target_slot"]]
+    return {**doc, "config": {**config, "fmt": "json", "extras": extras}, "schema_version": 2}
+
+
+def _as_schema1(doc: dict) -> dict:
+    """Schema 1 also wrote each slot's outcomes as a list of ints."""
+    doc = _as_schema2(doc)
+    for rec in doc["records"]:
+        assert all(set(s) <= {"0", "1"} for s in rec["raw"] + rec["decrypted"])
+        rec["raw"] = [list(map(int, s)) for s in rec["raw"]]
+        rec["decrypted"] = [list(map(int, s)) for s in rec["decrypted"]]
+    return {**doc, "schema_version": 1}
+
+
+@pytest.mark.parametrize("schema, older", [(1, _as_schema1), (2, _as_schema2)], ids=["1", "2"])
+def test_replay_refuses_list_record_artifacts_by_schema(tmp_path, capsys, schema, older):
+    """Schema 1 wrote each slot's outcomes as a list of ints, and schema 2
+    split the config and repeated each computation string; such an
     artifact is refused for its schema, not reported as tampered."""
     argv, out = verify_argv(
         tmp_path, "session.json", ["--scheme-M", "3", "--scheme-l", "0.9"]
     )
     main(argv)
     doc = read_json(out)
-    assert doc["schema_version"] == ARTIFACT_SCHEMA == 2
-    for rec in doc["records"]:
-        assert all(set(s) <= {"0", "1"} for s in rec["raw"] + rec["decrypted"])
-        rec["raw"] = [list(map(int, s)) for s in rec["raw"]]
-        rec["decrypted"] = [list(map(int, s)) for s in rec["decrypted"]]
-    doc["schema_version"] = 1
-    old = tmp_path / "schema1.json"
-    old.write_text(json.dumps(doc, indent=2, sort_keys=True))
+    assert doc["schema_version"] == ARTIFACT_SCHEMA == 3
+    old = tmp_path / f"schema{schema}.json"
+    old.write_text(json.dumps(older(doc), indent=2, sort_keys=True))
+    capsys.readouterr()
     assert main(["replay", str(old)]) == 1
     err = capsys.readouterr().err
-    assert err == "error: unsupported artifact schema 1\n"
+    assert err == f"error: unsupported artifact schema {schema}\n"
 
 
 def test_artifacts_are_one_compact_line(tmp_path):
@@ -743,7 +826,8 @@ def test_replay_rejects_non_verify_documents(tmp_path, capsys):
         ("eps_v", "x", "bad value for eps_v: 'x'"),
         ("seed", "abc", "bad value for seed: 'abc'"),
         ("m", [3], "bad value for m: [3]"),
-        ("extras", [1], "holds no readable config"),
+        ("extras", {"cap": 22}, "unknown configuration key 'extras'"),
+        ("subcommand", ["verify"], "holds no readable config"),
     ],
 )
 def test_replay_checks_the_stored_config(tmp_path, capsys, key, value, message):
@@ -776,29 +860,20 @@ def test_replay_applies_the_flag_rules_to_the_stored_config(tmp_path, capsys):
 
 
 # The config member of this artifact as written before the option table was
-# derived from the parser; a drift in the artifact format shows here.
+# derived from the parser, flattened to verify's own options for schema 3;
+# a drift in the artifact format shows here.
 PINNED_SNAPSHOT = {
     "attack": "kill.json",
+    "attack_doc": {
+        "pauli_terms": [
+            {"letters": {"0:0": "Z", "1:0": "Z", "2:0": "Z"}, "weight": 1.0}
+        ]
+    },
     "auto_params": True,
     "beta": 0.05,
+    "cap": 22,
     "eps_p": 0.05,
     "eps_v": 0.05,
-    "extras": {
-        "attack_doc": {
-            "pauli_terms": [
-                {"letters": {"0:0": "Z", "1:0": "Z", "2:0": "Z"}, "weight": 1.0}
-            ]
-        },
-        "basis": "full",
-        "cap": 22,
-        "distance": 2,
-        "kind": "target",
-        "poly_prefactor": 1.0,
-        "saw_prefactor": 1.2,
-        "syndromes": 564,
-        "trials": 20,
-    },
-    "fmt": "json",
     "kappa": 1,
     "m": 3,
     "n": 3,
@@ -827,20 +902,18 @@ def test_config_snapshot_is_pinned_and_round_trips(
 
 
 def test_snapshot_stores_each_verify_option_once(tmp_path):
-    """Schema 2's layout: each option the verify parser declares but
-    ``out`` appears exactly once in a verify snapshot, at the top level
-    when `_SNAPSHOT_TOP` names it and under extras otherwise; and
-    `_SNAPSHOT_TOP` names only options some parser declares."""
-    assert set(_SNAPSHOT_TOP) <= set(_option_table("verify"))
-    assert len(set(_SNAPSHOT_TOP)) == len(_SNAPSHOT_TOP)
+    """Schema 3's layout: a verify snapshot is flat, the subcommand and
+    each option the verify parser declares but ``out``, null when unset;
+    nothing else, under a shared config either."""
     dests = {o.key for o in _COMMANDS["verify"][1]}
     argv, out = verify_argv(tmp_path, "layout.json", ["--scheme-M", "1", "--scheme-l", "0.5"])
-    assert main(argv) == 0
-    snapshot = read_json(out)["config"]
-    assert "out" not in snapshot and "out" not in snapshot["extras"]
-    for dest in dests - {"out"}:
-        where = (dest in snapshot, dest in snapshot["extras"])
-        assert where == ((True, False) if dest in _SNAPSHOT_TOP else (False, True)), dest
+    shared = tmp_path / "shared.json"
+    shared.write_text(json.dumps({"kind": "trap-odd", "fmt": "csv", "trials": 3}))
+    for config in ([], ["--config", str(shared)]):
+        assert main(config + argv) == 0
+        snapshot = read_json(out)["config"]
+        assert set(snapshot) == {"subcommand"} | dests - {"out"}
+        assert snapshot["attack"] is None and snapshot["beta"] is None
 
 
 @pytest.mark.parametrize(
@@ -896,7 +969,10 @@ def test_seed7_artifact_bytes_are_pinned(tmp_path):
     before run batches became columnar: no record, field or byte of the
     artifact changed.  A schema, engine or tool-version bump re-pins it;
     engine 5 did, after the artifact with ``engine_version`` also removed
-    was checked to hash as it did under engine 4 (732aa92740cff03e…)."""
+    was checked to hash as it did under engine 4 (732aa92740cff03e…), and
+    schema 3 did, after the schema-2 artifact (6f1f70cc37337a34…) mapped
+    to schema 3 (config flattened, ``target_output`` dropped) was checked
+    to hash to the digest below."""
     out = tmp_path / "seed7.json"
     argv = ["verify", "--m-rounds", "3", "--n-rounds", "3", "--kappa", "1",
             "--eps-v", "4e-3", "--eps-p", "4e-3", "--beta", "0.05",
@@ -906,7 +982,7 @@ def test_seed7_artifact_bytes_are_pinned(tmp_path):
     doc.pop("telemetry")
     assert len(doc["records"]) == 478
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-    assert digest == "6f1f70cc37337a342b992a52da92727b0f49a7b4e110f359660a1160572c6d82"
+    assert digest == "4bc4cb52ca14724792488c2ee957193006a699ce74dbf6c35d439717c73881c1"
 
 
 def test_verify_refuses_a_run_beyond_physical_memory(tmp_path, capsys):
@@ -949,9 +1025,9 @@ def test_replay_refuses_an_artifact_edited_beyond_physical_memory(tmp_path, caps
 def test_record_estimate_brackets_what_a_verify_holds(tmp_path, shape, scheme_m):
     """The records check's bytes per repetition lie between 1 and 2 times
     the tracemalloc peak of the whole `verify`, plans already cached,
-    divided by M: 1.80 and 1.54 times since the artifact is written in
-    slices.  At smaller
-    M the peak's part that does not grow with M weighs more."""
+    divided by M: 1.65 and 1.47 times since records dropped
+    ``target_output``.  At smaller M the peak's part that does not grow
+    with M weighs more."""
     m, n, kappa = shape
     argv = ["verify", "--m-rounds", str(m), "--n-rounds", str(n), "--kappa", str(kappa),
             "--scheme-l", "0.5", "--out", str(tmp_path / "a.json"), "--scheme-M"]
@@ -1038,14 +1114,15 @@ def test_bounds_verbs_without_a_table_refuse_csv(argv, tmp_path, capsys):
 
 def test_verify_keeps_json_under_a_shared_csv_format(tmp_path):
     """verify has no --format of its own, so fmt: csv from a config file
-    shared with other subcommands leaves its artifact JSON."""
+    shared with other subcommands leaves its artifact JSON, and out of
+    its config."""
     out = tmp_path / "art.json"
     with mock.patch.dict(os.environ, {"TRAPVER_FMT": "csv"}):
         assert main(
             ["verify", "--m-rounds", "3", "--n-rounds", "3", "--kappa", "1",
              "--scheme-M", "2", "--scheme-l", "0.5", "--out", str(out)]
         ) == 0
-    assert read_json(out)["config"]["fmt"] == "csv"
+    assert "fmt" not in read_json(out)["config"]
 
 
 def test_bounds_attack_table(tmp_path):
@@ -1124,6 +1201,30 @@ def test_bounds_thm1_at_huge_kappa_exits_at_once(capsys):
     assert code == 0
     params = json.loads(capsys.readouterr().out)["params"]
     assert params["raw"]["radicand_soundness"] == 10**8 * 20 * (3e-3 + 5e-3)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["thm1", "--n-qubits", "20", "--eps-v", "1e-3", "--eps-p", "1e-3"],
+         "bounds thm1: 2*kappa^2*N^2 of --kappa and --n-qubits"),
+        (["thm2", "--eps2", "0.01"], "bounds thm2: --kappa"),
+    ],
+    ids=["thm1", "thm2"],
+)
+def test_bounds_theorems_name_a_kappa_beyond_floats(argv, message, capsys):
+    """A 401-digit κ exits 1 naming --kappa and the largest float, not
+    with the converter's own overflow message."""
+    capsys.readouterr()
+    assert main(["bounds", *argv, "--kappa", str(10**400), "--beta", "0.05"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message} exceeds the largest float, 1.79769e+308\n")
+
+
+def test_bounds_thm2_answers_up_to_the_largest_float(capsys):
+    """Theorem 2's M does not read κ, and Δ_κ falls with κ: at κ = 10^306,
+    where lgamma of κ overflows, the radicand is 3ε″ plus Δ_κ's float, 0.0."""
+    assert main(["bounds", "thm2", "--eps2", "0.01", "--kappa", str(10**306), "--beta", "0.05"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["raw"]["radicand_soundness"] == 3 * 0.01
 
 
 def test_bounds_twirl_verb(tmp_path):
@@ -1206,7 +1307,8 @@ def test_ft_csv_table(tmp_path):
 
 
 # sha256 of each calculator's stdout, recorded before the handlers returned
-# their payloads and the bounds verbs became one table
+# their payloads and the bounds verbs became one table; the JSON entries
+# re-pinned for schema 3 to the same documents with schema_version 3
 PINNED_CALCULATOR_DIGESTS = {
     "delta-kappa": (
         ["bounds", "delta-kappa", "--kappa", "2"],
@@ -1214,7 +1316,7 @@ PINNED_CALCULATOR_DIGESTS = {
     ),
     "attack-table-json": (
         ["bounds", "attack-table", "--kappa", "2"],
-        "459211493931fa5f58defb1ecf1844e640d6ecd14f436c949f4d1c41b0e994fb",
+        "459055bd32a13861ede0e56360f8c3fb0eff6373df9a2b190f75062560d9f14d",
     ),
     "attack-table-csv": (
         ["bounds", "attack-table", "--kappa", "2", "--format", "csv"],
@@ -1223,24 +1325,24 @@ PINNED_CALCULATOR_DIGESTS = {
     "thm1": (
         ["bounds", "thm1", "--n-qubits", "5", "--kappa", "2", "--eps-v", "0.001",
          "--eps-p", "0.001", "--beta", "0.05"],
-        "48bb05005d180ff915a4d1f5de9a15afe0c129cd8d82e52fdfafbe7353cb7947",
+        "4a009dff7ca994d468e9caf1994d49e8b40a2cae90ab98b177c2ee40eafac336",
     ),
     "thm2": (
         ["bounds", "thm2", "--eps2", "0.01", "--kappa", "2", "--beta", "0.05"],
-        "2509a717584ec52230aefaeb3292678fa2df3461f5a57016c049d89946c5f55a",
+        "f99cbfeef82545195c730e2b3ae4edbbca89eb36d3e4764a9e1c30a91cf50097",
     ),
     "thm3": (
         ["bounds", "thm3", "--alpha1", "0.1", "--alpha2", "0.2", "--beta1", "0.05",
          "--beta2", "0.05", "--n-qubits", "5"],
-        "1834834a356fbfa2b92c44d2b19bd75bd34aad8f3f7962d667314088a244c1c8",
+        "d85964ea073976e983a44ca9e756d797e8ebd9f0dd557554d8a5fb8a1f5d2735",
     ),
     "twirl": (
         ["bounds", "twirl", "--n-qubits", "2", "--trials", "5", "--seed", "3"],
-        "b569aaf95c5fa1ff1911871bf553ec99b57e3aae00902c99443cc5c5f12d911d",
+        "4e2074a43586d1c79c355f1d37cbdf3807fe93301f56c062de1f71e83afd6de3",
     ),
     "ft-json": (
         ["ft", "--fraction-of-threshold", "0.01"],
-        "f562b769a82191438588f32149f23b27e10aec05d18cca06531d43c8f9ec7e81",
+        "b962951ea75f5684e1596aad230c57cbe8262595771897c8be275b2fb5c2061e",
     ),
     "ft-csv": (
         ["ft", "--fraction-of-threshold", "0.01", "--format", "csv"],
@@ -1369,7 +1471,7 @@ def fuzz_dir(tmp_path_factory):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    source=st.sampled_from(["env", "file", "config", "extras"]),
+    source=st.sampled_from(["env", "file", "config"]),
     key=st.sampled_from(FUZZ_KEYS + ["subcommand", "extras", "attack_doc"]),
     value=_JSON,
 )
@@ -1386,8 +1488,7 @@ def test_config_sources_exit_cleanly(fuzz_dir, source, key, value):
         code = main(["--config", str(cfg_file)] + FUZZ_ARGV + out)
     else:
         doc = read_json(fuzz_dir / "honest.json")
-        target = doc["config"] if source == "config" else doc["config"]["extras"]
-        target[key] = value
+        doc["config"][key] = value
         artifact = fuzz_dir / "tampered.json"
         artifact.write_text(json.dumps(doc))
         code = main(["replay", str(artifact)])

@@ -289,7 +289,7 @@ def test_honest_run_accepts(layout33):
         assert rec["accept"]
         assert rec["trap_passed"][rec["target_slot"]] is None
         assert sum(1 for t in rec["trap_passed"] if t is True) == 2
-        assert len(rec["target_output"]) == 7
+        assert len(rec["decrypted"][rec["target_slot"]]) == 7
         assert len(rec["raw"]) == 3 and all(len(r) == 9 for r in rec["raw"])
 
 
@@ -297,8 +297,7 @@ def test_run_record_json_shape(layout33):
     rec = run_protocol(layout33, single_pauli_attack({(0, 0): "Z"}), None, rng_from(2))
     d = rec.to_json_dict()
     assert set(d) == {
-        "raw", "decrypted", "trap_passed", "accept", "target_output",
-        "target_slot", "attack_letters",
+        "raw", "decrypted", "trap_passed", "accept", "target_slot", "attack_letters",
     }
     assert d["attack_letters"] == [[0, 0, "Z"]]
     # each slot's outcomes are one packed "0101…" string, read left to right
@@ -845,23 +844,23 @@ def test_records_do_not_depend_on_the_batch(case, monkeypatch):
 PIN_CASES = {
     "honest": (
         (5, 3, 1), None, None,
-        "e436694c9d4e747582713b6fb5333425d1d0875d139b42779c94ddde1a992599",
+        "73de02408216cfbd404ce648fc13acd85b95a184c88f410825ddf01d2d3f4816",
     ),
     "attacked": (
         (5, 3, 1),
         single_pauli_attack({(0, 3): "Z", (1, 7): "Y", (2, 2): "X"}),
         None,
-        "f0dca64e605b857d7667564b534c2f71b077733fa3ddd13dda609b6dc8b26282",
+        "f80a1e0073a43c9907553f55c8a9b715c0a61f1e162c9b981b1d49be198eaa46",
     ),
     "noisy": (
         (3, 3, 1), None, NoiseModel(eps_v=0.02, eps_p=0.02),
-        "2c8f0e52ffb351a721b0a8d8b27c1f32b7236cd3ee59adfe05c8df0af8675390",
+        "882d14da66a757be448b37744e8bc0b9cfc896fb1a847ef8eba942cb84d266e1",
     ),
     "unitary": (
         "tiny",
         unitary_attack(tiny_layout(), pauli_matrix("IZIIXI")),
         NoiseModel(eps_v=0.05, eps_p=0.05),
-        "c5371b95dbd429772cf75e94e9e11219b105ecd9cc74a21fe1f7ec2b590980c7",
+        "d652b207d53d6d30f2ea5b953020121df7013ff5952483cb64aee8cb7ebc0279",
     ),
 }
 
@@ -877,7 +876,9 @@ def test_records_are_pinned_to_engine_4(case):
     its string, so the draws they pin are unchanged.  Engine 5 runs a
     unitary as its Pauli mixture; the unitary digest was re-pinned then,
     after the joint-register gate passed, and equals the digest of the
-    same word given as letters.  The other three did not move."""
+    same word given as letters.  The other three did not move.  Artifact
+    schema 3 dropped ``target_output`` from the records; all four digests
+    were re-pinned to the schema-2 records with that key removed."""
     shape, attack, noise, digest = PIN_CASES[case]
     layout = tiny_layout() if shape == "tiny" else make_round_layout(*shape)
     sink: list = []
@@ -923,6 +924,8 @@ def test_record_text_equals_the_dict_encoding(case):
         want = record_dicts(batch)
         assert "[" + batch.json_text + "]" == json.dumps(want, sort_keys=True)
         assert [r.to_json_dict() for r in batch] == want
+        # the computation string is the target slot's decrypted string
+        assert [r.target_output for r in batch] == [d["decrypted"][d["target_slot"]] for d in want]
     records = [r.to_json_dict() for r in sink]
     if noise is not None and m > 1:
         assert not all(r["accept"] for r in records)
