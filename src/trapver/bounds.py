@@ -23,6 +23,10 @@ class DegenerateNoiseError(ValueError):
     """Zero total noise: the repetition-count formula is undefined."""
 
 
+class RepetitionRangeError(ValueError):
+    """The repetition count M rounds to 0 or beyond the float range."""
+
+
 def delta_kappa(kappa: int) -> Fraction:
     """κ!(κ+1)!/(2κ+1)!, the irreducible gap of a κ-trap-per-parity round."""
     if kappa < 1:
@@ -138,6 +142,26 @@ class SchemeParams:
     raw: Mapping[str, float] = field(default_factory=dict)
 
 
+def _repetitions(beta: float, scale: float, margin: float) -> float:
+    """M before rounding up: ln(1/β)/(scale·margin²), with ln(1/β) taken as
+    −ln β so that every β in (0, 1), subnormal ones included, counts.
+
+    An M that rounds to 0 (margin² overflows) or leaves the float range
+    (margin² rounds to 0) raises `RepetitionRangeError`.
+    """
+    try:
+        m_real = -math.log(beta) / (scale * margin**2)
+    except OverflowError:
+        m_real = 0.0
+    except ZeroDivisionError:
+        m_real = math.inf
+    if m_real == 0:
+        raise RepetitionRangeError("the repetition count M underflows to 0")
+    if math.isinf(m_real):
+        raise RepetitionRangeError("the repetition count M overflows the float range")
+    return m_real
+
+
 def _clamp01(x: float) -> float:
     return min(1.0, max(0.0, x))
 
@@ -195,7 +219,7 @@ def theorem1_params(
             "eps_v + eps_p = 0: noiseless completeness is exact and the "
             "repetition formula is undefined; pick any M >= 1 with l <= 1"
         )
-    m_real = math.log(1 / beta) / (2 * kappa**2 * n_qubits**2 * total**2)
+    m_real = _repetitions(beta, float(2 * kappa**2 * n_qubits**2), total)
     l_raw = 1 - kappa * n_qubits * (2 * eps_v + 4 * eps_p)
     rad_c = n_qubits * (eps_v + 3 * eps_p)
     rad_s = kappa * n_qubits * (3 * eps_v + 5 * eps_p) + _delta_kappa_float(kappa)
@@ -221,7 +245,7 @@ def theorem2_params(eps2: float, kappa: int, beta: float) -> SchemeParams:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
     if kappa < 1:
         raise ValueError(f"kappa must be >= 1, got {kappa}")
-    m_real = math.log(1 / beta) / (2 * eps2**2)
+    m_real = _repetitions(beta, 2.0, eps2)
     rad_s = 3 * eps2 + _delta_kappa_float(kappa)
     return _assemble_params(
         m_real=m_real,

@@ -265,7 +265,15 @@ def _read_json(path: str, what: str) -> object:
 
 
 def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise CliError(f"--seed must be nonnegative, got {seed}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def _flag(subcommand: str, name: str) -> str:
+    """The flag of ``subcommand``'s option ``name``."""
+    _, options = _COMMANDS[subcommand]
+    return next(o.flags[0] for o in options if o.key == name)
 
 
 def _require(cfg: SessionConfig, *names: str) -> list[object]:
@@ -273,11 +281,27 @@ def _require(cfg: SessionConfig, *names: str) -> list[object]:
     for name in names:
         v = cfg.options.get(name)
         if v is None:
-            _, options = _COMMANDS[cfg.subcommand]
-            flag = next(o.flags[0] for o in options if o.key == name)
-            raise CliError(f"{cfg.subcommand}: missing required option {flag}")
+            raise CliError(f"{cfg.subcommand}: missing required option {_flag(cfg.subcommand, name)}")
         vals.append(v)
     return vals
+
+
+def _lattice_sizes(cfg: SessionConfig, *names: str) -> list[int]:
+    """The required sizes ``names``, lattice columns and rows first.  Each,
+    and the cell count m·n, must fit an index (at most sys.maxsize), or
+    the error names its flags, whatever set them; past it numpy and tuple
+    repeats fail without naming any option."""
+    sizes = _require(cfg, *names)
+    flags = [_flag(cfg.subcommand, name) for name in names]
+    for flag, v in zip(flags, sizes):
+        if abs(v) > sys.maxsize:
+            raise CliError(f"{cfg.subcommand}: {flag} {v} does not fit an index, at most {sys.maxsize}")
+    if abs(sizes[0] * sizes[1]) > sys.maxsize:
+        raise CliError(
+            f"{cfg.subcommand}: the {flags[0]} x {flags[1]} lattice's cell count "
+            f"{sizes[0] * sizes[1]} does not fit an index, at most {sys.maxsize}"
+        )
+    return sizes
 
 
 def attack_spec_from_json(doc: Mapping, layout: RoundLayout) -> AttackSpec:
@@ -329,7 +353,8 @@ def _cmd_help(cfg: SessionConfig) -> Result:
 
 
 def _cmd_carve(cfg: SessionConfig) -> Result:
-    m, n, kind = _require(cfg, "m", "n", "kind")
+    m, n = _lattice_sizes(cfg, "m", "n")
+    (kind,) = _require(cfg, "kind")
     if kind == "target":
         g = carve_target(m, n)
     else:
@@ -400,7 +425,10 @@ def _scheme_parameters(opts: Mapping, n_qubits: int, kappa: int) -> tuple[int, f
     if opts["auto_params"]:
         if beta is None:
             raise CliError("--auto-params needs --beta")
-        params = bounds.theorem1_params(n_qubits, kappa, opts["eps_v"], opts["eps_p"], beta)
+        params = _params_in_range(
+            "verify --auto-params", "--beta, --eps-v, --eps-p, --kappa, --m-rounds and --n-rounds",
+            bounds.theorem1_params, n_qubits, kappa, opts["eps_v"], opts["eps_p"], beta,
+        )
         meta = {
             "derived": True,
             "beta": beta,
@@ -447,7 +475,7 @@ def _record_bytes(kappa: int, cells: int) -> int:
 
 
 def _cmd_verify(cfg: SessionConfig) -> Result:
-    m, n, kappa = _require(cfg, "m", "n", "kappa")
+    m, n, kappa = _lattice_sizes(cfg, "m", "n", "kappa")
     opts = cfg.options
     layout = make_round_layout(m, n, kappa)
     noise = NoiseModel(eps_v=opts["eps_v"], eps_p=opts["eps_p"])
@@ -517,6 +545,15 @@ def _bounds_attack_table(cfg: SessionConfig) -> tuple[dict, list[list]]:
     return _stamp(cfg, {"classes": table}), rows
 
 
+def _params_in_range(what: str, flags: str, theorem: Callable, *args) -> bounds.SchemeParams:
+    """``theorem(*args)``, Theorem 1's or 2's parameters; an M that rounds
+    to 0 or leaves the float range is an error naming ``flags``."""
+    try:
+        return theorem(*args)
+    except bounds.RepetitionRangeError as exc:
+        raise CliError(f"{what}: {exc} at these {flags}") from exc
+
+
 def _beyond_floats(what: str, value: int) -> None:
     """Theorems 1 and 2 compute in floats: refuse a ``value`` above the
     largest one, which ``what`` names."""
@@ -529,14 +566,17 @@ def _bounds_thm1(cfg: SessionConfig) -> tuple[dict, None]:
     # the repetition formula's denominator holds 2κ²N²
     _beyond_floats("bounds thm1: 2*kappa^2*N^2 of --kappa and --n-qubits", 2 * (kappa * n_qubits) ** 2)
     eps_v, eps_p = cfg.options["eps_v"], cfg.options["eps_p"]
-    params = bounds.theorem1_params(n_qubits, kappa, eps_v, eps_p, beta)
+    params = _params_in_range(
+        "bounds thm1", "--beta, --eps-v, --eps-p, --kappa and --n-qubits",
+        bounds.theorem1_params, n_qubits, kappa, eps_v, eps_p, beta,
+    )
     return _stamp(cfg, {"params": asdict(params)}), None
 
 
 def _bounds_thm2(cfg: SessionConfig) -> tuple[dict, None]:
     eps2, kappa, beta = _require(cfg, "eps2", "kappa", "beta")
     _beyond_floats("bounds thm2: --kappa", kappa)
-    params = bounds.theorem2_params(eps2, kappa, beta)
+    params = _params_in_range("bounds thm2", "--beta and --eps2", bounds.theorem2_params, eps2, kappa, beta)
     return _stamp(cfg, {"params": asdict(params)}), None
 
 
@@ -654,9 +694,9 @@ def _cmd_replay(cfg: SessionConfig) -> Result:
         raise CliError(f"artifact {path} is not from a verify run")
     # Artifacts from before engine versions were stamped are engine 1.
     engine = artifact.get("engine_version", 1)
-    if engine != ENGINE_VERSION:
+    if type(engine) is not int or engine != ENGINE_VERSION:
         raise CliError(
-            f"artifact was made by simulation engine version {engine}; "
+            f"artifact was made by simulation engine version {engine!r}; "
             f"this build runs engine version {ENGINE_VERSION}, which draws "
             f"different outcomes from the same seed, so it cannot replay it"
         )

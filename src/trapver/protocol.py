@@ -7,10 +7,9 @@ function that executes runs: given one bit generator per repetition, it
 draws the whole batch's keys, attack terms, outcomes and noise events as
 arrays, decrypts with GF(2) products and reads the trap verdicts off as
 row reductions.  It returns the batch as columns, a `RunBatch`, whose
-`RunRecord` views are the per-run transcripts.  `run_protocol`,
-`run_scheme` and `estimate_fidelity_gap` all go through it.  Every
-deviation reaches it as a Pauli mixture: a unitary one is converted
-once, where it enters, by `unitary_attack`.
+`RunRecord` views are the per-run transcripts.  `run_scheme` is its one
+caller in the package.  Every deviation reaches it as a Pauli mixture:
+a unitary one is converted once, where it enters, by `unitary_attack`.
 
 The round kernel rests on the one-time pad: for any key a round's raw
 outcome distribution is the key-independent distribution of its carving
@@ -36,7 +35,8 @@ R = 2κ+1 rounds, C cells and E lattice edges, a block holds in order:
   ``argsort(words)[s]``;
 - ⌈R·C/8⌉ words read as R·C little-endian key bytes, canonical round
   major: bits 0–3 are θ on a non-dummy and the decoy angle on a dummy,
-  bit 4 is r, bit 5 r′ and bit 6 d (dummies only);
+  bit 4 is r, bit 5 r′ and bit 6 d (dummies only).  The engine reads θ,
+  r and r′; the decoy angle and d shape only what the prover is sent;
 - uniforms (word >> 11)·2⁻⁵³: one picking the attack term, then per
   canonical round one per component of its `_SimPlan` and, unless the
   noise model is noiseless, one per noise site: C preparations, E cZs,
@@ -50,7 +50,6 @@ therefore exactly a raw-outcome bit flip, and an X letter does nothing.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
@@ -133,22 +132,19 @@ def make_round_layout(m: int, n: int, kappa: int) -> RoundLayout:
 
 
 class SecretKey(NamedTuple):
-    """Everything the verifier keeps private for one protocol run.
+    """The key tables the verifier reads to run and decrypt one protocol run.
 
     The tables are uint8 arrays of shape rounds × cells, indexed by
     canonical graph position, not by execution slot; ``perm[slot]`` says
-    which canonical graph runs in a slot.  ``theta_k`` is zero on dummies,
-    which get their decoy measurement angle in ``dummy_delta_k``; ``d``
-    and ``dummy_delta_k`` are zero on non-dummies.  A batch's keys have
-    the same fields with a leading run axis, ``perm`` an array included.
+    which canonical graph runs in a slot.  ``theta_k`` is zero on dummies.
+    A batch's keys have the same fields with a leading run axis, ``perm``
+    an array included.
     """
 
     perm: tuple[int, ...]
     theta_k: np.ndarray
     r: np.ndarray
     rprime: np.ndarray
-    d: np.ndarray
-    dummy_delta_k: np.ndarray
 
 
 def _key_words(layout: RoundLayout) -> int:
@@ -172,8 +168,7 @@ def _keys(layout: RoundLayout, nd: np.ndarray, words: np.ndarray) -> SecretKey:
     head = np.ascontiguousarray(words[:, rounds : _key_words(layout)])
     b = head.astype("<u8", copy=False).view(np.uint8)[:, : rounds * size]
     b = b.reshape(len(words), rounds, size)
-    dummy, low = nd ^ 1, b & 15
-    return SecretKey(perm, low * nd, (b >> 4) & 1, (b >> 5) & 1, (b >> 6) & dummy, low * dummy)
+    return SecretKey(perm, (b & 15) * nd, (b >> 4) & 1, (b >> 5) & 1)
 
 
 @dataclass(frozen=True)
@@ -624,10 +619,9 @@ def _run_batch(
     The one place repetitions are executed.  An attack letter outside
     the layout is refused before anything is drawn.  Every run draws its
     block from its own bit generator, in list order, so one listed k
-    times serves k successive blocks, as k `run_protocol` calls on its
-    generator would; then keys, attack terms, rounds, decryption and
-    trap verdicts are computed for the whole batch, and nothing else is
-    drawn.
+    times serves k successive blocks, as k one-run calls on it would;
+    then keys, attack terms, rounds, decryption and trap verdicts are
+    computed for the whole batch, and nothing else is drawn.
     """
     noise, count, size = noise or _NOISELESS, len(streams), layout.m * layout.n
     cum, flips, term_letters = _attack_tables(strategy, layout)
@@ -672,23 +666,6 @@ def _run_batch(
         layout, raw[rows, keys.perm], dec, keys.perm, terms, term_letters,
         passed, passed[:, 1:].all(axis=1), outputs,
     )
-
-
-def run_protocol(
-    layout: RoundLayout,
-    strategy: AttackSpec | None = None,
-    noise: NoiseModel | None = None,
-    rng: np.random.Generator | None = None,
-    cap: int = DEFAULT_QUBIT_CAP,
-) -> RunRecord:
-    """One full verification run: keygen, encrypt, all rounds, decrypt.
-
-    Accepts exactly when every trap round decodes to all zeros.  Attack
-    letters on slots or cells the layout does not have are rejected.
-    """
-    if rng is None:
-        raise ValueError("an explicitly seeded generator is required")
-    return _run_batch(layout, strategy, noise, [rng.bit_generator], cap)[0]
 
 
 @dataclass(frozen=True)
@@ -745,7 +722,7 @@ def run_scheme(
 
 
 # ---------------------------------------------------------------------------
-# Fidelity-gap estimation
+# The exact honest target distribution
 
 
 def _correction_index_map(g: GraphSpec) -> np.ndarray:
@@ -774,59 +751,3 @@ def honest_target_distribution(g: GraphSpec, cap: int = DEFAULT_QUBIT_CAP) -> Di
     corrected = exact_probability_array(g, cap=cap)[_correction_index_map(g)]
     n = len(g.non_dummy_ids())
     return Distribution(n, dict(zip(bit_strings(index_bits(n)), corrected.tolist())))
-
-
-@dataclass(frozen=True)
-class GapEstimate:
-    """Trap-pass and computation-escape estimates with standard errors.
-
-    ``fc2`` is the twirl-picture escape frequency: the fraction of runs
-    whose sampled deviation put no bit-flipping letter on the computation
-    round.
-    """
-
-    ft2: float
-    fc2: float
-    gap: float
-    ft2_se: float
-    fc2_se: float
-    gap_se: float
-    samples: int
-
-
-def estimate_fidelity_gap(
-    layout: RoundLayout,
-    strategy: AttackSpec | None,
-    samples: int,
-    rng: np.random.Generator,
-    cap: int = DEFAULT_QUBIT_CAP,
-) -> GapEstimate:
-    """Monte Carlo over secret keys of trap passing vs computation escape.
-
-    Noiseless runs — the regime where the combinatorial bounds speak —
-    under a Pauli mixture, which a unitary deviation enters as through
-    `unitary_attack`.  Each sample is one repetition drawn from
-    ``rng``: its verdict is the trap indicator, and the escape indicator
-    asks whether any Z/Y letter of its sampled term landed on a non-dummy
-    cell of whichever slot held the computation round, read off a table
-    by term and slot.
-    """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    _, flips, _ = _attack_tables(strategy, layout)
-    # [term, slot]: no Z/Y letter on a non-dummy cell of the target
-    escape = ~flips[:, :, list(layout.target.non_dummy_ids())].any(axis=2)
-    passes = np.zeros(samples)
-    escapes = np.zeros(samples)
-    for start in range(0, samples, _BATCH):
-        size = min(_BATCH, samples - start)
-        batch = _run_batch(layout, strategy, None, [rng.bit_generator] * size, cap)
-        passes[start : start + size] = batch.accept
-        escapes[start : start + size] = escape[batch.terms, batch.target_slots]
-
-    def se(x: np.ndarray) -> float:
-        return float(x.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-
-    ft2, fc2 = float(passes.mean()), float(escapes.mean())
-    gap_se = se(passes - escapes)
-    return GapEstimate(ft2, fc2, ft2 - fc2, se(passes), se(escapes), gap_se, samples)

@@ -72,28 +72,10 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class Distribution:
-    """Probabilities over fixed-length outcome strings."""
+    """Probabilities over fixed-length outcome strings, as a plain record."""
 
     nbits: int
     probs: Mapping[str, float]
-
-    def __post_init__(self) -> None:
-        keys = self.probs.keys()
-        probs = np.fromiter(self.probs.values(), float, len(keys))
-        # whole-table checks first; the loop below only names the first fault
-        if (
-            set(map(len, keys)) - {self.nbits}
-            or "".join(keys).encode().translate(None, b"01")
-            or (probs < -1e-12).any()
-        ):
-            for key, p in self.probs.items():
-                if len(key) != self.nbits or set(key) - {"0", "1"}:
-                    raise ValueError(f"malformed outcome string {key!r}")
-                if p < -1e-12:
-                    raise ValueError(f"negative probability for {key!r}")
-        total = sum(self.probs.values(), 0.0)
-        if abs(total - 1) > 1e-10:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
 
 
 def fwht_inplace(a: np.ndarray) -> None:

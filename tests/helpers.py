@@ -1,6 +1,6 @@
 """Test-only helpers over the package's and the oracle's types: density
-matrices, distances between outcome distributions, and the constructors
-and maxima that only tests ask for."""
+matrices, the check of an outcome distribution and distances between
+them, and the constructors and maxima that only tests ask for."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -22,7 +22,33 @@ def density_matrix(s: StateVector) -> np.ndarray:
     return np.outer(s.amps, s.amps.conj())
 
 
+def check_distribution(d: Distribution) -> Distribution:
+    """``d`` itself, once its strings all have ``d.nbits`` characters of
+    0 and 1, no probability is below -1e-12 and they sum to 1 within
+    1e-10.  Lengths, alphabet and signs are checked over the whole table at
+    once; the keys are looped over only to name the first fault."""
+    keys = d.probs.keys()
+    probs = np.fromiter(d.probs.values(), float, len(keys))
+    if (
+        set(map(len, keys)) - {d.nbits}
+        or "".join(keys).encode().translate(None, b"01")
+        or (probs < -1e-12).any()
+    ):
+        for key, p in d.probs.items():
+            if len(key) != d.nbits or set(key) - {"0", "1"}:
+                raise ValueError(f"malformed outcome string {key!r}")
+            if p < -1e-12:
+                raise ValueError(f"negative probability for {key!r}")
+    total = sum(d.probs.values(), 0.0)
+    if abs(total - 1) > 1e-10:
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
+    return d
+
+
 def tv_distance(p: Distribution, q: Distribution) -> float:
+    """Total-variation distance of two checked distributions."""
+    check_distribution(p)
+    check_distribution(q)
     if p.nbits != q.nbits:
         raise ValueError(
             f"distributions over different lengths: {p.nbits} vs {q.nbits}"

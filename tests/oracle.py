@@ -8,8 +8,15 @@ route the frame kernel's exact distributions are checked against.
 One-run views: a repetition's key, its encrypted angles, the decryption
 of one run's raw outcomes and one round's noise events.  The engine
 computes these for a whole batch at once; these read the same draws and
-arrays for a single run.  The record dicts: each run's record built
-run by run, the reference for the batch's column-wise JSON encoder.
+arrays for a single run.  The key also holds what the engine never
+reads, each dummy's bit and decoy angle, decoded here from the key
+bytes.  The record dicts: each run's record built run by run, the
+reference for the batch's column-wise JSON encoder.
+
+The test-side drivers of the batch engine: `run_protocol`, one
+repetition from a generator, and `estimate_fidelity_gap`, a Monte Carlo
+of trap passing against computation escape.  Both draw their blocks in
+sequence from the one generator they are given.
 
 The joint register: a run whose deviation is one unitary on every
 round's qubits at once, simulated as a dense state per run.  It is the
@@ -35,16 +42,20 @@ import numpy as np
 
 from trapver.graphs import ANGLE_STEPS, GraphSpec, k_to_radians
 from trapver.protocol import (
+    _BATCH,
     _CODE_LETTER,
+    AttackSpec,
     RoundLayout,
     RunBatch,
-    SecretKey,
+    RunRecord,
+    _attack_tables,
     _decode_events,
     _decrypt,
     _draw_blocks,
     _key_words,
     _keys,
     _masks,
+    _run_batch,
     _sim_plan,
 )
 from trapver.simulator import DEFAULT_QUBIT_CAP, NoiseModel, _check_cap, bit_strings
@@ -246,12 +257,12 @@ def neighbor_dummy_parity(
     return out
 
 
-def encrypt_angles(key: SecretKey, layout: RoundLayout) -> np.ndarray:
+def encrypt_angles(key: DenseKey, layout: RoundLayout) -> np.ndarray:
     """Measurement angles the prover is told, per canonical round and cell.
 
     Non-dummy cells carry δ = θ + (−1)^{r′}φ + rπ on the 16-point grid;
     dummy cells get their pre-drawn decoy so the transcript looks the
-    same everywhere.  Takes one key or a batch's key arrays.
+    same everywhere.
     """
     phi = np.array([g.phi_k for g in layout.graphs])
     k = key.theta_k + np.where(key.rprime, -phi, phi) + 8 * key.r
@@ -333,16 +344,44 @@ def non_dummy(layout: RoundLayout) -> np.ndarray:
     return np.array([[not g.is_dummy(v) for v in cells] for g in layout.graphs], np.uint8)
 
 
-def keygen(layout: RoundLayout, rng: np.random.Generator) -> SecretKey:
+class DenseKey(NamedTuple):
+    """One repetition's key as the dense oracle reads it: the engine's
+    `trapver.protocol.SecretKey` tables, rounds × cells, plus each dummy's
+    bit ``d`` and decoy angle ``dummy_delta_k``, both zero on non-dummies.
+    The engine never reads those two: they shape only the states and
+    angles the prover is sent."""
+
+    perm: tuple[int, ...]
+    theta_k: np.ndarray
+    r: np.ndarray
+    rprime: np.ndarray
+    d: np.ndarray
+    dummy_delta_k: np.ndarray
+
+
+def keygen(layout: RoundLayout, rng: np.random.Generator) -> DenseKey:
     """Draw a fresh uniform key: the key words of one repetition's block,
     so a seeded generator reproduces the key exactly, and `run_protocol`
-    given an equally seeded generator runs under the same key."""
+    given an equally seeded generator runs under the same key.
+
+    The engine's `_keys` decodes perm, θ, r and r′; d and the decoy angle
+    are read here from the same key bytes, per the block layout of the
+    `trapver.protocol` docstring: bit 6, and bits 0–3, of each dummy
+    cell's byte."""
     words = _draw_blocks([rng.bit_generator], _key_words(layout))
-    keys = _keys(layout, non_dummy(layout), words)
-    return SecretKey(tuple(keys.perm[0].tolist()), *(t[0] for t in keys[1:]))
+    nd = non_dummy(layout)
+    keys = _keys(layout, nd, words)
+    # R·C little-endian key bytes, canonical round major, after the R rank words
+    key_bytes = words[0, layout.rounds :].astype("<u8").tobytes()[: nd.size]
+    b = np.frombuffer(key_bytes, np.uint8).reshape(nd.shape)
+    dummy = 1 - nd
+    return DenseKey(
+        tuple(keys.perm[0].tolist()), *(t[0] for t in keys[1:]),
+        d=(b >> 6) & dummy, dummy_delta_k=(b & 15) * dummy,
+    )
 
 
-def target_slot(key: SecretKey) -> int:
+def target_slot(key: DenseKey) -> int:
     """The execution slot that runs the computation, canonical round 0."""
     return list(key.perm).index(0)
 
@@ -372,7 +411,7 @@ def record_dicts(batch: RunBatch) -> list[dict]:
 
 
 def decrypt(
-    key: SecretKey,
+    key: DenseKey,
     layout: RoundLayout,
     raw_rounds: Sequence[Sequence[int]],
 ) -> tuple[tuple[int, ...], ...]:
@@ -411,7 +450,7 @@ def sample_events(
 
 def joint_raw_rounds(
     layout: RoundLayout,
-    key: SecretKey,
+    key: DenseKey,
     unitary: np.ndarray,
     private_qubits: int,
     events: Sequence[Sequence[NoiseEvent]],
@@ -469,6 +508,83 @@ def joint_unitary_run(
     dec = decrypt(key, layout, raw)
     accept = not any(any(dec[s]) for s in range(layout.rounds) if key.perm[s] != 0)
     return accept, "".join(map(str, dec[target_slot(key)]))
+
+
+# ---------------------------------------------------------------------------
+# Test-side drivers of the batch engine
+
+
+def run_protocol(
+    layout: RoundLayout,
+    strategy: AttackSpec | None = None,
+    noise: NoiseModel | None = None,
+    rng: np.random.Generator | None = None,
+    cap: int = DEFAULT_QUBIT_CAP,
+) -> RunRecord:
+    """One full verification run: keygen, encrypt, all rounds, decrypt.
+
+    Accepts exactly when every trap round decodes to all zeros.  Attack
+    letters on slots or cells the layout does not have are rejected.
+    """
+    if rng is None:
+        raise ValueError("an explicitly seeded generator is required")
+    return _run_batch(layout, strategy, noise, [rng.bit_generator], cap)[0]
+
+
+@dataclass(frozen=True)
+class GapEstimate:
+    """Trap-pass and computation-escape estimates with standard errors.
+
+    ``fc2`` is the twirl-picture escape frequency: the fraction of runs
+    whose sampled deviation put no bit-flipping letter on the computation
+    round.
+    """
+
+    ft2: float
+    fc2: float
+    gap: float
+    ft2_se: float
+    fc2_se: float
+    gap_se: float
+    samples: int
+
+
+def estimate_fidelity_gap(
+    layout: RoundLayout,
+    strategy: AttackSpec | None,
+    samples: int,
+    rng: np.random.Generator,
+    cap: int = DEFAULT_QUBIT_CAP,
+) -> GapEstimate:
+    """Monte Carlo over secret keys of trap passing vs computation escape.
+
+    Noiseless runs — the regime where the combinatorial bounds speak —
+    under a Pauli mixture, which a unitary deviation enters as through
+    `unitary_attack`.  Each sample is one repetition drawn from
+    ``rng``: its verdict is the trap indicator, and the escape indicator
+    asks whether any Z/Y letter of its sampled term landed on a non-dummy
+    cell of whichever slot held the computation round, read off a table
+    by term and slot.
+    """
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    _, flips, _ = _attack_tables(strategy, layout)
+    # [term, slot]: no Z/Y letter on a non-dummy cell of the target
+    escape = ~flips[:, :, list(layout.target.non_dummy_ids())].any(axis=2)
+    passes = np.zeros(samples)
+    escapes = np.zeros(samples)
+    for start in range(0, samples, _BATCH):
+        size = min(_BATCH, samples - start)
+        batch = _run_batch(layout, strategy, None, [rng.bit_generator] * size, cap)
+        passes[start : start + size] = batch.accept
+        escapes[start : start + size] = escape[batch.terms, batch.target_slots]
+
+    def se(x: np.ndarray) -> float:
+        return float(x.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+
+    ft2, fc2 = float(passes.mean()), float(escapes.mean())
+    gap_se = se(passes - escapes)
+    return GapEstimate(ft2, fc2, ft2 - fc2, se(passes), se(escapes), gap_se, samples)
 
 
 # ---------------------------------------------------------------------------

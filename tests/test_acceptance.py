@@ -32,13 +32,7 @@ from trapver.bounds import (
 )
 from trapver.ftcalc import detection_overhead, physical_threshold
 from trapver.graphs import carve_target
-from trapver.protocol import (
-    _BATCH,
-    _run_batch,
-    estimate_fidelity_gap,
-    make_round_layout,
-    run_protocol,
-)
+from trapver.protocol import _BATCH, _run_batch, make_round_layout
 from trapver.simulator import (
     DEFAULT_QUBIT_CAP,
     bit_strings,
@@ -57,10 +51,12 @@ from helpers import (
 from oracle import (
     IsingInstance,
     encrypt_angles,
+    estimate_fidelity_gap,
     ising_partition_probability,
     keygen,
     prepare_qubit,
     radians,
+    run_protocol,
 )
 
 

@@ -12,6 +12,7 @@ import pytest
 from trapver.bounds import (
     AttackClass,
     DegenerateNoiseError,
+    RepetitionRangeError,
     attack_gap,
     delta_kappa,
     pauli_matrix,
@@ -240,6 +241,33 @@ def test_theorem2_domain():
         theorem2_params(0.0, 1, 0.05)
     with pytest.raises(ValueError):
         theorem2_params(0.01, 0, 0.05)
+
+
+def test_theorems_take_ln_one_over_beta_as_minus_ln_beta():
+    """A subnormal β has no finite 1/β, yet −ln β is about 737: both
+    calculators give a finite M, exactly −ln β over their denominators."""
+    beta = 1e-320
+    p1 = theorem1_params(5, 1, 0.001, 0.0, beta)
+    assert p1.m_real == -math.log(beta) / (2 * 25 * 0.001**2)
+    assert p1.m == math.ceil(p1.m_real)
+    p2 = theorem2_params(0.001, 1, beta)
+    assert p2.m_real == -math.log(beta) / (2 * 0.001**2)
+
+
+@pytest.mark.parametrize(
+    "theorem, args, way",
+    [
+        (theorem1_params, (5, 1, 1e200, 0.0, 0.05), "underflows to 0"),
+        (theorem1_params, (5, 1, 1e-300, 0.0, 0.05), "overflows the float range"),
+        (theorem2_params, (1e-300, 1, 0.05), "overflows the float range"),
+    ],
+    ids=["thm1-margin-overflows", "thm1-margin-underflows", "thm2-margin-underflows"],
+)
+def test_theorems_refuse_an_m_outside_the_float_range(theorem, args, way):
+    """Where the margin squared overflows, M would round to 0; where it
+    rounds to 0, M would be infinite.  Either is refused by name."""
+    with pytest.raises(RepetitionRangeError, match=f"repetition count M {way}"):
+        theorem(*args)
 
 
 def test_soundness_radicands_add_the_float_of_exact_delta():

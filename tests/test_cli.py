@@ -797,7 +797,8 @@ def test_replay_refuses_other_engine_versions(tmp_path, capsys):
         tmp_path, "session.json", ["--scheme-M", "3", "--scheme-l", "0.9"]
     )
     main(argv)
-    for engine in (1, 2, 3):
+    # a version that is not an integer is quoted as stored: "5" reads '5'
+    for engine in (1, 2, 3, "5", 5.0):
         doc = read_json(out)
         if engine == 1:
             del doc["engine_version"]  # artifacts without a stamp are engine 1
@@ -807,7 +808,7 @@ def test_replay_refuses_other_engine_versions(tmp_path, capsys):
         old.write_text(json.dumps(doc))
         assert main(["replay", str(old)]) == 1
         err = capsys.readouterr().err
-        assert f"engine version {engine}" in err
+        assert f"engine version {engine!r};" in err
         assert "tampering" not in err
 
 
@@ -1225,6 +1226,144 @@ def test_bounds_thm2_answers_up_to_the_largest_float(capsys):
     where lgamma of κ overflows, the radicand is 3ε″ plus Δ_κ's float, 0.0."""
     assert main(["bounds", "thm2", "--eps2", "0.01", "--kappa", str(10**306), "--beta", "0.05"]) == 0
     assert json.loads(capsys.readouterr().out)["params"]["raw"]["radicand_soundness"] == 3 * 0.01
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bounds", "thm1", "--n-qubits", "5", "--kappa", "1", "--eps-v", "1e200", "--beta", "0.05"],
+         "bounds thm1: the repetition count M underflows to 0 at these "
+         "--beta, --eps-v, --eps-p, --kappa and --n-qubits"),
+        (["bounds", "thm1", "--n-qubits", "5", "--kappa", "1", "--eps-v", "1e-300", "--beta", "0.05"],
+         "bounds thm1: the repetition count M overflows the float range at these "
+         "--beta, --eps-v, --eps-p, --kappa and --n-qubits"),
+        (["bounds", "thm2", "--eps2", "1e-300", "--kappa", "1", "--beta", "0.05"],
+         "bounds thm2: the repetition count M overflows the float range at these --beta and --eps2"),
+        (["verify", "--m-rounds", "3", "--n-rounds", "3", "--kappa", "1", "--auto-params",
+          "--eps-v", "1e-300", "--beta", "0.05"],
+         "verify --auto-params: the repetition count M overflows the float range at these "
+         "--beta, --eps-v, --eps-p, --kappa, --m-rounds and --n-rounds"),
+    ],
+    ids=["thm1-underflow", "thm1-overflow", "thm2-overflow", "verify-overflow"],
+)
+def test_an_m_outside_the_float_range_names_the_flags(argv, message, capsys):
+    """ε_V = 1e200 squares past the largest float, so M would round to 0;
+    1e-300 squares to 0, so M would be infinite.  Each exits 1 with one
+    line naming the flags M is computed from."""
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, m",
+    [
+        (["bounds", "thm1", "--n-qubits", "5", "--kappa", "1", "--eps-v", "1e-3"], 14736545),
+        (["bounds", "thm2", "--eps2", "1e-3", "--kappa", "1"], 368413621),
+        (["verify", "--m-rounds", "3", "--n-rounds", "3", "--kappa", "1", "--auto-params",
+          "--eps-v", "0.05", "--eps-p", "0.05"], 752),
+    ],
+    ids=["thm1", "thm2", "verify"],
+)
+def test_a_subnormal_beta_derives_a_finite_m(argv, m, capsys):
+    """β = 1e-320 has no finite 1/β, but −ln β ≈ 737: M comes out finite."""
+    capsys.readouterr()
+    assert main(argv + ["--beta", "1e-320"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["params"] if "params" in doc else doc["scheme"])["m"] == m
+
+
+@pytest.mark.parametrize(
+    "subcommand, flag, key, source",
+    [
+        ("carve", "--m", "m", "flag"),
+        ("verify", "--m-rounds", "m", "flag"),
+        ("verify", "--n-rounds", "n", "flag"),
+        ("verify", "--kappa", "kappa", "env"),
+        ("verify", "--n-rounds", "n", "file"),
+    ],
+)
+def test_a_size_beyond_an_index_is_refused_by_its_flag(tmp_path, capsys, subcommand, flag, key, source):
+    """A lattice size or κ of 10^20, past sys.maxsize, would fail inside
+    numpy or a tuple repeat, naming no option; it is refused by its flag,
+    whether a flag, TRAPVER_* or a config file set it."""
+    big, env = 10**20, {}
+    others = {"carve": ["--m", "--n"], "verify": ["--m-rounds", "--n-rounds", "--kappa", "--scheme-M"]}
+    argv = [subcommand, *(x for f in others[subcommand] if f != flag for x in (f, "3"))]
+    argv += ["--scheme-l", "0.5"] if subcommand == "verify" else []
+    if source == "flag":
+        argv += [flag, str(big)]
+    elif source == "env":
+        env = {f"TRAPVER_{key.upper()}": str(big)}
+    else:
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({key: big}))
+        argv = ["--config", str(cfg_file), *argv]
+    capsys.readouterr()
+    with mock.patch.dict(os.environ, env):
+        assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {subcommand}: {flag} {big} does not fit an index, at most 9223372036854775807\n"
+    )
+
+
+def test_a_cell_count_beyond_an_index_names_both_flags(capsys):
+    """Each size fits an index, but the m·n cells do not."""
+    capsys.readouterr()
+    assert main(["carve", "--m", str(2**62), "--n", "3"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: carve: the --m x --n lattice's cell count {3 * 2**62} does not fit "
+        "an index, at most 9223372036854775807\n"
+    )
+
+
+@pytest.mark.parametrize("key", ["m", "kappa"])
+def test_replay_refuses_a_stored_size_beyond_an_index(tmp_path, capsys, key):
+    argv, out = verify_argv(tmp_path, "a.json", ["--scheme-M", "1", "--scheme-l", "0.5"])
+    assert main(argv) == 0
+    doc = read_json(out)
+    doc["config"][key] = 10**20
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 1
+    flag = {"m": "--m-rounds", "kappa": "--kappa"}[key]
+    assert capsys.readouterr().err == (
+        f"error: verify: {flag} {10**20} does not fit an index, at most 9223372036854775807\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["simulate", "--samples", "5", "--seed", "-1"], {}),
+        (["verify", "--m-rounds", "3", "--n-rounds", "3", "--kappa", "1", "--scheme-M", "1",
+          "--scheme-l", "0.5", "--seed", "-1"], {}),
+        (["verify", "--m-rounds", "3", "--n-rounds", "3", "--kappa", "1", "--scheme-M", "1",
+          "--scheme-l", "0.5"], {"TRAPVER_SEED": "-3"}),
+        (["bounds", "twirl", "--seed", "-1"], {}),
+    ],
+    ids=["simulate", "verify-flag", "verify-env", "bounds-twirl"],
+)
+def test_a_negative_seed_is_refused_by_its_flag(tmp_path, capsys, argv, env):
+    """A seeded draw needs a nonnegative seed; the error names --seed, not
+    numpy's own message."""
+    if argv[0] == "simulate":
+        graph = tmp_path / "g.json"
+        assert main(["carve", "--m", "3", "--n", "3", "--out", str(graph)]) == 0
+        argv = [*argv, "--graph", str(graph)]
+    capsys.readouterr()
+    with mock.patch.dict(os.environ, env):
+        assert main(argv) == 1
+    seed = env.get("TRAPVER_SEED", "-1")
+    assert capsys.readouterr().err == f"error: --seed must be nonnegative, got {seed}\n"
+
+
+@pytest.mark.parametrize("argv", [["carve", "--m", "3", "--n", "3"], ["ft", "--eps", "0.001"]])
+def test_carve_and_ft_echo_a_negative_seed(capsys, argv):
+    """carve and ft draw nothing: they only stamp the seed they are given."""
+    capsys.readouterr()
+    assert main([*argv, "--seed", "-1"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == -1
 
 
 def test_bounds_twirl_verb(tmp_path):

@@ -1,15 +1,23 @@
 """Static checks of the package modules: every name a module imports is
-used in it, and no module reads argparse's private names."""
+used in it, every public function and class is used by the package, and
+no module reads argparse's private names."""
 from __future__ import annotations
 
 import argparse
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "trapver"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+# Public names the package defines but never uses itself, each with the
+# reader that keeps it in the package.
+UNREFERENCED_ALLOWED = {
+    "honest_target_distribution": "the exact oracle the benchmark's checks read",
+}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -24,6 +32,35 @@ def test_every_imported_name_is_used(path):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def _references(node: ast.AST) -> Counter:
+    """How often each name is read under ``node``, as a bare name or as
+    an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_public_definition_is_used_by_the_package():
+    """A public top-level function or class that no package code reads,
+    outside its own definition, is test-only code: it belongs in
+    `tests/`, unless `UNREFERENCED_ALLOWED` names the reader that keeps
+    it."""
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    read = sum((_references(tree) for tree in trees.values()), Counter())
+    unread = [
+        f"{name}: {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in UNREFERENCED_ALLOWED
+        and read[node.name] == _references(node)[node.name]
+    ]
+    assert unread == []
 
 
 def _argparse_private_names() -> set[str]:

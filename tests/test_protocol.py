@@ -33,11 +33,8 @@ from trapver.protocol import (
     _sim_plan,
     AttackSpec,
     RoundLayout,
-    SecretKey,
-    estimate_fidelity_gap,
     honest_target_distribution,
     make_round_layout,
-    run_protocol,
     run_scheme,
     unitary_attack,
 )
@@ -53,14 +50,17 @@ from helpers import (
     bits_of, empirical_distribution, probabilities_at, single_pauli_attack, tv_distance,
 )
 from oracle import (
+    DenseKey,
     NoiseEvent,
     decrypt,
     dense_round_state,
     encrypt_angles,
+    estimate_fidelity_gap,
     joint_unitary_run,
     keygen,
     non_dummy,
     record_dicts,
+    run_protocol,
     sample_events,
     target_slot,
 )
@@ -109,7 +109,7 @@ def test_layout_validation(layout33):
 KEY_TABLES = ("theta_k", "r", "rprime", "d", "dummy_delta_k")
 
 
-def same_key(a: SecretKey, b: SecretKey) -> bool:
+def same_key(a: DenseKey, b: DenseKey) -> bool:
     return a.perm == b.perm and all(
         np.array_equal(getattr(a, f), getattr(b, f)) for f in KEY_TABLES
     )
@@ -203,9 +203,9 @@ def test_encrypt_deltas_cover_every_cell(layout33):
 # -- decryption (pure function) ----------------------------------------------
 
 
-def identity_key(layout: RoundLayout) -> SecretKey:
+def identity_key(layout: RoundLayout) -> DenseKey:
     shape = (layout.rounds, layout.m * layout.n)
-    return SecretKey(
+    return DenseKey(
         tuple(range(layout.rounds)),
         *(np.zeros(shape, np.uint8) for _ in KEY_TABLES),
     )

