@@ -16,6 +16,7 @@ Exit codes: 0 scheme accept (or plain success), 2 scheme reject,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -40,15 +41,11 @@ from .protocol import (
     run_scheme,
     unitary_attack,
 )
-from .simulator import (
-    DEFAULT_QUBIT_CAP,
-    NoiseModel,
-    bit_strings,
-    exact_probability_array,
-    index_bits,
-)
+from .simulator import NoiseModel, bit_strings, exact_probability_array, index_bits
 
 ARTIFACT_SCHEMA = 3
+# The qubit budget of `simulate` and `verify`, overridden by --cap.
+DEFAULT_QUBIT_CAP = 22
 ENV_PREFIX = "TRAPVER_"
 
 EXIT_ACCEPT = 0
@@ -246,12 +243,18 @@ def _encode(doc: dict) -> str:
 
 def _atomic_write(path: str, text: str) -> None:
     """Write ``text`` through a temporary file renamed over ``path``, in
-    slices of 64 KiB, so the document is never copied or encoded whole."""
+    slices of 64 KiB, so the document is never copied or encoded whole.
+    A failed write removes the temporary file and names ``path``."""
     tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w") as fh:
-        for lo in range(0, len(text), 2**16):
-            fh.write(text[lo : lo + 2**16])
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            for lo in range(0, len(text), 2**16):
+                fh.write(text[lo : lo + 2**16])
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise CliError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
 
 
 def _read_json(path: str, what: str) -> object:
@@ -352,8 +355,14 @@ def _cmd_help(cfg: SessionConfig) -> Result:
     return EXIT_ACCEPT, build_parser().format_help(), None
 
 
+# Less than what a carving and its JSON text hold per cell: the tracemalloc
+# peak of `carve` is 790 to 2300 bytes per cell from 300 to 300 000 cells.
+_CARVE_BYTES_PER_CELL = 500
+
+
 def _cmd_carve(cfg: SessionConfig) -> Result:
     m, n = _lattice_sizes(cfg, "m", "n")
+    _check_fits(_CARVE_BYTES_PER_CELL * m * n, f"carve: the --m {m} x --n {n} lattice")
     (kind,) = _require(cfg, "kind")
     if kind == "target":
         g = carve_target(m, n)
@@ -388,6 +397,10 @@ def _load_angles(path: str) -> dict[int, int]:
     raise CliError(f"angles file {path} must map vertex ids to integer grid steps")
 
 
+# numpy's multinomial draws a count in a C long
+_MAX_SAMPLES = 2**63 - 1
+
+
 def _cmd_simulate(cfg: SessionConfig) -> Result:
     (graph_path,) = _require(cfg, "graph")
     g = GraphSpec.from_json_dict(_read_json(graph_path, "layout"))
@@ -395,9 +408,11 @@ def _cmd_simulate(cfg: SessionConfig) -> Result:
     angles_path = opts.get("angles")
     steps = _load_angles(angles_path) if angles_path else None
     samples = opts.get("samples")
+    if samples is not None and not 0 <= samples <= _MAX_SAMPLES:
+        raise CliError(f"--samples must be nonnegative and at most {_MAX_SAMPLES}, got {samples}")
     exact = opts.get("exact") or samples is None
     _check_components_fit(g, opts["cap"], joint=True)
-    probs = exact_probability_array(g, steps, cap=opts["cap"])
+    probs = exact_probability_array(g, steps)
     n = len(g.non_dummy_ids())
     # row k spells k in binary, so the strings come out sorted; character j
     # is bit j of the probability index
@@ -457,12 +472,17 @@ def _check_fits(need: int, what: str) -> None:
 
 
 def _check_components_fit(g: GraphSpec, cap: int, joint: bool) -> None:
-    """Refuse a run of ``g`` whose components ``cap`` admits but memory cannot
-    hold: c qubits peak at 24·2^c bytes (amplitudes and a half-size WHT scratch),
-    and with ``joint`` the exact distribution of N ≤ cap vertices adds 8·2^N."""
-    c = max((len(vs) for vs, _ in g.components if len(vs) <= cap), default=0)
+    """The one size check of a run of ``g``, before anything is computed.
+    ``cap`` bounds each connected component, or with ``joint`` the N
+    non-dummy vertices of the exact distribution; then memory must hold
+    the largest component of c qubits, 24·2^c bytes (amplitudes and a
+    half-size WHT scratch), plus with ``joint`` the distribution's 8·2^N."""
+    sizes = [len(vs) for vs, _ in g.components]
     n = len(g.non_dummy_ids())
-    joint = joint and n <= cap
+    for need in [n] if joint else sizes:
+        if need > cap:
+            raise CliError(f"instance needs {need} qubits, cap is {cap}")
+    c = max(sizes, default=0)
     what = f"a component of {c} qubits" + (f" and the {n}-bit joint distribution" if joint else "")
     _check_fits(24 * 2**c + joint * 8 * 2**n, what)
 
@@ -474,9 +494,19 @@ def _record_bytes(kappa: int, cells: int) -> int:
     return 384 + (2 * kappa + 1) * (48 + 8 * cells)
 
 
+def _check_records_fit(scheme_m: int, kappa: int, cells: int) -> None:
+    """Refuse M repetitions whose records memory cannot hold."""
+    _check_fits(scheme_m * _record_bytes(kappa, cells), f"M = {scheme_m} repetitions at kappa = {kappa}")
+
+
 def _cmd_verify(cfg: SessionConfig) -> Result:
     m, n, kappa = _lattice_sizes(cfg, "m", "n", "kappa")
     opts = cfg.options
+    # an explicit M is checked before the layout builds its 2κ+1 rounds, a
+    # derived one once the target has given N; an M or κ below 1 is refused
+    # by the run or the layout
+    if opts.get("scheme_m") is not None and min(opts["scheme_m"], kappa) >= 1:
+        _check_records_fit(opts["scheme_m"], kappa, m * n)
     layout = make_round_layout(m, n, kappa)
     noise = NoiseModel(eps_v=opts["eps_v"], eps_p=opts["eps_p"])
     # The parsed attack document is embedded in the artifact so replay
@@ -491,8 +521,8 @@ def _cmd_verify(cfg: SessionConfig) -> Result:
     scheme_m, scheme_l, meta = _scheme_parameters(opts, n_qubits, kappa)
     # trap carvings hold only isolated traps: the target's components are the largest
     _check_components_fit(layout.target, opts["cap"], joint=False)
-    need = scheme_m * _record_bytes(kappa, m * n)
-    _check_fits(need, f"M = {scheme_m} repetitions at kappa = {kappa}")
+    if meta["derived"]:
+        _check_records_fit(scheme_m, kappa, m * n)
     sink: list[RunRecord] = []
     started = time.time()
     verdict = run_scheme(
@@ -502,7 +532,6 @@ def _cmd_verify(cfg: SessionConfig) -> Result:
         scheme_m,
         scheme_l,
         _rng(opts["seed"]),
-        cap=opts["cap"],
         record_sink=sink,
     )
     elapsed = time.time() - started
@@ -527,10 +556,18 @@ def _cmd_verify(cfg: SessionConfig) -> Result:
 
 def _bounds_delta_kappa(cfg: SessionConfig) -> tuple[dict | str, None]:
     (kappa,) = _require(cfg, "kappa")
-    value = bounds.delta_kappa(kappa)
+    fraction = bounds.delta_kappa(kappa)
+    try:
+        value = str(fraction)
+    except ValueError as exc:
+        # the process-wide limit stays: other code may share this interpreter
+        raise CliError(
+            f"bounds delta-kappa: the fraction at --kappa {kappa} has more digits "
+            f"than Python converts to text, {sys.get_int_max_str_digits()}"
+        ) from exc
     # stdout gets the bare fraction, a file the stamped document
     if cfg.options.get("out"):
-        return _stamp(cfg, {"kappa": kappa, "delta_kappa": str(value)}), None
+        return _stamp(cfg, {"kappa": kappa, "delta_kappa": value}), None
     return f"{value}\n", None
 
 
@@ -889,8 +926,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code
     except (CliError, ValueError, ArithmeticError, OSError, RecursionError, MemoryError) as exc:
         # RecursionError: JSON nested too deep; MemoryError: an allocation
-        # the machine cannot hold
-        print(f"error: {exc}", file=sys.stderr)
+        # the machine cannot hold, often with no text of its own
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -59,8 +59,8 @@ import numpy as np
 from .bounds import pauli_matrix
 from .graphs import ANGLE_STEPS, GraphSpec, carve_target, carve_trap_graph
 from .simulator import (
-    DEFAULT_QUBIT_CAP, PHASES, Distribution, NoiseModel, _check_cap, bit_strings,
-    component_probability_rows, exact_probability_array, index_bits,
+    PHASES, Distribution, NoiseModel, bit_strings, component_probability_rows,
+    exact_probability_array, index_bits,
 )
 
 # Bumped whenever a seed would draw different outcomes.  Engine 2 samples
@@ -303,13 +303,14 @@ class _SimPlan(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def _sim_plan(g: GraphSpec, cap: int) -> _SimPlan:
+def _sim_plan(g: GraphSpec) -> _SimPlan:
     """Per-component outcome distributions of ``g`` at its base angles,
     the cZ order that carries X errors through the round, and the GF(2)
-    tables and base angles that pad, recompute and decrypt it."""
+    tables and base angles that pad, recompute and decrypt it.  Cached by
+    carving; a component of c cells costs 24·2^c bytes to build, so
+    component size is the caller's budget."""
     comps = []
     for vertices, edges in g.components:
-        _check_cap(len(vertices), cap)
         phases = PHASES[[[g.phi_k[v] for v in vertices]]]
         probs = component_probability_rows(vertices, edges, phases)[0]
         cdf = np.cumsum(probs, out=probs)
@@ -612,7 +613,6 @@ def _run_batch(
     strategy: AttackSpec | None,
     noise: NoiseModel | None,
     streams: Sequence[np.random.BitGenerator],
-    cap: int,
 ) -> RunBatch:
     """Execute one repetition per bit generator in ``streams``; their columns.
 
@@ -625,7 +625,7 @@ def _run_batch(
     """
     noise, count, size = noise or _NOISELESS, len(streams), layout.m * layout.n
     cum, flips, term_letters = _attack_tables(strategy, layout)
-    plans = [_sim_plan(g, cap) for g in layout.graphs]
+    plans = [_sim_plan(g) for g in layout.graphs]
     nd = np.array([p.nd for p in plans])
     noisy = not noise.is_noiseless()
     # a noisy round also draws one uniform per site: preparations, cZs, readouts
@@ -689,7 +689,6 @@ def run_scheme(
     m_repetitions: int,
     l_threshold: float,
     rng: np.random.Generator,
-    cap: int = DEFAULT_QUBIT_CAP,
     record_sink: list[RunRecord] | None = None,
 ) -> SchemeVerdict:
     """M independent runs; accept when the pass fraction reaches l.
@@ -698,7 +697,8 @@ def run_scheme(
     spawned generator stream, so results do not depend on batching; the
     published output is one repetition's computation string chosen
     uniformly.  Pass a list as ``record_sink`` to collect the
-    per-repetition transcripts.
+    per-repetition transcripts.  Each carving is simulated component by
+    component, 24·2^c bytes for c cells; bounding c is the caller's part.
     """
     if m_repetitions < 1:
         raise ValueError("need at least one repetition")
@@ -711,7 +711,7 @@ def run_scheme(
         # successive spawns continue one sequence of child streams, the
         # streams `Generator.spawn` would wrap
         streams = rng.bit_generator.spawn(min(_BATCH, m_repetitions - start))
-        batch = _run_batch(layout, strategy, noise, streams, cap)
+        batch = _run_batch(layout, strategy, noise, streams)
         passes += int(batch.accept.sum())
         if 0 <= pick - start < len(batch):
             output = batch.outputs[pick - start]
@@ -741,13 +741,13 @@ def _correction_index_map(g: GraphSpec) -> np.ndarray:
     return out
 
 
-def honest_target_distribution(g: GraphSpec, cap: int = DEFAULT_QUBIT_CAP) -> Distribution:
+def honest_target_distribution(g: GraphSpec) -> Distribution:
     """What the decrypted computation string looks like for an honest run:
     the carved graph measured at its base angles, pushed through the
     connector corrections, an involution: index j takes index map[j]'s mass.
 
     Nothing in the package calls it: it is the exact oracle that the tests
     and the benchmark's checks read."""
-    corrected = exact_probability_array(g, cap=cap)[_correction_index_map(g)]
+    corrected = exact_probability_array(g)[_correction_index_map(g)]
     n = len(g.non_dummy_ids())
     return Distribution(n, dict(zip(bit_strings(index_bits(n)), corrected.tolist())))

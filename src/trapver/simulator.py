@@ -20,23 +20,12 @@ import numpy as np
 
 from .graphs import ANGLE_STEPS, GraphSpec, k_to_radians
 
-DEFAULT_QUBIT_CAP = 22
-
 # e^{−iδ} at each grid step k, δ = kπ/8: every angle the package measures at.
 PHASES = np.array([np.exp(-1j * k_to_radians(k)) for k in range(ANGLE_STEPS)])
 
 PAULI_LETTERS = ("X", "Y", "Z")
 
 DEFAULT_PAULI_MIX: Mapping[str, float] = {"X": 1 / 3, "Y": 1 / 3, "Z": 1 / 3}
-
-
-class QubitCapError(ValueError):
-    """Instance exceeds the configured dense-simulation size."""
-
-
-def _check_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise QubitCapError(f"instance needs {n} qubits, cap is {cap}")
 
 
 @dataclass(frozen=True)
@@ -140,13 +129,13 @@ def component_probability_rows(
 def exact_probability_array(
     g: GraphSpec,
     steps: Mapping[int, int] | None = None,
-    cap: int = DEFAULT_QUBIT_CAP,
 ) -> np.ndarray:
     """Joint outcome probabilities, index bit ``j`` = j-th non-dummy vertex,
     each vertex ``v`` measured at grid step ``steps[v]`` (``g.phi_k`` by
-    default), taken mod 16."""
+    default), taken mod 16.  It holds 8·2^N bytes for N non-dummy vertices
+    and 24·2^c while transforming a component of c; size is the caller's
+    budget (the CLI's ``--cap`` and memory check)."""
     nd = g.non_dummy_ids()
-    _check_cap(len(nd), cap)
     steps = dict(enumerate(g.phi_k)) if steps is None else steps
     for v in nd:
         if v not in steps:

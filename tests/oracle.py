@@ -58,9 +58,22 @@ from trapver.protocol import (
     _run_batch,
     _sim_plan,
 )
-from trapver.simulator import DEFAULT_QUBIT_CAP, NoiseModel, _check_cap, bit_strings
+from trapver.simulator import NoiseModel, bit_strings
 
 _SQRT_HALF = 1 / math.sqrt(2)
+
+# The dense and spin-sum oracles' own size guard: they hold or sum over
+# 2^n amplitudes for the whole register.
+DEFAULT_QUBIT_CAP = 22
+
+
+class QubitCapError(ValueError):
+    """Instance exceeds an oracle's dense-simulation size."""
+
+
+def _check_cap(n: int, cap: int) -> None:
+    if n > cap:
+        raise QubitCapError(f"instance needs {n} qubits, cap is {cap}")
 
 
 def radians(g: GraphSpec) -> dict[int, float]:
@@ -425,7 +438,7 @@ def decrypt(
             raise ValueError(f"slot {slot}: need one outcome per cell")
     raw_c = np.zeros((1, layout.rounds, layout.m * layout.n), np.uint8)
     raw_c[0, list(key.perm)] = raw_rounds
-    plans = [_sim_plan(g, DEFAULT_QUBIT_CAP) for g in layout.graphs]
+    plans = [_sim_plan(g) for g in layout.graphs]
     dec = _decrypt(plans[0], _masks(plans, key)[None], raw_c)[0]
     return tuple(
         tuple(dec[gi, list(layout.graphs[gi].non_dummy_ids())].tolist())
@@ -519,7 +532,6 @@ def run_protocol(
     strategy: AttackSpec | None = None,
     noise: NoiseModel | None = None,
     rng: np.random.Generator | None = None,
-    cap: int = DEFAULT_QUBIT_CAP,
 ) -> RunRecord:
     """One full verification run: keygen, encrypt, all rounds, decrypt.
 
@@ -528,7 +540,7 @@ def run_protocol(
     """
     if rng is None:
         raise ValueError("an explicitly seeded generator is required")
-    return _run_batch(layout, strategy, noise, [rng.bit_generator], cap)[0]
+    return _run_batch(layout, strategy, noise, [rng.bit_generator])[0]
 
 
 @dataclass(frozen=True)
@@ -554,7 +566,6 @@ def estimate_fidelity_gap(
     strategy: AttackSpec | None,
     samples: int,
     rng: np.random.Generator,
-    cap: int = DEFAULT_QUBIT_CAP,
 ) -> GapEstimate:
     """Monte Carlo over secret keys of trap passing vs computation escape.
 
@@ -575,7 +586,7 @@ def estimate_fidelity_gap(
     escapes = np.zeros(samples)
     for start in range(0, samples, _BATCH):
         size = min(_BATCH, samples - start)
-        batch = _run_batch(layout, strategy, None, [rng.bit_generator] * size, cap)
+        batch = _run_batch(layout, strategy, None, [rng.bit_generator] * size)
         passes[start : start + size] = batch.accept
         escapes[start : start + size] = escape[batch.terms, batch.target_slots]
 

@@ -34,7 +34,6 @@ from trapver.ftcalc import detection_overhead, physical_threshold
 from trapver.graphs import carve_target
 from trapver.protocol import _BATCH, _run_batch, make_round_layout
 from trapver.simulator import (
-    DEFAULT_QUBIT_CAP,
     bit_strings,
     exact_probability_array,
     index_bits,
@@ -84,7 +83,7 @@ def honest_campaign():
     outputs = []
     for start in range(0, HONEST_RUNS, _BATCH):
         size = min(_BATCH, HONEST_RUNS - start)
-        batch = _run_batch(layout, None, None, [rng.bit_generator] * size, DEFAULT_QUBIT_CAP)
+        batch = _run_batch(layout, None, None, [rng.bit_generator] * size)
         accepts += int(batch.accept.sum())
         outputs += batch.outputs
     return layout, accepts, outputs
@@ -97,7 +96,7 @@ def test_honest_campaign_equals_one_run_at_a_time(honest_campaign):
     layout, _, outputs = honest_campaign
     rng, prefix = rng_from(901), 2000
     loop = [run_protocol(layout, None, None, rng) for _ in range(prefix)]
-    batch = _run_batch(layout, None, None, [rng_from(901).bit_generator] * prefix, DEFAULT_QUBIT_CAP)
+    batch = _run_batch(layout, None, None, [rng_from(901).bit_generator] * prefix)
     assert [r.to_json_dict() for r in batch] == [r.to_json_dict() for r in loop]
     assert outputs[:prefix] == [rec.target_output for rec in loop]
 

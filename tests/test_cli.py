@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 import time
 import tracemalloc
 from unittest import mock
@@ -429,6 +430,35 @@ def test_memory_error_is_one_error_line(layout_file, capsys, monkeypatch):
     monkeypatch.setattr("trapver.cli.exact_probability_array", refuse)
     assert main(["simulate", "--graph", str(layout_file), "--exact"]) == 1
     assert capsys.readouterr() == ("", "error: Unable to allocate 745. GiB\n")
+
+
+def test_a_memory_error_without_text_still_names_itself(layout_file, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("trapver.cli.exact_probability_array", refuse)
+    assert main(["simulate", "--graph", str(layout_file), "--exact"]) == 1
+    assert capsys.readouterr() == ("", "error: MemoryError\n")
+
+
+@pytest.mark.parametrize("samples", [-5, 2**63])
+def test_simulate_refuses_a_sample_count_out_of_range(layout_file, capsys, monkeypatch, samples):
+    """numpy would refuse a negative count as ``n < 0`` and one past a C
+    long as too large to convert; both are refused by the flag first."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the refused run was started")
+
+    monkeypatch.setattr("trapver.cli.exact_probability_array", unreachable)
+    assert main(["simulate", "--graph", str(layout_file), "--samples", str(samples)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: --samples must be nonnegative and at most {2**63 - 1}, got {samples}\n"
+    )
+
+
+def test_simulate_draws_zero_samples_as_empty_counts(layout_file, capsys):
+    assert main(["simulate", "--graph", str(layout_file), "--samples", "0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["kind"], doc["count"], doc["counts"]) == ("samples", 0, {})
 
 
 def test_simulate_missing_graph(tmp_path):
@@ -1074,6 +1104,56 @@ def test_a_cap_beyond_physical_memory_is_refused_before_allocating(
     assert not out.exists()
 
 
+_VERIFY_ONE = ["verify", "--kappa", "1", "--scheme-M", "1", "--scheme-l", "0.5"]
+
+
+_CAP_CASES = [
+    ("simulate", ["simulate", "--cap", "6"], {}, "instance needs 7 qubits, cap is 6"),
+    ("verify-flag", [*_VERIFY_ONE, "--m-rounds", "3", "--n-rounds", "3", "--cap", "6"], {},
+     "instance needs 7 qubits, cap is 6"),
+    ("verify-env", [*_VERIFY_ONE, "--m-rounds", "3", "--n-rounds", "3"], {"TRAPVER_CAP": "6"},
+     "instance needs 7 qubits, cap is 6"),
+    ("replay", ["replay"], {}, "instance needs 7 qubits, cap is 6"),
+    ("verify-7x5", [*_VERIFY_ONE, "--m-rounds", "7", "--n-rounds", "5"], {},
+     "instance needs 24 qubits, cap is 22"),
+]
+
+
+@pytest.mark.parametrize("case, argv, env, message", _CAP_CASES, ids=[c[0] for c in _CAP_CASES])
+def test_the_qubit_cap_is_refused_with_one_error_line(tmp_path, capsys, case, argv, env, message):
+    """`simulate` caps the joint distribution's N non-dummy bits, `verify`
+    each connected component of the target; the 3x3 target is one
+    component of 7 qubits, the 7x5 target's largest holds 24.  A cap set
+    by flag, by TRAPVER_CAP or in a replayed artifact's stored config is
+    refused alike, before anything is written."""
+    out = tmp_path / "out.json"
+    if case == "simulate":
+        graph = tmp_path / "target3x3.json"
+        assert main(["carve", "--m", "3", "--n", "3", "--out", str(graph)]) == 0
+        argv = [*argv, "--graph", str(graph), "--exact"]
+    elif case == "replay":
+        assert main([*_VERIFY_ONE, "--m-rounds", "3", "--n-rounds", "3", "--out", str(out)]) == 0
+        doc = read_json(out)
+        doc["config"]["cap"] = 6
+        out.write_text(json.dumps(doc))
+        argv = [*argv, str(out)]
+    if case != "replay":
+        argv = [*argv, "--out", str(out)]
+    capsys.readouterr()
+    with mock.patch.dict(os.environ, env):
+        assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert case == "replay" or not out.exists()
+
+
+def test_verify_at_9x3_runs_under_the_default_cap(tmp_path):
+    """The 9x3 lattice has 27 cells, more than the default cap of 22, but
+    the cap bounds each component of the target, and none is that large."""
+    out = tmp_path / "a.json"
+    assert main([*_VERIFY_ONE, "--m-rounds", "9", "--n-rounds", "3", "--out", str(out)]) == 0
+    assert read_json(out)["config"]["cap"] == 22
+
+
 def test_verify_auto_params_needs_noise(tmp_path):
     argv, _ = verify_argv(
         tmp_path, "degenerate.json", ["--auto-params", "--beta", "0.05"]
@@ -1087,6 +1167,22 @@ def test_verify_auto_params_needs_noise(tmp_path):
 def test_bounds_delta_kappa_stdout(capsys):
     assert main(["bounds", "delta-kappa", "--kappa", "2"]) == 0
     assert capsys.readouterr().out.strip() == "1/10"
+
+
+def test_bounds_delta_kappa_past_the_digit_limit_names_kappa(capsys):
+    """At κ = 8000 the denominator has more digits than Python converts
+    to text by default; the refusal names --kappa, and the interpreter's
+    limit is left as it was."""
+    limit = sys.get_int_max_str_digits()
+    assert main(["bounds", "delta-kappa", "--kappa", "7000"]) == 0
+    assert capsys.readouterr().out.startswith("1/")
+    assert main(["bounds", "delta-kappa", "--kappa", "8000"]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "error: bounds delta-kappa: the fraction at --kappa 8000 has more digits "
+        f"than Python converts to text, {limit}\n",
+    )
+    assert sys.get_int_max_str_digits() == limit
 
 
 @pytest.mark.parametrize(
@@ -1315,6 +1411,66 @@ def test_a_cell_count_beyond_an_index_names_both_flags(capsys):
         f"error: carve: the --m x --n lattice's cell count {3 * 2**62} does not fit "
         "an index, at most 9223372036854775807\n"
     )
+
+
+def test_carve_beyond_physical_memory_names_its_flags(capsys, monkeypatch):
+    """Sizes that fit an index but not memory are refused before the
+    carving is allocated, not by an empty MemoryError."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the refused carving was started")
+
+    monkeypatch.setattr("trapver.cli._physical_memory", lambda: 10**9)
+    monkeypatch.setattr("trapver.cli.carve_target", unreachable)
+    capsys.readouterr()
+    assert main(["carve", "--m", str(10**15), "--n", "3"]) == 1
+    assert capsys.readouterr() == (
+        "",
+        f"error: carve: the --m {10**15} x --n 3 lattice would keep "
+        "1,500,000,000,000,000,000 bytes, more than the 1,000,000,000 bytes of physical memory\n",
+    )
+
+
+def test_verify_beyond_physical_memory_names_m_and_kappa_before_the_layout(capsys, monkeypatch):
+    """A κ whose 2κ+1 rounds fit an index but not memory is refused by the
+    records check, before `make_round_layout` builds them."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the layout was built")
+
+    monkeypatch.setattr("trapver.cli._physical_memory", lambda: 10**9)
+    monkeypatch.setattr("trapver.cli.make_round_layout", unreachable)
+    capsys.readouterr()
+    assert main(["verify", "--m-rounds", "3", "--n-rounds", "3", "--kappa", str(10**15),
+                 "--scheme-M", "1", "--scheme-l", "0.5"]) == 1
+    assert capsys.readouterr() == (
+        "",
+        f"error: M = 1 repetitions at kappa = {10**15} would keep 240,000,000,000,000,504 "
+        "bytes, more than the 1,000,000,000 bytes of physical memory\n",
+    )
+
+
+@pytest.mark.parametrize("subcommand", ["carve", "verify"])
+def test_out_into_a_missing_directory_names_the_out_path(tmp_path, capsys, subcommand):
+    out = tmp_path / "missing" / "g.json"
+    argv = {
+        "carve": ["carve", "--m", "3", "--n", "3"],
+        "verify": [*_VERIFY_ONE, "--m-rounds", "3", "--n-rounds", "3"],
+    }[subcommand]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: cannot write --out {out}: No such file or directory\n"
+    )
+
+
+def test_a_failed_write_leaves_no_temporary_file(tmp_path, capsys):
+    """The rename onto a directory fails after the temporary file is
+    written; the file is removed and the error names --out."""
+    out = tmp_path / "taken"
+    out.mkdir()
+    capsys.readouterr()
+    assert main(["carve", "--m", "3", "--n", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: cannot write --out {out}: Is a directory\n")
+    assert list(tmp_path.iterdir()) == [out]
 
 
 @pytest.mark.parametrize("key", ["m", "kappa"])

@@ -97,3 +97,23 @@ def test_no_module_reads_argparse_private_names(path):
         if alias.name.startswith("_")
     ]
     assert reads == []
+
+
+def test_the_qubit_cap_is_read_only_by_the_cli():
+    """The qubit cap is a budget of the command line, not a precondition
+    of the engine: no function outside `cli` takes a ``cap`` parameter,
+    and no other module reads ``DEFAULT_QUBIT_CAP``."""
+    found = []
+    for path in MODULES:
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+                found += [f"{path.name}:{node.lineno}: cap" for a in params if a and a.arg == "cap"]
+            elif isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
+                name = getattr(node, "id", None) or getattr(node, "attr", None) or node.name
+                if name == "DEFAULT_QUBIT_CAP":
+                    found.append(f"{path.name}:{getattr(node, 'lineno', '?')}: {name}")
+    assert found == []

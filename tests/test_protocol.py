@@ -39,7 +39,6 @@ from trapver.protocol import (
     unitary_attack,
 )
 from trapver.simulator import (
-    DEFAULT_QUBIT_CAP,
     NoiseModel,
     component_probability_rows,
     exact_probability_array,
@@ -389,7 +388,7 @@ def test_base_distribution_shifted_by_mask_equals_per_key_route(m):
         key = keygen(layout, rng)
         deltas = encrypt_angles(key, layout)
         for gi, g in enumerate(layout.graphs):
-            plan = _sim_plan(g, DEFAULT_QUBIT_CAP)
+            plan = _sim_plan(g)
             mask = _pad_mask(plan, key.r[gi], key.rprime[gi])
             for comp in plan.components:
                 if g.is_dummy(comp.vertices[0]):
@@ -420,7 +419,7 @@ def _frame(g, events, letters) -> tuple[np.ndarray, np.ndarray]:
     attack ``letters`` at the readout."""
     evs = list(events) + [NoiseEvent(len(g.edges), v, p) for v, p in letters.items()]
     cols = np.array([(s, v, _LETTER_CODE[p]) for s, v, p in evs], int).reshape(-1, 3)
-    plan = _sim_plan(g, DEFAULT_QUBIT_CAP)
+    plan = _sim_plan(g)
     x, z = _pauli_frame(plan, np.zeros(len(cols), int), *cols.T, 1)
     return x[0], z[0]
 
@@ -431,7 +430,7 @@ def _frame_distribution(g, key, gi, events, letters) -> np.ndarray:
     angles where the frame holds an X bit; fair coins on dummies; then
     every outcome XORed with the frame's Z bits."""
     size = g.m * g.n
-    plan = _sim_plan(g, DEFAULT_QUBIT_CAP)
+    plan = _sim_plan(g)
     x, z = _frame(g, events, letters)
     mask = _pad_mask(plan, key.r[gi], key.rprime[gi])
     keyed = _keyed_angles(plan, key.r[gi], key.rprime[gi], key.theta_k[gi], x)
@@ -534,7 +533,7 @@ def test_frame_kernel_samples_a_recomputed_component():
     follow the distribution at the keyed angles."""
     layout = make_round_layout(3, 3, 1)
     g = layout.target
-    assert len(_sim_plan(g, DEFAULT_QUBIT_CAP).components[0].vertices) == 7
+    assert len(_sim_plan(g).components[0].vertices) == 7
     events = [NoiseEvent(-1, 0, "Y"), NoiseEvent(len(g.edges) - 1, 8, "X")]
     _check_recomputed_draws(layout, keygen(layout, rng_from(95)), 0, events)
 
@@ -556,7 +555,7 @@ def _check_recomputed_draws(layout, key, gi, events):
     ½Σ√(p/N) and moves by 1/N per draw, so it exceeds that by 0.03 with
     probability below e^{−2N·0.03²} ≈ 1e-6."""
     g = layout.graphs[gi]
-    plan = _sim_plan(g, DEFAULT_QUBIT_CAP)
+    plan = _sim_plan(g)
     comp = plan.components[0]
     x, z = _frame(g, events, {})
     assert x[list(comp.vertices)].any()
@@ -612,7 +611,7 @@ def test_stacked_recompute_equals_per_hit_loop(m):
     rng = rng_from(110 + m)
     words = protocol._draw_blocks([rng.bit_generator] * runs, protocol._key_words(layout))
     keys = protocol._keys(layout, non_dummy(layout), words)
-    plans = [_sim_plan(g, DEFAULT_QUBIT_CAP) for g in layout.graphs]
+    plans = [_sim_plan(g) for g in layout.graphs]
     masks = protocol._masks(plans, keys)
     target_hits = 0
     for gi, (g, plan) in enumerate(zip(layout.graphs, plans)):
@@ -643,12 +642,12 @@ def test_noisy_9x3_recompute_stays_under_the_amplitude_cap(monkeypatch):
     noise = NoiseModel(eps_v=0.02, eps_p=0.02)
     layout = make_round_layout(9, 3, 1)
     for g in layout.graphs:
-        _sim_plan(g, DEFAULT_QUBIT_CAP)  # the cached base, outside the measurement
+        _sim_plan(g)  # the cached base, outside the measurement
     started = not tracemalloc.is_tracing()
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
-        _run_batch(layout, None, noise, rng_from(120).bit_generator.spawn(6), DEFAULT_QUBIT_CAP)
+        _run_batch(layout, None, noise, rng_from(120).bit_generator.spawn(6))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         if started:
@@ -658,7 +657,7 @@ def test_noisy_9x3_recompute_stays_under_the_amplitude_cap(monkeypatch):
     assert peak < 40 * 2**20
     calls.clear()
     _run_batch(
-        make_round_layout(3, 3, 1), None, noise, rng_from(121).bit_generator.spawn(478), DEFAULT_QUBIT_CAP
+        make_round_layout(3, 3, 1), None, noise, rng_from(121).bit_generator.spawn(478)
     )
     sevens = [rows for rows, cells in calls if cells == 7]
     assert len(sevens) == 1 and sevens[0] > 50
@@ -674,7 +673,7 @@ def test_9x3_target_plan_holds_amplitudes_plus_half_a_scratch():
     tracemalloc.reset_peak()
     before = tracemalloc.get_traced_memory()[0]
     try:
-        plan = _sim_plan.__wrapped__(g, DEFAULT_QUBIT_CAP)  # bypass the cache
+        plan = _sim_plan.__wrapped__(g)  # bypass the cache
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         if started:
@@ -694,7 +693,7 @@ def test_trap_plans_at_21x11_stay_under_a_mebibyte():
         tracemalloc.start()
         tracemalloc.reset_peak()
         try:
-            plan = _sim_plan.__wrapped__(g, DEFAULT_QUBIT_CAP)  # bypass the cache
+            plan = _sim_plan.__wrapped__(g)  # bypass the cache
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             if started:
@@ -754,18 +753,18 @@ def test_correction_index_map_equals_the_masked_loop(m, n):
 
 
 @pytest.mark.parametrize(
-    "m, n, cap, runs",
-    [(5, 3, DEFAULT_QUBIT_CAP, 1500), (9, 3, DEFAULT_QUBIT_CAP, 300), (7, 5, 24, 2000)],
-    ids=["5-1500", "9-300", "7x5-cap24-2000"],
+    "m, n, runs",
+    [(5, 3, 1500), (9, 3, 300), (7, 5, 2000)],
+    ids=["5-1500", "9-300", "7x5-2000"],
 )
-def test_honest_outputs_reach_exact_cross_entropy(m, n, cap, runs):
+def test_honest_outputs_reach_exact_cross_entropy(m, n, runs):
     """Linear cross-entropy of honest outputs against the exact corrected
     distribution.  Its expectation is 2.25 at 5x3 and 9x3, 1.875 at 7x5
     (24 qubits, the smallest carving with staggered connectors), and
     uniform strings give 1.0, so a decryption or mask bug cannot pass."""
     layout = make_round_layout(m, n, 1)
     g = layout.target
-    probs = exact_probability_array(g, cap=cap)
+    probs = exact_probability_array(g)
     ref = np.zeros_like(probs)
     np.add.at(ref, _correction_index_map(g), probs)
     del probs  # at 7x5 every array here is 128 MiB
@@ -778,10 +777,10 @@ def test_honest_outputs_reach_exact_cross_entropy(m, n, cap, runs):
     sink: list = []
     try:
         verdict = run_scheme(
-            layout, None, None, runs, 1.0, rng_from(80 + m), cap=cap, record_sink=sink
+            layout, None, None, runs, 1.0, rng_from(80 + m), record_sink=sink
         )
     finally:
-        if cap > DEFAULT_QUBIT_CAP:
+        if (m, n) == (7, 5):
             _sim_plan.cache_clear()  # drop the 2^24-entry CDF
     assert verdict.pass_fraction == 1.0
     got = float(scaled[[int(r.target_output[::-1], 2) for r in sink]].mean())
@@ -825,9 +824,9 @@ def test_records_do_not_depend_on_the_batch(case, monkeypatch):
     monkeypatch.setattr(protocol, "_BATCH", 7)
     sink: list = []
     run_scheme(layout, attack, noise, m, 0.5, rng_from(2030), record_sink=sink)
-    whole = _run_batch(layout, attack, noise, rng_from(2030).bit_generator.spawn(m), DEFAULT_QUBIT_CAP)
+    whole = _run_batch(layout, attack, noise, rng_from(2030).bit_generator.spawn(m))
     one_by_one = [
-        _run_batch(layout, attack, noise, [s], DEFAULT_QUBIT_CAP)[0]
+        _run_batch(layout, attack, noise, [s])[0]
         for s in rng_from(2030).bit_generator.spawn(m)
     ]
     assert [r.to_json_dict() for r in sink] == [r.to_json_dict() for r in whole] == [

@@ -19,7 +19,6 @@ from trapver.simulator import (
     PHASES,
     Distribution,
     NoiseModel,
-    QubitCapError,
     bit_strings,
     component_probability_rows,
     exact_probability_array,
@@ -32,6 +31,7 @@ from helpers import (
 )
 from oracle import (
     IsingInstance,
+    QubitCapError,
     StateVector,
     fwht_per_stage_copy,
     ising_partition_probability,
@@ -427,12 +427,6 @@ def test_exact_probabilities_sum_to_one(m, n, seed):
     probs = exact_probability_array(g, {v: g.phi_k[v] for v in range(m * n)})
     assert abs(probs.sum() - 1) <= 1e-10
     assert probs.min() >= -1e-15
-
-
-def test_exact_enumeration_respects_cap():
-    g = carve_target(3, 3)
-    with pytest.raises(QubitCapError):
-        exact_probability_array(g, cap=3)
 
 
 def test_exact_requires_angle_per_vertex():
