@@ -408,10 +408,10 @@ def _cmd_simulate(cfg: SessionConfig) -> Result:
     angles_path = opts.get("angles")
     steps = _load_angles(angles_path) if angles_path else None
     samples = opts.get("samples")
-    if samples is not None and not 0 <= samples <= _MAX_SAMPLES:
-        raise CliError(f"--samples must be nonnegative and at most {_MAX_SAMPLES}, got {samples}")
     exact = opts.get("exact") or samples is None
     _check_components_fit(g, opts["cap"], joint=True)
+    if not exact and not 0 <= samples <= _MAX_SAMPLES:
+        raise CliError(f"--samples must be nonnegative and at most {_MAX_SAMPLES}, got {samples}")
     probs = exact_probability_array(g, steps)
     n = len(g.non_dummy_ids())
     # row k spells k in binary, so the strings come out sorted; character j

@@ -126,10 +126,7 @@ def component_probability_rows(
     return probs
 
 
-def exact_probability_array(
-    g: GraphSpec,
-    steps: Mapping[int, int] | None = None,
-) -> np.ndarray:
+def exact_probability_array(g: GraphSpec, steps: Mapping[int, int] | None = None) -> np.ndarray:
     """Joint outcome probabilities, index bit ``j`` = j-th non-dummy vertex,
     each vertex ``v`` measured at grid step ``steps[v]`` (``g.phi_k`` by
     default), taken mod 16.  It holds 8·2^N bytes for N non-dummy vertices

@@ -423,22 +423,20 @@ def test_simulate_outputs_are_pinned(name, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_memory_error_is_one_error_line(layout_file, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "exc, message",
+    [(MemoryError("Unable to allocate 745. GiB"), "Unable to allocate 745. GiB"),
+     (MemoryError(), "MemoryError")],
+    ids=["numpy", "no-text"],
+)
+def test_memory_error_is_one_error_line(layout_file, capsys, monkeypatch, exc, message):
+    """A MemoryError with no text of its own still prints a message."""
     def refuse(*args, **kwargs):
-        raise MemoryError("Unable to allocate 745. GiB")
+        raise exc
 
     monkeypatch.setattr("trapver.cli.exact_probability_array", refuse)
     assert main(["simulate", "--graph", str(layout_file), "--exact"]) == 1
-    assert capsys.readouterr() == ("", "error: Unable to allocate 745. GiB\n")
-
-
-def test_a_memory_error_without_text_still_names_itself(layout_file, capsys, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise MemoryError
-
-    monkeypatch.setattr("trapver.cli.exact_probability_array", refuse)
-    assert main(["simulate", "--graph", str(layout_file), "--exact"]) == 1
-    assert capsys.readouterr() == ("", "error: MemoryError\n")
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("samples", [-5, 2**63])
