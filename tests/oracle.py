@@ -3,7 +3,9 @@
 The dense state vector simulates a round qubit by qubit: the sender's
 preparations, the blanket cZs, the basis rotations and every noise event
 where it strikes.  The engine never builds it; it is the independent
-route the frame kernel's exact distributions are checked against.
+route the frame kernel's exact distributions are checked against.  The
+package takes no qubit cap, so the dense and spin-sum oracles keep their
+own guard, `_check_cap`, at 22 qubits unless a test passes ``cap``.
 
 One-run views: a repetition's key, its encrypted angles, the decryption
 of one run's raw outcomes and one round's noise events.  The engine
