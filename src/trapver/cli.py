@@ -70,6 +70,11 @@ class SessionConfig:
     subcommand: str
     options: Mapping[str, object]
 
+    @property
+    def name(self) -> str:
+        """What messages call the run: the subcommand, and its verb."""
+        return " ".join(filter(None, (self.subcommand, self.options.get("verb"))))
+
     def to_json_dict(self) -> dict:
         """The schema-3 snapshot: every option the subcommand declares, null
         when unset, and the attack document when there is one.  Where the
@@ -107,8 +112,9 @@ def _resolve(
 ) -> SessionConfig:
     """The one merge of option values: the subcommand's defaults, then each
     source in turn, its values converted as their flags would be, then the
-    flags; then the cross-option rule.  A source's key that only other
-    subcommands declare is checked like theirs, then dropped."""
+    flags; then the cross-option rule, then each own option's interval.  A
+    source's key that only other subcommands declare is checked like
+    theirs, then dropped."""
     _, options = _COMMANDS[subcommand]
     own = {o.key: o.default for o in options}
     table = _option_table(subcommand)
@@ -126,7 +132,14 @@ def _resolve(
             "--auto-params and explicit --scheme-M/--scheme-l are mutually "
             "exclusive"
         )
-    return SessionConfig(subcommand, merged)
+    cfg = SessionConfig(subcommand, merged)
+    for o in options:
+        v, (lo, hi) = merged.get(o.key), o.interval or (None, None)
+        # written so that NaN lies in no interval
+        if v is not None and not ((lo is None or lo <= v) and (hi is None or v <= hi)):
+            interval = f"{'(-inf' if lo is None else f'[{lo}'}, {'inf)' if hi is None else f'{hi}]'}"
+            raise CliError(f"{cfg.name}: {o.flags[0]} must lie in {interval}, got {v}")
+    return cfg
 
 
 def _parse_bool(raw: str) -> bool:
@@ -202,8 +215,7 @@ def _emit(cfg: SessionConfig, payload: dict | str, csv_rows: list[list] | None) 
     """
     csv_out, out = cfg.options.get("fmt") == "csv", cfg.options.get("out")
     if csv_out and csv_rows is None:
-        what = " ".join(filter(None, (cfg.subcommand, cfg.options.get("verb"))))
-        raise CliError(f"{what} has no CSV output; use --format json")
+        raise CliError(f"{cfg.name} has no CSV output; use --format json")
     if csv_out and csv_rows is not None:
         buf = io.StringIO()
         csv.writer(buf).writerows(csv_rows)
@@ -268,8 +280,6 @@ def _read_json(path: str, what: str) -> object:
 
 
 def _rng(seed: int) -> np.random.Generator:
-    if seed < 0:
-        raise CliError(f"--seed must be nonnegative, got {seed}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
@@ -290,15 +300,12 @@ def _require(cfg: SessionConfig, *names: str) -> list[object]:
 
 
 def _lattice_sizes(cfg: SessionConfig, *names: str) -> list[int]:
-    """The required sizes ``names``, lattice columns and rows first.  Each,
-    and the cell count m·n, must fit an index (at most sys.maxsize), or
-    the error names its flags, whatever set them; past it numpy and tuple
-    repeats fail without naming any option."""
+    """The required sizes ``names``, lattice columns and rows first.  Their
+    cell count m·n must fit an index (at most sys.maxsize), as each size's
+    own interval does, or the error names both flags; past it numpy and
+    tuple repeats fail without naming any option."""
     sizes = _require(cfg, *names)
     flags = [_flag(cfg.subcommand, name) for name in names]
-    for flag, v in zip(flags, sizes):
-        if abs(v) > sys.maxsize:
-            raise CliError(f"{cfg.subcommand}: {flag} {v} does not fit an index, at most {sys.maxsize}")
     if abs(sizes[0] * sizes[1]) > sys.maxsize:
         raise CliError(
             f"{cfg.subcommand}: the {flags[0]} x {flags[1]} lattice's cell count "
@@ -397,10 +404,6 @@ def _load_angles(path: str) -> dict[int, int]:
     raise CliError(f"angles file {path} must map vertex ids to integer grid steps")
 
 
-# numpy's multinomial draws a count in a C long
-_MAX_SAMPLES = 2**63 - 1
-
-
 def _cmd_simulate(cfg: SessionConfig) -> Result:
     (graph_path,) = _require(cfg, "graph")
     g = GraphSpec.from_json_dict(_read_json(graph_path, "layout"))
@@ -410,8 +413,6 @@ def _cmd_simulate(cfg: SessionConfig) -> Result:
     samples = opts.get("samples")
     exact = opts.get("exact") or samples is None
     _check_components_fit(g, opts["cap"], joint=True)
-    if not exact and not 0 <= samples <= _MAX_SAMPLES:
-        raise CliError(f"--samples must be nonnegative and at most {_MAX_SAMPLES}, got {samples}")
     probs = exact_probability_array(g, steps)
     n = len(g.non_dummy_ids())
     # row k spells k in binary, so the strings come out sorted; character j
@@ -434,9 +435,6 @@ def _cmd_simulate(cfg: SessionConfig) -> Result:
 
 def _scheme_parameters(opts: Mapping, n_qubits: int, kappa: int) -> tuple[int, float, dict]:
     beta = opts.get("beta")
-    # the artifact's config carries --beta even when --auto-params is off
-    if beta is not None and not 0 < beta < 1:
-        raise CliError(f"--beta must lie in (0, 1), got {beta}")
     if opts["auto_params"]:
         if beta is None:
             raise CliError("--auto-params needs --beta")
@@ -591,17 +589,12 @@ def _params_in_range(what: str, flags: str, theorem: Callable, *args) -> bounds.
         raise CliError(f"{what}: {exc} at these {flags}") from exc
 
 
-def _beyond_floats(what: str, value: int) -> None:
-    """Theorems 1 and 2 compute in floats: refuse a ``value`` above the
-    largest one, which ``what`` names."""
-    if value > sys.float_info.max:
-        raise CliError(f"{what} exceeds the largest float, {sys.float_info.max:g}")
-
-
 def _bounds_thm1(cfg: SessionConfig) -> tuple[dict, None]:
     n_qubits, kappa, beta = _require(cfg, "n_qubits", "kappa", "beta")
-    # the repetition formula's denominator holds 2κ²N²
-    _beyond_floats("bounds thm1: 2*kappa^2*N^2 of --kappa and --n-qubits", 2 * (kappa * n_qubits) ** 2)
+    # the repetition formula's float denominator holds 2κ²N²
+    if 2 * (kappa * n_qubits) ** 2 > sys.float_info.max:
+        what = "2*kappa^2*N^2 of --kappa and --n-qubits"
+        raise CliError(f"bounds thm1: {what} exceeds the largest float, {sys.float_info.max:g}")
     eps_v, eps_p = cfg.options["eps_v"], cfg.options["eps_p"]
     params = _params_in_range(
         "bounds thm1", "--beta, --eps-v, --eps-p, --kappa and --n-qubits",
@@ -612,7 +605,6 @@ def _bounds_thm1(cfg: SessionConfig) -> tuple[dict, None]:
 
 def _bounds_thm2(cfg: SessionConfig) -> tuple[dict, None]:
     eps2, kappa, beta = _require(cfg, "eps2", "kappa", "beta")
-    _beyond_floats("bounds thm2: --kappa", kappa)
     params = _params_in_range("bounds thm2", "--beta and --eps2", bounds.theorem2_params, eps2, kappa, beta)
     return _stamp(cfg, {"params": asdict(params)}), None
 
@@ -634,8 +626,6 @@ def _bounds_twirl(cfg: SessionConfig) -> tuple[dict, None]:
     # checked before any 2^n x 2^n matrix is drawn
     if not 1 <= n <= 3:
         raise CliError(f"bounds twirl: --n-qubits must be 1, 2 or 3, not {n}")
-    if trials < 1:
-        raise CliError(f"bounds twirl: --trials must be at least 1, not {trials}")
     rng = _rng(opts["seed"])
     residuals = []
     for _ in range(trials):
@@ -769,8 +759,10 @@ _HANDLERS = {
 
 class _Option(NamedTuple):
     """One option: its flags (a positional's name), its conversion (None
-    for a store-true flag), its choices, its default and its help.  Its key
-    is ``dest`` when given, else the first flag as argparse names it."""
+    for a store-true flag), its choices, its default, its help, its dest
+    and its inclusive interval (low, high), None for an open side, which
+    `_resolve` checks whatever source set the value.  Its key is ``dest``
+    when given, else the first flag as argparse names it."""
 
     flags: tuple[str, ...]
     conv: Callable[[str], object] | None = str
@@ -778,17 +770,20 @@ class _Option(NamedTuple):
     default: object = None
     help: str | None = None
     dest: str | None = None
+    interval: tuple | None = None
 
     @property
     def key(self) -> str:
         return self.dest or self.flags[0].lstrip("-").replace("-", "_")
 
 
-# subcommand -> (its help, its options in --help order)
+# subcommand -> (its help, its options in --help order); an option has an
+# interval where a value outside it would fail without naming the option:
+# a size past an index, a negative seed, a float past the largest one
 _COMMANDS: dict[str, tuple[str, tuple[_Option, ...]]] = {
     "carve": ("emit a carved lattice layout", (
-        _Option(("--m",), int, help="lattice columns"),
-        _Option(("--n",), int, help="lattice rows"),
+        _Option(("--m",), int, help="lattice columns", interval=(None, sys.maxsize)),
+        _Option(("--n",), int, help="lattice rows", interval=(None, sys.maxsize)),
         _Option(("--kind",), choices=("target", "trap-even", "trap-odd"), default="target",
                 help="which carving to emit"),
         _Option(("--check-isomorphism",), None,
@@ -801,16 +796,17 @@ _COMMANDS: dict[str, tuple[str, tuple[_Option, ...]]] = {
         _Option(("--graph",), help="layout JSON path"),
         _Option(("--angles",), help="JSON {vertex: grid steps}; default: layout angles"),
         _Option(("--exact",), None),
-        _Option(("--samples",), int),
-        _Option(("--seed",), int, default=0),
+        # numpy's multinomial draws a count in a C long
+        _Option(("--samples",), int, interval=(0, 2**63 - 1)),
+        _Option(("--seed",), int, default=0, interval=(0, None)),
         _Option(("--cap",), int, default=DEFAULT_QUBIT_CAP),
         _Option(("--out",)),
         _Option(("--format",), choices=("json", "csv"), default="json", dest="fmt"),
     )),
     "verify": ("run the M-repetition scheme", (
-        _Option(("--kappa",), int),
-        _Option(("--m-rounds",), int, help="lattice columns", dest="m"),
-        _Option(("--n-rounds",), int, help="lattice rows", dest="n"),
+        _Option(("--kappa",), int, interval=(None, sys.maxsize)),
+        _Option(("--m-rounds",), int, help="lattice columns", dest="m", interval=(None, sys.maxsize)),
+        _Option(("--n-rounds",), int, help="lattice rows", dest="n", interval=(None, sys.maxsize)),
         _Option(("--eps-v",), float, default=0.0),
         _Option(("--eps-p",), float, default=0.0),
         _Option(("--attack",), help="AttackSpec JSON path"),
@@ -818,14 +814,16 @@ _COMMANDS: dict[str, tuple[str, tuple[_Option, ...]]] = {
         _Option(("--scheme-l",), float, dest="scheme_l"),
         _Option(("--auto-params",), None, default=False,
                 help="derive (M, l) from the noise-rate bound calculator"),
-        _Option(("--beta",), float, help="confidence budget for --auto-params"),
-        _Option(("--seed",), int, default=0),
+        # (0, 1), checked even without --auto-params: the artifact stores it
+        _Option(("--beta",), float, help="confidence budget for --auto-params",
+                interval=(math.ulp(0.0), math.nextafter(1.0, 0.0))),
+        _Option(("--seed",), int, default=0, interval=(0, None)),
         _Option(("--cap",), int, default=DEFAULT_QUBIT_CAP),
         _Option(("--out",)),
     )),
     "bounds": ("closed-form calculators", (
         _Option(("verb",), choices=tuple(_BOUNDS_VERBS)),
-        _Option(("--kappa",), int),
+        _Option(("--kappa",), int, interval=(None, sys.float_info.max)),
         _Option(("--n-qubits", "--n"), int),
         _Option(("--eps-v",), float, default=0.0),
         _Option(("--eps-p",), float, default=0.0),
@@ -838,8 +836,8 @@ _COMMANDS: dict[str, tuple[str, tuple[_Option, ...]]] = {
         _Option(("--q",)),
         _Option(("--q-prime",)),
         _Option(("--basis",), choices=("full", "z_only"), default="full"),
-        _Option(("--trials",), int, default=20),
-        _Option(("--seed",), int, default=0),
+        _Option(("--trials",), int, default=20, interval=(1, None)),
+        _Option(("--seed",), int, default=0, interval=(0, None)),
         _Option(("--out",)),
         _Option(("--format",), choices=("json", "csv"), default="json", dest="fmt"),
     )),

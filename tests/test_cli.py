@@ -200,9 +200,11 @@ def test_each_key_has_one_default_and_the_defaults_are_pinned():
 
 
 def _valid_values(key):
-    """Values every row that declares ``key`` accepts, as JSON a config
-    file may carry."""
+    """Values every row that declares ``key`` accepts, inside each row's
+    interval, as JSON a config file may carry."""
     rows = [o for _, options in _COMMANDS.values() for o in options if o.key == key]
+    low = max([0, *(o.interval[0] for o in rows if o.interval and o.interval[0] is not None)])
+    high = min([9, *(o.interval[1] for o in rows if o.interval and o.interval[1] is not None)])
     choices = [set(o.choices) for o in rows if o.choices]
     if choices:
         return st.sampled_from(sorted(set.intersection(*choices)))
@@ -212,9 +214,9 @@ def _valid_values(key):
     if conv is None:
         return st.booleans()
     if conv is int:
-        return st.integers(0, 9)
+        return st.integers(low, high)
     if conv is float:
-        return st.floats(0.0, 1.0)
+        return st.floats(low, min(high, 1.0))
     return st.text(alphabet="abc./", min_size=1, max_size=4)
 
 
@@ -442,14 +444,15 @@ def test_memory_error_is_one_error_line(layout_file, capsys, monkeypatch, exc, m
 @pytest.mark.parametrize("samples", [-5, 2**63])
 def test_simulate_refuses_a_sample_count_out_of_range(layout_file, capsys, monkeypatch, samples):
     """numpy would refuse a negative count as ``n < 0`` and one past a C
-    long as too large to convert; both are refused by the flag first."""
+    long as too large to convert; both are refused by the flag's interval
+    first."""
     def unreachable(*args, **kwargs):
         raise AssertionError("the refused run was started")
 
     monkeypatch.setattr("trapver.cli.exact_probability_array", unreachable)
     assert main(["simulate", "--graph", str(layout_file), "--samples", str(samples)]) == 1
     assert capsys.readouterr() == (
-        "", f"error: --samples must be nonnegative and at most {2**63 - 1}, got {samples}\n"
+        "", f"error: simulate: --samples must lie in [0, {2**63 - 1}], got {samples}\n"
     )
 
 
@@ -1299,20 +1302,25 @@ def test_bounds_thm1_at_huge_kappa_exits_at_once(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, kappa, message",
     [
-        (["thm1", "--n-qubits", "20", "--eps-v", "1e-3", "--eps-p", "1e-3"],
-         "bounds thm1: 2*kappa^2*N^2 of --kappa and --n-qubits"),
-        (["thm2", "--eps2", "0.01"], "bounds thm2: --kappa"),
+        (["thm1", "--n-qubits", "20", "--eps-v", "1e-3", "--eps-p", "1e-3"], 10**400,
+         f"bounds thm1: --kappa must lie in (-inf, 1.7976931348623157e+308], got {10**400}"),
+        (["thm2", "--eps2", "0.01"], 10**400,
+         f"bounds thm2: --kappa must lie in (-inf, 1.7976931348623157e+308], got {10**400}"),
+        (["thm1", "--n-qubits", "20", "--eps-v", "1e-3", "--eps-p", "1e-3"], 10**160,
+         "bounds thm1: 2*kappa^2*N^2 of --kappa and --n-qubits exceeds the largest float, "
+         "1.79769e+308"),
     ],
-    ids=["thm1", "thm2"],
+    ids=["thm1", "thm2", "thm1-denominator"],
 )
-def test_bounds_theorems_name_a_kappa_beyond_floats(argv, message, capsys):
+def test_bounds_theorems_name_a_kappa_beyond_floats(argv, kappa, message, capsys):
     """A 401-digit κ exits 1 naming --kappa and the largest float, not
-    with the converter's own overflow message."""
+    with the converter's own overflow message; so does a κ whose 2κ²N²
+    alone passes the largest float."""
     capsys.readouterr()
-    assert main(["bounds", *argv, "--kappa", str(10**400), "--beta", "0.05"]) == 1
-    assert capsys.readouterr() == ("", f"error: {message} exceeds the largest float, 1.79769e+308\n")
+    assert main(["bounds", *argv, "--kappa", str(kappa), "--beta", "0.05"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_bounds_thm2_answers_up_to_the_largest_float(capsys):
@@ -1397,7 +1405,7 @@ def test_a_size_beyond_an_index_is_refused_by_its_flag(tmp_path, capsys, subcomm
     with mock.patch.dict(os.environ, env):
         assert main(argv) == 1
     assert capsys.readouterr().err == (
-        f"error: {subcommand}: {flag} {big} does not fit an index, at most 9223372036854775807\n"
+        f"error: {subcommand}: {flag} must lie in (-inf, 9223372036854775807], got {big}\n"
     )
 
 
@@ -1482,7 +1490,7 @@ def test_replay_refuses_a_stored_size_beyond_an_index(tmp_path, capsys, key):
     assert main(["replay", str(out)]) == 1
     flag = {"m": "--m-rounds", "kappa": "--kappa"}[key]
     assert capsys.readouterr().err == (
-        f"error: verify: {flag} {10**20} does not fit an index, at most 9223372036854775807\n"
+        f"error: verify: {flag} must lie in (-inf, 9223372036854775807], got {10**20}\n"
     )
 
 
@@ -1509,7 +1517,8 @@ def test_a_negative_seed_is_refused_by_its_flag(tmp_path, capsys, argv, env):
     with mock.patch.dict(os.environ, env):
         assert main(argv) == 1
     seed = env.get("TRAPVER_SEED", "-1")
-    assert capsys.readouterr().err == f"error: --seed must be nonnegative, got {seed}\n"
+    name = " ".join(argv[:2]) if argv[0] == "bounds" else argv[0]
+    assert capsys.readouterr().err == f"error: {name}: --seed must lie in [0, inf), got {seed}\n"
 
 
 @pytest.mark.parametrize("argv", [["carve", "--m", "3", "--n", "3"], ["ft", "--eps", "0.001"]])
@@ -1553,7 +1562,7 @@ def test_bounds_twirl_rejects_bad_words():
     "extra, message",
     [
         (["--n-qubits", "4"], "--n-qubits must be 1, 2 or 3, not 4"),
-        (["--trials", "0"], "--trials must be at least 1, not 0"),
+        (["--trials", "0"], "bounds twirl: --trials must lie in [1, inf), got 0"),
     ],
 )
 def test_bounds_twirl_checks_inputs_before_drawing(capsys, extra, message):
@@ -1968,3 +1977,125 @@ def test_replay_refuses_any_edit_of_records_verdict_or_scheme(
     else:
         assert code == 1
         assert err.startswith("error: replay mismatch at $.") and err.count("\n") == 1
+
+
+# -- option intervals, by every source ------------------------------------------
+
+# A cheap valid invocation of each subcommand, and of each bounds verb, run
+# from a directory that holds layout.json (a 3x3 target) and honest.json (a
+# 3x3, κ = 1, M = 3 verify artifact): its words, then its flags.
+_BASELINES = {
+    "carve": {"--m": "3", "--n": "3"},
+    "simulate": {"--graph": "layout.json", "--samples": "3"},
+    "verify": {"--m-rounds": "3", "--n-rounds": "3", "--kappa": "1", "--scheme-M": "3",
+               "--scheme-l": "0.5"},
+    "bounds delta-kappa": {"--kappa": "2"},
+    "bounds attack-table": {"--kappa": "2"},
+    "bounds thm1": {"--n-qubits": "9", "--kappa": "1", "--eps-v": "0.001", "--beta": "0.05"},
+    "bounds thm2": {"--eps2": "0.01", "--kappa": "2", "--beta": "0.05"},
+    "bounds thm3": {"--alpha1": "0.1", "--alpha2": "0.2", "--beta1": "0.05", "--beta2": "0.05",
+                    "--n-qubits": "5"},
+    "bounds twirl": {"--n-qubits": "1", "--trials": "2"},
+    "ft": {"--eps": "0.001"},
+    "replay honest.json": {},
+}
+
+
+@pytest.fixture(scope="module")
+def rows_files(tmp_path_factory):
+    path = tmp_path_factory.mktemp("rows")
+    assert main(["carve", "--m", "3", "--n", "3", "--out", str(path / "layout.json")]) == 0
+    argv = [*_BASELINES["verify"].items()]
+    assert main(["verify", *(x for kv in argv for x in kv), "--out", str(path / "honest.json")]) == 0
+    return path
+
+
+@pytest.fixture()
+def rows_dir(rows_files, tmp_path, monkeypatch):
+    """A fresh working directory holding the baselines' files, so that an
+    --out or a path under test lands in it."""
+    for f in rows_files.iterdir():
+        (tmp_path / f.name).write_bytes(f.read_bytes())
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def _row(name: str, key: str):
+    return next(o for o in _COMMANDS[name.split()[0]][1] if o.key == key)
+
+
+def _main_with(name: str, option, value, source: str) -> int:
+    """`main` on ``name``'s baseline with ``option`` set to ``value`` by
+    ``source``: its flag (or positional), TRAPVER_*, the config file, or the
+    config of a replayed honest.json."""
+    words, env = name.split(), {}
+    flags = {f: v for f, v in _BASELINES[name].items() if f not in option.flags}
+    if source == "flag" and not option.flags[0].startswith("-"):
+        words[1] = str(value)  # the positional after the subcommand
+    elif source == "flag":
+        flags[option.flags[0]] = str(value)
+    elif source == "env":
+        env = {f"TRAPVER_{option.key.upper()}": str(value)}
+    elif source == "file":
+        with open("config.json", "w") as fh:
+            json.dump({option.key: value}, fh)
+        words = ["--config", "config.json", *words]
+    else:
+        doc = read_json("honest.json")
+        doc["config"][option.key] = value
+        with open("tampered.json", "w") as fh:
+            json.dump(doc, fh)
+        words, flags = ["replay", "tampered.json"], {}
+    with mock.patch.dict(os.environ, env):
+        return main([*words, *(x for kv in flags.items() for x in kv)])
+
+
+# each option with an interval: a value outside it, and the interval as the
+# error prints it
+_INDEX = "(-inf, 9223372036854775807]"
+_OUTSIDE = [
+    ("carve", "m", 2**63, _INDEX),
+    ("carve", "n", 2**63, _INDEX),
+    ("simulate", "samples", -1, "[0, 9223372036854775807]"),
+    ("simulate", "samples", 2**63, "[0, 9223372036854775807]"),
+    ("simulate", "seed", -1, "[0, inf)"),
+    ("verify", "kappa", 2**63, _INDEX),
+    ("verify", "m", 2**63, _INDEX),
+    ("verify", "n", 2**63, _INDEX),
+    ("verify", "beta", 0.0, "[5e-324, 0.9999999999999999]"),
+    ("verify", "beta", 1.0, "[5e-324, 0.9999999999999999]"),
+    ("verify", "beta", float("nan"), "[5e-324, 0.9999999999999999]"),
+    ("verify", "seed", -1, "[0, inf)"),
+    ("bounds thm2", "kappa", 10**400, "(-inf, 1.7976931348623157e+308]"),
+    ("bounds thm2", "trials", 0, "[1, inf)"),
+    ("bounds thm2", "seed", -1, "[0, inf)"),
+]
+
+
+def test_every_interval_is_exercised():
+    assert {(name.split()[0], key) for name, key, *_ in _OUTSIDE} == {
+        (sub, o.key) for sub, (_, options) in _COMMANDS.items() for o in options if o.interval
+    }
+
+
+@pytest.mark.parametrize(
+    "name, key, value, interval, source",
+    [
+        (*case, source)
+        for case in _OUTSIDE
+        for source in ["flag", "env", "file"] + ["artifact"] * (case[0] == "verify")
+        # NaN reaches only a flag: the other sources refuse it as not finite
+        if source == "flag" or case[2] == case[2]
+    ],
+)
+def test_a_value_outside_its_interval_is_refused_by_every_source(
+    rows_dir, capsys, name, key, value, interval, source
+):
+    """One check serves every source, and its one line names the run, the
+    flag, the interval and the value."""
+    option = _row(name, key)
+    capsys.readouterr()
+    assert _main_with(name, option, value, source) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {name}: {option.flags[0]} must lie in {interval}, got {value}\n"
+    )
