@@ -28,13 +28,11 @@ class RepetitionRangeError(ValueError):
 
 
 def delta_kappa(kappa: int) -> Fraction:
-    """κ!(κ+1)!/(2κ+1)!, the irreducible gap of a κ-trap-per-parity round."""
+    """κ!(κ+1)!/(2κ+1)! = 1/C(2κ+1, κ), the irreducible gap of a
+    κ-trap-per-parity round."""
     if kappa < 1:
         raise ValueError(f"kappa must be >= 1, got {kappa}")
-    return Fraction(
-        math.factorial(kappa) * math.factorial(kappa + 1),
-        math.factorial(2 * kappa + 1),
-    )
+    return Fraction(1, math.comb(2 * kappa + 1, kappa))
 
 
 # ln 2^-1075, less a margin for lgamma's rounding: below it a value rounds

@@ -3,7 +3,8 @@
 Option precedence is flags > environment (TRAPVER_*) > config file >
 defaults.  `_COMMANDS` is the one declaration of the options: the parser,
 the conversion and check of every env, file and replayed-artifact value,
-and the defaults are all read off its rows.
+the defaults and the range each value must lie in, whichever source set
+it, are all read off its rows.
 Every emitted JSON document carries schema_version, tool_version and the
 root seed; verification artifacts embed enough to be re-executed
 bit-identically by `trapver replay`.  Handlers write nothing: each returns
@@ -221,7 +222,11 @@ def _emit(cfg: SessionConfig, payload: dict | str, csv_rows: list[list] | None) 
         csv.writer(buf).writerows(csv_rows)
         text = buf.getvalue()
     else:
-        text = payload if isinstance(payload, str) else _encode(payload)
+        try:
+            text = payload if isinstance(payload, str) else _encode(payload)
+        except ValueError as exc:
+            what = "NaN or an infinity, which JSON cannot write"
+            raise CliError(f"{cfg.name}: the result holds {what}") from exc
     if out:
         _atomic_write(out, text)
     else:
@@ -237,17 +242,20 @@ class _JsonItems(tuple):
 _HOLE = "\x00records"
 
 
-def _encode(doc: dict) -> str:
+def _encode(doc: dict, allow_nan: bool = False) -> str:
     """Every JSON document's text: one compact, key-sorted encoder call.
-    Documents are trees, so the encoder's cycle check is skipped.
+    Documents are trees, so the encoder's cycle check is skipped.  NaN and
+    the infinities are not JSON: unless ``allow_nan``, they raise
+    ValueError.
 
     Records given as `_JsonItems` are encoded as `_HOLE` and their texts
     spliced in at the hole's last occurrence, which is theirs: the keys
     that sort after "records" hold only values the program computed."""
     records = doc.get("records")
+    how = {"sort_keys": True, "check_circular": False, "allow_nan": allow_nan}
     if not isinstance(records, _JsonItems):
-        return json.dumps(doc, sort_keys=True, check_circular=False) + "\n"
-    text = json.dumps({**doc, "records": _HOLE}, sort_keys=True, check_circular=False)
+        return json.dumps(doc, **how) + "\n"
+    text = json.dumps({**doc, "records": _HOLE}, **how)
     head, _, tail = text.rpartition(json.dumps(_HOLE))
     items = [part for t in records for part in (", ", t)][1:]
     return "".join([head, "[", *items, "]", tail, "\n"])
@@ -299,18 +307,28 @@ def _require(cfg: SessionConfig, *names: str) -> list[object]:
     return vals
 
 
+# Less than one carving holds per cell: the tracemalloc peak of
+# `carve_target` is 590 to 720 bytes per cell from 300 to 310 000 cells, and
+# that of `carve`, with its JSON text, 790 to 2300.
+_CARVE_BYTES_PER_CELL = 500
+
+
 def _lattice_sizes(cfg: SessionConfig, *names: str) -> list[int]:
     """The required sizes ``names``, lattice columns and rows first.  Their
     cell count m·n must fit an index (at most sys.maxsize), as each size's
-    own interval does, or the error names both flags; past it numpy and
-    tuple repeats fail without naming any option."""
+    own interval does, and its carving memory, or the error names both
+    flags; past either, numpy, tuple repeats and lists fail without naming
+    any option."""
     sizes = _require(cfg, *names)
+    m, n = sizes[:2]
     flags = [_flag(cfg.subcommand, name) for name in names]
-    if abs(sizes[0] * sizes[1]) > sys.maxsize:
+    if abs(m * n) > sys.maxsize:
         raise CliError(
             f"{cfg.subcommand}: the {flags[0]} x {flags[1]} lattice's cell count "
-            f"{sizes[0] * sizes[1]} does not fit an index, at most {sys.maxsize}"
+            f"{m * n} does not fit an index, at most {sys.maxsize}"
         )
+    what = f"{cfg.subcommand}: the {flags[0]} {m} x {flags[1]} {n} lattice"
+    _check_fits(_CARVE_BYTES_PER_CELL * m * n, what)
     return sizes
 
 
@@ -362,14 +380,8 @@ def _cmd_help(cfg: SessionConfig) -> Result:
     return EXIT_ACCEPT, build_parser().format_help(), None
 
 
-# Less than what a carving and its JSON text hold per cell: the tracemalloc
-# peak of `carve` is 790 to 2300 bytes per cell from 300 to 300 000 cells.
-_CARVE_BYTES_PER_CELL = 500
-
-
 def _cmd_carve(cfg: SessionConfig) -> Result:
     m, n = _lattice_sizes(cfg, "m", "n")
-    _check_fits(_CARVE_BYTES_PER_CELL * m * n, f"carve: the --m {m} x --n {n} lattice")
     (kind,) = _require(cfg, "kind")
     if kind == "target":
         g = carve_target(m, n)
@@ -492,21 +504,20 @@ def _record_bytes(kappa: int, cells: int) -> int:
     return 384 + (2 * kappa + 1) * (48 + 8 * cells)
 
 
-def _check_records_fit(scheme_m: int, kappa: int, cells: int) -> None:
-    """Refuse M repetitions whose records memory cannot hold."""
-    _check_fits(scheme_m * _record_bytes(kappa, cells), f"M = {scheme_m} repetitions at kappa = {kappa}")
-
-
 def _cmd_verify(cfg: SessionConfig) -> Result:
     m, n, kappa = _lattice_sizes(cfg, "m", "n", "kappa")
     opts = cfg.options
-    # an explicit M is checked before the layout builds its 2κ+1 rounds, a
-    # derived one once the target has given N; an M or κ below 1 is refused
-    # by the run or the layout
-    if opts.get("scheme_m") is not None and min(opts["scheme_m"], kappa) >= 1:
-        _check_records_fit(opts["scheme_m"], kappa, m * n)
-    layout = make_round_layout(m, n, kappa)
     noise = NoiseModel(eps_v=opts["eps_v"], eps_p=opts["eps_p"])
+    target = carve_target(m, n)
+    n_qubits = len(target.non_dummy_ids())
+    scheme_m, scheme_l, meta = _scheme_parameters(opts, n_qubits, kappa)
+    # trap carvings hold only isolated traps: the target's components are the largest
+    _check_components_fit(target, opts["cap"], joint=False)
+    # M repetitions' records, before the layout builds its 2κ+1 rounds (an
+    # M or κ below 1 is refused by the layout or the run)
+    what = f"verify: M = {scheme_m} repetitions at --kappa {kappa}"
+    _check_fits(scheme_m * _record_bytes(kappa, m * n), what)
+    layout = make_round_layout(m, n, kappa)
     # The parsed attack document is embedded in the artifact so replay
     # does not depend on the original file still existing.
     attack_doc = opts.get("attack_doc")
@@ -515,12 +526,6 @@ def _cmd_verify(cfg: SessionConfig) -> Result:
     if attack_doc is not None:
         opts = {**opts, "attack_doc": attack_doc}
     strategy = None if attack_doc is None else attack_spec_from_json(attack_doc, layout)
-    n_qubits = len(layout.target.non_dummy_ids())
-    scheme_m, scheme_l, meta = _scheme_parameters(opts, n_qubits, kappa)
-    # trap carvings hold only isolated traps: the target's components are the largest
-    _check_components_fit(layout.target, opts["cap"], joint=False)
-    if meta["derived"]:
-        _check_records_fit(scheme_m, kappa, m * n)
     sink: list[RunRecord] = []
     started = time.time()
     verdict = run_scheme(
@@ -554,15 +559,22 @@ def _cmd_verify(cfg: SessionConfig) -> Result:
 
 def _bounds_delta_kappa(cfg: SessionConfig) -> tuple[dict | str, None]:
     (kappa,) = _require(cfg, "kappa")
+    limit = sys.get_int_max_str_digits()
+    too_long = CliError(
+        f"bounds delta-kappa: the fraction at --kappa {kappa} has more digits "
+        f"than Python converts to text, {limit}"
+    )
+    # Δ_κ = 1/C(2κ+1, κ), and C(2κ+1, κ) ≥ 4^κ/(κ+1), the mean of the 2κ+2
+    # binomials that sum to 2^(2κ+1): a κ past the limit by that bound is
+    # refused before the fraction is built, one near it by str()
+    if limit and kappa >= 1 and kappa * math.log10(4) - math.log10(kappa + 1) >= limit:
+        raise too_long
     fraction = bounds.delta_kappa(kappa)
     try:
         value = str(fraction)
     except ValueError as exc:
         # the process-wide limit stays: other code may share this interpreter
-        raise CliError(
-            f"bounds delta-kappa: the fraction at --kappa {kappa} has more digits "
-            f"than Python converts to text, {sys.get_int_max_str_digits()}"
-        ) from exc
+        raise too_long from exc
     # stdout gets the bare fraction, a file the stamped document
     if cfg.options.get("out"):
         return _stamp(cfg, {"kappa": kappa, "delta_kappa": value}), None
@@ -572,6 +584,9 @@ def _bounds_delta_kappa(cfg: SessionConfig) -> tuple[dict | str, None]:
 def _bounds_attack_table(cfg: SessionConfig) -> tuple[dict, list[list]]:
     (kappa,) = _require(cfg, "kappa")
     header = ["kappa", "lam", "xi", "trap_term", "escape_bound", "gap"]
+    # at least κ²/2 classes, each held as a dict of the header's keys at least
+    what = f"bounds attack-table: the table at --kappa {kappa}"
+    _check_fits(max(kappa, 0) ** 2 // 2 * sys.getsizeof(dict.fromkeys(header)), what)
     table = []
     for cls in bounds.valid_attack_classes(kappa):
         values = (cls.kappa, cls.lam, cls.xi, *map(str, bounds.attack_gap(cls)))
@@ -626,6 +641,8 @@ def _bounds_twirl(cfg: SessionConfig) -> tuple[dict, None]:
     # checked before any 2^n x 2^n matrix is drawn
     if not 1 <= n <= 3:
         raise CliError(f"bounds twirl: --n-qubits must be 1, 2 or 3, not {n}")
+    # each trial's residual is kept, a float object at least
+    _check_fits(trials * sys.getsizeof(0.0), f"bounds twirl: --trials {trials}")
     rng = _rng(opts["seed"])
     residuals = []
     for _ in range(trials):
@@ -732,7 +749,8 @@ def _cmd_replay(cfg: SessionConfig) -> Result:
     # the re-run is decoded only to name where a mismatch lies.
     stored = {**artifact, "telemetry": None}
     rerun = _encode({**fresh, "telemetry": None})
-    if _encode(stored) != rerun:
+    # a tampered artifact may hold NaN: it then differs from the re-run
+    if _encode(stored, allow_nan=True) != rerun:
         raise CliError(
             f"replay mismatch at {_first_difference(stored, json.loads(rerun))}: "
             f"the re-run differs from the stored artifact (nondeterminism or "
@@ -754,7 +772,8 @@ _HANDLERS = {
 
 # ---------------------------------------------------------------------------
 # The option table: one row per option feeds the parser, the conversion of
-# env, file and artifact values, the defaults and `_require`.
+# env, file and artifact values, the defaults, the range check and
+# `_require`.
 
 
 class _Option(NamedTuple):
@@ -919,6 +938,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         cfg = parse_config(argv, env=os.environ)
+        # before the run, so that a long run is not lost to a typo in the path
+        out = cfg.options.get("out")
+        if out and not os.path.isdir(os.path.dirname(out) or "."):
+            raise CliError(f"cannot write --out {out}: No such file or directory")
         code, payload, csv_rows = execute(cfg)
         _emit(cfg, payload, csv_rows)
         return code

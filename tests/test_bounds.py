@@ -44,9 +44,11 @@ def test_delta_kappa_frozen_values():
 
 
 def test_delta_kappa_equals_central_binomial_route():
-    # independent route: kappa!(kappa+1)!/(2kappa+1)! == 1/C(2kappa+1, kappa)
-    for k in range(1, 13):
-        assert delta_kappa(k) == Fraction(1, math.comb(2 * k + 1, k))
+    # delta_kappa takes 1/C(2kappa+1, kappa); the factorial route is the
+    # independent one: kappa!(kappa+1)!/(2kappa+1)!
+    for k in [*range(1, 13), 40, 300]:
+        want = Fraction(math.factorial(k) * math.factorial(k + 1), math.factorial(2 * k + 1))
+        assert delta_kappa(k) == want
 
 
 def test_delta_kappa_decreasing_and_bounded():

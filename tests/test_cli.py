@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import signal
 import sys
 import time
 import tracemalloc
@@ -1026,7 +1027,7 @@ def test_verify_refuses_a_run_beyond_physical_memory(tmp_path, capsys):
     capsys.readouterr()
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: M = 30568696668918272 repetitions at kappa = 1 ")
+    assert err.startswith("error: verify: M = 30568696668918272 repetitions at --kappa 1 ")
     assert "bytes of physical memory" in err and err.count("\n") == 1
     assert not out.exists()
 
@@ -1047,7 +1048,7 @@ def test_replay_refuses_an_artifact_edited_beyond_physical_memory(tmp_path, caps
     capsys.readouterr()
     assert main(["replay", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: M = {scheme_m} repetitions at kappa = 1000000 ")
+    assert err.startswith(f"error: verify: M = {scheme_m} repetitions at --kappa 1000000 ")
     assert err.count("\n") == 1
 
 
@@ -1170,17 +1171,21 @@ def test_bounds_delta_kappa_stdout(capsys):
     assert capsys.readouterr().out.strip() == "1/10"
 
 
-def test_bounds_delta_kappa_past_the_digit_limit_names_kappa(capsys):
-    """At κ = 8000 the denominator has more digits than Python converts
-    to text by default; the refusal names --kappa, and the interpreter's
-    limit is left as it was."""
+@pytest.mark.parametrize("kappa", [7146, 8000, 10**6, 2**63])
+def test_bounds_delta_kappa_past_the_digit_limit_names_kappa(capsys, kappa):
+    """From κ = 7146 on the denominator has more digits than Python
+    converts to text by default; the refusal names --kappa, comes at once
+    for a κ far past the limit, and leaves the interpreter's limit as it
+    was.  κ = 7145 still prints."""
     limit = sys.get_int_max_str_digits()
-    assert main(["bounds", "delta-kappa", "--kappa", "7000"]) == 0
+    assert main(["bounds", "delta-kappa", "--kappa", "7145"]) == 0
     assert capsys.readouterr().out.startswith("1/")
-    assert main(["bounds", "delta-kappa", "--kappa", "8000"]) == 1
+    started = time.perf_counter()
+    assert main(["bounds", "delta-kappa", "--kappa", str(kappa)]) == 1
+    assert time.perf_counter() - started < 1.0
     assert capsys.readouterr() == (
         "",
-        "error: bounds delta-kappa: the fraction at --kappa 8000 has more digits "
+        f"error: bounds delta-kappa: the fraction at --kappa {kappa} has more digits "
         f"than Python converts to text, {limit}\n",
     )
     assert sys.get_int_max_str_digits() == limit
@@ -1419,7 +1424,14 @@ def test_a_cell_count_beyond_an_index_names_both_flags(capsys):
     )
 
 
-def test_carve_beyond_physical_memory_names_its_flags(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "argv",
+    [["carve", "--m", str(10**15), "--n", "3"],
+     ["verify", "--m-rounds", str(10**15), "--n-rounds", "3", "--kappa", "1", "--scheme-M", "1",
+      "--scheme-l", "0.5"]],
+    ids=["carve", "verify"],
+)
+def test_carve_beyond_physical_memory_names_its_flags(capsys, monkeypatch, argv):
     """Sizes that fit an index but not memory are refused before the
     carving is allocated, not by an empty MemoryError."""
     def unreachable(*args, **kwargs):
@@ -1428,38 +1440,52 @@ def test_carve_beyond_physical_memory_names_its_flags(capsys, monkeypatch):
     monkeypatch.setattr("trapver.cli._physical_memory", lambda: 10**9)
     monkeypatch.setattr("trapver.cli.carve_target", unreachable)
     capsys.readouterr()
-    assert main(["carve", "--m", str(10**15), "--n", "3"]) == 1
+    assert main(argv) == 1
     assert capsys.readouterr() == (
         "",
-        f"error: carve: the --m {10**15} x --n 3 lattice would keep "
+        f"error: {argv[0]}: the {argv[1]} {10**15} x {argv[3]} 3 lattice would keep "
         "1,500,000,000,000,000,000 bytes, more than the 1,000,000,000 bytes of physical memory\n",
     )
 
 
-def test_verify_beyond_physical_memory_names_m_and_kappa_before_the_layout(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "scheme",
+    [["--scheme-M", "1", "--scheme-l", "0.5"], ["--auto-params", "--beta", "0.05", "--eps-v", "0.001"]],
+    ids=["explicit", "derived"],
+)
+def test_verify_beyond_physical_memory_names_m_and_kappa_before_the_layout(capsys, monkeypatch, scheme):
     """A κ whose 2κ+1 rounds fit an index but not memory is refused by the
-    records check, before `make_round_layout` builds them."""
+    records check, before `make_round_layout` builds them, whether M is
+    given or derived from the target's N (here also 1)."""
     def unreachable(*args, **kwargs):
         raise AssertionError("the layout was built")
 
     monkeypatch.setattr("trapver.cli._physical_memory", lambda: 10**9)
     monkeypatch.setattr("trapver.cli.make_round_layout", unreachable)
     capsys.readouterr()
-    assert main(["verify", "--m-rounds", "3", "--n-rounds", "3", "--kappa", str(10**15),
-                 "--scheme-M", "1", "--scheme-l", "0.5"]) == 1
+    started = time.perf_counter()
+    assert main(["verify", "--m-rounds", "3", "--n-rounds", "3", "--kappa", str(10**15), *scheme]) == 1
+    assert time.perf_counter() - started < 1.0
     assert capsys.readouterr() == (
         "",
-        f"error: M = 1 repetitions at kappa = {10**15} would keep 240,000,000,000,000,504 "
+        f"error: verify: M = 1 repetitions at --kappa {10**15} would keep 240,000,000,000,000,504 "
         "bytes, more than the 1,000,000,000 bytes of physical memory\n",
     )
 
 
 @pytest.mark.parametrize("subcommand", ["carve", "verify"])
-def test_out_into_a_missing_directory_names_the_out_path(tmp_path, capsys, subcommand):
+def test_out_into_a_missing_directory_names_the_out_path(tmp_path, capsys, monkeypatch, subcommand):
+    """The directory is checked before the run, which is never started."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the run was started")
+
+    monkeypatch.setattr("trapver.cli.carve_target", unreachable)
+    monkeypatch.setattr("trapver.cli.run_scheme", unreachable)
     out = tmp_path / "missing" / "g.json"
     argv = {
         "carve": ["carve", "--m", "3", "--n", "3"],
-        "verify": [*_VERIFY_ONE, "--m-rounds", "3", "--n-rounds", "3"],
+        "verify": ["verify", "--kappa", "1", "--scheme-M", "100000", "--scheme-l", "0.5",
+                   "--m-rounds", "3", "--n-rounds", "3"],
     }[subcommand]
     capsys.readouterr()
     assert main([*argv, "--out", str(out)]) == 1
@@ -1595,6 +1621,17 @@ def test_ft_overhead_beyond_floats_is_one_error_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "eps = 0.001, syndromes = 10000000" in err
+
+
+@pytest.mark.parametrize("flag", ["--saw-prefactor", "--poly-prefactor"])
+def test_ft_refuses_a_result_json_cannot_write(capsys, flag):
+    """A prefactor of 1e308 makes the series bound infinite; no document
+    is written with a bare Infinity, which is not JSON."""
+    capsys.readouterr()
+    assert main(["ft", "--eps", "0.001", flag, "1e308"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: ft: the result holds NaN or an infinity, which JSON cannot write\n"
+    )
 
 
 def test_ft_csv_table(tmp_path):
@@ -2099,3 +2136,54 @@ def test_a_value_outside_its_interval_is_refused_by_every_source(
     assert capsys.readouterr() == (
         "", f"error: {name}: {option.flags[0]} must lie in {interval}, got {value}\n"
     )
+
+
+# -- a fuzz over every row ---------------------------------------------------------
+
+# 2^63 is sys.maxsize + 1 on a 64-bit build; dict.fromkeys keeps one of them
+_BOUNDARY = list(dict.fromkeys([0, -1, 2**63, sys.maxsize + 1, 1e308, float("nan"), float("inf"), ""]))
+# seconds an example may take; each takes milliseconds
+_EXAMPLE_LIMIT = 2.0
+
+
+class _Hang(BaseException):
+    """An example past its time limit: `main` catches no BaseException."""
+
+
+def _refuse_constant(name):
+    raise ValueError(f"the output holds {name}, which is not JSON")
+
+
+@pytest.mark.parametrize(
+    "name, key",
+    [(name, o.key) for name in _BASELINES for o in _COMMANDS[name.split()[0]][1] if o.conv],
+)
+def test_every_row_takes_boundary_values_cleanly(rows_dir, capsys, name, key):
+    """Each row with a conversion, set to each boundary value by each
+    source on an otherwise cheap valid run, exits 0, 1 or 2 within the
+    time limit, with at most one stderr line and only standard JSON on
+    stdout.  An example that runs too long is interrupted and fails (one
+    call into C runs to its end first)."""
+    option = _row(name, key)
+
+    def expire(signum, frame):
+        raise _Hang(f"{name} with {option.flags[0]} = {value!r} by {source} ran past {_EXAMPLE_LIMIT} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    try:
+        for source in ["flag", "env", "file"] + ["artifact"] * (name == "verify"):
+            for value in _BOUNDARY:
+                capsys.readouterr()
+                signal.setitimer(signal.ITIMER_REAL, _EXAMPLE_LIMIT)
+                try:
+                    code = _main_with(name, option, value, source)
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+                out, err = capsys.readouterr()
+                case = (name, option.flags[0], value, source, err)
+                assert code in (0, 1, 2), case
+                assert err.count("\n") <= 1, case
+                if out.startswith("{"):
+                    json.loads(out, parse_constant=_refuse_constant)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
