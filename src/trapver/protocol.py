@@ -7,8 +7,8 @@ function that executes runs: given one bit generator per repetition, it
 draws the whole batch's keys, attack terms, outcomes and noise events as
 arrays, decrypts with GF(2) products and reads the trap verdicts off as
 row reductions.  It returns the batch as columns, a `RunBatch`, whose
-`RunRecord` views are the per-run transcripts.  `run_scheme` is its one
-caller in the package.  Every deviation reaches it as a Pauli mixture:
+`json_text` is the per-run transcripts.  `run_scheme` is its one caller
+in the package.  Every deviation reaches it as a Pauli mixture:
 a unitary one is converted once, where it enters, by `unitary_attack`.
 
 The round kernel rests on the one-time pad: for any key a round's raw
@@ -516,9 +516,8 @@ def _items(texts: np.ndarray) -> np.ndarray:
 class RunBatch:
     """One batch of protocol runs as columns, run axis first.
 
-    Indexing yields each run's `RunRecord`.  The records' JSON text is
-    encoded for all runs together, column by column, the first time it
-    is asked for.
+    The records' JSON text is encoded for all runs together, column by
+    column, the first time it is asked for.
     """
 
     layout: RoundLayout
@@ -534,23 +533,17 @@ class RunBatch:
     def __len__(self) -> int:
         return len(self.outputs)
 
-    def __getitem__(self, i: int) -> RunRecord:
-        return RunRecord(self, range(len(self))[i])  # IndexError ends iteration
-
     @cached_property
     def target_slots(self) -> np.ndarray:
         return (self.perm == 0).argmax(axis=1)
 
-    @property
+    @cached_property
     def json_text(self) -> str:
         """Every run's record as the JSON text ``json.dumps(record,
         sort_keys=True)`` would write, joined by ", ": the items of the
-        records' JSON list."""
-        return self._encoded[0]
-
-    @cached_property
-    def _encoded(self) -> tuple[str, np.ndarray]:
-        """`json_text` and the offset at which each run's record starts.
+        records' JSON list.  A record holds each slot's ``raw`` and
+        ``decrypted`` outcomes as one ``"0101…"`` string, the slot trap
+        verdicts, accept, the computation slot and the attack letters.
 
         The records are one uint8 matrix, a run per row: variable-width
         fields are 0-padded to their widest, and the nonzero bytes are
@@ -581,14 +574,12 @@ class RunBatch:
             np.broadcast_to(np.frombuffer(p, np.uint8), (runs, len(p))) if isinstance(p, bytes) else p
             for p in pieces
         ], axis=1)
-        keep = text != 0
-        starts = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
-        return text[keep][:-2].tobytes().decode("ascii"), starts
+        return text[text != 0][:-2].tobytes().decode("ascii")
 
 
 class RunRecord:
-    """Transcript of one protocol run, verifier's view: run ``index`` of
-    its `RunBatch`."""
+    """Run ``index`` of its `RunBatch`, whose `RunBatch.json_text` holds
+    the run's transcript."""
 
     __slots__ = ("batch", "index")
 
@@ -598,14 +589,6 @@ class RunRecord:
     @property
     def target_output(self) -> str:
         return self.batch.outputs[self.index]
-
-    def to_json_dict(self) -> dict:
-        """Each slot's ``raw`` and ``decrypted`` outcomes as one ``"0101…"``
-        string, the slot trap verdicts, accept, the computation slot (its
-        ``decrypted`` string is `target_output`) and the attack letters: a
-        fresh dict decoded from the run's slice of `RunBatch.json_text`."""
-        text, starts = self.batch._encoded
-        return json.loads(text[starts[self.index] : starts[self.index + 1] - 2])
 
 
 def _run_batch(

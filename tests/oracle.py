@@ -49,7 +49,6 @@ from trapver.protocol import (
     AttackSpec,
     RoundLayout,
     RunBatch,
-    RunRecord,
     _attack_tables,
     _decode_events,
     _decrypt,
@@ -534,15 +533,16 @@ def run_protocol(
     strategy: AttackSpec | None = None,
     noise: NoiseModel | None = None,
     rng: np.random.Generator | None = None,
-) -> RunRecord:
-    """One full verification run: keygen, encrypt, all rounds, decrypt.
+) -> RunBatch:
+    """One full verification run, as a batch of one: keygen, encrypt, all
+    rounds, decrypt.
 
     Accepts exactly when every trap round decodes to all zeros.  Attack
     letters on slots or cells the layout does not have are rejected.
     """
     if rng is None:
         raise ValueError("an explicitly seeded generator is required")
-    return _run_batch(layout, strategy, noise, [rng.bit_generator])[0]
+    return _run_batch(layout, strategy, noise, [rng.bit_generator])
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -32,7 +33,7 @@ from trapver.graphs import (
     ROLE_COMPUTATIONAL, ROLE_DUMMY, ROLES, SCHEMA_VERSION, GraphSpec, carve_target,
     lattice_edges,
 )
-from trapver.protocol import ENGINE_VERSION, RunRecord
+from trapver.protocol import ENGINE_VERSION, RunBatch, RunRecord
 
 
 def read_json(path):
@@ -714,20 +715,30 @@ def test_replay_names_a_record_in_the_second_batch(tmp_path, capsys):
 
 
 def test_verify_and_replay_build_no_record_dict(tmp_path, monkeypatch):
-    """The artifact's records are spliced in from each batch's text: a
-    verify and its replay never ask a record for its dict."""
+    """The artifact's records are spliced in from each batch's text: the
+    engine offers no record as a dict, and a verify and its replay each
+    encode their one batch once."""
+    assert not hasattr(RunRecord, "to_json_dict")
+    assert not hasattr(RunBatch, "__getitem__")
+    encoded = []
+    encode = RunBatch.json_text.func
 
-    def refused(self):
-        raise AssertionError("a record's dict was built")
+    def counted(self):
+        encoded.append(len(self))
+        return encode(self)
 
-    monkeypatch.setattr(RunRecord, "to_json_dict", refused)
+    text = functools.cached_property(counted)
+    text.__set_name__(RunBatch, "json_text")
+    monkeypatch.setattr(RunBatch, "json_text", text)
     argv, out = verify_argv(
         tmp_path, "session.json",
         ["--auto-params", "--beta", "0.05", "--eps-v", "4e-3", "--eps-p", "4e-3"],
     )
     assert main(argv) == 0
     assert len(read_json(out)["records"]) == 478
+    assert encoded == [478]
     assert main(["replay", str(out)]) == 0
+    assert encoded == [478, 478]
 
 
 def test_records_are_spliced_after_an_attack_file_holding_the_hole(tmp_path):

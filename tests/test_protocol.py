@@ -33,6 +33,7 @@ from trapver.protocol import (
     _sim_plan,
     AttackSpec,
     RoundLayout,
+    RunBatch,
     honest_target_distribution,
     make_round_layout,
     run_scheme,
@@ -67,6 +68,22 @@ from oracle import (
 
 def rng_from(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def sink_batches(sink: list) -> list[RunBatch]:
+    """The batches that a `run_scheme` record sink's runs belong to, in
+    run order."""
+    return list(dict.fromkeys(r.batch for r in sink))
+
+
+def sink_text(sink: list) -> str:
+    """The sink's records as the items of their JSON list, as written."""
+    return ", ".join(b.json_text for b in sink_batches(sink))
+
+
+def sink_records(sink: list) -> list[dict]:
+    """The sink's records as the run-by-run reference dicts."""
+    return [d for b in sink_batches(sink) for d in record_dicts(b)]
 
 
 def tiny_layout() -> RoundLayout:
@@ -138,7 +155,7 @@ def test_keygen_is_the_key_of_a_run(layout33):
     """`keygen` reads the key words that open a repetition's block, so a
     run on an equally seeded generator decrypts under that key."""
     key = keygen(layout33, rng_from(44))
-    rec = run_protocol(layout33, None, None, rng_from(44)).to_json_dict()
+    rec = record_dicts(run_protocol(layout33, None, None, rng_from(44)))[0]
     assert rec["target_slot"] == target_slot(key)
     assert decrypt(key, layout33, bits_of(rec["raw"])) == bits_of(rec["decrypted"])
 
@@ -284,7 +301,7 @@ def test_attack_spec_validation():
 def test_honest_run_accepts(layout33):
     rng = rng_from(10)
     for _ in range(50):
-        rec = run_protocol(layout33, None, None, rng).to_json_dict()
+        rec = record_dicts(run_protocol(layout33, None, None, rng))[0]
         assert rec["accept"]
         assert rec["trap_passed"][rec["target_slot"]] is None
         assert sum(1 for t in rec["trap_passed"] if t is True) == 2
@@ -293,8 +310,8 @@ def test_honest_run_accepts(layout33):
 
 
 def test_run_record_json_shape(layout33):
-    rec = run_protocol(layout33, single_pauli_attack({(0, 0): "Z"}), None, rng_from(2))
-    d = rec.to_json_dict()
+    b = run_protocol(layout33, single_pauli_attack({(0, 0): "Z"}), None, rng_from(2))
+    d = json.loads(b.json_text)  # the one run's record, as written
     assert set(d) == {
         "raw", "decrypted", "trap_passed", "accept", "target_slot", "attack_letters",
     }
@@ -303,11 +320,10 @@ def test_run_record_json_shape(layout33):
     assert all(type(s) is str and set(s) <= {"0", "1"} for s in d["raw"] + d["decrypted"])
     # and they spell the batch columns: raw by slot, decrypted over each
     # slot's non-dummy cells
-    b, i = rec.batch, rec.index
-    assert bits_of(d["raw"]) == tuple(map(tuple, b.raw[i].tolist()))
+    assert bits_of(d["raw"]) == tuple(map(tuple, b.raw[0].tolist()))
     assert bits_of(d["decrypted"]) == tuple(
-        tuple(b.decrypted[i, gi, list(layout33.graphs[gi].non_dummy_ids())].tolist())
-        for gi in b.perm[i].tolist()
+        tuple(b.decrypted[0, gi, list(layout33.graphs[gi].non_dummy_ids())].tolist())
+        for gi in b.perm[0].tolist()
     )
 
 
@@ -324,7 +340,7 @@ def test_trap_flip_semantics(layout33):
         slot = keygen(layout33, rng_from(seed)).perm.index(1)
         for letter, want in (("Z", 1), ("X", 0)):
             attack = single_pauli_attack({(slot, 0): letter})
-            dec = bits_of(run_protocol(layout33, attack, None, rng_from(seed)).to_json_dict()["decrypted"])
+            dec = bits_of(record_dicts(run_protocol(layout33, attack, None, rng_from(seed)))[0]["decrypted"])
             assert dec[slot][0] == want
             assert dec[slot][1:] == (0, 0, 0)
 
@@ -335,7 +351,7 @@ def test_single_position_attack_accept_rate(layout33):
     rng = rng_from(21)
     attack = single_pauli_attack({(0, 0): "Z"})
     n = 3000
-    hits = sum(run_protocol(layout33, attack, None, rng).to_json_dict()["accept"] for _ in range(n))
+    hits = sum(run_protocol(layout33, attack, None, rng).accept[0] for _ in range(n))
     # binomial 4 sigma around 2/3
     assert abs(hits / n - 2 / 3) < 4 * math.sqrt(2 / 9 / n)
 
@@ -345,7 +361,7 @@ def test_same_cell_all_rounds_never_accepts(layout33):
     rng = rng_from(22)
     attack = single_pauli_attack({(s, 0): "Z" for s in range(3)})
     assert not any(
-        run_protocol(layout33, attack, None, rng).to_json_dict()["accept"] for _ in range(2000)
+        run_protocol(layout33, attack, None, rng).accept[0] for _ in range(2000)
     )
 
 
@@ -356,8 +372,8 @@ def test_verdict_monotone_under_extra_letter(layout33):
     more = single_pauli_attack({(0, 0): "Z", (1, 1): "Z"})
     flips = {"gain": 0, "loss": 0}
     for seed in range(500):
-        a = run_protocol(layout33, base, None, rng_from(seed)).to_json_dict()["accept"]
-        b = run_protocol(layout33, more, None, rng_from(seed)).to_json_dict()["accept"]
+        a = run_protocol(layout33, base, None, rng_from(seed)).accept[0]
+        b = run_protocol(layout33, more, None, rng_from(seed)).accept[0]
         if b and not a:
             flips["gain"] += 1
         if a and not b:
@@ -826,16 +842,15 @@ def test_records_do_not_depend_on_the_batch(case, monkeypatch):
     run_scheme(layout, attack, noise, m, 0.5, rng_from(2030), record_sink=sink)
     whole = _run_batch(layout, attack, noise, rng_from(2030).bit_generator.spawn(m))
     one_by_one = [
-        _run_batch(layout, attack, noise, [s])[0]
+        _run_batch(layout, attack, noise, [s])
         for s in rng_from(2030).bit_generator.spawn(m)
     ]
-    assert [r.to_json_dict() for r in sink] == [r.to_json_dict() for r in whole] == [
-        r.to_json_dict() for r in one_by_one
-    ]
+    assert sink_text(sink) == whole.json_text == ", ".join(b.json_text for b in one_by_one)
+    records = sink_records(sink)
     if noise is not None:
-        assert not all(r.to_json_dict()["accept"] for r in sink)  # the noise did fire
+        assert not all(r["accept"] for r in records)  # the noise did fire
     if attack is not None:
-        assert {tuple(map(tuple, r.to_json_dict()["attack_letters"])) for r in sink} == {
+        assert {tuple(map(tuple, r["attack_letters"])) for r in records} == {
             tuple((s, v, p) for (s, v), p in sorted(term)) for _, term in attack.pauli_terms
         }
 
@@ -866,8 +881,8 @@ PIN_CASES = {
 
 @pytest.mark.parametrize("case", sorted(PIN_CASES))
 def test_records_are_pinned_to_engine_4(case):
-    """The sha256 of ``json.dumps`` (sorted keys) of 40 seeded run
-    records per case, recorded when engine 4 was introduced, after the
+    """The sha256 of 40 seeded run records' JSON list, as written, the
+    text of ``json.dumps`` with sorted keys, per case, recorded when engine 4 was introduced, after the
     frame-versus-dense and exact-distribution tests passed: honest and
     Pauli-attacked 5x3, noisy 3x3 and a noisy Pauli-word unitary attack.
     When records went to packed ``raw``/``decrypted`` strings the digests
@@ -882,7 +897,7 @@ def test_records_are_pinned_to_engine_4(case):
     layout = tiny_layout() if shape == "tiny" else make_round_layout(*shape)
     sink: list = []
     run_scheme(layout, attack, noise, 40, 0.5, rng_from(2024), record_sink=sink)
-    doc = json.dumps([r.to_json_dict() for r in sink], sort_keys=True)
+    doc = "[" + sink_text(sink) + "]"
     assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
 
@@ -906,10 +921,10 @@ ENCODER_CASES = {
 @pytest.mark.parametrize("case", sorted(ENCODER_CASES))
 def test_record_text_equals_the_dict_encoding(case):
     """Each batch's column-wise record text is, byte for byte, the items of
-    ``json.dumps`` (sorted keys) of the run-by-run reference dicts, and each
-    record decodes to its dict: honest, noisy, Pauli- and unitary-attacked
-    runs, κ = 1, 2 and 5, 3x3 to 9x3 (20-bit outputs are not served from
-    the shared string table), one run, and M = 1030 in two batches."""
+    ``json.dumps`` (sorted keys) of the run-by-run reference dicts: honest,
+    noisy, Pauli- and unitary-attacked runs, κ = 1, 2 and 5, 3x3 to 9x3
+    (20-bit outputs are not served from the shared string table), one run,
+    and M = 1030 in two batches."""
     shape, attack, noise, m = ENCODER_CASES[case]
     layout = tiny_layout() if shape == "tiny" else make_round_layout(*shape)
     if attack == "unitary":
@@ -917,31 +932,20 @@ def test_record_text_equals_the_dict_encoding(case):
         assert len(attack.pauli_terms) > 1000
     sink: list = []
     run_scheme(layout, attack, noise, m, 0.5, rng_from(4041), record_sink=sink)
-    batches = list(dict.fromkeys(r.batch for r in sink))
+    batches = sink_batches(sink)
     assert len(batches) == -(-m // protocol._BATCH)
     for batch in batches:
         want = record_dicts(batch)
         assert "[" + batch.json_text + "]" == json.dumps(want, sort_keys=True)
-        assert [r.to_json_dict() for r in batch] == want
-        # the computation string is the target slot's decrypted string
-        assert [r.target_output for r in batch] == [d["decrypted"][d["target_slot"]] for d in want]
-    records = [r.to_json_dict() for r in sink]
+    records = sink_records(sink)
+    # the computation string is the target slot's decrypted string
+    assert [r.target_output for r in sink] == [d["decrypted"][d["target_slot"]] for d in records]
     if noise is not None and m > 1:
         assert not all(r["accept"] for r in records)
     if attack is not None:
         assert any(r["attack_letters"] for r in records)
     if shape == (3, 3, 5):
         assert {r["target_slot"] for r in records} >= {0, 10}
-
-
-def test_record_dicts_are_fresh():
-    """`RunRecord.to_json_dict` decodes a new dict on every call, so a
-    caller's edit reaches neither the batch nor another caller."""
-    record = run_protocol(make_round_layout(3, 3, 1), None, None, rng_from(4042))
-    first = record.to_json_dict()
-    first["raw"][0] = "edited"
-    assert record.to_json_dict() != first
-    assert record.to_json_dict() is not record.to_json_dict()
 
 
 # -- scheme -------------------------------------------------------------------
@@ -1018,7 +1022,7 @@ def test_phase_noise_accept_rate_matches_closed_form(layout33):
     expected = p_deg2**4 * p_deg3**3
     rng = rng_from(41)
     n = 3000
-    hits = sum(run_protocol(layout33, None, noise, rng).to_json_dict()["accept"] for _ in range(n))
+    hits = sum(run_protocol(layout33, None, noise, rng).accept[0] for _ in range(n))
     se = math.sqrt(expected * (1 - expected) / n)
     assert abs(hits / n - expected) < 4 * se
 
@@ -1067,11 +1071,11 @@ def test_noisy_9x3_runs_under_the_default_cap():
 def test_more_noise_means_fewer_accepts(layout33):
     rng = rng_from(42)
     lo = sum(
-        run_protocol(layout33, None, NoiseModel(eps_v=0.01), rng).to_json_dict()["accept"]
+        run_protocol(layout33, None, NoiseModel(eps_v=0.01), rng).accept[0]
         for _ in range(400)
     )
     hi = sum(
-        run_protocol(layout33, None, NoiseModel(eps_v=0.08), rng).to_json_dict()["accept"]
+        run_protocol(layout33, None, NoiseModel(eps_v=0.08), rng).accept[0]
         for _ in range(400)
     )
     assert hi < lo
@@ -1217,8 +1221,8 @@ def test_unitary_attack_matches_letter_attack():
         by_letter = single_pauli_attack({divmod(q, 2): p for q, p in enumerate(word) if p != "I"})
         for noise in (None, NoiseModel(eps_v=0.05, eps_p=0.05)):
             for seed in range(100):
-                ru = run_protocol(lay, by_unitary, noise, rng_from(seed)).to_json_dict()
-                assert ru == run_protocol(lay, by_letter, noise, rng_from(seed)).to_json_dict()
+                ru = run_protocol(lay, by_unitary, noise, rng_from(seed)).json_text
+                assert ru == run_protocol(lay, by_letter, noise, rng_from(seed)).json_text
 
 
 def test_unitary_attack_output_distribution():
@@ -1241,7 +1245,7 @@ def test_unitary_attack_output_distribution():
     ):
         rng = rng_from(77)
         outs = [
-            run_protocol(lay, strategy, None, rng).target_output
+            run_protocol(lay, strategy, None, rng).outputs[0]
             for _ in range(900)
         ]
         assert tv_distance(empirical_distribution(outs), want) < 0.07
