@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
@@ -940,8 +941,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = parse_config(argv, env=os.environ)
         # before the run, so that a long run is not lost to a typo in the path
         out = cfg.options.get("out")
-        if out and not os.path.isdir(os.path.dirname(out) or "."):
-            raise CliError(f"cannot write --out {out}: No such file or directory")
+        if out and not os.path.isdir(parent := os.path.dirname(out) or "."):
+            try:  # the reason the write would fail with: the parent's own state
+                os.stat(parent)
+                reason = os.strerror(errno.ENOTDIR)
+            except OSError as exc:
+                reason = exc.strerror
+            raise CliError(f"cannot write --out {out}: {reason}")
         code, payload, csv_rows = execute(cfg)
         _emit(cfg, payload, csv_rows)
         return code

@@ -9,8 +9,9 @@ own guard, `_check_cap`, at 22 qubits unless a test passes ``cap``.
 
 One-run views: a repetition's key, its encrypted angles, the decryption
 of one run's raw outcomes and one round's noise events.  The engine
-computes these for a whole batch at once; these read the same draws and
-arrays for a single run.  The key also holds what the engine never
+computes these for a whole batch at once; the key and the noise events
+read the same draws and arrays for a single run, and the decryption is
+re-derived from the key and the carvings alone.  The key also holds what the engine never
 reads, each dummy's bit and decoy angle, decoded here from the key
 bytes.  The record dicts: each run's record built run by run, the
 reference for the batch's column-wise JSON encoder.
@@ -51,13 +52,10 @@ from trapver.protocol import (
     RunBatch,
     _attack_tables,
     _decode_events,
-    _decrypt,
     _draw_blocks,
     _key_words,
     _keys,
-    _masks,
     _run_batch,
-    _sim_plan,
 )
 from trapver.simulator import NoiseModel, bit_strings
 
@@ -430,21 +428,30 @@ def decrypt(
     raw_rounds: Sequence[Sequence[int]],
 ) -> tuple[tuple[int, ...], ...]:
     """Per-slot decrypted outcomes over non-dummy vertices (ascending),
-    by the batch decryption for one run.  Dummy outcomes never appear in
-    the output."""
+    re-derived for one run from the key and the carvings alone, sharing
+    no code with the engine's batch decryption.  Each non-dummy outcome
+    is XORed with its r and with the r′ of each surviving neighbour; on
+    the computation round each bridge's bit so unpadded is then XORed
+    into both of its ends.  Dummy outcomes never appear in the output."""
     if len(raw_rounds) != layout.rounds:
         raise ValueError(f"got {len(raw_rounds)} rounds of outcomes, expected {layout.rounds}")
     for slot, raw in enumerate(raw_rounds):
         if len(raw) != layout.m * layout.n:
             raise ValueError(f"slot {slot}: need one outcome per cell")
-    raw_c = np.zeros((1, layout.rounds, layout.m * layout.n), np.uint8)
-    raw_c[0, list(key.perm)] = raw_rounds
-    plans = [_sim_plan(g) for g in layout.graphs]
-    dec = _decrypt(plans[0], _masks(plans, key)[None], raw_c)[0]
-    return tuple(
-        tuple(dec[gi, list(layout.graphs[gi].non_dummy_ids())].tolist())
-        for gi in key.perm
-    )
+    out = []
+    for slot, raw in enumerate(raw_rounds):
+        gi = key.perm[slot]
+        g, r, rprime = layout.graphs[gi], key.r[gi].tolist(), key.rprime[gi].tolist()
+        bits = {
+            v: (int(raw[v]) + r[v] + sum(rprime[u] for u in g.induced_neighbors[v])) % 2
+            for v in g.non_dummy_ids()
+        }
+        fixed = dict(bits)
+        for b in g.bridge_ids() if gi == 0 else ():
+            for end in g.induced_neighbors[b]:
+                fixed[end] ^= bits[b]
+        out.append(tuple(fixed[v] for v in g.non_dummy_ids()))
+    return tuple(out)
 
 
 def sample_events(

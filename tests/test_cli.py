@@ -1482,23 +1482,31 @@ def test_verify_beyond_physical_memory_names_m_and_kappa_before_the_layout(capsy
 
 @pytest.mark.parametrize("subcommand", ["carve", "verify"])
 def test_out_into_a_missing_directory_names_the_out_path(tmp_path, capsys, monkeypatch, subcommand):
-    """The directory is checked before the run, which is never started."""
+    """The directory is checked before the run, which is never started,
+    and the error names the cause the write itself would meet: a missing
+    parent, or a parent or an ancestor that is a file."""
     def unreachable(*args, **kwargs):
         raise AssertionError("the run was started")
 
     monkeypatch.setattr("trapver.cli.carve_target", unreachable)
     monkeypatch.setattr("trapver.cli.run_scheme", unreachable)
-    out = tmp_path / "missing" / "g.json"
+    (tmp_path / "file.txt").write_text("")
     argv = {
         "carve": ["carve", "--m", "3", "--n", "3"],
         "verify": ["verify", "--kappa", "1", "--scheme-M", "100000", "--scheme-l", "0.5",
                    "--m-rounds", "3", "--n-rounds", "3"],
     }[subcommand]
-    capsys.readouterr()
-    assert main([*argv, "--out", str(out)]) == 1
-    assert capsys.readouterr() == (
-        "", f"error: cannot write --out {out}: No such file or directory\n"
-    )
+    for parent, reason in (
+        ("missing", "No such file or directory"),
+        ("file.txt", "Not a directory"),
+        ("file.txt/sub", "Not a directory"),
+    ):
+        out = tmp_path / parent / "g.json"
+        with pytest.raises(OSError, match=reason):
+            open(out, "w")  # the write's own reason
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: cannot write --out {out}: {reason}\n")
 
 
 def test_a_failed_write_leaves_no_temporary_file(tmp_path, capsys):

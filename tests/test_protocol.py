@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from trapver.bounds import pauli_matrix
 from trapver.graphs import (
@@ -259,6 +260,36 @@ def test_decrypt_rprime_flips_surviving_neighbors(layout33):
     key.rprime[0][1] = 1  # cell 1 survives with neighbors 0 and 2
     dec = decrypt(key, layout33, [[0] * 9] * 3)
     assert dec[0] == (1, 0, 1, 0, 0, 0, 0)
+
+
+DECRYPT_TARGETS = [(m, 3, kappa) for m in range(3, 10) for kappa in (1, 2)]
+
+
+@pytest.mark.parametrize("m, n, kappa", DECRYPT_TARGETS)
+def test_engine_decryption_equals_the_oracle(m, n, kappa):
+    """The engine's batch `_masks` and `_decrypt` equal the oracle's run by
+    run re-derivation, on random keys and raw bits over every cell (the
+    dummies' key bits included, which neither may read), for every
+    target from 3x3 to 9x3."""
+    layout, runs = make_round_layout(m, n, kappa), 40
+    rng = rng_from(5000 + 10 * m + kappa)
+    shape = (runs, layout.rounds, m * n)
+    perm = np.argsort(rng.random(shape[:2]), axis=1)
+    r, rprime, raw = (rng.integers(0, 2, shape, np.uint8) for _ in range(3))
+    keys = protocol.SecretKey(perm, np.zeros(shape, np.uint8), r, rprime)
+    plans = [_sim_plan(g) for g in layout.graphs]
+    canonical = np.empty_like(raw)
+    canonical[np.arange(runs)[:, None], perm] = raw
+    dec = protocol._decrypt(plans[0], protocol._masks(plans, keys), canonical)
+    unread = np.zeros(shape[1:], np.uint8)  # θ, d and the decoy angle
+    for i in range(runs):
+        key = DenseKey(tuple(perm[i].tolist()), unread, r[i], rprime[i], unread, unread)
+        want = decrypt(key, layout, raw[i].tolist())
+        got = tuple(
+            tuple(dec[i, gi, list(layout.graphs[gi].non_dummy_ids())].tolist())
+            for gi in key.perm
+        )
+        assert got == want, i
 
 
 def test_decrypt_validates_shapes(layout33):
@@ -752,6 +783,37 @@ def test_event_rate_per_site_matches_noise_model(layout33):
         assert abs(hits.get(site, 0) - n * rate) < 4 * sigma, site
 
 
+@pytest.mark.parametrize("m", [3, 5])
+def test_event_kinds_ends_and_letters_follow_the_noise_law(m):
+    """A χ² test at a fixed seed of `_decode_events` counts by site kind,
+    cZ end and letter, under the non-uniform mix X .5, Y .3, Z .2: each
+    preparation fires at ε_V, each cZ and readout at ε_P; a cZ puts its
+    letter on either end with probability 1/2, and the letter follows the
+    mix everywhere."""
+    g = carve_target(m, 3)
+    mix = {"X": 0.5, "Y": 0.3, "Z": 0.2}
+    eps_v, eps_p, runs = 0.2, 0.3, 2000
+    size, n_edges = 3 * m, len(g.edges)
+    u = rng_from(990 + m).random((runs, 2 * size + n_edges))
+    _, steps, verts, codes = protocol._decode_events(g, NoiseModel(eps_v, eps_p, mix), u)
+    cz = (steps >= 0) & (steps < n_edges)
+    second = verts == np.array(g.edges).reshape(-1, 2)[np.clip(steps, 0, n_edges - 1), 1]
+    # kinds: preparation, cZ's first end, cZ's second end, readout
+    kind = np.where(cz, 1 + second, np.where(steps < 0, 0, 3))
+    letter = codes - 1  # letter codes 1, 2, 3: X, Z, Y
+    counts = np.zeros((4, 3))
+    np.add.at(counts, (kind, letter), 1)
+    letter_p = np.array([mix["X"], mix["Z"], mix["Y"]])
+    stat, dof = 0.0, 0
+    for kinds, sites, rate in (([0], size, eps_v), ([1, 2], n_edges, eps_p), ([3], size, eps_p)):
+        hits = counts[kinds].ravel()
+        want = runs * sites * rate / len(kinds) * np.tile(letter_p, len(kinds))
+        none, none_want = runs * sites - hits.sum(), runs * sites * (1 - rate)
+        stat += ((hits - want) ** 2 / want).sum() + (none - none_want) ** 2 / none_want
+        dof += len(hits)
+    assert stats.chi2.sf(stat, dof) > 1e-3, (stat, dof)
+
+
 @pytest.mark.parametrize("m, n", [(3, 3), (5, 3), (9, 3)])
 def test_correction_index_map_equals_the_masked_loop(m, n):
     """The map flipped in place through strided views is the per-bridge
@@ -779,15 +841,7 @@ def test_honest_outputs_reach_exact_cross_entropy(m, n, runs):
     (24 qubits, the smallest carving with staggered connectors), and
     uniform strings give 1.0, so a decryption or mask bug cannot pass."""
     layout = make_round_layout(m, n, 1)
-    g = layout.target
-    probs = exact_probability_array(g)
-    ref = np.zeros_like(probs)
-    np.add.at(ref, _correction_index_map(g), probs)
-    del probs  # at 7x5 every array here is 128 MiB
-    scaled = ref * ref.size
-    want = float((ref * scaled).sum())
-    sd = math.sqrt(float((ref * scaled**2).sum()) - want**2)
-    del ref
+    scaled, want, sd = _exact_cross_entropy(layout.target)
     tol = 4 * sd / math.sqrt(runs)
     assert want - tol > 1.0
     sink: list = []
@@ -801,6 +855,45 @@ def test_honest_outputs_reach_exact_cross_entropy(m, n, runs):
     assert verdict.pass_fraction == 1.0
     got = float(scaled[[int(r.target_output[::-1], 2) for r in sink]].mean())
     assert abs(got - want) < tol
+
+
+def test_honest_outputs_reach_exact_cross_entropy_at_random_steps():
+    """The cross-entropy gate on a 9x3 target whose computational cells
+    carry random grid steps, bridges kept at 4 and traps at 0.  At the
+    base angles 2^N·p takes 3 values and 8 of the 20 output bits leave
+    it unchanged when flipped, so no gate sees a pad error there; at
+    these steps only the two bridge bits do, and the expectation is
+    1.566 against 1.0 for uniform strings."""
+    base = make_round_layout(9, 3, 1)
+    steps = rng_from(8092).integers(0, 16, 27).tolist()
+    target = dataclasses.replace(base.target, phi_k=tuple(
+        k if role == ROLE_COMPUTATIONAL else phi
+        for k, role, phi in zip(steps, base.target.roles, base.target.phi_k)
+    ))
+    layout, runs = dataclasses.replace(base, graphs=(target,) + base.graphs[1:]), 1000
+    scaled, want, sd = _exact_cross_entropy(target)
+    idx = np.arange(scaled.size)
+    flip_invisible = [j for j in range(20) if np.allclose(scaled, scaled[idx ^ (1 << j)])]
+    assert flip_invisible == [9, 10]  # the bridges, cells 11 and 13
+    tol = 4 * sd / math.sqrt(runs)
+    assert want - tol > 1.0
+    sink: list = []
+    verdict = run_scheme(layout, None, None, runs, 1.0, rng_from(8093), record_sink=sink)
+    assert verdict.pass_fraction == 1.0
+    got = float(scaled[[int(r.target_output[::-1], 2) for r in sink]].mean())
+    assert abs(got - want) < tol
+
+
+def _exact_cross_entropy(g: GraphSpec) -> tuple[np.ndarray, float, float]:
+    """2^N times the exact corrected distribution of ``g``'s outputs, by
+    index, and its mean and standard deviation at an honest output."""
+    probs = exact_probability_array(g)
+    ref = np.zeros_like(probs)
+    np.add.at(ref, _correction_index_map(g), probs)
+    del probs  # at 7x5 every array here is 128 MiB
+    scaled = ref * ref.size
+    want = float((ref * scaled).sum())
+    return scaled, want, math.sqrt(float((ref * scaled**2).sum()) - want**2)
 
 
 def test_scheme_and_gap_reject_attacks_outside_the_layout(layout33):
