@@ -447,9 +447,10 @@ def decrypt(
             for v in g.non_dummy_ids()
         }
         fixed = dict(bits)
-        for b in g.bridge_ids() if gi == 0 else ():
-            for end in g.induced_neighbors[b]:
-                fixed[end] ^= bits[b]
+        if gi == 0:  # the connector corrections read the unpadded bridge bits
+            for b in g.bridge_ids():
+                for end in g.induced_neighbors[b]:
+                    fixed[end] ^= bits[b]
         out.append(tuple(fixed[v] for v in g.non_dummy_ids()))
     return tuple(out)
 
