@@ -7,8 +7,8 @@ function that executes runs: given one bit generator per repetition, it
 draws the whole batch's keys, attack terms, outcomes and noise events as
 arrays, decrypts with GF(2) products and reads the trap verdicts off as
 row reductions.  It returns the batch as columns, a `RunBatch`, whose
-`json_text` is the per-run transcripts.  `run_scheme` is its one caller
-in the package.  Every deviation reaches it as a Pauli mixture:
+`json_text` holds the per-run transcripts.  `run_scheme` is its one
+caller in the package.  Every deviation reaches it as a Pauli mixture:
 a unitary one is converted once, where it enters, by `unitary_attack`.
 
 The round kernel rests on the one-time pad: for any key a round's raw

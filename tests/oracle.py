@@ -11,9 +11,9 @@ One-run views: a repetition's key, its encrypted angles, the decryption
 of one run's raw outcomes and one round's noise events.  The engine
 computes these for a whole batch at once; the key and the noise events
 read the same draws and arrays for a single run, and the decryption is
-re-derived from the key and the carvings alone.  The key also holds what the engine never
-reads, each dummy's bit and decoy angle, decoded here from the key
-bytes.  The record dicts: each run's record built run by run, the
+re-derived from the key and the carvings alone.  The key also holds
+what the engine never reads, each dummy's bit and decoy angle, decoded
+here from the key bytes.  The record dicts: each run's record built run by run, the
 reference for the batch's column-wise JSON encoder.
 
 The test-side drivers of the batch engine: `run_protocol`, one
