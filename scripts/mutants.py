@@ -54,7 +54,7 @@ _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypot
 def failing_tests(copy: Path) -> set[str]:
     """The ids of the tests that fail in ``copy``, run without the pins."""
     p = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rf",
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rfE",
          "--continue-on-collection-errors", "-k", "not pinned"],
         cwd=copy, capture_output=True, text=True,
     )

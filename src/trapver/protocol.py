@@ -590,6 +590,12 @@ class RunRecord:
     def target_output(self) -> str:
         return self.batch.outputs[self.index]
 
+    def to_json_dict(self) -> dict:
+        """The run's record, a fresh dict decoded from the whole batch's
+        `RunBatch.json_text` on every call.  Only perfbench's tracer
+        probe reads it; the package writes records as text."""
+        return json.loads(f"[{self.batch.json_text}]")[self.index]
+
 
 def _run_batch(
     layout: RoundLayout,

@@ -45,20 +45,25 @@ def test_honest_5x3_outputs_pass_the_benchmark_checks():
 _TRACER_PROBE = r"""
 import numpy as np
 from tracer import Tracer
+from trapver import cli, graphs, protocol, simulator
 from trapver.protocol import make_round_layout, run_scheme
 
 def outputs():
     sink = []
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(7)))
     run_scheme(make_round_layout(5, 3, 1), None, None, 20, 1.0, rng, record_sink=sink)
-    return [r.target_output for r in sink]
+    return [r.target_output for r in sink], [r.to_json_dict() for r in sink]
 
-before = outputs()
+def bindings():
+    return [dict(vars(m)) for m in (cli, graphs, protocol, simulator)] + [graphs.GraphSpec.neighbors]
+
+before, bound = outputs(), bindings()
 t = Tracer()
 t.install()
 traced = outputs()
 t.uninstall()
-assert traced == before, "a traced run computed different outputs"
+assert traced == before, "a traced run computed different outputs or records"
+assert bindings() == bound, "uninstall left a binding patched"
 """
 
 

@@ -715,10 +715,14 @@ def test_replay_names_a_record_in_the_second_batch(tmp_path, capsys):
 
 
 def test_verify_and_replay_build_no_record_dict(tmp_path, monkeypatch):
-    """The artifact's records are spliced in from each batch's text: the
-    engine offers no record as a dict, and a verify and its replay each
-    encode their one batch once."""
-    assert not hasattr(RunRecord, "to_json_dict")
+    """The artifact's records are spliced in from each batch's text: a
+    verify and its replay never ask a record for its dict, and each
+    encodes its one batch once."""
+
+    def refused(self):
+        raise AssertionError("a record's dict was built")
+
+    monkeypatch.setattr(RunRecord, "to_json_dict", refused)
     assert not hasattr(RunBatch, "__getitem__")
     encoded = []
     encode = RunBatch.json_text.func

@@ -35,6 +35,7 @@ from trapver.protocol import (
     AttackSpec,
     RoundLayout,
     RunBatch,
+    RunRecord,
     honest_target_distribution,
     make_round_layout,
     run_scheme,
@@ -1036,6 +1037,20 @@ def test_record_text_equals_the_dict_encoding(case):
         assert any(r["attack_letters"] for r in records)
     if shape == (3, 3, 5):
         assert {r["target_slot"] for r in records} >= {0, 10}
+
+
+def test_record_dicts_are_fresh():
+    """`RunRecord.to_json_dict` decodes a new dict on every call, so a
+    caller's edit reaches neither the batch nor another caller; each is
+    its run's reference dict."""
+    batch = _run_batch(make_round_layout(3, 3, 1), None, None, [rng_from(4042).bit_generator] * 3)
+    for i, want in enumerate(record_dicts(batch)):
+        record = RunRecord(batch, i)
+        first = record.to_json_dict()
+        assert first == want
+        first["raw"][0] = "edited"
+        assert record.to_json_dict() != first
+        assert record.to_json_dict() is not record.to_json_dict()
 
 
 # -- scheme -------------------------------------------------------------------
